@@ -3,7 +3,7 @@
 Subcommands: decide, witness, verify, table, oracle-check, cylinders.
 Exit status 0 means realizable / verified / full agreement, 1 means not
 realizable / violation / disagreement, 2 means a malformed document, a
-validation error or an exhausted search budget.
+validation error, an exhausted search budget or any other error.
 
 Document formats (format_version "1").  Rationals are [numerator,
 denominator] pairs in lowest terms with positive denominators; a bare
@@ -135,7 +135,10 @@ def _piece_from_json(doc: Any, path: str) -> _surfaces.Piece:
     if kind == "polygon":
         return _surfaces.Polygon(_residues_from_json(doc.get("edges"), path + ".edges"))
     if kind == "polar_part":
-        if not isinstance(doc.get("order"), int) or not isinstance(doc.get("type"), int):
+        if any(
+            isinstance(doc.get(key), bool) or not isinstance(doc.get(key), int)
+            for key in ("order", "type")
+        ):
             raise DocumentError(path, "polar parts need integer 'order' and 'type'")
         return _surfaces.PolarPart(
             doc["order"],
@@ -256,6 +259,9 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
     bases = tuple(
         _surface_from_json(b, f"{path}.bases[{k}]") for k, b in enumerate(bases_doc)
     )
+    for key in ("node_pairings", "surgeries"):
+        if not isinstance(doc.get(key, []), list):
+            raise DocumentError(f"{path}.{key}", "expected a list")
     node_pairs = []
     for k, pair in enumerate(doc.get("node_pairings", [])):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -302,12 +308,18 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
     )
 
 
-def _verdict_to_json(verdict: _decide.Verdict) -> dict:
+def _verdict_document(sig: StratumSignature, verdict: _decide.Verdict, **extra) -> dict:
     return {
-        "realizable": verdict.realizable,
-        "reason": verdict.reason,
-        "certificate_hint": verdict.certificate_hint,
-        "every_component": verdict.every_component,
+        "format_version": FORMAT_VERSION,
+        "kind": "verdict",
+        "stratum": _stratum_to_json(sig),
+        "verdict": {
+            "realizable": verdict.realizable,
+            "reason": verdict.reason,
+            "certificate_hint": verdict.certificate_hint,
+            "every_component": verdict.every_component,
+        },
+        **extra,
     }
 
 
@@ -316,7 +328,11 @@ def _verdict_to_json(verdict: _decide.Verdict) -> dict:
 
 
 def _read_document(source: str) -> Any:
-    text = sys.stdin.read() if source == "-" else open(source, "r", encoding="utf-8").read()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source, "r", encoding="utf-8") as handle:
+            text = handle.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -349,13 +365,7 @@ def _request_pair(doc: Any) -> tuple[StratumSignature, tuple[QQi, ...]]:
 def _cmd_decide(args: argparse.Namespace) -> int:
     sig, residues = _request_pair(_read_document(args.input))
     verdict = _decide.decide_realizable(sig, residues)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "verdict",
-        "stratum": _stratum_to_json(sig),
-        "verdict": _verdict_to_json(verdict),
-    }
-    _write_document(doc, args.output)
+    _write_document(_verdict_document(sig, verdict), args.output)
     return 0 if verdict.realizable else 1
 
 
@@ -365,21 +375,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     rotation = doc_in.get("rotation") if isinstance(doc_in, dict) else None
     if rotation is not None and (isinstance(rotation, bool) or not isinstance(rotation, int)):
         raise DocumentError("$.rotation", "expected an integer or null")
-    cert = _surfaces.build_witness(sig, residues, rotation=rotation)
-    if cert is None:
-        verdict = _decide.decide_realizable(sig, residues)
-        _write_document(
-            {
-                "format_version": FORMAT_VERSION,
-                "kind": "verdict",
-                "stratum": _stratum_to_json(sig),
-                "verdict": _verdict_to_json(verdict),
-            },
-            args.output,
-        )
+    verdict = _decide.decide_realizable(sig, residues)
+    if not verdict.realizable:
+        _write_document(_verdict_document(sig, verdict), args.output)
         return 1
-    doc = _certificate_to_json(cert)
-    _write_document(doc, args.output)
+    cert = _surfaces._certificate_for(sig, residues, verdict, rotation)
+    _write_document(_certificate_to_json(cert), args.output)
     if args.svg:
         _emit_svg(cert, args.svg)
     return 0
@@ -501,30 +502,10 @@ def _cmd_cylinders(args: argparse.Namespace) -> int:
         raise DocumentError("$", "expected an object")
     sig = _stratum_from_json(doc.get("stratum"), "$.stratum")
     lam = _residues_from_json(doc.get("circumferences"), "$.circumferences")
-    outcome = _decide.decide_cylinder_tuple(sig, lam)
-    via = "closed-form"
-    if isinstance(outcome, _decide.NeedsSearch):
-        via = "search"
-        kwargs = {} if args.budget is None else {"budget": args.budget}
-        config = _graphs.find_cylinder_config(sig, lam, **kwargs)
-        if config is None:
-            verdict = _decide.Verdict(False, _decide.REASON_SEARCH_NONE)
-        else:
-            verdict = _decide.Verdict(
-                True, _decide.REASON_SEARCH_REALIZABLE, "stable-tree"
-            )
-    else:
-        verdict = outcome
-    _write_document(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "verdict",
-            "stratum": _stratum_to_json(sig),
-            "via": via,
-            "verdict": _verdict_to_json(verdict),
-        },
-        args.output,
-    )
+    verdict = _decide.search_cylinder_tuple(sig, lam, budget=args.budget)
+    searched = verdict.reason in (_decide.REASON_SEARCH_REALIZABLE, _decide.REASON_SEARCH_NONE)
+    via = "search" if searched else "closed-form"
+    _write_document(_verdict_document(sig, verdict, via=via), args.output)
     return 0 if verdict.realizable else 1
 
 
@@ -670,14 +651,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DocumentError as exc:
+    except (DocumentError, ValueError, OSError, _graphs.SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _graphs.SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 means "not realizable", never a crash
+        print(f"error: internal error, {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

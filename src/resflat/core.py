@@ -290,11 +290,6 @@ class _Marker:
 #: Returned by :func:`collinear_normal_form` when two entries span the plane.
 NON_COLLINEAR = _Marker("NON_COLLINEAR")
 
-#: Collinear entries with an irrational ratio.  Unreachable for Gaussian
-#: rational inputs (the ratio of collinear Gaussian rationals is rational);
-#: kept so callers can treat the outcome space uniformly.
-NON_COMMENSURABLE = _Marker("NON_COMMENSURABLE")
-
 
 @dataclass(frozen=True)
 class PrimitiveRay:
@@ -329,6 +324,14 @@ class PrimitiveRay:
         return tuple(self.direction * m for m in self.integers)
 
 
+def _primitive_integers(ratios: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """Coprime integers m_k and the unit u with ratios[k] == m_k * u, u > 0."""
+    scale = math.lcm(*(t.denominator for t in ratios))
+    ints = [int(t * scale) for t in ratios]
+    g = gcd(*ints)
+    return [m // g for m in ints], Fraction(g, scale)
+
+
 def collinear_normal_form(entries: Sequence[QQi]):
     """Normal form of a tuple of nonzero Gaussian rationals on a real line.
 
@@ -349,17 +352,10 @@ def collinear_normal_form(entries: Sequence[QQi]):
         if t is None:
             return NON_COLLINEAR
         ratios.append(t)
-    scale = 1
-    for t in ratios:
-        scale = scale * t.denominator // gcd(scale, t.denominator)
-    ints = [int(t * scale) for t in ratios]
-    g = 0
-    for m in ints:
-        g = gcd(g, abs(m))
-    ints = [m // g for m in ints]
+    ints, unit = _primitive_integers(ratios)
     sign = 1 if ints[0] > 0 else -1
     ints = [sign * m for m in ints]
-    direction = base * Fraction(sign * g, scale)
+    direction = base * (sign * unit)
     ray_entries = tuple(direction * m for m in ints)
     assert ray_entries == entries, "normal form must reproduce the input exactly"
     if sum(ints) != 0:
@@ -387,11 +383,5 @@ def primitive_abs_profile(entries: Sequence[QQi]) -> tuple[int, ...] | None:
         if t is None:
             return None
         ratios.append(abs(t))
-    scale = 1
-    for t in ratios:
-        scale = scale * t.denominator // gcd(scale, t.denominator)
-    ints = [int(t * scale) for t in ratios]
-    g = 0
-    for m in ints:
-        g = gcd(g, m)
-    return tuple(sorted((m // g for m in ints), reverse=True))
+    ints, _ = _primitive_integers(ratios)
+    return tuple(sorted(ints, reverse=True))

@@ -39,7 +39,6 @@ REASON_ZERO_OK = "zero-vector-allowed"
 REASON_ZERO_EXCLUDED = "zero-vector-excluded-by-large-zero"
 REASON_EXCLUDED_RAY = "excluded-primitive-ray"
 REASON_COLLINEAR_OK = "collinear-sum-exceeds-max-zero"
-REASON_NON_COMMENSURABLE = "non-commensurable-collinear"
 REASON_BELOW_GENUS = "below-genus-bound"
 REASON_SEARCH_REALIZABLE = "search-realizable"
 REASON_SEARCH_NONE = "search-not-realizable"
@@ -49,6 +48,12 @@ _NEGATIVE_REASONS = {REASON_ZERO_EXCLUDED, REASON_EXCLUDED_RAY, REASON_SEARCH_NO
 
 @dataclass(frozen=True)
 class Verdict:
+    """A realizability answer and the reason it was reached.
+
+    On a realizable residue tuple ``certificate_hint`` names the
+    construction route :func:`resflat.surfaces.build_witness` follows.
+    """
+
     realizable: bool
     reason: str
     certificate_hint: str | None = None
@@ -92,20 +97,13 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
             return Verdict(True, REASON_ZERO_OK, "zero-residue-chain")
         return Verdict(False, REASON_ZERO_EXCLUDED)
 
-    if sig.p >= 1:
-        form = collinear_normal_form(tuple(nonzero))
-        if form is NON_COLLINEAR:
-            return Verdict(True, REASON_NON_COLLINEAR, "residual-polygon")
-        return Verdict(True, REASON_MIXED, "collinear-anchor-chain")
-
-    # Only simple poles.
     form = collinear_normal_form(tuple(nonzero))
     if form is NON_COLLINEAR:
         return Verdict(True, REASON_NON_COLLINEAR, "residual-polygon")
-    if not isinstance(form, PrimitiveRay):
-        # Irrational collinear ratios cannot occur over Gaussian rationals,
-        # but such tuples are always realizable.
-        return Verdict(True, REASON_NON_COMMENSURABLE, "residual-polygon")
+    if sig.p >= 1:
+        return Verdict(True, REASON_MIXED, "collinear-anchor-chain")
+
+    # Only simple poles.
     if form.positive_sum <= sig.max_zero():
         return Verdict(False, REASON_EXCLUDED_RAY)
     hint = "connection-graph" if sig.n == 1 else (

@@ -312,11 +312,7 @@ class StableConfigTree:
 def _component_realizable(zero_order: int, residues: tuple[QQi, ...]) -> bool:
     """Single-zero, simple-poles-only criterion for one component."""
     form = collinear_normal_form(residues)
-    if form is NON_COLLINEAR:
-        return True
-    if isinstance(form, PrimitiveRay):
-        return form.positive_sum > zero_order
-    return True
+    return form is NON_COLLINEAR or form.positive_sum > zero_order
 
 
 def _index_subsets(indices: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:

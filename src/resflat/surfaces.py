@@ -28,7 +28,6 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .core import (
-    NON_COLLINEAR,
     PrimitiveRay,
     QQi,
     StratumSignature,
@@ -38,7 +37,6 @@ from .core import (
     cross,
     dot,
     residue_tuple,
-    validate_residues,
 )
 from . import decide as _decide
 from . import graphs as _graphs
@@ -369,17 +367,7 @@ def verify_surface(surface: FlatSurface, *, angle_tol: float = ANGLE_TOL) -> Pro
     if violations:
         raise VerificationError(violations)
 
-    parent = list(range(len(pieces)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in surface.pairings:
-        parent[find(a[0])] = find(b[0])
-    if len({find(i) for i in range(len(pieces))}) != 1:
+    if not _graphs._connected(len(pieces), [(a[0], b[0]) for a, b in surface.pairings]):
         raise VerificationError(("surface is disconnected",))
 
     corner_into: dict[Slot, tuple[Slot, float]] = {}
@@ -554,17 +542,7 @@ def _assemble(profiles: Sequence[Profile], node_pairs) -> Profile:
     if violations:
         raise VerificationError(violations)
 
-    parent = list(range(len(profiles)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (ba, _), (bb, _) in node_pairs:
-        parent[find(ba)] = find(bb)
-    if len({find(i) for i in range(len(profiles))}) != 1:
+    if not _graphs._connected(len(profiles), [(a[0], b[0]) for a, b in node_pairs]):
         raise VerificationError(("assembled configuration is disconnected",))
 
     genus = sum(p.genus for p in profiles) + len(node_pairs) - len(profiles) + 1
@@ -1200,23 +1178,28 @@ def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
     return blow_up_zero(cert, idx, (lo1, lo2))
 
 
-def _single_zero_nonzero_cert(
-    sig: StratumSignature, residues: Sequence[QQi]
-) -> ConstructionCertificate:
-    nonzero = tuple(r for r in residues if not r.is_zero())
-    form = collinear_normal_form(nonzero)
-    if form is NON_COLLINEAR:
-        return _cert_of(_general_nonzero_surface(sig, residues))
-    if sig.p >= 1:
-        return _cert_of(_collinear_mixed_surface(sig, residues))
-    return _cert_of(_connection_graph_surface(residues))
+def _single_zero_surface(
+    sig: StratumSignature, residues: Sequence[QQi], route: str
+) -> FlatSurface:
+    """The one-zero surface a nonzero-residue genus-0 route starts from.
+
+    Only the poles of ``sig`` are read; the zero carries their whole degree.
+    """
+    if route == "residual-polygon":
+        return _general_nonzero_surface(sig, residues)
+    if route == "collinear-anchor-chain":
+        return _collinear_mixed_surface(sig, residues)
+    return _connection_graph_surface(residues)
 
 
 def _stable_assembly_cert(
-    sig: StratumSignature,
-    residues: Sequence[QQi],
-    config: "_graphs.StableConfigTree",
+    sig: StratumSignature, residues: Sequence[QQi]
 ) -> ConstructionCertificate:
+    config = _graphs.find_stable_config(sig, residues)
+    if config is None:
+        raise InternalBuildError(
+            "no stable configuration although the decider says realizable"
+        )
     bases: list[FlatSurface] = []
     profiles: list[Profile] = []
     half_slot: dict[tuple[int, int], tuple[int, int]] = {}
@@ -1234,25 +1217,6 @@ def _stable_assembly_cert(
     )
     claimed = _assemble(profiles, node_pairs)
     return ConstructionCertificate(tuple(bases), node_pairs, (), claimed, None, None)
-
-
-def _genus0_cert(
-    sig: StratumSignature, residues: Sequence[QQi]
-) -> ConstructionCertificate:
-    if all(r.is_zero() for r in residues):
-        return _zero_residue_cert(sig)
-    if sig.n == 1 and sig.zeros[0] > 0:
-        return _single_zero_nonzero_cert(sig, residues)
-    base_sig = StratumSignature(0, (sum(sig.zeros),), sig.higher_poles, sig.s)
-    if _decide.decide_realizable(base_sig, residues).realizable:
-        cert = _single_zero_nonzero_cert(base_sig, residues)
-        return _blow_to_target(cert, sig.zeros)
-    config = _graphs.find_stable_config(sig, residues)
-    if config is None:
-        raise InternalBuildError(
-            "no stable configuration although the decider says realizable"
-        )
-    return _stable_assembly_cert(sig, residues, config)
 
 
 def _genus1_zero_residue_cert(
@@ -1294,62 +1258,68 @@ def _genus1_zero_residue_cert(
     raise ValueError(f"no family realizes rotation {rot} on this stratum")
 
 
-def _genus1_cert(
+def _positive_genus_cert(
     sig: StratumSignature, residues: Sequence[QQi], rotation: int | None
 ) -> ConstructionCertificate:
+    """A genus-1 base with a single zero, g - 1 handles, then the blow-ups."""
     if sig.p == 0 and sig.s == 0:
         if rotation is not None:
             raise ValueError("rotation claims need poles of order at least 2")
-        return _cert_of(_flat_torus())
-    if sig.p == 0:
+        cert = _cert_of(_flat_torus())
+    elif sig.p == 0:
         if rotation is not None:
             raise ValueError("rotation bookkeeping covers zero-residue families only")
         cert = _cert_of(_torus_with_hole(residues))
-        return _blow_to_target(cert, sig.zeros)
-    if all(r.is_zero() for r in residues):
+    elif all(r.is_zero() for r in residues):
         cert = _genus1_zero_residue_cert(sig.higher_poles, rotation)
-        if len(_positive_parts(sig.zeros)) > 1:
-            if rotation is not None:
-                raise ValueError("rotation claims require the single-zero family base")
-            cert = _blow_to_target(cert, sig.zeros)
-        return cert
-    if rotation is not None:
-        raise ValueError("rotation bookkeeping covers zero-residue families only")
-    a0 = sig.pole_degree + sig.s - 2
-    base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
-    cert = _single_zero_nonzero_cert(base_sig, residues)
-    cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
-    return _blow_to_target(cert, sig.zeros)
-
-
-def _higher_genus_cert(
-    sig: StratumSignature, residues: Sequence[QQi], rotation: int | None
-) -> ConstructionCertificate:
-    if rotation is not None:
-        raise ValueError("rotation numbers apply to genus-1 certificates")
-    g = sig.genus
-    if sig.p == 0 and sig.s == 0:
-        cert = _cert_of(_flat_torus())
-        for _ in range(g - 1):
-            cert = sew_handle(cert, 0)
-        return _blow_to_target(cert, sig.zeros)
-    if sig.p == 0:
-        cert = _cert_of(_torus_with_hole(residues))
-        for _ in range(g - 1):
-            cert = sew_handle(cert, 0)
-        return _blow_to_target(cert, sig.zeros)
-    if all(r.is_zero() for r in residues):
-        cert = _genus1_zero_residue_cert(sig.higher_poles, None)
-        for _ in range(g - 1):
-            cert = sew_handle(cert, 0)
-        return _blow_to_target(cert, sig.zeros)
-    a0 = sig.pole_degree + sig.s - 2
-    base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
-    cert = _single_zero_nonzero_cert(base_sig, residues)
-    cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
-    for _ in range(g - 1):
+        if rotation is not None and len(_positive_parts(sig.zeros)) > 1:
+            raise ValueError("rotation claims require the single-zero family base")
+    else:
+        if rotation is not None:
+            raise ValueError("rotation bookkeeping covers zero-residue families only")
+        a0 = sig.pole_degree + sig.s - 2
+        base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
+        route = _decide.decide_realizable(base_sig, residues).certificate_hint
+        cert = _cert_of(_single_zero_surface(base_sig, residues, route))
+        cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
+    for _ in range(sig.genus - 1):
         cert = sew_handle(cert, 0)
     return _blow_to_target(cert, sig.zeros)
+
+
+def _certificate_for(
+    sig: StratumSignature,
+    residues: tuple[QQi, ...],
+    verdict: "_decide.Verdict",
+    rotation: int | None,
+) -> ConstructionCertificate:
+    """Build along a realizable verdict's route and check the claim.
+
+    Every claim is :func:`verify_surface`'s reading of each base, folded
+    through :func:`_assemble` and :func:`_apply_surgery`, which is what
+    :func:`verify_certificate` re-derives; so only the request and a claimed
+    rotation are checked here.
+    """
+    if rotation is not None and sig.genus != 1:
+        raise ValueError("rotation numbers apply to genus-1 certificates")
+    route = verdict.certificate_hint
+    if route == "zero-residue-chain":
+        cert = _zero_residue_cert(sig)
+    elif route == "stable-tree":
+        cert = _stable_assembly_cert(sig, residues)
+    elif route == "genus-reduction":
+        cert = _positive_genus_cert(sig, residues, rotation)
+    else:
+        cert = _cert_of(_single_zero_surface(sig, residues, route))
+        cert = _blow_to_target(cert, sig.zeros)
+    if not profile_matches(cert.claimed, sig, residues):
+        raise InternalBuildError(
+            f"builder output does not reproduce the request: got {cert.claimed}, "
+            f"wanted {sig} with residues {tuple(map(str, residues))}"
+        )
+    if cert.claimed_rotation is not None:
+        _check_rotation(cert, cert.claimed)
+    return cert
 
 
 def build_witness(
@@ -1361,30 +1331,15 @@ def build_witness(
     """Construct a verified certificate for (sig, residues), or None.
 
     Returns None exactly when the residue tuple is not realizable on the
-    stratum.  The returned certificate always passes
-    :func:`verify_certificate` and reproduces the prescribed invariants; a
-    failure of that round trip raises InternalBuildError.  For genus-1
+    stratum.  Otherwise the construction follows the verdict's
+    ``certificate_hint``; the returned certificate passes
+    :func:`verify_certificate` and reproduces the prescribed invariants, and
+    a claim that misses the request raises InternalBuildError.  For genus-1
     zero-residue strata a ``rotation`` number may be prescribed, selecting a
     connected component.
     """
     residues = residue_tuple(residues)
-    bad = validate_residues(sig, residues)
-    if bad:
-        raise ValueError("; ".join(bad))
-    if not _decide.decide_realizable(sig, residues).realizable:
+    verdict = _decide.decide_realizable(sig, residues)
+    if not verdict.realizable:
         return None
-    if sig.genus == 0:
-        if rotation is not None:
-            raise ValueError("rotation numbers apply to genus-1 certificates")
-        cert = _genus0_cert(sig, residues)
-    elif sig.genus == 1:
-        cert = _genus1_cert(sig, residues, rotation)
-    else:
-        cert = _higher_genus_cert(sig, residues, rotation)
-    final = verify_certificate(cert)
-    if not profile_matches(final, sig, residues):
-        raise InternalBuildError(
-            f"builder output does not reproduce the request: got {final}, "
-            f"wanted {sig} with residues {tuple(map(str, residues))}"
-        )
-    return cert
+    return _certificate_for(sig, residues, verdict, rotation)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from resflat.cli import main
 
 
@@ -218,3 +220,53 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     code, out = run_cli(["verify"], tmp_path, cert, name="tampered.json")
     assert code == 1
     assert out["kind"] == "violation"
+
+
+def _certificate_doc(tmp_path, **changes):
+    doc = {
+        "stratum": {"genus": 1, "zeros": [4], "poles": [2, 2], "simple_poles": 0},
+        "residues": [0, 0],
+    }
+    _, cert = run_cli(["witness"], tmp_path, doc, name="request.json")
+    cert.update(changes)
+    return cert
+
+
+def _boolean_pole_type(tmp_path):
+    cert = _certificate_doc(tmp_path)
+    piece = cert["bases"][0]["pieces"][0]
+    assert piece["kind"] == "polar_part" and piece["type"] == 1
+    piece["type"] = True
+    return cert
+
+
+@pytest.mark.parametrize(
+    "command, make_doc",
+    [
+        (["verify"], lambda tmp: _certificate_doc(tmp, node_pairings=5)),
+        (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=7)),
+        (["verify"], _boolean_pole_type),
+        (["table"], lambda tmp: {"s_max": 4, "max_zero": "x"}),
+        (
+            ["witness"],
+            lambda tmp: {
+                "stratum": {"genus": 0, "zeros": [2], "poles": [], "simple_poles": 4},
+                "residues": [
+                    {"re": 10**400},
+                    {"im": 10**400},
+                    {"re": -(10**400)},
+                    {"im": -(10**400)},
+                ],
+            },
+        ),
+    ],
+    ids=["node-pairings-not-a-list", "surgeries-not-a-list", "boolean-type", "table-max-zero", "huge-residues"],
+)
+def test_every_failure_is_status_two_with_one_error_line(tmp_path, capsys, command, make_doc):
+    doc = make_doc(tmp_path)
+    capsys.readouterr()
+    code, _ = run_cli(command, tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,179 @@
+"""Exact bytes of CLI output documents.
+
+Each case runs one subcommand in-process and compares the sha256 of the
+written document, and the exit status, with a digest recorded from the
+reference implementation.  Any change to a verdict, a certificate (pieces,
+pairings, surgeries, claimed profile) or the JSON layout changes a digest;
+a deliberate format change must re-record the digests and be noted in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from resflat.cli import main
+
+
+def _stratum(genus, zeros, poles=(), simple=0):
+    return {"genus": genus, "zeros": list(zeros), "poles": list(poles), "simple_poles": simple}
+
+
+def _gauss(re, im):
+    return {"re": re, "im": im}
+
+
+# (name, argv before the input path, input document, exit status, sha256)
+CASES = [
+    (
+        "witness-zero-residue-chain",
+        ["witness"],
+        {"stratum": _stratum(0, [1, 1], [2, 2]), "residues": [0, 0]},
+        0,
+        "e6dd9f7b391e10e25fdba54eb1835995335073e5e26fce6b68121a53f859edc7",
+    ),
+    (
+        "witness-residual-polygon",
+        ["witness"],
+        {
+            "stratum": _stratum(0, [2], [], 4),
+            "residues": [_gauss(1, 0), _gauss(0, 1), _gauss(-1, 0), _gauss(0, -1)],
+        },
+        0,
+        "fd14d069ccb309dc299d5f9f4751ba00c67bf3c1d5551498df9f45ac83579598",
+    ),
+    (
+        "witness-collinear-anchor-chain",
+        ["witness"],
+        {"stratum": _stratum(0, [2], [2], 2), "residues": [1, 2, -3]},
+        0,
+        "cb1f45150857f43c183e9a08f6668da498d866e09d0207c7236a86a386e9a79b",
+    ),
+    (
+        "witness-connection-graph",
+        ["witness"],
+        {"stratum": _stratum(0, [5], [], 7), "residues": [3, 1, 1, 1, -2, -2, -2]},
+        0,
+        "8c5110818af65ebd061e4245f8098aa42949eae76070f67d63eee83a7bb0a978",
+    ),
+    (
+        "witness-blow-up-of-single-zero",
+        ["witness"],
+        {"stratum": _stratum(0, [1, 1], [], 4), "residues": [3, -1, -1, -1]},
+        0,
+        "51e24c05f9acee6946b95342e14427140d964307c663e6c93a2e34a3d55d512e",
+    ),
+    (
+        "witness-stable-tree",
+        ["witness"],
+        {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
+        0,
+        "c71d3cc38ac687f79c77e6eb61d15861918ea9ff113132702637e954ef80bab4",
+    ),
+    (
+        "witness-genus-reduction",
+        ["witness"],
+        {"stratum": _stratum(1, [3], [2], 1), "residues": [[1, 2], [-1, 2]]},
+        0,
+        "7117f0dfd95f09e7ce4716449526f2e6c565f6fc21ce1eee0c7fedfb29290ec7",
+    ),
+    (
+        "witness-genus-2-nonzero-residues",
+        ["witness"],
+        {
+            "stratum": _stratum(2, [3, 3], [2], 2),
+            "residues": [_gauss(1, 1), 1, _gauss(-2, -1)],
+        },
+        0,
+        "651e599f4857bf216598dac0a49c8357209f571852ddc99b2131393d5fa4b50c",
+    ),
+    (
+        "witness-genus-2-simple-poles",
+        ["witness"],
+        {"stratum": _stratum(2, [2, 2], [], 2), "residues": [1, -1]},
+        0,
+        "ea87a5b364e474d44a9a943fdad2bf1766fd2c770401a53ba920e24290724043",
+    ),
+    (
+        "witness-genus-1-rotation",
+        ["witness"],
+        {"stratum": _stratum(1, [4], [2, 2]), "residues": [0, 0], "rotation": 2},
+        0,
+        "e06ec8057ee77222a7321b17b283d7eba78a148282a118ae794f14acc8754aec",
+    ),
+    (
+        "witness-marked-point",
+        ["witness"],
+        {"stratum": _stratum(0, [0], [], 2), "residues": [1, -1]},
+        0,
+        "88b23969084eb432e9721ad4f72dd6bde0f18bee952615b5da0ef4659a5ba45f",
+    ),
+    (
+        "witness-anchor-chain-two-zeros",
+        ["witness"],
+        {"stratum": _stratum(0, [1, 1], [2], 2), "residues": [1, 2, -3]},
+        0,
+        "f6b3a7502514728396457358be88efb8b3d1437b46d9f39338035a776b66d53d",
+    ),
+    (
+        "witness-genus-1-zero-residues-two-zeros",
+        ["witness"],
+        {"stratum": _stratum(1, [2, 2], [2, 2]), "residues": [0, 0]},
+        0,
+        "46204b27d9a3deefd508beab848b4ee2cf47a7ba8b7913dd43ff3152969178ed",
+    ),
+    (
+        "witness-genus-3-holomorphic",
+        ["witness"],
+        {"stratum": _stratum(3, [2, 2]), "residues": []},
+        0,
+        "243fc5920be3710753a8b507fb08e2e14076e3f87bfeb7eb887838dd16295a67",
+    ),
+    (
+        "witness-not-realizable",
+        ["witness"],
+        {"stratum": _stratum(0, [2], [2, 2]), "residues": [0, 0]},
+        1,
+        "e7fbad9539b843d304ee304ea53a10da437f77db0d46aef30350772bc200b561",
+    ),
+    (
+        "decide-excluded-ray",
+        ["decide"],
+        {"stratum": _stratum(0, [2], [], 4), "residues": [1, 1, -1, -1]},
+        1,
+        "209d61e6ee3181b156c5c91be5bfb794c24b920bd8eee7e6c7740116dddc521e",
+    ),
+    (
+        "decide-stable-tree",
+        ["decide"],
+        {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
+        0,
+        "312213cc95922e4c71652c30d52fe3baecd65ac7903fe6380107c0690c3d566e",
+    ),
+    (
+        "cylinders-closed-form",
+        ["cylinders"],
+        {"stratum": _stratum(4, [6]), "circumferences": [1, 1, 1, 1]},
+        1,
+        "e01bf49b5e2fab116488acef1b352c72bdc40873edbedad7e9087f3a3bd4b000",
+    ),
+    (
+        "cylinders-search",
+        ["cylinders"],
+        {"stratum": _stratum(4, [4, 1, 1]), "circumferences": [1, 1, 1, 1]},
+        0,
+        "9a923730338dd601da056bc56320b2225b42f2bc5e949a3fc4711e69cbd9ed87",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, doc, code, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_output_bytes_are_pinned(tmp_path, args, doc, code, digest):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(args + [str(path), "-o", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+import resflat.decide
+import resflat.surfaces
 from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.decide import decide_realizable
 from resflat.surfaces import (
@@ -141,6 +143,37 @@ class TestBuildWitness:
         r = residue_tuple([2, 1, 1, -1, -1, -2])
         cert = self.check(sig, r)
         assert len(cert.bases) == 2 and len(cert.node_pairs) == 1
+
+    @pytest.mark.parametrize(
+        "sig, values, route",
+        [
+            (StratumSignature(0, (1, 1), (2, 2)), [0, 0], "zero-residue-chain"),
+            (StratumSignature(0, (1, 1), (), 4), [ONE, I, -ONE, -I], "residual-polygon"),
+            (StratumSignature(0, (1, 1), (2,), 2), [1, 2, -3], "collinear-anchor-chain"),
+            (StratumSignature(0, (5,), (), 7), [3, 1, 1, 1, -2, -2, -2], "connection-graph"),
+            (StratumSignature(0, (1, 1), (), 4), [3, -1, -1, -1], "blow-up-of-single-zero"),
+            (StratumSignature(0, (2, 2), (), 6), [2, 1, 1, -1, -1, -2], "stable-tree"),
+        ],
+    )
+    def test_one_decision_and_one_verification_per_base(
+        self, monkeypatch, sig, values, route
+    ):
+        verdicts, verified = [], []
+        decide, verify = resflat.decide.decide_realizable, resflat.surfaces.verify_surface
+
+        def counting_decide(*args):
+            verdicts.append(decide(*args))
+            return verdicts[-1]
+
+        def counting_verify(surface):
+            verified.append(surface)
+            return verify(surface)
+
+        monkeypatch.setattr(resflat.decide, "decide_realizable", counting_decide)
+        monkeypatch.setattr(resflat.surfaces, "verify_surface", counting_verify)
+        cert = build_witness(sig, residue_tuple(values))
+        assert [v.certificate_hint for v in verdicts] == [route]
+        assert verified == list(cert.bases)
 
     def test_decider_and_builder_agree(self):
         # Randomized cross-check is in the acceptance suite; here a fixed grid.
