@@ -44,6 +44,10 @@ class DocumentError(Exception):
 # JSON codecs
 
 
+def _is_int(doc: Any) -> bool:
+    return isinstance(doc, int) and not isinstance(doc, bool)
+
+
 def _frac_to_json(x: Fraction) -> list[int]:
     return [x.numerator, x.denominator]
 
@@ -53,7 +57,7 @@ def _frac_from_json(doc: Any, path: str) -> Fraction:
         raise DocumentError(path, "expected a rational, got a boolean")
     if isinstance(doc, int):
         return Fraction(doc)
-    if isinstance(doc, list) and len(doc) == 2 and all(isinstance(v, int) for v in doc):
+    if isinstance(doc, list) and len(doc) == 2 and all(_is_int(v) for v in doc):
         if doc[1] == 0:
             raise DocumentError(path, "zero denominator")
         return Fraction(doc[0], doc[1])
@@ -85,9 +89,7 @@ def _stratum_to_json(sig: StratumSignature) -> dict:
 
 
 def _int_list(doc: Any, path: str) -> list[int]:
-    if not isinstance(doc, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in doc
-    ):
+    if not isinstance(doc, list) or not all(_is_int(v) for v in doc):
         raise DocumentError(path, "expected a list of integers")
     return list(doc)
 
@@ -95,12 +97,12 @@ def _int_list(doc: Any, path: str) -> list[int]:
 def _stratum_from_json(doc: Any, path: str) -> StratumSignature:
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a stratum object")
-    if not isinstance(doc.get("genus"), int) or isinstance(doc.get("genus"), bool):
+    if not _is_int(doc.get("genus")):
         raise DocumentError(path + ".genus", "expected an integer")
     zeros = _int_list(doc.get("zeros", []), path + ".zeros")
     poles = _int_list(doc.get("poles", []), path + ".poles")
     simple = doc.get("simple_poles", 0)
-    if isinstance(simple, bool) or not isinstance(simple, int):
+    if not _is_int(simple):
         raise DocumentError(path + ".simple_poles", "expected an integer")
     return StratumSignature(doc["genus"], zeros, poles, simple)
 
@@ -135,10 +137,7 @@ def _piece_from_json(doc: Any, path: str) -> _surfaces.Piece:
     if kind == "polygon":
         return _surfaces.Polygon(_residues_from_json(doc.get("edges"), path + ".edges"))
     if kind == "polar_part":
-        if any(
-            isinstance(doc.get(key), bool) or not isinstance(doc.get(key), int)
-            for key in ("order", "type")
-        ):
+        if not (_is_int(doc.get("order")) and _is_int(doc.get("type"))):
             raise DocumentError(path, "polar parts need integer 'order' and 'type'")
         return _surfaces.PolarPart(
             doc["order"],
@@ -217,7 +216,7 @@ def _profile_from_json(doc: Any, path: str) -> _surfaces.Profile:
             (pd["order"], _qqi_from_json(pd.get("residue", 0), f"{path}.poles[{k}].residue"))
         )
     genus = doc.get("genus")
-    if isinstance(genus, bool) or not isinstance(genus, int):
+    if not _is_int(genus):
         raise DocumentError(path + ".genus", "expected an integer")
     return _surfaces.Profile(genus, zeros, tuple(poles))
 
@@ -291,7 +290,7 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
             raise DocumentError(spath + ".op", f"unknown surgery {sg['op']!r}")
     claimed = _profile_from_json(doc.get("claimed_profile"), path + ".claimed_profile")
     rotation = doc.get("claimed_rotation")
-    if rotation is not None and (isinstance(rotation, bool) or not isinstance(rotation, int)):
+    if rotation is not None and not _is_int(rotation):
         raise DocumentError(path + ".claimed_rotation", "expected an integer or null")
     family = None
     fam_doc = doc.get("family")
@@ -373,7 +372,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     doc_in = _read_document(args.input)
     sig, residues = _request_pair(doc_in)
     rotation = doc_in.get("rotation") if isinstance(doc_in, dict) else None
-    if rotation is not None and (isinstance(rotation, bool) or not isinstance(rotation, int)):
+    if rotation is not None and not _is_int(rotation):
         raise DocumentError("$.rotation", "expected an integer or null")
     verdict = _decide.decide_realizable(sig, residues)
     if not verdict.realizable:
@@ -421,8 +420,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
         max_zero = doc.get("max_zero")
     else:
         s_min, s_max, max_zero = args.s_min, args.s_max, args.max_zero
-    if not isinstance(s_min, int) or not isinstance(s_max, int) or s_max < s_min:
+    if not (_is_int(s_min) and _is_int(s_max)) or s_max < s_min:
         raise DocumentError("$.s_min/s_max", "expected integers with s_min <= s_max")
+    if max_zero is not None and not _is_int(max_zero):
+        raise DocumentError("$.max_zero", "expected an integer or null")
     rows = []
     for s in range(s_min, s_max + 1):
         bound = max_zero if max_zero is not None else s - 2

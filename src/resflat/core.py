@@ -153,10 +153,6 @@ def arg_cmp(a: QQi, b: QQi) -> int:
     return 0
 
 
-def arg_float(v: QQi) -> float:
-    return math.atan2(float(v.im), float(v.re))
-
-
 @dataclass(frozen=True)
 class StratumSignature:
     """Genus, zero orders, higher pole orders and simple pole count.

@@ -247,20 +247,23 @@ def _boolean_pole_type(tmp_path):
         (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=7)),
         (["verify"], _boolean_pole_type),
         (["table"], lambda tmp: {"s_max": 4, "max_zero": "x"}),
+        (["table"], lambda tmp: {"s_max": 3, "max_zero": True}),
         (
-            ["witness"],
+            ["decide"],
             lambda tmp: {
-                "stratum": {"genus": 0, "zeros": [2], "poles": [], "simple_poles": 4},
-                "residues": [
-                    {"re": 10**400},
-                    {"im": 10**400},
-                    {"re": -(10**400)},
-                    {"im": -(10**400)},
-                ],
+                "stratum": {"genus": 0, "zeros": [0], "poles": [], "simple_poles": 2},
+                "residues": [[True, 1], -1],
             },
         ),
     ],
-    ids=["node-pairings-not-a-list", "surgeries-not-a-list", "boolean-type", "table-max-zero", "huge-residues"],
+    ids=[
+        "node-pairings-not-a-list",
+        "surgeries-not-a-list",
+        "boolean-type",
+        "table-max-zero",
+        "table-boolean-max-zero",
+        "boolean-numerator",
+    ],
 )
 def test_every_failure_is_status_two_with_one_error_line(tmp_path, capsys, command, make_doc):
     doc = make_doc(tmp_path)
@@ -270,3 +273,23 @@ def test_every_failure_is_status_two_with_one_error_line(tmp_path, capsys, comma
     assert code == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if command == ["table"]:
+        assert "$.max_zero" in err
+
+
+def test_huge_residues_round_trip(tmp_path):
+    big = 10**400
+    doc = {
+        "stratum": {"genus": 0, "zeros": [2], "poles": [], "simple_poles": 4},
+        "residues": [{"re": big}, {"im": big}, {"re": -big}, {"im": -big}],
+    }
+    code, cert = run_cli(["witness"], tmp_path, doc)
+    assert code == 0
+    code, out = run_cli(["verify"], tmp_path, cert, name="cert.json")
+    assert code == 0 and out["profile"]["zeros"] == [2]
+    assert [pole["residue"] for pole in out["profile"]["poles"]] == [
+        {"re": [big, 1], "im": [0, 1]},
+        {"re": [0, 1], "im": [big, 1]},
+        {"re": [-big, 1], "im": [0, 1]},
+        {"re": [0, 1], "im": [-big, 1]},
+    ]

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -102,6 +103,13 @@ class TestVerifySurface:
         with pytest.raises(VerificationError, match="close up"):
             verify_surface(FlatSurface((Polygon((ONE, I, -ONE)),), ()))
 
+    @pytest.mark.parametrize(
+        "edges", [(ONE, -I, -ONE, I), (ONE, I, -ONE, -I) * 2], ids=["clockwise", "twice-around"]
+    )
+    def test_bad_winding_detected(self, edges):
+        with pytest.raises(VerificationError, match="does not wind once counterclockwise"):
+            verify_surface(FlatSurface((Polygon(edges),), ()))
+
 
 class TestBuildWitness:
     def check(self, sig, values, rotation=None):
@@ -174,6 +182,25 @@ class TestBuildWitness:
         cert = build_witness(sig, residue_tuple(values))
         assert [v.certificate_hint for v in verdicts] == [route]
         assert verified == list(cert.bases)
+
+    @pytest.mark.parametrize(
+        "sig, values, route",
+        [
+            (StratumSignature(0, (2,), (), 4), (1, I, -1, -I), "residual-polygon"),
+            (StratumSignature(0, (3,), (3,), 2), (QQi(1, 1), I, QQi(-1, -2)), "residual-polygon"),
+            (StratumSignature(0, (3,), (3,), 2), (2, -1, -1), "collinear-anchor-chain"),
+        ],
+        ids=["polygon-simple-poles", "polygon-higher-pole", "anchor-chain"],
+    )
+    @pytest.mark.parametrize(
+        "t", [Fraction(10**400), Fraction(1, 10**400)], ids=["1e400", "1e-400"]
+    )
+    def test_exact_at_any_magnitude(self, sig, values, route, t):
+        # Cone angles and winding are whole-turn counts, so no magnitude
+        # overflows or underflows them.
+        values = [v * t for v in residue_tuple(values)]
+        assert decide_realizable(sig, values).certificate_hint == route
+        self.check(sig, values)
 
     def test_decider_and_builder_agree(self):
         # Randomized cross-check is in the acceptance suite; here a fixed grid.
