@@ -210,7 +210,7 @@ def _profile_from_json(doc: Any, path: str) -> _surfaces.Profile:
         raise DocumentError(path + ".poles", "expected a list")
     poles = []
     for k, pd in enumerate(poles_doc):
-        if not isinstance(pd, dict) or not isinstance(pd.get("order"), int):
+        if not isinstance(pd, dict) or not _is_int(pd.get("order")):
             raise DocumentError(f"{path}.poles[{k}]", "expected an object with 'order'")
         poles.append(
             (pd["order"], _qqi_from_json(pd.get("residue", 0), f"{path}.poles[{k}].residue"))
@@ -276,7 +276,7 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
         spath = f"{path}.surgeries[{k}]"
         if not isinstance(sg, dict) or "op" not in sg:
             raise DocumentError(spath, "expected an object with an 'op'")
-        if not isinstance(sg.get("zero"), int):
+        if not _is_int(sg.get("zero")):
             raise DocumentError(spath + ".zero", "expected an integer")
         if sg["op"] == "blow_up_zero":
             surgeries.append(
@@ -466,16 +466,19 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             raise DocumentError("$", "expected an object")
         s_max = doc.get("s_max", args.s_max)
         entry_bound = doc.get("entry_bound", args.entry_bound)
-        mode = doc.get("mode", args.mode)
     else:
-        s_max, entry_bound, mode = args.s_max, args.entry_bound, args.mode
+        s_max, entry_bound = args.s_max, args.entry_bound
+    if not _is_int(s_max):
+        raise DocumentError("$.s_max", "expected an integer")
+    if not _is_int(entry_bound):
+        raise DocumentError("$.entry_bound", "expected an integer")
     cases = 0
     disagreements = []
     for combo in _oracle_cases(s_max, entry_bound):
         cases += 1
         sig = StratumSignature(0, (len(combo) - 2,), (), len(combo))
         closed = _decide.decide_realizable(sig, residue_tuple(combo)).realizable
-        brute = _graphs.find_connection_graph(combo, mode=mode) is not None
+        brute = _graphs.find_connection_graph(combo) is not None
         if closed != brute:
             disagreements.append(
                 {"tuple": list(combo), "closed_form": closed, "brute_force": brute}
@@ -487,7 +490,6 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         {
             "format_version": FORMAT_VERSION,
             "kind": "oracle-check",
-            "mode": mode,
             "cases": cases,
             "disagreements": disagreements,
             "agreement": agreement,
@@ -631,7 +633,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o = add("oracle-check", needs_input=False)
     o.add_argument("--s-max", type=int, default=7)
     o.add_argument("--entry-bound", type=int, default=5)
-    o.add_argument("--mode", choices=("universal", "existential"), default="universal")
     c = add("cylinders")
     c.add_argument("--budget", type=int, default=None, help="search budget")
     return parser

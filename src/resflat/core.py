@@ -1,10 +1,8 @@
 """Exact arithmetic and the basic vocabulary of the realizability problem.
 
-Everything downstream (deciders, graph searches, flat-surface builders) works
-over Gaussian rationals so that every comparison made by this package is
-exact.  Floating point appears only in one place, the cone-angle check of the
-surface verifier, where the totals are integer multiples of 2*pi by
-construction.
+Everything downstream (deciders, graph searches, flat-surface builders and
+the surface verifier) works over Gaussian rationals, so every comparison made
+by this package is exact; cone angles are counted in whole turns.
 """
 
 from __future__ import annotations
@@ -158,9 +156,7 @@ class StratumSignature:
     """Genus, zero orders, higher pole orders and simple pole count.
 
     Pole orders are stored positive: ``higher_poles=(3, 4)`` means two poles
-    of orders -3 and -4.  A zero order 0 is a marked regular point; the only
-    place it is needed is the stratum with a single marked point and simple
-    poles.
+    of orders -3 and -4.  A zero order 0 is a marked regular point.
     """
 
     genus: int

@@ -78,26 +78,11 @@ class ConnectionGraph:
     def leaves(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self.vertices if len(self.neighbors(v)) == 1)
 
-    def side_total(self, side: str) -> Fraction:
-        return sum(
-            (w for v, w in zip(self.vertices, self.weights) if v[0] == side),
-            Fraction(0),
-        )
-
     def is_tree(self) -> bool:
-        if len(self.edges) != len(self.vertices) - 1:
+        index = {v: k for k, v in enumerate(self.vertices)}
+        if len(self.edges) != len(index) - 1 or not all(v in index for e in self.edges for v in e):
             return False
-        if not self.vertices:
-            return False
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        return _connected(len(index), [(index[a], index[b]) for a, b in self.edges])
 
     def is_bipartite(self) -> bool:
         return all(a[0] == "+" and b[0] == "-" for a, b in self.edges)
@@ -125,58 +110,70 @@ def leaf_removal(graph: ConnectionGraph, leaf: Vertex) -> ConnectionGraph:
     return ConnectionGraph(tuple(vertices), tuple(weights), edges)
 
 
-def is_connection_graph(graph: ConnectionGraph, *, mode: str = "universal") -> bool:
+def is_connection_graph(graph: ConnectionGraph) -> bool:
     """Test the leaf-removal condition.
 
-    A valid graph keeps all weights strictly positive through leaf removals:
-    in ``universal`` mode through *every* sequence of 1..A-1 removals (A the
-    edge count), in ``existential`` mode through at least one full-length
-    sequence.  Balanced side totals are required in both modes.  Raises
-    ValueError for inputs that are not bipartite trees.
+    A valid graph keeps all weights strictly positive through every sequence
+    of leaf removals.  After any removals a vertex weighs the sum of the flows
+    on its remaining edges, so this holds exactly when the side totals
+    balance and every edge flow is positive (see :func:`_flows_positive`).
+    Raises ValueError for inputs that are not bipartite trees.
     """
-    if mode not in ("universal", "existential"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not graph.is_tree():
         raise ValueError("connection graphs must be trees")
     if not graph.is_bipartite():
         raise ValueError("edges must join the plus side to the minus side")
-    if any(w <= 0 for w in graph.weights):
-        return False
-    if graph.side_total("+") != graph.side_total("-"):
-        return False
-    depth = len(graph.edges) - 1
-    memo: dict[tuple, bool] = {}
-    return _removals_ok(graph, depth, mode == "universal", memo)
+    position: dict[Vertex, int] = {}
+    plus: list[Fraction] = []
+    minus: list[Fraction] = []
+    for v, w in zip(graph.vertices, graph.weights):
+        side = plus if v[0] == "+" else minus
+        position[v] = len(side)
+        side.append(w)
+    pairs = [(position[a], position[b]) for a, b in graph.edges]
+    return _flows_positive(plus, minus, pairs)
 
 
-def _graph_key(graph: ConnectionGraph, depth: int) -> tuple:
-    return (
-        tuple(sorted(zip(graph.vertices, graph.weights))),
-        tuple(sorted(graph.edges)),
-        depth,
-    )
+def _flows_positive(
+    plus: Sequence[Fraction], minus: Sequence[Fraction], pairs: Sequence[tuple[int, int]]
+) -> bool:
+    """Balanced side totals and a positive flow on every edge of the tree.
+
+    ``pairs`` are the (plus index, minus index) edges of a spanning tree.
+    The flow across an edge is the plus-side total minus the minus-side
+    total of the part of the tree on its plus end: the weight a leaf carries
+    when it is removed across that edge, and the gluing length
+    :func:`removal_order` assigns.
+    """
+    offset = len(plus)
+    net = list(plus) + [-w for w in minus]
+    adjacency: list[list[int]] = [[] for _ in net]
+    for i, j in pairs:
+        adjacency[i].append(offset + j)
+        adjacency[offset + j].append(i)
+    order, parent = _rooted(adjacency)
+    for v in reversed(order[1:]):
+        # The part below v has signed total net[v] and, with balanced sides,
+        # the part above it -net[v]; an unbalanced tree fails either way.
+        if (net[v] if v < offset else -net[v]) <= 0:
+            return False
+        net[parent[v]] += net[v]
+    return bool(pairs) and net[0] == 0
 
 
-def _removals_ok(graph: ConnectionGraph, depth: int, universal: bool, memo: dict) -> bool:
-    if depth <= 0:
-        return True
-    key = _graph_key(graph, depth)
-    if key in memo:
-        return memo[key]
-    outcome = universal
-    for leaf in graph.leaves():
-        smaller = leaf_removal(graph, leaf)
-        ok = all(w > 0 for w in smaller.weights) and _removals_ok(
-            smaller, depth - 1, universal, memo
-        )
-        if universal and not ok:
-            outcome = False
-            break
-        if not universal and ok:
-            outcome = True
-            break
-    memo[key] = outcome
-    return outcome
+def _rooted(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """A tree's vertices in breadth-first order from vertex 0, and their parents.
+
+    Summing each vertex into its parent in reverse order gives subtree totals.
+    """
+    parent = [-1] * len(adjacency)
+    order = [0]
+    for v in order:
+        for u in adjacency[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    return order, parent
 
 
 def _prufer_decode(seq: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...]:
@@ -241,9 +238,7 @@ def _signed_values(entries: Sequence[Rat] | PrimitiveRay) -> tuple[Fraction, ...
     return tuple(Fraction(x) for x in entries)
 
 
-def find_connection_graph(
-    entries: Sequence[Rat] | PrimitiveRay, *, mode: str = "universal"
-) -> ConnectionGraph | None:
+def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGraph | None:
     """Exhaustively search for a connection graph with the given weights.
 
     ``entries`` is a signed real tuple (or a primitive ray) summing to zero
@@ -260,19 +255,21 @@ def find_connection_graph(
     plus = [v for v in values if v > 0]
     minus = [-v for v in values if v < 0]
     for pairs in _bipartite_trees(len(plus), len(minus)):
-        graph = ConnectionGraph.from_sides(plus, minus, pairs)
-        if is_connection_graph(graph, mode=mode):
-            return graph
+        if _flows_positive(plus, minus, pairs):
+            return ConnectionGraph.from_sides(plus, minus, pairs)
     return None
 
 
 def removal_order(graph: ConnectionGraph) -> tuple[tuple[Vertex, Vertex, Fraction], ...]:
     """Deterministic gluing schedule: (leaf, neighbor, length) per edge.
 
-    Repeatedly removes the smallest leaf until one vertex remains; the final
-    edge is listed with the surviving pair and their common weight.  All
-    lengths are positive for a valid connection graph.
+    Repeatedly removes the smallest leaf until one edge remains, listed last
+    with the surviving pair and their common weight.  Each length is the
+    flow across its edge.  Raises ValueError unless ``graph`` is a
+    connection graph.
     """
+    if not is_connection_graph(graph):
+        raise ValueError("not a connection graph")
     g = graph
     steps: list[tuple[Vertex, Vertex, Fraction]] = []
     while len(g.vertices) > 2:
@@ -280,15 +277,8 @@ def removal_order(graph: ConnectionGraph) -> tuple[tuple[Vertex, Vertex, Fractio
         nb = g.neighbors(leaf)[0]
         steps.append((leaf, nb, g.weight(leaf)))
         g = leaf_removal(g, leaf)
-    if len(g.vertices) == 2:
-        a, b = g.vertices
-        wa, wb = g.weights
-        if wa != wb:
-            raise ValueError("final weights differ; not a balanced graph")
-        steps.append((a, b, wa))
-    for _, _, length in steps:
-        if length <= 0:
-            raise ValueError("nonpositive gluing length; not a connection graph")
+    a, b = g.vertices
+    steps.append((a, b, g.weights[0]))
     return tuple(steps)
 
 
@@ -361,19 +351,14 @@ def find_stable_config(
     spent = 0
     all_poles = tuple(range(len(residues)))
     for tree in _labeled_trees(n):
-        deg = [0] * n
-        for u, v in tree:
-            deg[u] += 1
-            deg[v] += 1
-        sizes = [sig.zeros[c] + 2 - deg[c] for c in range(n)]
-        if any(k < 0 for k in sizes):
-            continue
-        if sum(sizes) != len(residues):
-            continue
-        adjacency = {c: [] for c in range(n)}
+        adjacency: dict[int, list[int]] = {c: [] for c in range(n)}
         for u, v in tree:
             adjacency[u].append(v)
             adjacency[v].append(u)
+        # The sizes always sum to the number of poles (degree identity).
+        sizes = [sig.zeros[c] + 2 - len(adjacency[c]) for c in range(n)]
+        if any(k < 0 for k in sizes):
+            continue
         for assignment in _index_subsets(all_poles, sizes):
             spent += 1
             if spent > budget:
@@ -381,7 +366,7 @@ def find_stable_config(
                     f"stable-config search exceeded budget of {budget} assignments"
                 )
             smooth_sum = [sum((residues[i] for i in assignment[c]), QQi(0)) for c in range(n)]
-            node_res = _solve_node_residues(n, tree, adjacency, smooth_sum)
+            node_res = _solve_node_residues(tree, adjacency, smooth_sum)
             if node_res is None:
                 continue
             ok = True
@@ -407,7 +392,6 @@ def find_stable_config(
 
 
 def _solve_node_residues(
-    n: int,
     tree: tuple[tuple[int, int], ...],
     adjacency: dict[int, list[int]],
     smooth_sum: list[QQi],
@@ -415,36 +399,21 @@ def _solve_node_residues(
     """Node residues forced by per-component zero sums; None when one vanishes.
 
     For the edge (u, v), the residue on u's half is minus the total smooth
-    residue of the subtree containing u.
+    residue of the part of the tree containing u.  All smooth residues sum
+    to zero, so one pass of subtree totals gives both halves of every edge.
     """
+    order, parent = _rooted(adjacency)
+    below = list(smooth_sum)
+    for v in reversed(order[1:]):
+        below[parent[v]] = below[parent[v]] + below[v]
     out: dict[tuple[int, int], QQi] = {}
     for u, v in tree:
-        side = _subtree_vertices(n, tree, u, v)
-        total = QQi(0)
-        for c in side:
-            total = total + smooth_sum[c]
+        total = below[v] if parent[v] == u else -below[u]
         if total.is_zero():
             return None
-        out[(u, v)] = -total
-        out[(v, u)] = total
+        out[(u, v)] = total
+        out[(v, u)] = -total
     return out
-
-
-def _subtree_vertices(
-    n: int, tree: tuple[tuple[int, int], ...], root: int, banned: int
-) -> tuple[int, ...]:
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        x = frontier.pop()
-        for u, v in tree:
-            if u == x and v != banned and v not in seen:
-                seen.add(v)
-                frontier.append(v)
-            elif v == x and u != banned and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -1114,6 +1114,55 @@ def _blow_to_target(
     return blow_up_zero(cert, idx, parts)
 
 
+def _halve_slot(piece: Piece, slot: int) -> tuple[Piece, tuple[int, int]]:
+    """Cut a boundary slot into equal halves, at ``slot`` and ``slot + 1``.
+
+    Returns the new piece and the two half slots in the order the canonical
+    direction runs through them, which is reversed on a polar bottom chain.
+    """
+    field = {Polygon: "edges", SimplePolePart: "vectors", PolarPart: "top"}[type(piece)]
+    k, halves = slot, (slot, slot + 1)
+    if isinstance(piece, PolarPart) and slot >= len(piece.top):
+        field, k, halves = "bottom", slot - len(piece.top), (slot + 1, slot)
+    vectors = getattr(piece, field)
+    half = vectors[k] / 2
+    return replace(piece, **{field: vectors[:k] + (half, half) + vectors[k + 1 :]}), halves
+
+
+def _mark_point(surface: FlatSurface) -> FlatSurface:
+    """The surface with the midpoint of its first glued edge pair marked.
+
+    Both edges are halved.  Glued edges run in opposite directions, so the
+    halves are glued crosswise; the midpoint has angle pi on either side.
+    """
+    (a, b), *rest = surface.pairings
+    pieces = list(surface.pieces)
+    # The later slot is cut first, so the earlier one keeps its index.
+    for i, k in sorted((a, b), reverse=True):
+        pieces[i], (h0, h1) = _halve_slot(pieces[i], k)
+
+        def shift(slot: Slot) -> Slot:
+            return (i, slot[1] + 1) if slot[0] == i and slot[1] > k else slot
+
+        rest = [(shift(x), shift(y)) for x, y in rest] + [((i, h0), (i, h1))]
+    *rest, (p0, p1), (q0, q1) = rest
+    return FlatSurface(pieces, [(p0, q1), (p1, q0)] + rest)
+
+
+def _with_marked_points(
+    cert: ConstructionCertificate, zeros: tuple[int, ...]
+) -> ConstructionCertificate:
+    """Mark regular points on the first base until the declared order-0 zeros
+    are covered.  They join the claimed zeros last, so no surgery's zero
+    index moves."""
+    missing = max(0, zeros.count(0) - cert.claimed.zero_orders.count(0))
+    base = cert.bases[0]
+    for _ in range(missing):
+        base = _mark_point(base)
+    claimed = replace(cert.claimed, zero_orders=cert.claimed.zero_orders + (0,) * missing)
+    return replace(cert, bases=(base,) + cert.bases[1:], claimed=claimed)
+
+
 def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
     orders = sig.higher_poles
     total_b = sig.pole_degree
@@ -1255,8 +1304,9 @@ def _certificate_for(
     """Build along a realizable verdict's route and check the claim.
 
     Every claim is :func:`verify_surface`'s reading of each base, folded
-    through :func:`_assemble` and :func:`_apply_surgery`, which is what
-    :func:`verify_certificate` re-derives; so only the request and a claimed
+    through :func:`_assemble` and :func:`_apply_surgery`, plus one order-0
+    zero per point :func:`_mark_point` marks.  That is what
+    :func:`verify_certificate` re-derives, so only the request and a claimed
     rotation are checked here.
     """
     if rotation is not None and sig.genus != 1:
@@ -1271,6 +1321,7 @@ def _certificate_for(
     else:
         cert = _cert_of(_single_zero_surface(sig, residues, route))
         cert = _blow_to_target(cert, sig.zeros)
+    cert = _with_marked_points(cert, sig.zeros)
     if not profile_matches(cert.claimed, sig, residues):
         raise InternalBuildError(
             f"builder output does not reproduce the request: got {cert.claimed}, "

@@ -2,13 +2,13 @@
 
 Each test implements one acceptance criterion at its stated tolerance and
 prints a single PASS line with the measured numbers (pytest -v also reports
-one line per criterion).  Everything here is exact except the cone-angle
-check, which the surface verifier bounds by 1e-9 relative to 2*pi.
+one line per criterion).  Everything here is exact.
 """
 
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -70,30 +70,32 @@ def test_table_reproduction():
 
 
 def test_oracle_equivalence():
-    """Closed form against brute-force graph search, s <= 7, entries <= 5."""
-    values = [v for v in range(-5, 6) if v]
-    cases = 0
+    """Closed form against brute-force graph search: s <= 7 with entries
+    <= 5, and s = 8 with entries <= 3."""
+    cases = Counter()
     disagreements = 0
-    for s in range(2, 8):
-        for combo in itertools.combinations_with_replacement(values, s):
-            if sum(combo) != 0:
-                continue
-            g = 0
-            for m in combo:
-                g = gcd(g, abs(m))
-            if g != 1 or not any(m > 0 for m in combo) or not any(m < 0 for m in combo):
-                continue
-            cases += 1
-            sig = StratumSignature(0, (s - 2,), (), s)
-            closed = decide_realizable(sig, residue_tuple(combo)).realizable
-            brute = find_connection_graph(combo) is not None
-            if closed != brute:
-                disagreements += 1
-    assert cases > 500
+    for sizes, bound in ((range(2, 8), 5), ((8,), 3)):
+        values = [v for v in range(-bound, bound + 1) if v]
+        for s in sizes:
+            for combo in itertools.combinations_with_replacement(values, s):
+                if sum(combo) != 0:
+                    continue
+                g = 0
+                for m in combo:
+                    g = gcd(g, abs(m))
+                if g != 1 or not any(m > 0 for m in combo) or not any(m < 0 for m in combo):
+                    continue
+                cases[s] += 1
+                sig = StratumSignature(0, (s - 2,), (), s)
+                closed = decide_realizable(sig, residue_tuple(combo)).realizable
+                brute = find_connection_graph(combo) is not None
+                if closed != brute:
+                    disagreements += 1
+    assert sum(cases.values()) - cases[8] > 500 and cases[8] == 55
     assert disagreements == 0
     print(
         f"\n[ACCEPTANCE] oracle equivalence: PASS "
-        f"({cases} primitive tuples, agreement 100%)"
+        f"({sum(cases.values())} primitive tuples, agreement 100%)"
     )
 
 

@@ -155,7 +155,7 @@ def test_oracle_check_small(tmp_path):
         ["oracle-check", "--s-max", "5", "--entry-bound", "3"], tmp_path
     )
     assert code == 0
-    assert out["agreement"] == "100%"
+    assert out["agreement"] == "100%" and "mode" not in out
     assert out["cases"] > 0 and out["disagreements"] == []
 
 
@@ -240,41 +240,66 @@ def _boolean_pole_type(tmp_path):
     return cert
 
 
+def _boolean_surgery_zero(tmp_path):
+    doc = {"stratum": {"genus": 2, "zeros": [2], "poles": [], "simple_poles": 0}}
+    _, cert = run_cli(["witness"], tmp_path, doc, name="request.json")
+    assert cert["surgeries"] == [{"op": "sew_handle", "zero": 0}]
+    cert["surgeries"][0]["zero"] = False
+    return cert
+
+
+def _boolean_claimed_pole_order(tmp_path):
+    cert = _certificate_doc(tmp_path)
+    cert["claimed_profile"]["poles"][0]["order"] = True
+    return cert
+
+
 @pytest.mark.parametrize(
-    "command, make_doc",
+    "command, make_doc, where",
     [
-        (["verify"], lambda tmp: _certificate_doc(tmp, node_pairings=5)),
-        (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=7)),
-        (["verify"], _boolean_pole_type),
-        (["table"], lambda tmp: {"s_max": 4, "max_zero": "x"}),
-        (["table"], lambda tmp: {"s_max": 3, "max_zero": True}),
+        (["verify"], lambda tmp: _certificate_doc(tmp, node_pairings=5), "$.node_pairings"),
+        (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=7), "$.surgeries"),
+        (["verify"], _boolean_pole_type, "$.bases[0].pieces[0]"),
+        (["verify"], _boolean_surgery_zero, "$.surgeries[0].zero"),
+        (["verify"], _boolean_claimed_pole_order, "$.claimed_profile.poles[0]"),
+        (["table"], lambda tmp: {"s_max": 4, "max_zero": "x"}, "$.max_zero"),
+        (["table"], lambda tmp: {"s_max": 3, "max_zero": True}, "$.max_zero"),
+        (["oracle-check"], lambda tmp: {"s_max": "x"}, "$.s_max"),
+        (["oracle-check"], lambda tmp: {"s_max": True}, "$.s_max"),
+        (["oracle-check"], lambda tmp: {"entry_bound": [1]}, "$.entry_bound"),
         (
             ["decide"],
             lambda tmp: {
                 "stratum": {"genus": 0, "zeros": [0], "poles": [], "simple_poles": 2},
                 "residues": [[True, 1], -1],
             },
+            "$.residues[0]",
         ),
     ],
     ids=[
         "node-pairings-not-a-list",
         "surgeries-not-a-list",
         "boolean-type",
+        "boolean-surgery-zero",
+        "boolean-claimed-pole-order",
         "table-max-zero",
         "table-boolean-max-zero",
+        "oracle-check-string-s-max",
+        "oracle-check-boolean-s-max",
+        "oracle-check-list-entry-bound",
         "boolean-numerator",
     ],
 )
-def test_every_failure_is_status_two_with_one_error_line(tmp_path, capsys, command, make_doc):
+def test_every_failure_is_status_two_with_one_error_line(
+    tmp_path, capsys, command, make_doc, where
+):
     doc = make_doc(tmp_path)
     capsys.readouterr()
     code, _ = run_cli(command, tmp_path, doc)
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if command == ["table"]:
-        assert "$.max_zero" in err
+    assert err.startswith("error: " + where) and err.count("\n") == 1
 
 
 def test_huge_residues_round_trip(tmp_path):

@@ -1,6 +1,6 @@
 import itertools
+import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -9,6 +9,7 @@ from resflat.graphs import (
     ConnectionGraph,
     SearchBudgetExceeded,
     _bipartite_trees,
+    _solve_node_residues,
     find_connection_graph,
     find_cylinder_config,
     find_stable_config,
@@ -71,39 +72,48 @@ class TestIsConnectionGraph:
         with pytest.raises(ValueError):
             is_connection_graph(g)
 
-    def test_modes_agree_on_existence(self):
-        # Per-tree the modes may diverge, but over all supporting trees the
-        # existence of a valid graph is the same; divergences are counted.
-        values = [v for v in range(-3, 4) if v]
-        divergent_trees = 0
-        checked = 0
-        for s in range(2, 7):
-            for combo in itertools.combinations_with_replacement(values, s):
-                if sum(combo) != 0 or not any(m > 0 for m in combo):
-                    continue
-                g = 0
-                for m in combo:
-                    g = gcd(g, abs(m))
-                if g != 1:
-                    continue
-                plus = [v for v in combo if v > 0]
-                minus = [-v for v in combo if v < 0]
-                uni_any = exi_any = False
-                for pairs in _bipartite_trees(len(plus), len(minus)):
-                    cg = ConnectionGraph.from_sides(plus, minus, pairs)
-                    uni = is_connection_graph(cg, mode="universal")
-                    exi = is_connection_graph(cg, mode="existential")
-                    checked += 1
-                    if uni != exi:
-                        divergent_trees += 1
-                    assert not (uni and not exi)
-                    uni_any |= uni
-                    exi_any |= exi
-                assert uni_any == exi_any, combo
-        print(
-            f"\nquantifier comparison: {checked} weighted trees, "
-            f"{divergent_trees} per-tree divergences, existence always agrees"
-        )
+    def test_flows_match_every_removal_sequence(self):
+        # Every spanning tree of K_{s1,s2} with s1 + s2 <= 6, under seeded
+        # random weights, balanced and not, and the graph left by removing
+        # its smallest leaf (whose vertex ids are no longer contiguous).
+        rng = random.Random(2021)
+        checked = accepted = 0
+        for s1 in range(1, 6):
+            for s2 in range(1, 7 - s1):
+                for pairs in _bipartite_trees(s1, s2):
+                    for trial in range(8):
+                        plus = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(s1)]
+                        minus = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(s2)]
+                        if trial % 2:
+                            gap = sum(plus) - sum(minus)
+                            if gap > 0:
+                                minus[rng.randrange(s2)] += gap
+                            else:
+                                plus[rng.randrange(s1)] -= gap
+                        g = ConnectionGraph.from_sides(plus, minus, pairs)
+                        for graph in (g, leaf_removal(g, min(g.leaves()))):
+                            expected = every_removal_keeps_weights_positive(graph)
+                            assert is_connection_graph(graph) == expected, graph
+                            checked += 1
+                            accepted += expected
+        assert checked == 2912 and accepted > 100
+
+
+def every_removal_keeps_weights_positive(graph):
+    """Brute-force reference: balanced sides, and every weight stays positive
+    along every sequence of leaf removals down to a single edge."""
+    side = {"+": Fraction(0), "-": Fraction(0)}
+    for v, w in zip(graph.vertices, graph.weights):
+        side[v[0]] += w
+    if side["+"] != side["-"]:
+        return False
+
+    def walk(g):
+        if any(w <= 0 for w in g.weights):
+            return False
+        return len(g.vertices) <= 2 or all(walk(leaf_removal(g, leaf)) for leaf in g.leaves())
+
+    return walk(graph)
 
 
 class TestFindConnectionGraph:
@@ -140,6 +150,13 @@ class TestFindConnectionGraph:
         assert len(steps) == len(g.edges)
         assert all(length > 0 for _, _, length in steps)
 
+    def test_removal_order_rejects_invalid_graphs(self):
+        unbalanced = star(4, [1, 1, 1])
+        exposes_zero = ConnectionGraph.from_sides([1, 1], [1, 1], [(0, 0), (1, 0), (1, 1)])
+        for g in (unbalanced, exposes_zero):
+            with pytest.raises(ValueError):
+                removal_order(g)
+
 
 class TestFindStableConfig:
     def test_two_zero_split(self):
@@ -172,6 +189,16 @@ class TestFindStableConfig:
         sig = StratumSignature(0, (2, 2), (), 6)
         with pytest.raises(SearchBudgetExceeded):
             find_stable_config(sig, residue_tuple([2, 1, 1, -1, -1, -2]), budget=0)
+
+
+    def test_node_residues_are_subtree_sums(self):
+        # On the path 0 - 2 - 1 rooted at 0, edge (1, 2) runs from a child to
+        # its parent.  Each half carries minus the smooth residue on its side.
+        tree = ((0, 2), (1, 2))
+        adjacency = {0: [2], 1: [2], 2: [0, 1]}
+        res = _solve_node_residues(tree, adjacency, [QQi(3), QQi(-1), QQi(-2)])
+        assert res == {(0, 2): QQi(-3), (2, 0): QQi(3), (1, 2): QQi(1), (2, 1): QQi(-1)}
+        assert _solve_node_residues(tree, adjacency, [QQi(0), QQi(1), QQi(-1)]) is None
 
 
 class TestFindCylinderConfig:

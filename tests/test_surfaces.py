@@ -219,9 +219,10 @@ class TestBuildWitness:
             assert (cert is not None) == expected, (sig, values)
 
     def test_decider_and_builder_agree_enumerated(self):
-        # Every signature over a small grid, against a spread of residue
-        # patterns: the builder succeeds exactly when the decider says so,
-        # and every certificate verifies back to the request.
+        # Every signature over a small grid, with and without a declared
+        # marked point, against a spread of residue patterns: the builder
+        # succeeds exactly when the decider says so, and every certificate
+        # verifies back to the request.
         import itertools
 
         def compositions(total, parts):
@@ -263,7 +264,11 @@ class TestBuildWitness:
                     if degree < 1:
                         continue
                     for nparts in (1, 2):
-                        for zeros in compositions(degree, nparts):
+                        for zeros in (
+                            z + marked
+                            for z in compositions(degree, nparts)
+                            for marked in ((), (0,))
+                        ):
                             sig = StratumSignature(genus, zeros, bs, s)
                             from resflat.core import validate_residues
 
@@ -406,3 +411,27 @@ class TestMarkedPoints:
         prof = verify_certificate(cert)
         assert prof.zero_orders == (3, 0)
         assert profile_matches(prof, sig, residue_tuple([0]))
+
+    @pytest.mark.parametrize(
+        "sig, values, zeros",
+        [
+            (StratumSignature(0, (2, 0), (), 4), (1, I, -1, -I), (2, 0)),
+            (StratumSignature(0, (2, 0), (), 4), (3, -1, -1, -1), (2, 0)),
+            (StratumSignature(1, (2, 0), (2,)), (0,), (2, 0)),
+            (StratumSignature(0, (2, 0, 0), (), 4), (3, -1, -1, -1), (2, 0, 0)),
+            (StratumSignature(2, (2, 0)), (), (2, 0)),
+        ],
+        ids=[
+            "residual-polygon",
+            "connection-graph",
+            "genus-one-chain",
+            "two-marked-points",
+            "torus-after-a-handle",
+        ],
+    )
+    def test_marked_points_beside_a_positive_zero(self, sig, values, zeros):
+        r = residue_tuple(values)
+        cert = build_witness(sig, r)
+        prof = verify_certificate(cert)
+        assert prof.zero_orders == zeros
+        assert profile_matches(prof, sig, r)
