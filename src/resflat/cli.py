@@ -468,10 +468,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         entry_bound = doc.get("entry_bound", args.entry_bound)
     else:
         s_max, entry_bound = args.s_max, args.entry_bound
-    if not _is_int(s_max):
-        raise DocumentError("$.s_max", "expected an integer")
-    if not _is_int(entry_bound):
-        raise DocumentError("$.entry_bound", "expected an integer")
+    if not _is_int(s_max) or s_max < 2:
+        raise DocumentError("$.s_max", "expected an integer of at least 2")
+    if not _is_int(entry_bound) or entry_bound < 1:
+        raise DocumentError("$.entry_bound", "expected a positive integer")
     cases = 0
     disagreements = []
     for combo in _oracle_cases(s_max, entry_bound):

@@ -104,12 +104,24 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
         return Verdict(True, REASON_MIXED, "collinear-anchor-chain")
 
     # Only simple poles.
-    if form.positive_sum <= sig.max_zero():
+    if not primitive_total_exceeds(form.integers, sig.max_zero()):
         return Verdict(False, REASON_EXCLUDED_RAY)
+    one_zero = primitive_total_exceeds(form.integers, sig.s - 2)
     hint = "connection-graph" if sig.n == 1 else (
-        "blow-up-of-single-zero" if form.positive_sum > sig.s - 2 else "stable-tree"
+        "blow-up-of-single-zero" if one_zero else "stable-tree"
     )
     return Verdict(True, REASON_COLLINEAR_OK, hint)
+
+
+def primitive_total_exceeds(integers: Sequence[int], bound: int) -> bool:
+    """The simple-pole closed form: does the primitive positive total exceed ``bound``?
+
+    ``integers`` is a collinear tuple's integer form, not necessarily
+    coprime.  The tuple is excluded exactly when this fails for the largest
+    zero order, and one zero (a connection graph) realizes it when it
+    holds for ``bound = s - 2``.
+    """
+    return sum(m for m in integers if m > 0) > bound * gcd(*integers)
 
 
 def _partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -1,9 +1,10 @@
 """Combinatorial search engines.
 
 Connection graphs are weighted bipartite trees encoding genus-zero flat
-surfaces with one cone point and only half-infinite cylinders; they serve
-both as a brute-force oracle against the closed-form decider and as the
-witness source for collinear residue tuples.  Stable configurations extend
+surfaces with one cone point and only half-infinite cylinders.  Witnesses
+for collinear residue tuples peel one leaf at a time under the closed form;
+the exhaustive search over spanning trees is the brute-force oracle the
+closed-form decider is checked against.  Stable configurations extend
 the picture to several zeros (trees of single-zero pieces joined at simple
 poles with opposite residues) and, with arbitrary component genera and
 multigraphs, to disjoint-cylinder questions on holomorphic strata.
@@ -11,10 +12,10 @@ multigraphs, to disjoint-cylinder questions on holomorphic strata.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .core import (
@@ -135,15 +136,14 @@ def is_connection_graph(graph: ConnectionGraph) -> bool:
 
 
 def _flows_positive(
-    plus: Sequence[Fraction], minus: Sequence[Fraction], pairs: Sequence[tuple[int, int]]
+    plus: Sequence[Rat], minus: Sequence[Rat], pairs: Sequence[tuple[int, int]]
 ) -> bool:
     """Balanced side totals and a positive flow on every edge of the tree.
 
     ``pairs`` are the (plus index, minus index) edges of a spanning tree.
     The flow across an edge is the plus-side total minus the minus-side
     total of the part of the tree on its plus end: the weight a leaf carries
-    when it is removed across that edge, and the gluing length
-    :func:`removal_order` assigns.
+    when it is removed across that edge, and the gluing length of that edge.
     """
     offset = len(plus)
     net = list(plus) + [-w for w in minus]
@@ -178,8 +178,6 @@ def _rooted(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
 
 def _prufer_decode(seq: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...]:
     # Standard decode: repeatedly attach the smallest available leaf.
-    import heapq
-
     avail = [1] * m
     for x in seq:
         avail[x] += 1
@@ -198,44 +196,46 @@ def _prufer_decode(seq: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-@lru_cache(maxsize=None)
-def _labeled_trees(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All labeled trees on m vertices, in lexicographic Prüfer order."""
+def _labeled_trees(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All labeled trees on m vertices, lazily, in lexicographic Prüfer order."""
     if m == 1:
-        return ((),)
-    if m == 2:
-        return (((0, 1),),)
-    out = []
+        yield ()
+        return
     for seq in itertools.product(range(m), repeat=m - 2):
-        out.append(_prufer_decode(tuple(seq), m))
-    return tuple(out)
+        yield _prufer_decode(seq, m)
 
 
-@lru_cache(maxsize=None)
-def _bipartite_trees(s1: int, s2: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Spanning trees of the complete bipartite graph on (s1, s2) vertices.
+def _bipartite_trees(s1: int, s2: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Spanning trees of the complete bipartite graph on (s1, s2) vertices, lazily.
 
-    Vertices 0..s1-1 are the plus side, s1..s1+s2-1 the minus side; edges are
-    returned as (plus index, minus index) pairs.
+    Vertices 0..s1-1 are the plus side, s1..s1+s2-1 the minus side.  Rooted
+    at plus vertex 0, a tree is a parent function across the sides whose
+    chains all reach the root.  Edges are (plus index, minus index) pairs.
     """
     m = s1 + s2
-    out = []
-    for tree in _labeled_trees(m):
-        pairs = []
-        for u, v in tree:
-            if (u < s1) == (v < s1):
-                break
-            lo, hi = (u, v) if u < s1 else (v, u)
-            pairs.append((lo, hi - s1))
-        else:
-            out.append(tuple(pairs))
-    return tuple(out)
+    for parents in itertools.product(*[range(s1, m)] * (s1 - 1), *[range(s1)] * s2):
+        parent = (0,) + parents
+        if _reaches_root(parent):
+            yield tuple((v, parent[v] - s1) for v in range(1, s1)) + tuple(
+                (parent[v], v - s1) for v in range(s1, m)
+            )
 
 
-def _signed_values(entries: Sequence[Rat] | PrimitiveRay) -> tuple[Fraction, ...]:
-    if isinstance(entries, PrimitiveRay):
-        return tuple(Fraction(m) for m in entries.integers)
-    return tuple(Fraction(x) for x in entries)
+def _reaches_root(parent: Sequence[int]) -> bool:
+    """Whether every parent chain ends at vertex 0, that is, no chain cycles."""
+    state = [2] + [0] * (len(parent) - 1)  # 0 unseen, 1 on this chain, 2 reaches 0
+    for start in range(1, len(parent)):
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            v = parent[v]
+        if state[v] == 1:
+            return False
+        v = start
+        while state[v] == 1:
+            state[v] = 2
+            v = parent[v]
+    return True
 
 
 def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGraph | None:
@@ -243,11 +243,11 @@ def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGr
 
     ``entries`` is a signed real tuple (or a primitive ray) summing to zero
     with no zero entries; positive entries weight the plus side, negatives
-    the minus side.  All spanning trees of the complete bipartite support are
-    tried in Prüfer order and the first valid graph is returned, so the
-    result is deterministic.
+    the minus side.  Spanning trees of the complete bipartite support are
+    tried one at a time in a fixed order and the first valid graph is
+    returned.  This is the oracle; witnesses use :func:`peel_connection_graph`.
     """
-    values = _signed_values(entries)
+    values = entries.integers if isinstance(entries, PrimitiveRay) else tuple(entries)
     if not values or any(v == 0 for v in values):
         raise ValueError("entries must be nonzero")
     if sum(values) != 0:
@@ -260,25 +260,37 @@ def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGr
     return None
 
 
-def removal_order(graph: ConnectionGraph) -> tuple[tuple[Vertex, Vertex, Fraction], ...]:
-    """Deterministic gluing schedule: (leaf, neighbor, length) per edge.
+def peel_connection_graph(integers: Sequence[int]) -> tuple[tuple[int, int, int], ...] | None:
+    """A connection graph on a ray's integer form as a gluing schedule, or None.
 
-    Repeatedly removes the smallest leaf until one edge remains, listed last
-    with the surviving pair and their common weight.  Each length is the
-    flow across its edge.  Raises ValueError unless ``graph`` is a
-    connection graph.
+    Each step (leaf position, neighbour position, length) removes a leaf,
+    whose weight is the flow on its edge, from a neighbour on the other
+    side; the last joins the two equal vertices left.  A graph exists
+    exactly when the closed form passes, every graph has a leaf whose
+    removal leaves one, and putting a leaf back changes no other flow: so
+    the first (leaf, heavier neighbour) pair in entry order whose remainder
+    passes is safe to peel, and the peel never backtracks.
     """
-    if not is_connection_graph(graph):
-        raise ValueError("not a connection graph")
-    g = graph
-    steps: list[tuple[Vertex, Vertex, Fraction]] = []
-    while len(g.vertices) > 2:
-        leaf = min(g.leaves())
-        nb = g.neighbors(leaf)[0]
-        steps.append((leaf, nb, g.weight(leaf)))
-        g = leaf_removal(g, leaf)
-    a, b = g.vertices
-    steps.append((a, b, g.weights[0]))
+    weight = dict(enumerate(integers))  # position -> signed weight, in entry order
+    if not decide.primitive_total_exceeds(integers, len(weight) - 2):
+        return None
+    steps = []
+    while len(weight) > 2:
+        v, u = next(
+            (v, u)
+            for v, wv in weight.items()
+            for u, wu in weight.items()
+            if wu * wv < 0
+            and abs(wu) > abs(wv)
+            and decide.primitive_total_exceeds(
+                [w + wv if k == u else w for k, w in weight.items() if k != v],
+                len(weight) - 3,
+            )
+        )
+        steps.append((v, u, abs(weight[v])))
+        weight[u] += weight.pop(v)
+    (a, wa), (b, _) = weight.items()
+    steps.append((a, b, abs(wa)))
     return tuple(steps)
 
 
@@ -302,7 +314,7 @@ class StableConfigTree:
 def _component_realizable(zero_order: int, residues: tuple[QQi, ...]) -> bool:
     """Single-zero, simple-poles-only criterion for one component."""
     form = collinear_normal_form(residues)
-    return form is NON_COLLINEAR or form.positive_sum > zero_order
+    return form is NON_COLLINEAR or decide.primitive_total_exceeds(form.integers, zero_order)
 
 
 def _index_subsets(indices: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -340,14 +352,6 @@ def find_stable_config(
         raise ValueError("stable configurations apply to genus 0, simple poles only")
     residues = tuple(residues)
     n = sig.n
-    if n == 1:
-        # Single component: the question is exactly the connection-graph one.
-        form = collinear_normal_form(residues)
-        if isinstance(form, PrimitiveRay) and find_connection_graph(form) is None:
-            return None
-        comp = StableComponent(sig.zeros[0], tuple(range(len(residues))), ())
-        return StableConfigTree((comp,), ())
-
     spent = 0
     all_poles = tuple(range(len(residues)))
     for tree in _labeled_trees(n):

@@ -895,45 +895,25 @@ def _collinear_mixed_surface(
 
 
 def _connection_graph_surface(residues: Sequence[QQi]) -> FlatSurface:
-    """Single zero, only simple poles, collinear residues, via a connection graph."""
+    """Single zero, only simple poles, collinear residues, via a connection graph.
+
+    Each peel step glues the leaf's pole part to its neighbour's along one
+    segment of the step's length, the next on each part's boundary.
+    """
     ray = collinear_normal_form(tuple(residues))
     if not isinstance(ray, PrimitiveRay):
         raise ValueError("residues are not collinear")
-    graph = _graphs.find_connection_graph(ray)
-    if graph is None:
+    steps = _graphs.peel_connection_graph(ray.integers)
+    if steps is None:
         raise InternalBuildError("no connection graph although the decider says realizable")
-    schedule = _graphs.removal_order(graph)
-
-    plus_pos = [k for k, m in enumerate(ray.integers) if m > 0]
-    minus_pos = [k for k, m in enumerate(ray.integers) if m < 0]
-    vertex_of: dict[int, tuple[str, int]] = {}
-    for i, k in enumerate(plus_pos):
-        vertex_of[k] = ("+", i)
-    for j, k in enumerate(minus_pos):
-        vertex_of[k] = ("-", j)
-
-    incident: dict[tuple[str, int], list[tuple[int, Fraction]]] = {
-        v: [] for v in graph.vertices
-    }
-    for e_num, (leaf, nb, length) in enumerate(schedule):
-        incident[leaf].append((e_num, length))
-        incident[nb].append((e_num, length))
-
-    pieces: list[Piece] = []
-    slot_of_edge: dict[tuple[int, str], Slot] = {}
-    for k in range(len(residues)):
-        v = vertex_of[k]
-        sign = 1 if v[0] == "+" else -1
-        vectors = []
-        for pos, (e_num, length) in enumerate(incident[v]):
-            vectors.append(ray.direction * (sign * length))
-            slot_of_edge[(e_num, v[0])] = (k, pos)
-        pieces.append(SimplePolePart(tuple(vectors)))
-    pairings = [
-        (slot_of_edge[(e_num, "+")], slot_of_edge[(e_num, "-")])
-        for e_num in range(len(schedule))
-    ]
-    return FlatSurface(tuple(pieces), tuple(pairings))
+    vectors: list[list[QQi]] = [[] for _ in ray.integers]
+    pairings = []
+    for leaf, nb, length in steps:
+        plus, minus = (leaf, nb) if ray.integers[leaf] > 0 else (nb, leaf)
+        pairings.append(((plus, len(vectors[plus])), (minus, len(vectors[minus]))))
+        vectors[plus].append(ray.direction * length)
+        vectors[minus].append(ray.direction * -length)
+    return FlatSurface(tuple(SimplePolePart(tuple(v)) for v in vectors), tuple(pairings))
 
 
 def _torus_with_hole(residues: Sequence[QQi]) -> FlatSurface:

@@ -267,6 +267,8 @@ def _boolean_claimed_pole_order(tmp_path):
         (["oracle-check"], lambda tmp: {"s_max": "x"}, "$.s_max"),
         (["oracle-check"], lambda tmp: {"s_max": True}, "$.s_max"),
         (["oracle-check"], lambda tmp: {"entry_bound": [1]}, "$.entry_bound"),
+        (["oracle-check"], lambda tmp: {"s_max": 1}, "$.s_max"),
+        (["oracle-check"], lambda tmp: {"entry_bound": 0}, "$.entry_bound"),
         (
             ["decide"],
             lambda tmp: {
@@ -287,6 +289,8 @@ def _boolean_claimed_pole_order(tmp_path):
         "oracle-check-string-s-max",
         "oracle-check-boolean-s-max",
         "oracle-check-list-entry-bound",
+        "oracle-check-empty-sweep-s-max",
+        "oracle-check-empty-sweep-entry-bound",
         "boolean-numerator",
     ],
 )

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from resflat.cli import _oracle_cases
 from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.graphs import (
     ConnectionGraph,
@@ -15,7 +16,7 @@ from resflat.graphs import (
     find_stable_config,
     is_connection_graph,
     leaf_removal,
-    removal_order,
+    peel_connection_graph,
 )
 
 
@@ -52,7 +53,7 @@ class TestIsConnectionGraph:
         assert is_connection_graph(star(3, [1, 1, 1]))
 
     def test_k22_spanning_trees_all_fail(self):
-        trees = _bipartite_trees(2, 2)
+        trees = list(_bipartite_trees(2, 2))
         assert len(trees) == 4
         for pairs in trees:
             g = ConnectionGraph.from_sides([1, 1], [1, 1], pairs)
@@ -144,18 +145,61 @@ class TestFindConnectionGraph:
         flipped = tuple(-m for m in base)
         assert (find_connection_graph(flipped) is not None) == found
 
-    def test_removal_order_lengths_positive(self):
-        g = find_connection_graph([3, 1, 1, 1, -2, -2, -2])
-        steps = removal_order(g)
-        assert len(steps) == len(g.edges)
-        assert all(length > 0 for _, _, length in steps)
+    def test_spanning_tree_counts(self):
+        # Scoins: K_{s1,s2} has s1^(s2-1) * s2^(s1-1) spanning trees.
+        for s1, s2 in ((1, 5), (2, 3), (3, 3), (4, 4), (5, 2)):
+            trees = set(_bipartite_trees(s1, s2))
+            assert len(trees) == s1 ** (s2 - 1) * s2 ** (s1 - 1)
+            assert all(
+                ConnectionGraph.from_sides([1] * s1, [1] * s2, pairs).is_tree() for pairs in trees
+            )
 
-    def test_removal_order_rejects_invalid_graphs(self):
-        unbalanced = star(4, [1, 1, 1])
-        exposes_zero = ConnectionGraph.from_sides([1, 1], [1, 1], [(0, 0), (1, 0), (1, 1)])
-        for g in (unbalanced, exposes_zero):
-            with pytest.raises(ValueError):
-                removal_order(g)
+
+class TestPeelConnectionGraph:
+    def test_peel_matches_the_oracle(self):
+        # Every tuple of `oracle-check --s-max 7 --entry-bound 5` and of the
+        # length-8 sweep with entries <= 4, both directions: the peel finds a
+        # graph exactly when the exhaustive search does, and its steps are a
+        # leaf-removal sequence of a connection graph.
+        sweep = list(_oracle_cases(7, 5)) + [c for c in _oracle_cases(8, 4) if len(c) == 8]
+        assert len(sweep) == 704 + 227
+        peeled = 0
+        for combo in sweep:
+            steps = peel_connection_graph(combo)
+            assert (steps is not None) == (find_connection_graph(combo) is not None), combo
+            if steps is not None:
+                assert_leaf_removal_sequence(combo, steps)
+                peeled += 1
+        assert 0 < peeled < len(sweep)
+
+    def test_schedule(self):
+        assert peel_connection_graph([3, 1, 1, 1, -2, -2, -2]) == (
+            (1, 4, 1), (2, 5, 1), (3, 6, 1), (4, 0, 1), (5, 0, 1), (0, 6, 1),
+        )
+        assert peel_connection_graph([1, -1]) == ((0, 1, 1),)
+        assert peel_connection_graph([1, 1, -1, -1]) is None
+
+
+def assert_leaf_removal_sequence(combo, steps):
+    """The steps, as edges, form a connection graph, and removing their
+    leaves in order carries each step's length across its edge."""
+    vertex = {}
+    plus, minus = [], []
+    for k, m in enumerate(combo):
+        side = plus if m > 0 else minus
+        vertex[k] = ("+" if m > 0 else "-", len(side))
+        side.append(abs(m))
+    pairs = [
+        (vertex[a][1], vertex[b][1]) if combo[a] > 0 else (vertex[b][1], vertex[a][1])
+        for a, b, _ in steps
+    ]
+    g = ConnectionGraph.from_sides(plus, minus, pairs)
+    assert is_connection_graph(g), combo
+    for leaf, nb, length in steps[:-1]:
+        assert g.neighbors(vertex[leaf]) == (vertex[nb],) and g.weight(vertex[leaf]) == length
+        g = leaf_removal(g, vertex[leaf])
+    (a, b, length) = steps[-1]
+    assert set(g.vertices) == {vertex[a], vertex[b]} and g.weights == (length, length)
 
 
 class TestFindStableConfig:

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,21 @@ class TestBuildWitness:
         r = residue_tuple([2, 1, 1, -1, -1, -2])
         cert = self.check(sig, r)
         assert len(cert.bases) == 2 and len(cert.node_pairs) == 1
+
+    def test_connection_graph_wall(self):
+        # Twelve poles on one zero, out of reach of an exhaustive tree
+        # search, and a seeded random ray of forty poles.
+        self.check(StratumSignature(0, (10,), (), 12), [11] + [-1] * 11)
+        rng = random.Random(40)
+        plus = [rng.randint(1, 5) for _ in range(20)]
+        minus = [-rng.randint(1, 5) for _ in range(20)]
+        gap = sum(plus) + sum(minus)
+        (minus if gap > 0 else plus)[0] -= gap
+        values = plus + minus
+        rng.shuffle(values)
+        sig = StratumSignature(0, (38,), (), 40)
+        assert decide_realizable(sig, residue_tuple(values)).certificate_hint == "connection-graph"
+        self.check(sig, values)
 
     @pytest.mark.parametrize(
         "sig, values, route",
