@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -34,7 +35,15 @@ Vertex = tuple[str, int]  # ("+", k) or ("-", k), k an index within its side
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A bounded search ran out of budget before concluding."""
+    """A bounded search ran out of budget before concluding.
+
+    ``stage`` names the search ("stable-config" or "cylinder"), ``spent``
+    counts the candidates it examined and ``budget`` is the limit it hit.
+    """
+
+    def __init__(self, stage: str, spent: int, budget: int) -> None:
+        super().__init__(f"{stage} search exceeded budget of {budget} assignments")
+        self.stage, self.spent, self.budget = stage, spent, budget
 
 
 @dataclass(frozen=True)
@@ -364,11 +373,9 @@ def find_stable_config(
         if any(k < 0 for k in sizes):
             continue
         for assignment in _index_subsets(all_poles, sizes):
+            if spent == budget:
+                raise SearchBudgetExceeded("stable-config", spent, budget)
             spent += 1
-            if spent > budget:
-                raise SearchBudgetExceeded(
-                    f"stable-config search exceeded budget of {budget} assignments"
-                )
             smooth_sum = [sum((residues[i] for i in assignment[c]), QQi(0)) for c in range(n)]
             node_res = _solve_node_residues(tree, adjacency, smooth_sum)
             if node_res is None:
@@ -477,6 +484,16 @@ def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
     return len({find(x) for x in range(k)}) == 1
 
 
+def _multisets(pairs: Sequence[tuple[int, int]], sizes: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """One multiset of end pairs per group size, concatenated, lazily."""
+    if not sizes:
+        yield ()
+        return
+    for head in itertools.combinations_with_replacement(pairs, sizes[0]):
+        for tail in _multisets(pairs, sizes[1:]):
+            yield head + tail
+
+
 def find_cylinder_config(
     sig: StratumSignature,
     circumferences: Sequence[QQi],
@@ -491,7 +508,12 @@ def find_cylinder_config(
     Component genera are forced by the degree identity; a component is
     acceptable when its residue tuple sums to zero and its own stratum
     admits it (closed form: always for positive genus, the primitive-ray
-    criterion for genus zero).
+    criterion for genus zero).  Each set partition of the zeros is tried
+    with each assignment of cylinder ends, and ``budget`` counts these; as
+    permuting cylinders equal up to sign (negated where opposite) maps
+    configurations to configurations, such cylinders take a multiset of
+    ends.  Then the non-loop cylinders' signs are tried, the first fixed to
+    +1, as negating them all negates every residue.
     """
     bad = validate_stratum(sig)
     if bad:
@@ -499,64 +521,49 @@ def find_cylinder_config(
     if sig.p != 0 or sig.s != 0:
         raise ValueError("cylinder configurations require a holomorphic stratum")
     lam = tuple(circumferences)
-    t = len(lam)
-    n = sig.n
+    if not lam or any(c.is_zero() for c in lam):
+        raise ValueError("circumferences must be a nonempty tuple of nonzero values")
+    scale = math.lcm(*(x.denominator for c in lam for x in (c.re, c.im)))  # to Gaussian integers
+    gauss = [(int(c.re * scale), int(c.im * scale)) for c in lam]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, (x, y) in enumerate(gauss):
+        groups.setdefault(max((x, y), (-x, -y)), []).append(j)
+    order = [j for js in groups.values() for j in js]  # input position of each enumerated end
+    gauss = [gauss[j] for j in order]  # in enumeration order
     spent = 0
-    pair_space = None
-    for k in range(1, min(n, t + 1) + 1):
-        if t - k + 1 < 0:
-            continue
-        pair_space = [(a, b) for a in range(k) for b in range(a, k)]
-        for blocks in _partitions_of_set(tuple(range(n)), k):
-            for ends in itertools.product(pair_space, repeat=t):
+    for k in range(1, min(sig.n, len(lam) + 1) + 1):
+        pairs = [(a, b) for a in range(k) for b in range(a, k)]
+        for blocks in _partitions_of_set(tuple(range(sig.n)), k):
+            zeros = [tuple(sig.zeros[i] for i in block) for block in blocks]
+            for ends in _multisets(pairs, [len(js) for js in groups.values()]):
+                if spent == budget:
+                    raise SearchBudgetExceeded("cylinder", spent, budget)
                 spent += 1
-                if spent > budget:
-                    raise SearchBudgetExceeded(
-                        f"cylinder search exceeded budget of {budget} candidates"
-                    )
-                half = [0] * k
+                twice_genus = [sum(z) + 2 for z in zeros]  # less the half-edges: degree identity
                 for a, b in ends:
-                    half[a] += 1
-                    half[b] += 1
-                genera = []
-                ok = True
-                for c in range(k):
-                    num = sum(sig.zeros[i] for i in blocks[c]) - half[c] + 2
-                    if num < 0 or num % 2:
-                        ok = False
-                        break
-                    genera.append(num // 2)
-                if not ok:
+                    twice_genus[a] -= 1
+                    twice_genus[b] -= 1
+                if any(d < 0 or d % 2 for d in twice_genus) or not _connected(k, ends):
                     continue
-                if not _connected(k, ends):
-                    continue
-                nonloop = [j for j, (a, b) in enumerate(ends) if a != b]
-                for signs in itertools.product((1, -1), repeat=len(nonloop)):
-                    sign_of = dict(zip(nonloop, signs))
-                    comp_res: list[list[QQi]] = [[] for _ in range(k)]
-                    for j, (a, b) in enumerate(ends):
-                        if a == b:
-                            comp_res[a].extend((lam[j], -lam[j]))
-                        else:
-                            eps = sign_of[j]
-                            comp_res[a].append(lam[j] * eps)
-                            comp_res[b].append(-(lam[j] * eps))
-                    if any(
-                        sum(rs, QQi(0)) != QQi(0) or not rs for rs in map(tuple, comp_res)
-                    ):
+                signs = [(1,) if a == b else (1, -1) for a, b in ends]  # a loop's sign is moot
+                signs[next((i for i, (a, b) in enumerate(ends) if a != b), 0)] = (1,)
+                for sign in itertools.product(*signs):
+                    sums = [0] * (2 * k)
+                    for (a, b), eps, (x, y) in zip(ends, sign, gauss):
+                        sums[a] += eps * x
+                        sums[b] -= eps * x
+                        sums[k + a] += eps * y
+                        sums[k + b] -= eps * y
+                    if any(sums):
                         continue
-                    if all(
-                        _cylinder_component_ok(genera[c], tuple(sig.zeros[i] for i in blocks[c]), tuple(comp_res[c]))
-                        for c in range(k)
-                    ):
-                        edges = []
-                        for j, (a, b) in enumerate(ends):
-                            res_at_a = lam[j] if a == b else lam[j] * sign_of[j]
-                            edges.append((a, b, res_at_a))
-                        comps = tuple(
-                            CylinderComponent(genera[c], blocks[c]) for c in range(k)
-                        )
-                        return CylinderConfig(comps, tuple(edges))
+                    edges = tuple((a, b, lam[j] * eps) for j, eps, (a, b) in sorted(zip(order, sign, ends)))
+                    residues: list[list[QQi]] = [[] for _ in range(k)]
+                    for a, b, r in edges:
+                        residues[a].append(r)
+                        residues[b].append(-r)
+                    comps = [CylinderComponent(d // 2, block) for d, block in zip(twice_genus, blocks)]
+                    if all(_cylinder_component_ok(c.genus, z, tuple(r)) for c, z, r in zip(comps, zeros, residues)):
+                        return CylinderConfig(tuple(comps), edges)
     return None
 
 
@@ -564,6 +571,4 @@ def _cylinder_component_ok(
     genus: int, zeros: tuple[int, ...], residues: tuple[QQi, ...]
 ) -> bool:
     comp_sig = StratumSignature(genus, zeros, (), len(residues))
-    if validate_residues(comp_sig, residues):
-        return False
     return decide.decide_realizable(comp_sig, residues).realizable

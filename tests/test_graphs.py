@@ -1,15 +1,22 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from resflat.cli import _oracle_cases
+from resflat import graphs
+from resflat.cli import _oracle_cases, main
 from resflat.core import QQi, StratumSignature, residue_tuple
+from resflat.decide import search_cylinder_tuple
 from resflat.graphs import (
     ConnectionGraph,
     SearchBudgetExceeded,
     _bipartite_trees,
+    _connected,
+    _cylinder_component_ok,
+    _partitions_of_set,
     _solve_node_residues,
     find_connection_graph,
     find_cylinder_config,
@@ -281,3 +288,165 @@ class TestFindCylinderConfig:
         assert (find_cylinder_config(sig, lam) is None) == (
             find_cylinder_config(sig, scaled) is None
         )
+
+    def test_budget_exceeded_reports_stage_and_progress(self):
+        with pytest.raises(SearchBudgetExceeded) as cyl:
+            find_cylinder_config(StratumSignature(4, (4, 1, 1), ()), residue_tuple([1, 1, 1, 1]), budget=3)
+        assert (cyl.value.stage, cyl.value.spent, cyl.value.budget) == ("cylinder", 3, 3)
+        with pytest.raises(SearchBudgetExceeded) as stable:
+            find_stable_config(StratumSignature(0, (2, 2), (), 6), residue_tuple([2, 1, 1, -1, -1, -2]), budget=0)
+        assert (stable.value.stage, stable.value.spent, stable.value.budget) == ("stable-config", 0, 0)
+        assert "budget" in str(cyl.value) and "budget" in str(stable.value)
+
+    def test_rejects_missing_or_zero_circumferences(self):
+        sig = StratumSignature(4, (4, 1, 1), ())
+        for lam in ((), residue_tuple([1, 0, 1])):
+            with pytest.raises(ValueError):
+                find_cylinder_config(sig, lam)
+
+    def test_recorded_verdicts_reproduce(self, recorded_cylinder_runs):
+        for case, variant, verdict, _ in recorded_cylinder_runs:
+            assert verdict.realizable == case["realizable"], (case, variant)
+
+    def test_returned_configs_are_valid(self, recorded_cylinder_runs):
+        configs = [(sig, lam, cfg) for _, _, _, found in recorded_cylinder_runs for sig, lam, cfg in found]
+        assert sum(cfg is not None for _, _, cfg in configs) > 100
+        for sig, lam, cfg in configs:
+            if cfg is not None:
+                assert_valid_cylinder_config(sig, lam, cfg)
+
+    def test_matches_the_unreduced_enumeration(self):
+        # Every tuple of length <= 3, and every other one of length 4, over
+        # five circumferences, each entry times a random unit (+-1, +-i) and
+        # the tuple in a random order, so that entries equal up to sign are
+        # scattered and 1 + i meets its conjugate direction 1 - i.
+        rng = random.Random(20)
+        values = residue_tuple([1, 2, 3, QQi(0, 1), QQi(1, 1)])
+        units = residue_tuple([1, -1, QQi(0, 1), QQi(0, -1)])
+        checked = 0
+        for genus, zeros in CYLINDER_SWEEP_STRATA:
+            sig = StratumSignature(genus, zeros, ())
+            for t in range(1, min(4, genus + len(zeros) - 1) + 1):
+                tuples = list(itertools.combinations_with_replacement(values, t))
+                for lam in tuples[:: 1 if t < 4 else 2]:
+                    lam = [rng.choice(units) * c for c in lam]
+                    rng.shuffle(lam)
+                    cfg = find_cylinder_config(sig, lam)
+                    assert (cfg is not None) == unreduced_cylinder_search(sig, lam), (genus, zeros, lam)
+                    if cfg is not None:
+                        assert_valid_cylinder_config(sig, lam, cfg)
+                    checked += 1
+        assert checked == 865
+
+    def test_former_walls_are_not_realizable(self, tmp_path, capsys):
+        # Six unit cylinders: the unreduced enumeration took 47.8 s and 6.2 s.
+        for genus, zeros in ((3, (1, 1, 1, 1)), (4, (2, 2, 2))):
+            verdict = search_cylinder_tuple(StratumSignature(genus, zeros, ()), residue_tuple([1] * 6))
+            assert verdict.reason == "search-not-realizable"
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps({
+            "stratum": {"genus": 3, "zeros": [1, 1, 1, 1], "poles": [], "simple_poles": 0},
+            "circumferences": [1, 1, 1, 1, 1, 1],
+        }))
+        assert main(["cylinders", str(path), "-o", str(tmp_path / "out.json")]) == 1
+        assert json.loads((tmp_path / "out.json").read_text())["via"] == "search"
+
+
+CYLINDER_VERDICTS = Path(__file__).resolve().parents[1] / "bench" / "cylinder_verdicts.json"
+
+CYLINDER_SWEEP_STRATA = (
+    (2, (1, 1)),
+    (3, (3, 1)), (3, (2, 2)), (3, (2, 1, 1)),
+    (4, (5, 1)), (4, (4, 2)), (4, (3, 3)), (4, (4, 1, 1)), (4, (3, 2, 1)), (4, (2, 2, 2)),
+)
+
+
+@pytest.fixture(scope="module")
+def recorded_cylinder_runs():
+    """Each recorded cylinder case through search_cylinder_tuple, twice.
+
+    Once as recorded, once shuffled, with random signs and scaled by a
+    random Gaussian rational: none of these changes the verdict.  Each run
+    is (case, variant, verdict, [(sig, circumferences, config)] searched).
+    """
+    rng = random.Random(7)
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        found = []
+
+        def recording(sig, lam, **kwargs):
+            cfg = find_cylinder_config(sig, lam, **kwargs)
+            found.append((sig, tuple(lam), cfg))
+            return cfg
+
+        mp.setattr(graphs, "find_cylinder_config", recording)
+        for case in json.loads(CYLINDER_VERDICTS.read_text())["cases"]:
+            sig = StratumSignature(case["genus"], tuple(case["zeros"]), ())
+            lam = [QQi(re, im) for re, im in case["circumferences"]]
+            scale = QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+            varied = [rng.choice((1, -1)) * scale * c for c in lam]
+            rng.shuffle(varied)
+            for variant, values in (("recorded", lam), ("varied", varied)):
+                found = []
+                verdict = search_cylinder_tuple(sig, tuple(values))
+                runs.append((case, variant, verdict, found))
+    return runs
+
+
+def assert_valid_cylinder_config(sig, lam, cfg):
+    """The zeros partitioned, edge j carrying +-lam[j], a connected graph,
+    genera by the degree identity, and every component balanced and
+    admitted by its own stratum."""
+    k = len(cfg.components)
+    blocks = [comp.zero_indices for comp in cfg.components]
+    assert all(blocks) and sorted(i for block in blocks for i in block) == list(range(sig.n))
+    assert len(cfg.edges) == len(lam)
+    residues = [[] for _ in range(k)]
+    reached = {0}
+    for (a, b, r), c in zip(cfg.edges, lam):
+        assert r in (c, -c)
+        residues[a].append(r)
+        residues[b].append(-r)
+    for _ in range(k):
+        reached |= {x for a, b, _ in cfg.edges for x in (a, b) if {a, b} & reached}
+    assert reached == set(range(k))
+    assert sum(comp.genus for comp in cfg.components) + len(lam) - k + 1 == sig.genus
+    for comp, res in zip(cfg.components, residues):
+        zeros = tuple(sig.zeros[i] for i in comp.zero_indices)
+        assert sum(zeros) == 2 * comp.genus - 2 + len(res)
+        assert sum(res, QQi(0)) == QQi(0)
+        assert _cylinder_component_ok(comp.genus, zeros, tuple(res))
+
+
+def unreduced_cylinder_search(sig, lam):
+    """Whether a configuration exists, by the search as it was before the
+    symmetry reductions: every end in pair_space^t, every sign of every
+    non-loop cylinder, exact Gaussian-rational residue sums."""
+    t, n = len(lam), sig.n
+    for k in range(1, min(n, t + 1) + 1):
+        pair_space = [(a, b) for a in range(k) for b in range(a, k)]
+        for blocks in _partitions_of_set(tuple(range(n)), k):
+            for ends in itertools.product(pair_space, repeat=t):
+                half = [0] * k
+                for a, b in ends:
+                    half[a] += 1
+                    half[b] += 1
+                nums = [sum(sig.zeros[i] for i in blocks[c]) - half[c] + 2 for c in range(k)]
+                if any(x < 0 or x % 2 for x in nums) or not _connected(k, ends):
+                    continue
+                nonloop = [j for j, (a, b) in enumerate(ends) if a != b]
+                for signs in itertools.product((1, -1), repeat=len(nonloop)):
+                    sign_of = dict(zip(nonloop, signs))
+                    res = [[] for _ in range(k)]
+                    for j, (a, b) in enumerate(ends):
+                        r = lam[j] * sign_of.get(j, 1)
+                        res[a].append(r)
+                        res[b].append(-r)
+                    if any(sum(rs, QQi(0)) != QQi(0) for rs in res):
+                        continue
+                    if all(
+                        _cylinder_component_ok(nums[c] // 2, tuple(sig.zeros[i] for i in blocks[c]), tuple(res[c]))
+                        for c in range(k)
+                    ):
+                        return True
+    return False
