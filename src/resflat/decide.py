@@ -17,7 +17,7 @@ the question is delegated to a bounded search over stable configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -51,13 +51,16 @@ class Verdict:
     """A realizability answer and the reason it was reached.
 
     On a realizable residue tuple ``certificate_hint`` names the
-    construction route :func:`resflat.surfaces.build_witness` follows.
+    construction route :func:`resflat.surfaces.build_witness` follows, and
+    on collinear residues ``ray`` is the normal form of the nonzero ones,
+    which the builders read rather than recompute.
     """
 
     realizable: bool
     reason: str
     certificate_hint: str | None = None
     every_component: bool = False
+    ray: PrimitiveRay | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.realizable == (self.reason in _NEGATIVE_REASONS):
@@ -65,7 +68,7 @@ class Verdict:
 
 
 class NeedsSearch:
-    """Sentinel outcome: no closed form applies, run the stable-config search."""
+    """Sentinel outcome: no closed form applies, run the cylinder search."""
 
     def __repr__(self) -> str:
         return "NEEDS_SEARCH"
@@ -101,7 +104,7 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
     if form is NON_COLLINEAR:
         return Verdict(True, REASON_NON_COLLINEAR, "residual-polygon")
     if sig.p >= 1:
-        return Verdict(True, REASON_MIXED, "collinear-anchor-chain")
+        return Verdict(True, REASON_MIXED, "collinear-anchor-chain", ray=form)
 
     # Only simple poles.
     if not primitive_total_exceeds(form.integers, sig.max_zero()):
@@ -110,7 +113,7 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
     hint = "connection-graph" if sig.n == 1 else (
         "blow-up-of-single-zero" if one_zero else "stable-tree"
     )
-    return Verdict(True, REASON_COLLINEAR_OK, hint)
+    return Verdict(True, REASON_COLLINEAR_OK, hint, ray=form)
 
 
 def primitive_total_exceeds(integers: Sequence[int], bound: int) -> bool:
@@ -194,7 +197,7 @@ def decide_cylinder_tuple(
     stratum, the obstruction is the primitive integer profile with total at
     most 2g-2.  The remaining cases (t = g with several zeros, or t > g up
     to the maximal count g + n - 1) have no closed form here and are handed
-    to the stable-configuration search.
+    to the cylinder search, :func:`resflat.graphs.find_cylinder_config`.
     """
     bad = validate_stratum(sig)
     if bad:

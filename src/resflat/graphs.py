@@ -1,18 +1,18 @@
-"""Combinatorial search engines.
+"""Combinatorial engines.
 
 Connection graphs are weighted bipartite trees encoding genus-zero flat
 surfaces with one cone point and only half-infinite cylinders.  Witnesses
 for collinear residue tuples peel one leaf at a time under the closed form;
 the exhaustive search over spanning trees is the brute-force oracle the
-closed-form decider is checked against.  Stable configurations extend
-the picture to several zeros (trees of single-zero pieces joined at simple
-poles with opposite residues) and, with arbitrary component genera and
-multigraphs, to disjoint-cylinder questions on holomorphic strata.
+closed-form decider is checked against.  With several zeros the peel first
+takes leaf components, each a single-zero star joined to the rest at a
+node, until one zero can carry what is left.  Stable configurations with
+arbitrary component genera and multigraphs answer disjoint-cylinder
+questions on holomorphic strata by a bounded search.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,13 +20,10 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
-    NON_COLLINEAR,
     PrimitiveRay,
     QQi,
     Rat,
     StratumSignature,
-    collinear_normal_form,
-    validate_residues,
     validate_stratum,
 )
 from . import decide
@@ -37,8 +34,8 @@ Vertex = tuple[str, int]  # ("+", k) or ("-", k), k an index within its side
 class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of budget before concluding.
 
-    ``stage`` names the search ("stable-config" or "cylinder"), ``spent``
-    counts the candidates it examined and ``budget`` is the limit it hit.
+    ``stage`` names the search (``"cylinder"``), ``spent`` counts the
+    candidates it examined and ``budget`` is the limit it hit.
     """
 
     def __init__(self, stage: str, spent: int, budget: int) -> None:
@@ -185,35 +182,6 @@ def _rooted(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _prufer_decode(seq: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...]:
-    # Standard decode: repeatedly attach the smallest available leaf.
-    avail = [1] * m
-    for x in seq:
-        avail[x] += 1
-    edges = []
-    heap = [v for v in range(m) if avail[v] == 1]
-    heapq.heapify(heap)
-    for x in seq:
-        v = heapq.heappop(heap)
-        edges.append((min(v, x), max(v, x)))
-        avail[x] -= 1
-        if avail[x] == 1:
-            heapq.heappush(heap, x)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((min(u, v), max(u, v)))
-    return tuple(edges)
-
-
-def _labeled_trees(m: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All labeled trees on m vertices, lazily, in lexicographic Prüfer order."""
-    if m == 1:
-        yield ()
-        return
-    for seq in itertools.product(range(m), repeat=m - 2):
-        yield _prufer_decode(seq, m)
-
-
 def _bipartite_trees(s1: int, s2: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Spanning trees of the complete bipartite graph on (s1, s2) vertices, lazily.
 
@@ -304,127 +272,51 @@ def peel_connection_graph(integers: Sequence[int]) -> tuple[tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
-# Stable configurations for several zeros, all poles simple, genus zero.
-
-
-@dataclass(frozen=True)
-class StableComponent:
-    zero_order: int
-    pole_indices: tuple[int, ...]  # positions into the input residue tuple
-    node_edges: tuple[tuple[int, QQi], ...]  # (other component, residue on this side)
-
-
-@dataclass(frozen=True)
-class StableConfigTree:
-    components: tuple[StableComponent, ...]
-    edges: tuple[tuple[int, int], ...]
-
-
-def _component_realizable(zero_order: int, residues: tuple[QQi, ...]) -> bool:
-    """Single-zero, simple-poles-only criterion for one component."""
-    form = collinear_normal_form(residues)
-    return form is NON_COLLINEAR or decide.primitive_total_exceeds(form.integers, zero_order)
-
-
-def _index_subsets(indices: tuple[int, ...], sizes: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not sizes:
-        if not indices:
-            yield ()
-        return
-    k = sizes[0]
-    for chosen in itertools.combinations(indices, k):
-        rest = tuple(i for i in indices if i not in chosen)
-        for tail in _index_subsets(rest, sizes[1:]):
-            yield (chosen,) + tail
+# Trees of single-zero components: several zeros, all poles simple, genus zero.
 
 
 def find_stable_config(
-    sig: StratumSignature,
-    residues: Sequence[QQi],
-    *,
-    budget: int = 2_000_000,
-) -> StableConfigTree | None:
-    """Search for a tree of single-zero components realizing (sig, residues).
+    integers: Sequence[int], zeros: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """A tree of single-zero components on a ray's integer form, or None.
 
-    The signature must be genus zero with only simple poles.  Components are
-    the zeros; simple poles are distributed among them and each tree edge
-    carries a pair of opposite node residues, forced by the residue theorem
-    (the node residue toward a subtree is minus the sum of the smooth
-    residues inside it).  A configuration is accepted when every component
-    passes the single-zero criterion.  Returns None when the exhausted space
-    holds no witness; raises SearchBudgetExceeded past the budget.
+    ``zeros`` are the positive zero orders, summing to ``len(integers) - 2``.
+    While one zero cannot carry the entries left, the smallest zero a takes
+    the a + 1 entries of largest size (ties by position) from the side with
+    more entries (plus on a tie) as a leaf, whose node half carries minus
+    their sum sigma; sigma replaces them as a new entry.  Returns the
+    components as tuples of positions into ``integers`` extended by the
+    leaves' sums, leaf k's sum at ``len(integers) + k``, and the zeros not
+    peeled.  Leaves come first; the last component is the remainder, one
+    connection graph whose zero splits into the zeros not peeled.
+
+    The peel never fails.  While it runs, the positive total T of the s
+    entries left is at most s - 2 units g of their gcd, so at least four
+    entries are +/-g, and the side with more entries holds a + 1 of them
+    as a <= (s - 2) / 2.  A leaf's a + 1 same-sign entries sum past a of
+    their own units, so it is a star.  The remainder keeps T, g (a +/-g
+    entry stays, or the leaf is a whole side of s / 2 entries and the
+    other, summing to at most s - 2 units, has gcd g) and the largest zero,
+    so at the last zero the closed form holds.  Returns None exactly when
+    the closed form fails.
     """
-    bad = validate_residues(sig, residues)
-    if bad:
-        raise ValueError("; ".join(bad))
-    if sig.genus != 0 or sig.p != 0:
-        raise ValueError("stable configurations apply to genus 0, simple poles only")
-    residues = tuple(residues)
-    n = sig.n
-    spent = 0
-    all_poles = tuple(range(len(residues)))
-    for tree in _labeled_trees(n):
-        adjacency: dict[int, list[int]] = {c: [] for c in range(n)}
-        for u, v in tree:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        # The sizes always sum to the number of poles (degree identity).
-        sizes = [sig.zeros[c] + 2 - len(adjacency[c]) for c in range(n)]
-        if any(k < 0 for k in sizes):
-            continue
-        for assignment in _index_subsets(all_poles, sizes):
-            if spent == budget:
-                raise SearchBudgetExceeded("stable-config", spent, budget)
-            spent += 1
-            smooth_sum = [sum((residues[i] for i in assignment[c]), QQi(0)) for c in range(n)]
-            node_res = _solve_node_residues(tree, adjacency, smooth_sum)
-            if node_res is None:
-                continue
-            ok = True
-            for c in range(n):
-                comp_res = tuple(residues[i] for i in assignment[c]) + tuple(
-                    node_res[(c, d)] for d in sorted(adjacency[c])
-                )
-                if not _component_realizable(sig.zeros[c], comp_res):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            components = tuple(
-                StableComponent(
-                    sig.zeros[c],
-                    assignment[c],
-                    tuple((d, node_res[(c, d)]) for d in sorted(adjacency[c])),
-                )
-                for c in range(n)
-            )
-            return StableConfigTree(components, tree)
-    return None
-
-
-def _solve_node_residues(
-    tree: tuple[tuple[int, int], ...],
-    adjacency: dict[int, list[int]],
-    smooth_sum: list[QQi],
-) -> dict[tuple[int, int], QQi] | None:
-    """Node residues forced by per-component zero sums; None when one vanishes.
-
-    For the edge (u, v), the residue on u's half is minus the total smooth
-    residue of the part of the tree containing u.  All smooth residues sum
-    to zero, so one pass of subtree totals gives both halves of every edge.
-    """
-    order, parent = _rooted(adjacency)
-    below = list(smooth_sum)
-    for v in reversed(order[1:]):
-        below[parent[v]] = below[parent[v]] + below[v]
-    out: dict[tuple[int, int], QQi] = {}
-    for u, v in tree:
-        total = below[v] if parent[v] == u else -below[u]
-        if total.is_zero():
-            return None
-        out[(u, v)] = total
-        out[(v, u)] = -total
-    return out
+    entries = list(integers)
+    left = list(zeros)
+    if not decide.primitive_total_exceeds(entries, max(left, default=0)):
+        return None
+    live = list(range(len(entries)))  # positions of the remainder, ascending
+    leaves = []
+    while not decide.primitive_total_exceeds([entries[k] for k in live], len(live) - 2):
+        a = min(left)
+        left.remove(a)
+        plus = [k for k in live if entries[k] > 0]
+        minus = [k for k in live if entries[k] < 0]
+        side = plus if len(plus) >= len(minus) else minus
+        leaf = tuple(sorted(side, key=lambda k: -abs(entries[k]))[: a + 1])
+        leaves.append(leaf)
+        entries.append(sum(entries[k] for k in leaf))
+        live = [k for k in live if k not in leaf] + [len(entries) - 1]
+    return tuple(leaves) + (tuple(live),), tuple(left)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .core import (
     QQi,
     StratumSignature,
     arg_cmp,
-    collinear_normal_form,
     cross,
     dot,
     residue_tuple,
@@ -833,21 +832,19 @@ def _general_nonzero_surface(
 
 
 def _collinear_mixed_surface(
-    sig: StratumSignature, residues: Sequence[QQi]
+    sig: StratumSignature, residues: Sequence[QQi], ray: PrimitiveRay
 ) -> FlatSurface:
     """Single zero, collinear residues, at least one higher-order pole.
 
-    The first higher pole anchors the construction: its two chains list the
-    negated negative residues on top and the positive residues below, so its
-    own residue comes out right and every other pole glues to it along a
-    full-residue segment.
+    ``ray`` is the normal form of the nonzero residues.  The first higher
+    pole anchors the construction: its two chains list the negated negative
+    residues on top and the positive residues below, so its own residue
+    comes out right and every other pole glues to it along a full-residue
+    segment.
     """
     if sig.p < 1:
         raise ValueError("an anchor pole of order at least 2 is required")
     nonzero = [k for k, r in enumerate(residues) if not r.is_zero()]
-    ray = collinear_normal_form(tuple(residues[k] for k in nonzero))
-    if not isinstance(ray, PrimitiveRay):
-        raise ValueError("residues are not collinear")
     direction = ray.direction
     ints = list(ray.integers)
     if direction.re < 0 or (direction.re == 0 and direction.im < 0):
@@ -894,25 +891,23 @@ def _collinear_mixed_surface(
     return FlatSurface(tuple(pieces), tuple(pairings))
 
 
-def _connection_graph_surface(residues: Sequence[QQi]) -> FlatSurface:
-    """Single zero, only simple poles, collinear residues, via a connection graph.
+def _connection_graph_surface(direction: QQi, integers: Sequence[int]) -> FlatSurface:
+    """Single zero, simple poles with residues ``direction * integers[k]``.
 
-    Each peel step glues the leaf's pole part to its neighbour's along one
-    segment of the step's length, the next on each part's boundary.
+    Each step of the peeled connection graph glues the leaf's pole part to
+    its neighbour's along one segment of the step's length, the next on each
+    part's boundary.
     """
-    ray = collinear_normal_form(tuple(residues))
-    if not isinstance(ray, PrimitiveRay):
-        raise ValueError("residues are not collinear")
-    steps = _graphs.peel_connection_graph(ray.integers)
+    steps = _graphs.peel_connection_graph(integers)
     if steps is None:
         raise InternalBuildError("no connection graph although the decider says realizable")
-    vectors: list[list[QQi]] = [[] for _ in ray.integers]
+    vectors: list[list[QQi]] = [[] for _ in integers]
     pairings = []
     for leaf, nb, length in steps:
-        plus, minus = (leaf, nb) if ray.integers[leaf] > 0 else (nb, leaf)
+        plus, minus = (leaf, nb) if integers[leaf] > 0 else (nb, leaf)
         pairings.append(((plus, len(vectors[plus])), (minus, len(vectors[minus]))))
-        vectors[plus].append(ray.direction * length)
-        vectors[minus].append(ray.direction * -length)
+        vectors[plus].append(direction * length)
+        vectors[minus].append(direction * -length)
     return FlatSurface(tuple(SimplePolePart(tuple(v)) for v in vectors), tuple(pairings))
 
 
@@ -1167,44 +1162,44 @@ def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
 
 
 def _single_zero_surface(
-    sig: StratumSignature, residues: Sequence[QQi], route: str
+    sig: StratumSignature, residues: Sequence[QQi], verdict: "_decide.Verdict"
 ) -> FlatSurface:
-    """The one-zero surface a nonzero-residue genus-0 route starts from.
+    """The one-zero surface a genus-0 route with a higher pole starts from.
 
     Only the poles of ``sig`` are read; the zero carries their whole degree.
     """
-    if route == "residual-polygon":
+    if verdict.certificate_hint == "residual-polygon":
         return _general_nonzero_surface(sig, residues)
-    if route == "collinear-anchor-chain":
-        return _collinear_mixed_surface(sig, residues)
-    return _connection_graph_surface(residues)
+    return _collinear_mixed_surface(sig, residues, verdict.ray)
 
 
-def _stable_assembly_cert(
-    sig: StratumSignature, residues: Sequence[QQi]
-) -> ConstructionCertificate:
-    config = _graphs.find_stable_config(sig, residues)
-    if config is None:
-        raise InternalBuildError(
-            "no stable configuration although the decider says realizable"
-        )
-    bases: list[FlatSurface] = []
-    profiles: list[Profile] = []
-    half_slot: dict[tuple[int, int], tuple[int, int]] = {}
-    for c_idx, comp in enumerate(config.components):
-        comp_res = tuple(residues[i] for i in comp.pole_indices) + tuple(
-            res for _, res in comp.node_edges
-        )
-        surf = _connection_graph_surface(comp_res)
-        bases.append(surf)
-        profiles.append(verify_surface(surf))
-        for k, (other, _) in enumerate(comp.node_edges):
-            half_slot[(c_idx, other)] = (c_idx, len(comp.pole_indices) + k)
-    node_pairs = tuple(
-        (half_slot[(u, v)], half_slot[(v, u)]) for u, v in config.edges
-    )
-    claimed = _assemble(profiles, node_pairs)
-    return ConstructionCertificate(tuple(bases), node_pairs, (), claimed, None, None)
+def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> ConstructionCertificate:
+    """Collinear residues at simple poles only: single-zero pieces joined at nodes.
+
+    Each piece is a connection graph on its entries of the peel
+    (:func:`resflat.graphs.find_stable_config`); a leaf's node half, last
+    on the leaf, pairs with the pole of the piece holding the leaf's sum.
+    The remainder's zero is then blown up into the zeros not peeled.  With
+    one zero, or when one zero carries every entry, there is a single piece.
+    """
+    found = _graphs.find_stable_config(ray.integers, _positive_parts(sig.zeros))
+    if found is None:
+        raise InternalBuildError("no stable configuration although the decider says realizable")
+    components, left = found
+    *leaves, rest = components
+    ints = list(ray.integers)
+    pieces = []
+    for leaf in leaves:
+        sigma = sum(ints[k] for k in leaf)
+        pieces.append([ints[k] for k in leaf] + [-sigma])
+        ints.append(sigma)
+    pieces.append([ints[k] for k in rest])
+    bases = tuple(_connection_graph_surface(ray.direction, piece) for piece in pieces)
+    pole_of = {pos: (c, k) for c, comp in enumerate(components) for k, pos in enumerate(comp)}
+    s = len(ray.integers)
+    node_pairs = tuple(((c, len(leaf)), pole_of[s + c]) for c, leaf in enumerate(leaves))
+    claimed = _assemble([verify_surface(base) for base in bases], node_pairs)
+    return _blow_to_target(ConstructionCertificate(bases, node_pairs, (), claimed), left)
 
 
 def _genus1_zero_residue_cert(
@@ -1267,8 +1262,8 @@ def _positive_genus_cert(
             raise ValueError("rotation bookkeeping covers zero-residue families only")
         a0 = sig.pole_degree + sig.s - 2
         base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
-        route = _decide.decide_realizable(base_sig, residues).certificate_hint
-        cert = _cert_of(_single_zero_surface(base_sig, residues, route))
+        verdict = _decide.decide_realizable(base_sig, residues)
+        cert = _cert_of(_single_zero_surface(base_sig, residues, verdict))
         cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
     for _ in range(sig.genus - 1):
         cert = sew_handle(cert, 0)
@@ -1294,12 +1289,12 @@ def _certificate_for(
     route = verdict.certificate_hint
     if route == "zero-residue-chain":
         cert = _zero_residue_cert(sig)
-    elif route == "stable-tree":
-        cert = _stable_assembly_cert(sig, residues)
+    elif route in ("connection-graph", "blow-up-of-single-zero", "stable-tree"):
+        cert = _stable_assembly_cert(sig, verdict.ray)
     elif route == "genus-reduction":
         cert = _positive_genus_cert(sig, residues, rotation)
     else:
-        cert = _cert_of(_single_zero_surface(sig, residues, route))
+        cert = _cert_of(_single_zero_surface(sig, residues, verdict))
         cert = _blow_to_target(cert, sig.zeros)
     cert = _with_marked_points(cert, sig.zeros)
     if not profile_matches(cert.claimed, sig, residues):

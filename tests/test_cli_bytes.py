@@ -69,7 +69,7 @@ CASES = [
         ["witness"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "c71d3cc38ac687f79c77e6eb61d15861918ea9ff113132702637e954ef80bab4",
+        "ea9154d17c1233f47ccb23bf4a628cbfad97d77d0dbb752a3c3f223820361dc5",
     ),
     (
         "witness-genus-reduction",

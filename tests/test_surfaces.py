@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ import pytest
 import resflat.decide
 import resflat.surfaces
 from resflat.core import QQi, StratumSignature, residue_tuple
-from resflat.decide import decide_realizable
+from resflat.decide import _partitions, decide_realizable, primitive_total_exceeds
 from resflat.surfaces import (
     FamilyInfo,
     FlatSurface,
@@ -68,7 +70,7 @@ class TestVerifySurface:
 
     def test_graph_surface_profile(self):
         r = residue_tuple([3, 1, 1, 1, -2, -2, -2])
-        prof = verify_surface(_connection_graph_surface(r))
+        prof = verify_surface(_connection_graph_surface(ONE, [3, 1, 1, 1, -2, -2, -2]))
         assert prof.genus == 0
         assert prof.zero_orders == (5,)
         assert prof.pole_orders() == (-1,) * 7
@@ -167,6 +169,43 @@ class TestBuildWitness:
         sig = StratumSignature(0, (38,), (), 40)
         assert decide_realizable(sig, residue_tuple(values)).certificate_hint == "connection-graph"
         self.check(sig, values)
+
+    def test_stable_tree_sweep(self):
+        # Every primitive ray of 4..8 entries in +-1..4, scaled by a random
+        # Gaussian rational, on every stratum of two or more zeros that
+        # takes the stable-tree route, with and without a marked point.
+        rng = random.Random(8)
+        built = 0
+        for s in range(4, 9):
+            for ints in itertools.combinations_with_replacement((4, 3, 2, 1, -1, -2, -3, -4), s):
+                if sum(ints) or math.gcd(*ints) != 1 or primitive_total_exceeds(ints, s - 2):
+                    continue
+                for parts in range(2, s - 1):
+                    for zeros in _partitions(s - 2, parts):
+                        if not primitive_total_exceeds(ints, zeros[0]):
+                            continue
+                        unit = QQi(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4)), rng.randint(-2, 2))
+                        values = [unit * m for m in ints]
+                        for marked in ((), (0,)):
+                            sig = StratumSignature(0, zeros + marked, (), s)
+                            route = decide_realizable(sig, residue_tuple(values)).certificate_hint
+                            assert route == "stable-tree", (sig, ints)
+                            self.check(sig, values)
+                            built += 1
+        assert built == 2 * 278
+
+    def test_stable_tree_walls(self):
+        # Out of reach of an exhaustive search over trees of zeros: the first
+        # took 226 s that way, the second 14 s.
+        cases = [
+            ((2,) * 5, [3, 1, 1, 1, -1, -1, -1, -1, -1, 1, -1, -1]),
+            ((1,) * 8, [1, -1] * 5),
+            ((1,) * 30, [1, -1] * 16),
+        ]
+        for zeros, values in cases:
+            sig = StratumSignature(0, zeros, (), len(values))
+            assert decide_realizable(sig, residue_tuple(values)).certificate_hint == "stable-tree"
+            self.check(sig, values)
 
     @pytest.mark.parametrize(
         "sig, values, route",
