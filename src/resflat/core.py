@@ -29,7 +29,10 @@ class QQi:
     """A Gaussian rational a + b*i with exact rational parts.
 
     Instances are immutable and hashable; arithmetic is exact.  Fractions are
-    kept reduced with positive denominators by the ``fractions`` module.
+    kept reduced with positive denominators by the ``fractions`` module, so
+    equal values have equal integer parts, and the hash is taken over those
+    four integers rather than over the Fractions (whose hash computes a
+    modular inverse).
     """
 
     re: Fraction
@@ -38,6 +41,10 @@ class QQi:
     def __init__(self, re: Rat = 0, im: Rat = 0) -> None:
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
+
+    def __hash__(self) -> int:
+        re, im = self.re, self.im
+        return hash((re.numerator, re.denominator, im.numerator, im.denominator))
 
     def __add__(self, other: "QQi") -> "QQi":
         return QQi(self.re + other.re, self.im + other.im)

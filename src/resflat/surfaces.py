@@ -16,6 +16,14 @@ wrap corners acquire whole turns from the sheets, so cone angles are counted
 in whole turns without materializing anything infinite.  Chain vectors must
 not point along the negative real axis, where they would run back over the
 horizontal gluing rays.
+
+Exact integers.  The verifier scales each piece once by the lcm m of the
+denominators of its own vectors and reads it on plain integer pairs.  A
+positive rational scale keeps every argument order, every sign of a cross
+or dot product, every zero test and the negative-real-axis test, so the
+piece checks, the winding counts and the corner turns come out as on the
+Gaussian rationals; a residue is the integer sum divided back by m.
+Scaling per piece keeps the integers as small as that piece's data.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .core import (
     StratumSignature,
     arg_cmp,
     cross,
-    dot,
     residue_tuple,
 )
 from . import decide as _decide
@@ -100,144 +107,180 @@ class SimplePolePart:
 Piece = Polygon | PolarPart | SimplePolePart
 
 
+# The piece checks run on integer pairs (see "Exact integers" above).
+
+Pair = tuple[int, int]
+
+
+def _boundary(piece: Piece) -> tuple[tuple[QQi, ...], int]:
+    """Boundary vectors in slot order, and how many lead with their canonical
+    direction; the rest, a polar part's bottom chain, run reversed."""
+    if isinstance(piece, Polygon):
+        return piece.edges, len(piece.edges)
+    if isinstance(piece, PolarPart):
+        return piece.top + piece.bottom, len(piece.top)
+    if isinstance(piece, SimplePolePart):
+        return piece.vectors, len(piece.vectors)
+    raise ValueError(f"unknown piece type {type(piece).__name__}")
+
+
+# Lists, not tuples built from generators: such a tuple is allocated at a
+# guessed length and resized, and on release joins the free list of its
+# final length, so those free lists grow call after call.
+
+
+def _scaled(vectors: Sequence[QQi]) -> tuple[int, list[Pair]]:
+    """The lcm m of the vectors' denominators, and each vector times m."""
+    m = math.lcm(*[x.denominator for v in vectors for x in (v.re, v.im)])
+    return m, [
+        (v.re.numerator * (m // v.re.denominator), v.im.numerator * (m // v.im.denominator))
+        for v in vectors
+    ]
+
+
+def _canonical(vs: list[Pair], lead: int) -> list[Pair]:
+    """Scaled boundary vectors directed with the piece interior on the left."""
+    return vs[:lead] + [(-x, -y) for x, y in vs[lead:]]
+
+
+def _cross(a: Pair, b: Pair) -> int:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a: Pair, b: Pair) -> int:
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def _arg_cmp(a: Pair, b: Pair) -> int:
+    """:func:`resflat.core.arg_cmp` on nonzero integer pairs."""
+    ua = a[1] > 0 or (a[1] == 0 and a[0] < 0)
+    ub = b[1] > 0 or (b[1] == 0 and b[0] < 0)
+    if ua != ub:
+        return 1 if ua else -1
+    c = _cross(b, a)
+    return (c > 0) - (c < 0)
+
+
 # Angles are counted in whole turns.  With arguments in (-pi, pi], an angle
 # from direction u to direction v is arg v - arg u + 2*pi*w for an integer w;
 # summed around a closed walk the argument differences cancel, leaving 2*pi
 # times the sum of the w.
 
 
-def _sweep_turns(u: QQi, v: QQi) -> int:
+def _sweep_turns(u: Pair, v: Pair) -> int:
     """w of the counterclockwise sweep from u to v, taken in (0, 2*pi]."""
-    return 1 if arg_cmp(v, u) <= 0 else 0
+    return 1 if _arg_cmp(v, u) <= 0 else 0
 
 
-def _signed_turns(u: QQi, v: QQi) -> int:
+def _signed_turns(u: Pair, v: Pair) -> int:
     """w of the signed turn from u to v, taken in [-pi, pi)."""
-    if cross(u, v) > 0:
-        return 1 if arg_cmp(v, u) < 0 else 0
-    return -1 if arg_cmp(v, u) > 0 else 0
+    if _cross(u, v) > 0:
+        return 1 if _arg_cmp(v, u) < 0 else 0
+    return -1 if _arg_cmp(v, u) > 0 else 0
 
 
-def _validate_chain(vectors: tuple[QQi, ...], decreasing: bool, label: str) -> None:
-    for v in vectors:
-        if v.is_zero():
+def _validate_chain(vectors: list[Pair], decreasing: bool, label: str) -> None:
+    for x, y in vectors:
+        if not (x or y):
             raise ValueError(f"{label} chain contains a zero vector")
-        if v.im == 0 and v.re < 0:
+        if y == 0 and x < 0:
             raise ValueError(f"{label} chain vector points along the negative real axis")
     for a, b in zip(vectors, vectors[1:]):
-        c = arg_cmp(a, b)
+        c = _arg_cmp(a, b)
         if decreasing and c < 0:
             raise ValueError(f"{label} chain arguments must be weakly decreasing")
         if not decreasing and c > 0:
             raise ValueError(f"{label} chain arguments must be weakly increasing")
-    if vectors:
-        total = QQi(0)
-        for v in vectors:
-            total = total + v
-        if total.re < 0:
-            raise ValueError(f"{label} chain sum must have nonnegative real part")
+    if sum(x for x, _ in vectors) < 0:
+        raise ValueError(f"{label} chain sum must have nonnegative real part")
 
 
-def validate_piece(piece: Piece) -> None:
-    """Local validity checks; raises ValueError with the violated condition."""
+def validate_piece(piece: Piece, vs: list[Pair]) -> None:
+    """Local validity checks on a piece whose boundary vectors, scaled to
+    integer pairs by :func:`_scaled`, are ``vs``; raises ValueError with the
+    violated condition.  The piece type is one :func:`_boundary` accepts."""
     if isinstance(piece, Polygon):
-        if len(piece.edges) < 3:
+        if len(vs) < 3:
             raise ValueError("polygon needs at least three edges")
-        total = QQi(0)
-        for e in piece.edges:
-            if e.is_zero():
-                raise ValueError("polygon edge is zero")
-            total = total + e
-        if not total.is_zero():
+        if (0, 0) in vs:
+            raise ValueError("polygon edge is zero")
+        if sum(x for x, _ in vs) or sum(y for _, y in vs):
             raise ValueError("polygon edges do not close up")
-        edges = piece.edges
-        if sum(_signed_turns(edges[k - 1], edges[k]) for k in range(len(edges))) != 1:
+        if sum(_signed_turns(vs[k - 1], vs[k]) for k in range(len(vs))) != 1:
             raise ValueError("polygon boundary does not wind once counterclockwise")
     elif isinstance(piece, PolarPart):
         if piece.order < 2:
             raise ValueError("polar part order must be at least 2")
         if not (1 <= piece.pole_type <= piece.order - 1):
             raise ValueError("polar part type must lie in [1, order-1]")
-        if not piece.top and not piece.bottom:
+        if not vs:
             raise ValueError("polar part needs a nonempty boundary chain")
-        _validate_chain(piece.top, decreasing=True, label="top")
-        _validate_chain(piece.bottom, decreasing=False, label="bottom")
-    elif isinstance(piece, SimplePolePart):
-        if not piece.vectors:
-            raise ValueError("simple-pole part needs at least one vector")
-        for v in piece.vectors:
-            if v.is_zero():
-                raise ValueError("simple-pole chain contains a zero vector")
-        vs = piece.vectors
-        for a, b in zip(vs, vs[1:]):
-            if cross(a, b) == 0 and dot(a, b) < 0:
-                raise ValueError("simple-pole chain backtracks")
-        if len(vs) >= 2 and cross(vs[-1], vs[0]) == 0 and dot(vs[-1], vs[0]) < 0:
-            raise ValueError("simple-pole chain wraps onto itself")
+        lead = len(piece.top)
+        _validate_chain(vs[:lead], decreasing=True, label="top")
+        _validate_chain(vs[lead:], decreasing=False, label="bottom")
     else:
-        raise ValueError(f"unknown piece type {type(piece).__name__}")
+        if not vs:
+            raise ValueError("simple-pole part needs at least one vector")
+        if (0, 0) in vs:
+            raise ValueError("simple-pole chain contains a zero vector")
+        for a, b in zip(vs, vs[1:]):
+            if _cross(a, b) == 0 and _dot(a, b) < 0:
+                raise ValueError("simple-pole chain backtracks")
+        if len(vs) >= 2 and _cross(vs[-1], vs[0]) == 0 and _dot(vs[-1], vs[0]) < 0:
+            raise ValueError("simple-pole chain wraps onto itself")
 
 
-def slot_canonicals(piece: Piece) -> tuple[QQi, ...]:
-    """Boundary edge vectors directed with the piece interior on the left.
-
-    Slot order: polygon edges as given; polar top chain then bottom chain
-    (bottom slots are reversed in direction, not in index); simple-pole chain
-    as given.
-    """
-    if isinstance(piece, Polygon):
-        return piece.edges
-    if isinstance(piece, PolarPart):
-        return piece.top + tuple(-w for w in piece.bottom)
-    return piece.vectors
-
-
-def _cycle_and_corners(piece: Piece) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _cycle_and_corners(
+    piece: Piece, canon: list[Pair]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Boundary cycle of slot ids and the turns of the corner entering each slot.
 
-    The corner between cycle[k-1] and cycle[k] sweeps counterclockwise from
-    the canonical vector of cycle[k] to the reverse of that of cycle[k-1];
+    ``canon`` holds the scaled canonical vectors of the slots.  The corner
+    between cycle[k-1] and cycle[k] sweeps counterclockwise from the
+    canonical vector of cycle[k] to the reverse of that of cycle[k-1];
     turns[k] is its w.  For polar parts the wrap corners add the half-plane
     sheets, tau and order - tau turns (order - 1 and a half with one chain).
     """
-    vs = slot_canonicals(piece)
     if isinstance(piece, PolarPart):
         l, lp = len(piece.top), len(piece.bottom)
         cyc = tuple(range(l)) + tuple(range(l + lp - 1, l - 1, -1))
     else:
-        cyc = tuple(range(len(vs)))
-    turns = [_sweep_turns(vs[sid], -vs[cyc[pos - 1]]) for pos, sid in enumerate(cyc)]
+        cyc = tuple(range(len(canon)))
+    turns = []
+    for pos, sid in enumerate(cyc):
+        x, y = canon[cyc[pos - 1]]
+        turns.append(_sweep_turns(canon[sid], (-x, -y)))
     if isinstance(piece, PolarPart):
         b, tau = piece.order, piece.pole_type
-        top, bot = piece.top, piece.bottom
+        # canon[l - 1] is the last top vector, canon[-1] the last bottom
+        # vector reversed.
         if l and lp:
             turns[0] = tau
-            turns[l] = b - tau + (bot[-1].im <= 0) - (top[-1].im <= 0)
+            turns[l] = b - tau + (canon[-1][1] >= 0) - (canon[l - 1][1] <= 0)
         elif l:
-            turns[0] = b - 1 + (top[-1].im > 0)
+            turns[0] = b - 1 + (canon[l - 1][1] > 0)
         else:
-            turns[0] = b - 1 + (bot[-1].im <= 0)
+            turns[0] = b - 1 + (canon[-1][1] >= 0)
     return cyc, tuple(turns)
 
 
 NOT_A_POLE = None
 
 
+def _residue(canon: list[Pair], scale: int) -> QQi:
+    """A pole piece's residue, the sum of its canonical vectors, from the
+    scaled vectors ``canon`` and the scale ``scale``."""
+    re, im = sum(x for x, _ in canon), sum(y for _, y in canon)
+    return QQi(Fraction(re, scale), Fraction(im, scale))
+
+
 def residue_of_piece(piece: Piece) -> QQi | None:
     """Exact residue of the pole a piece carries; None for polygons."""
     if isinstance(piece, Polygon):
         return NOT_A_POLE
-    if isinstance(piece, PolarPart):
-        total = QQi(0)
-        for v in piece.top:
-            total = total + v
-        for w in piece.bottom:
-            total = total - w
-        return total
-    total = QQi(0)
-    for v in piece.vectors:
-        total = total + v
-    return total
+    vectors, lead = _boundary(piece)
+    scale, vs = _scaled(vectors)
+    return _residue(_canonical(vs, lead), scale)
 
 
 def pole_order_of_piece(piece: Piece) -> int | None:
@@ -301,43 +344,66 @@ def verify_surface(surface: FlatSurface) -> Profile:
     of the matching, connectivity, and the degree identity.  Cone angles are
     counted exactly in whole turns, and genus comes from the Euler
     characteristic of the induced cell complex.  Raises VerificationError.
+
+    Each piece is scaled once, by the lcm of its own denominators, to
+    integer pairs, on which the piece checks, the winding and the corner
+    turns are read; scaling by a positive rational changes none of them.
+    Matched vectors are compared on their reduced parts, and each residue
+    is its piece's integer sum divided back by the scale.
     """
     violations: list[str] = []
     pieces = surface.pieces
     if not pieces:
         raise VerificationError(("surface has no pieces",))
+    scales: list[int] = []
+    canons: list[list[Pair]] = []
+    # Slots get flat ids in sorted (piece, slot) order; ``stored`` holds each
+    # one's stored vector and the sign that makes it canonical.
+    index: dict[Slot, int] = {}
+    stored: list[tuple[QQi, int]] = []
     for idx, pc in enumerate(pieces):
         try:
-            validate_piece(pc)
+            vectors, lead = _boundary(pc)
+            scale, vs = _scaled(vectors)
+            validate_piece(pc, vs)
         except ValueError as exc:
             violations.append(f"piece {idx}: {exc}")
+            continue
+        scales.append(scale)
+        canons.append(_canonical(vs, lead))
+        for k, vec in enumerate(vectors):
+            index[(idx, k)] = len(stored)
+            stored.append((vec, 1 if k < lead else -1))
     if violations:
         raise VerificationError(violations)
 
-    canon: dict[Slot, QQi] = {}
-    for i, pc in enumerate(pieces):
-        for k, vec in enumerate(slot_canonicals(pc)):
-            canon[(i, k)] = vec
-
-    partner: dict[Slot, Slot] = {}
+    partner = [-1] * len(stored)
     for num, (a, b) in enumerate(surface.pairings):
         for end in (a, b):
-            if end not in canon:
+            if end not in index:
                 violations.append(f"pairing {num}: no such edge slot {end}")
-            elif end in partner:
+            elif partner[index[end]] >= 0:
                 violations.append(f"pairing {num}: slot {end} is matched twice")
         if violations:
             raise VerificationError(violations)
         if a == b:
             violations.append(f"pairing {num}: slot {a} glued to itself")
             raise VerificationError(violations)
-        if canon[a] != -canon[b]:
-            violations.append(
-                f"pairing {num}: vector mismatch, {canon[a]} against {canon[b]}"
-            )
-        partner[a] = b
-        partner[b] = a
-    unmatched = sorted(sl for sl in canon if sl not in partner)
+        fa, fb = index[a], index[b]
+        (u, su), (v, sv) = stored[fa], stored[fb]
+        # Canonical vectors su*u and sv*v are opposite: u == -su*sv * v.
+        t = -su * sv
+        if not (
+            u.re.numerator == t * v.re.numerator
+            and u.im.numerator == t * v.im.numerator
+            and u.re.denominator == v.re.denominator
+            and u.im.denominator == v.im.denominator
+        ):
+            violations.append(f"pairing {num}: vector mismatch, {su * u} against {sv * v}")
+        partner[fa] = fb
+        partner[fb] = fa
+    slots = list(index)
+    unmatched = [slots[f] for f, g in enumerate(partner) if g < 0]
     if unmatched:
         violations.append(f"unmatched boundary edges: {unmatched}")
     if violations:
@@ -346,35 +412,38 @@ def verify_surface(surface: FlatSurface) -> Profile:
     if not _graphs._connected(len(pieces), [(a[0], b[0]) for a, b in surface.pairings]):
         raise VerificationError(("surface is disconnected",))
 
-    corner_into: dict[Slot, tuple[Slot, int]] = {}
-    for i, pc in enumerate(pieces):
-        cyc, turns = _cycle_and_corners(pc)
+    corner_into: list[tuple[int, int]] = []
+    for pc, canon in zip(pieces, canons):
+        offset = len(corner_into)
+        cyc, turns = _cycle_and_corners(pc, canon)
+        into = [(0, 0)] * len(cyc)
         for pos, sid in enumerate(cyc):
-            corner_into[(i, sid)] = ((i, cyc[pos - 1]), turns[pos])
+            into[sid] = (offset + cyc[pos - 1], turns[pos])
+        corner_into.extend(into)
 
     # Each corner ends on the direction the next one starts from (matched
     # edges are exact translates), so an orbit's cone angle is 2*pi times
     # its summed turns: a positive integer, as every corner angle is positive.
-    seen: set[Slot] = set()
+    seen = [False] * len(stored)
     orders: list[int] = []
-    for start in sorted(canon):
-        if start in seen:
+    for start in range(len(stored)):
+        if seen[start]:
             continue
         total = 0
         cur = start
-        while cur not in seen:
-            seen.add(cur)
+        while not seen[cur]:
+            seen[cur] = True
             prev_slot, turns = corner_into[cur]
             total += turns
             cur = partner[prev_slot]
         orders.append(total - 1)
 
     poles: list[tuple[int, QQi]] = []
-    for i, pc in enumerate(pieces):
+    for i, (pc, canon, scale) in enumerate(zip(pieces, canons, scales)):
         order = pole_order_of_piece(pc)
         if order is None:
             continue
-        res = residue_of_piece(pc)
+        res = _residue(canon, scale)
         if order == -1 and res.is_zero():
             violations.append(f"piece {i}: zero residue at a simple pole")
         poles.append((order, res))
@@ -1262,7 +1331,7 @@ def _positive_genus_cert(
             raise ValueError("rotation bookkeeping covers zero-residue families only")
         a0 = sig.pole_degree + sig.s - 2
         base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
-        verdict = _decide.decide_realizable(base_sig, residues)
+        verdict = _decide._genus0_verdict(base_sig, residues)
         cert = _cert_of(_single_zero_surface(base_sig, residues, verdict))
         cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
     for _ in range(sig.genus - 1):

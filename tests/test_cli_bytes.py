@@ -177,3 +177,158 @@ def test_output_bytes_are_pinned(tmp_path, args, doc, code, digest):
     out = tmp_path / "out.json"
     assert main(args + [str(path), "-o", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _certificate(pieces, pairings, claimed=None):
+    claimed = claimed or {"genus": 0, "zeros": [], "poles": []}
+    return {
+        "bases": [{"pieces": pieces, "pairings": pairings}],
+        "claimed_profile": claimed,
+    }
+
+
+def _polygon(*edges):
+    return {"kind": "polygon", "edges": list(edges)}
+
+
+def _polar(order, tau, top, bottom):
+    return {"kind": "polar_part", "order": order, "type": tau, "top": top, "bottom": bottom}
+
+
+def _simple(*vectors):
+    return {"kind": "simple_pole_part", "vectors": list(vectors)}
+
+
+HALF, THIRD = [1, 2], [1, 3]
+MINUS_HALF = [-1, 2]
+
+# (name, certificate document or the name of a witness case above whose
+# output is verified, exit status, sha256).  One violation document per check
+# of the verifier that reads vectors, with non-integer Fractions throughout;
+# a pairing that follows a mismatch is not reached, so only the first
+# mismatch is reported.
+VERIFY_CASES = [
+    (
+        "verify-profile-genus-reduction",
+        "witness-genus-reduction",
+        0,
+        "2b99a30aff20603ec7ff2beecf4de96847cb8467da79f76c897a007c126d0e6d",
+    ),
+    (
+        "verify-profile-genus-2-nonzero-residues",
+        "witness-genus-2-nonzero-residues",
+        0,
+        "5410ba3ec5268693f1494e5461f608ce7a99d3efb1fc7a60d1e5de523f1e71f2",
+    ),
+    (
+        "verify-vector-mismatch",
+        _certificate(
+            [
+                _simple(THIRD, _gauss([1, 4], [2, 5])),
+                _simple(MINUS_HALF, _gauss([-1, 4], [-3, 7])),
+            ],
+            [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
+        ),
+        1,
+        "8da904eef92a862bbf2c2bd493fb67ca4fcb15dce8797181d72b2ca8deb5094f",
+    ),
+    (
+        "verify-vector-mismatch-gaussian",
+        _certificate(
+            [_simple(_gauss([1, 4], [2, 5]), THIRD), _simple(_gauss([-1, 4], [-3, 7]), MINUS_HALF)],
+            [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
+        ),
+        1,
+        "752388faa3b0711ddd80549444c25b8b5b6d3ced5ca79074b12a6cf156dbb2ec",
+    ),
+    (
+        "verify-polygon-open",
+        _certificate([_polygon(HALF, _gauss(0, THIRD), MINUS_HALF)], []),
+        1,
+        "bad74b5d63ecebbfd9397a65f5eaca85d539028375f08a4a2b50468ad34be460",
+    ),
+    (
+        "verify-polygon-winds-twice",
+        _certificate(
+            [_polygon(*[[2, 3], _gauss(0, [2, 3]), [-2, 3], _gauss(0, [-2, 3])] * 2)], []
+        ),
+        1,
+        "cbe08bc7ee4636cf6ddc62323128b8d7fa5750a5bdf5ffa086906ef1aeecc923",
+    ),
+    (
+        "verify-negative-real-axis",
+        _certificate([_polar(2, 1, [1], [_gauss(1, 1), MINUS_HALF])], []),
+        1,
+        "3679b2168e344ae1e609d16580666df5feb02c679d6cf2b5a4ff974765d7e2e2",
+    ),
+    (
+        "verify-top-chain-order",
+        _certificate([_polar(3, 1, [1, _gauss(0, HALF)], [])], []),
+        1,
+        "3accdbe7201126dc31871626bfc69e99759ef8f4d5f679d37f63c0e2d486ee9c",
+    ),
+    (
+        "verify-chain-sum",
+        _certificate([_polar(2, 1, [_gauss(-1, THIRD)], [])], []),
+        1,
+        "fbb69044f4649cde32398f68e0d8c15a4590e0448cc9303ac28099ddbe009457",
+    ),
+    (
+        "verify-simple-pole-backtrack",
+        _certificate([_simple(THIRD, MINUS_HALF)], []),
+        1,
+        "2beb1d44a4ac34896c885a95d7340986565c037c145b72717e03a54f95904316",
+    ),
+    (
+        "verify-zero-residue-at-simple-pole",
+        _certificate(
+            [
+                _simple(HALF, _gauss(0, HALF), _gauss(MINUS_HALF, MINUS_HALF)),
+                _polygon(MINUS_HALF, _gauss(0, MINUS_HALF), _gauss(HALF, HALF)),
+            ],
+            [[[0, k], [1, k]] for k in range(3)],
+        ),
+        1,
+        "af101b075db93455b423c8c2437f32d1f04162dd635e662300d5a5a15d12c5e6",
+    ),
+    (
+        "verify-unmatched-edge",
+        _certificate(
+            [_polygon(HALF, _gauss(0, THIRD), MINUS_HALF, _gauss(0, [-1, 3]))],
+            [[[0, 0], [0, 2]]],
+        ),
+        1,
+        "84f8b712a1365655663c07273357baca8137b7456ea76d1506455258f4267e13",
+    ),
+    (
+        "verify-claimed-poles-differ",
+        _certificate(
+            [_simple(HALF), _simple(MINUS_HALF)],
+            [[[0, 0], [1, 0]]],
+            {
+                "genus": 0,
+                "zeros": [0],
+                "poles": [{"order": -1, "residue": THIRD}, {"order": -1, "residue": [-1, 3]}],
+            },
+        ),
+        1,
+        "2505bebb9750b8d2a53a6a08431f88fb453efac4965077ac3deda6132e3658b8",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, code, digest", [c[1:] for c in VERIFY_CASES], ids=[c[0] for c in VERIFY_CASES]
+)
+def test_verify_bytes_are_pinned(tmp_path, doc, code, digest):
+    path = tmp_path / "in.json"
+    if isinstance(doc, str):
+        (_, args, request, _, _), = (c for c in CASES if c[0] == doc)
+        request_path = tmp_path / "request.json"
+        request_path.write_text(json.dumps(request))
+        assert main(args + [str(request_path), "-o", str(path)]) == 0
+    else:
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["verify", str(path), "-o", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -107,6 +107,36 @@ class TestVerifySurface:
             verify_surface(FlatSurface((Polygon((ONE, I, -ONE)),), ()))
 
     @pytest.mark.parametrize(
+        "edges", [(ONE, I, -2 * ONE, -I), (ONE, I, -ONE, -2 * I)], ids=["real-part", "imaginary-part"]
+    )
+    def test_open_polygon_detected(self, edges):
+        with pytest.raises(VerificationError, match="close up"):
+            verify_surface(FlatSurface((Polygon(edges),), ()))
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            SimplePolePart((QQi(Fraction(-1, 3), Fraction(-1, 3)),)),
+            SimplePolePart((QQi(Fraction(-1, 2), Fraction(-1, 2)),)),
+            SimplePolePart((QQi(Fraction(1, 2), Fraction(-1, 3)),)),
+            SimplePolePart((QQi(Fraction(-1, 2), Fraction(1, 3)),)),
+            PolarPart(2, 1, (), (QQi(Fraction(1, 2), Fraction(1, 4)),)),
+            PolarPart(2, 1, (), (QQi(Fraction(1, 3), Fraction(1, 3)),)),
+        ],
+        ids=["re-denominator", "im-denominator", "re-sign", "im-sign", "bottom-im", "bottom-re"],
+    )
+    def test_vector_mismatch_in_one_part(self, other):
+        # Matched against 1/2 + i/3, each differs from the opposite vector
+        # in one reduced part only; a bottom chain is stored reversed.
+        u = QQi(Fraction(1, 2), Fraction(1, 3))
+        surf = FlatSurface((SimplePolePart((u,)), other), (((0, 0), (1, 0)),))
+        with pytest.raises(VerificationError, match="vector mismatch"):
+            verify_surface(surf)
+        for opposite in (SimplePolePart((-u,)), PolarPart(2, 1, (), (u,))):
+            prof = verify_surface(FlatSurface((SimplePolePart((u,)), opposite), (((0, 0), (1, 0)),)))
+            assert prof.residues() == (u, -u)
+
+    @pytest.mark.parametrize(
         "edges", [(ONE, -I, -ONE, I), (ONE, I, -ONE, -I) * 2], ids=["clockwise", "twice-around"]
     )
     def test_bad_winding_detected(self, edges):
@@ -216,13 +246,19 @@ class TestBuildWitness:
             (StratumSignature(0, (5,), (), 7), [3, 1, 1, 1, -2, -2, -2], "connection-graph"),
             (StratumSignature(0, (1, 1), (), 4), [3, -1, -1, -1], "blow-up-of-single-zero"),
             (StratumSignature(0, (2, 2), (), 6), [2, 1, 1, -1, -1, -2], "stable-tree"),
+            (
+                StratumSignature(1, (3,), (2,), 1),
+                [Fraction(1, 2), Fraction(-1, 2)],
+                "genus-reduction",
+            ),
         ],
     )
     def test_one_decision_and_one_verification_per_base(
         self, monkeypatch, sig, values, route
     ):
-        verdicts, verified = [], []
+        verdicts, verified, validated = [], [], []
         decide, verify = resflat.decide.decide_realizable, resflat.surfaces.verify_surface
+        validate = resflat.decide.validate_residues
 
         def counting_decide(*args):
             verdicts.append(decide(*args))
@@ -232,10 +268,16 @@ class TestBuildWitness:
             verified.append(surface)
             return verify(surface)
 
+        def counting_validate(*args):
+            validated.append(args)
+            return validate(*args)
+
         monkeypatch.setattr(resflat.decide, "decide_realizable", counting_decide)
         monkeypatch.setattr(resflat.surfaces, "verify_surface", counting_verify)
+        monkeypatch.setattr(resflat.decide, "validate_residues", counting_validate)
         cert = build_witness(sig, residue_tuple(values))
         assert [v.certificate_hint for v in verdicts] == [route]
+        assert len(validated) == 1
         assert verified == list(cert.bases)
 
     @pytest.mark.parametrize(
