@@ -3,12 +3,13 @@
 Connection graphs are weighted bipartite trees encoding genus-zero flat
 surfaces with one cone point and only half-infinite cylinders.  Witnesses
 for collinear residue tuples peel one leaf at a time under the closed form;
-the exhaustive search over spanning trees is the brute-force oracle the
-closed-form decider is checked against.  With several zeros the peel first
-takes leaf components, each a single-zero star joined to the rest at a
-node, until one zero can carry what is left.  Stable configurations with
-arbitrary component genera and multigraphs answer disjoint-cylinder
-questions on holomorphic strata by a bounded search.
+the brute-force oracle the closed-form decider is checked against tries
+every sequence of leaf removals instead, without the closed form.  With
+several zeros the peel first takes leaf components, each a single-zero
+star joined to the rest at a node, until one zero can carry what is left.
+Stable configurations with arbitrary component genera and multigraphs
+answer disjoint-cylinder questions on holomorphic strata by a bounded
+search.
 """
 
 from __future__ import annotations
@@ -182,59 +183,66 @@ def _rooted(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _bipartite_trees(s1: int, s2: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Spanning trees of the complete bipartite graph on (s1, s2) vertices, lazily.
-
-    Vertices 0..s1-1 are the plus side, s1..s1+s2-1 the minus side.  Rooted
-    at plus vertex 0, a tree is a parent function across the sides whose
-    chains all reach the root.  Edges are (plus index, minus index) pairs.
-    """
-    m = s1 + s2
-    for parents in itertools.product(*[range(s1, m)] * (s1 - 1), *[range(s1)] * s2):
-        parent = (0,) + parents
-        if _reaches_root(parent):
-            yield tuple((v, parent[v] - s1) for v in range(1, s1)) + tuple(
-                (parent[v], v - s1) for v in range(s1, m)
-            )
-
-
-def _reaches_root(parent: Sequence[int]) -> bool:
-    """Whether every parent chain ends at vertex 0, that is, no chain cycles."""
-    state = [2] + [0] * (len(parent) - 1)  # 0 unseen, 1 on this chain, 2 reaches 0
-    for start in range(1, len(parent)):
-        v = start
-        while state[v] == 0:
-            state[v] = 1
-            v = parent[v]
-        if state[v] == 1:
-            return False
-        v = start
-        while state[v] == 1:
-            state[v] = 2
-            v = parent[v]
-    return True
-
-
 def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGraph | None:
     """Exhaustively search for a connection graph with the given weights.
 
     ``entries`` is a signed real tuple (or a primitive ray) summing to zero
     with no zero entries; positive entries weight the plus side, negatives
-    the minus side.  Spanning trees of the complete bipartite support are
-    tried one at a time in a fixed order and the first valid graph is
-    returned.  This is the oracle; witnesses use :func:`peel_connection_graph`.
+    the minus side.  This is the oracle; witnesses use
+    :func:`peel_connection_graph`.
+
+    The search removes leaves.  A state maps positions to signed weights.
+    While more than two are left, each vertex v is tried as a leaf, removed
+    into each vertex u on the other side with |w(u)| > |w(v)|, whose weight
+    becomes w(u) + w(v); the two vertices left at the end are equal and
+    opposite, as the weights sum to zero.  The removals, read as (leaf,
+    neighbour) edges, are the tree returned.
+
+    This is exact.  Every connection graph has a leaf, and removing it
+    leaves a connection graph, by the definition.  Conversely, attaching a
+    leaf of size w to an opposite vertex of size above w changes no other
+    edge flow, and the new edge carries flow w > 0, so a connection graph
+    stays one (see :func:`_flows_positive`).  Whether a state succeeds
+    depends only on its multiset of weights, so the failed multisets are
+    remembered for the length of one call.  The closed form of
+    :mod:`resflat.decide` is never used: the oracle is independent of the
+    theorem it checks.
     """
     values = entries.integers if isinstance(entries, PrimitiveRay) else tuple(entries)
     if not values or any(v == 0 for v in values):
         raise ValueError("entries must be nonzero")
     if sum(values) != 0:
         raise ValueError("entries must sum to zero")
-    plus = [v for v in values if v > 0]
-    minus = [-v for v in values if v < 0]
-    for pairs in _bipartite_trees(len(plus), len(minus)):
-        if _flows_positive(plus, minus, pairs):
-            return ConnectionGraph.from_sides(plus, minus, pairs)
-    return None
+    plus: list[Rat] = []
+    minus: list[Rat] = []
+    rank = []  # each position's index within its side
+    for v in values:
+        side = plus if v > 0 else minus
+        rank.append(len(side))
+        side.append(abs(v))
+    failed: set[tuple[Rat, ...]] = set()
+
+    def search(weight: dict[int, Rat]) -> list[tuple[int, int]] | None:
+        if len(weight) == 2:
+            return [tuple(weight)]
+        key = tuple(sorted(weight.values()))
+        if key not in failed:
+            for v, wv in weight.items():
+                for u, wu in weight.items():
+                    if wu * wv < 0 and abs(wu) > abs(wv):
+                        rest = {k: w + wv if k == u else w for k, w in weight.items() if k != v}
+                        found = search(rest)
+                        if found is not None:
+                            return [(v, u)] + found
+            failed.add(key)
+        return None
+
+    edges = search(dict(enumerate(values)))
+    if edges is None:
+        return None
+    return ConnectionGraph.from_sides(
+        plus, minus, [(rank[a], rank[b]) if values[a] > 0 else (rank[b], rank[a]) for a, b in edges]
+    )
 
 
 def peel_connection_graph(integers: Sequence[int]) -> tuple[tuple[int, int, int], ...] | None:

@@ -379,16 +379,18 @@ def verify_surface(surface: FlatSurface) -> Profile:
 
     partner = [-1] * len(stored)
     for num, (a, b) in enumerate(surface.pairings):
+        # A pairing that cannot be indexed ends the matching; a vector
+        # mismatch does not, so every mismatched pairing is reported.
+        blocked = []
         for end in (a, b):
             if end not in index:
-                violations.append(f"pairing {num}: no such edge slot {end}")
+                blocked.append(f"pairing {num}: no such edge slot {end}")
             elif partner[index[end]] >= 0:
-                violations.append(f"pairing {num}: slot {end} is matched twice")
-        if violations:
-            raise VerificationError(violations)
-        if a == b:
-            violations.append(f"pairing {num}: slot {a} glued to itself")
-            raise VerificationError(violations)
+                blocked.append(f"pairing {num}: slot {end} is matched twice")
+        if not blocked and a == b:
+            blocked.append(f"pairing {num}: slot {a} glued to itself")
+        if blocked:
+            raise VerificationError(violations + blocked)
         fa, fb = index[a], index[b]
         (u, su), (v, sv) = stored[fa], stored[fb]
         # Canonical vectors su*u and sv*v are opposite: u == -su*sv * v.

@@ -71,10 +71,10 @@ def test_table_reproduction():
 
 def test_oracle_equivalence():
     """Closed form against brute-force graph search: s <= 7 with entries
-    <= 5, and s = 8 with entries <= 4."""
+    <= 5, and s = 8..10 with entries <= 4."""
     cases = Counter()
     disagreements = 0
-    for sizes, bound in ((range(2, 8), 5), ((8,), 4)):
+    for sizes, bound in ((range(2, 8), 5), (range(8, 11), 4)):
         values = [v for v in range(-bound, bound + 1) if v]
         for s in sizes:
             for combo in itertools.combinations_with_replacement(values, s):
@@ -91,7 +91,8 @@ def test_oracle_equivalence():
                 brute = find_connection_graph(combo) is not None
                 if closed != brute:
                     disagreements += 1
-    assert sum(cases.values()) - cases[8] > 500 and cases[8] == 227
+    assert sum(cases[s] for s in range(2, 8)) == 704
+    assert (cases[8], cases[9], cases[10]) == (227, 374, 591)
     assert disagreements == 0
     print(
         f"\n[ACCEPTANCE] oracle equivalence: PASS "

@@ -205,8 +205,8 @@ MINUS_HALF = [-1, 2]
 # (name, certificate document or the name of a witness case above whose
 # output is verified, exit status, sha256).  One violation document per check
 # of the verifier that reads vectors, with non-integer Fractions throughout;
-# a pairing that follows a mismatch is not reached, so only the first
-# mismatch is reported.
+# both pairings of the two mismatch documents are mismatched, and each is
+# reported.
 VERIFY_CASES = [
     (
         "verify-profile-genus-reduction",
@@ -230,7 +230,7 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "8da904eef92a862bbf2c2bd493fb67ca4fcb15dce8797181d72b2ca8deb5094f",
+        "c30bc637c5f85210b650f0235212a3f5e3959a5124a049335f2fdcdb2bbd548d",
     ),
     (
         "verify-vector-mismatch-gaussian",
@@ -239,7 +239,7 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "752388faa3b0711ddd80549444c25b8b5b6d3ced5ca79074b12a6cf156dbb2ec",
+        "b012567b18d31ab0755e33453154aff3467ef2da7894d66f4b34ab7b0f6645b7",
     ),
     (
         "verify-polygon-open",

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -13,9 +14,9 @@ from resflat.decide import search_cylinder_tuple
 from resflat.graphs import (
     ConnectionGraph,
     SearchBudgetExceeded,
-    _bipartite_trees,
     _connected,
     _cylinder_component_ok,
+    _flows_positive,
     _partitions_of_set,
     find_connection_graph,
     find_cylinder_config,
@@ -24,6 +25,39 @@ from resflat.graphs import (
     leaf_removal,
     peel_connection_graph,
 )
+
+
+def _bipartite_trees(s1: int, s2: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Spanning trees of the complete bipartite graph on (s1, s2) vertices, lazily.
+
+    Vertices 0..s1-1 are the plus side, s1..s1+s2-1 the minus side.  Rooted
+    at plus vertex 0, a tree is a parent function across the sides whose
+    chains all reach the root.  Edges are (plus index, minus index) pairs.
+    """
+    m = s1 + s2
+    for parents in itertools.product(*[range(s1, m)] * (s1 - 1), *[range(s1)] * s2):
+        parent = (0,) + parents
+        if _reaches_root(parent):
+            yield tuple((v, parent[v] - s1) for v in range(1, s1)) + tuple(
+                (parent[v], v - s1) for v in range(s1, m)
+            )
+
+
+def _reaches_root(parent: Sequence[int]) -> bool:
+    """Whether every parent chain ends at vertex 0, that is, no chain cycles."""
+    state = [2] + [0] * (len(parent) - 1)  # 0 unseen, 1 on this chain, 2 reaches 0
+    for start in range(1, len(parent)):
+        v = start
+        while state[v] == 0:
+            state[v] = 1
+            v = parent[v]
+        if state[v] == 1:
+            return False
+        v = start
+        while state[v] == 1:
+            state[v] = 2
+            v = parent[v]
+    return True
 
 
 def star(center, leaves):
@@ -145,11 +179,52 @@ class TestFindConnectionGraph:
                 assert is_connection_graph(g)
 
     def test_invariance_under_permutation_and_sign(self):
-        base = (3, 1, 1, 1, -2, -2, -2)
-        found = find_connection_graph(base) is not None
-        assert (find_connection_graph(tuple(reversed(base))) is not None) == found
-        flipped = tuple(-m for m in base)
-        assert (find_connection_graph(flipped) is not None) == found
+        # Shuffled and negated: a realizable ray with s = 7, and a realizable
+        # and an excluded ray with s = 9.
+        rng = random.Random(9)
+        for base, found in (
+            ((3, 1, 1, 1, -2, -2, -2), True),
+            ((4, 1, 1, 1, 1, -2, -2, -2, -2), True),
+            ((2, 1, 1, 1, 1, -2, -2, -1, -1), False),
+        ):
+            for trial in range(6):
+                combo = [m if trial % 2 else -m for m in base]
+                rng.shuffle(combo)
+                g = find_connection_graph(combo)
+                assert (g is not None) == found, combo
+                if g is not None:
+                    assert_graph_on(combo, g)
+
+    def test_rational_entries(self):
+        half = Fraction(1, 2)
+        combo = [3 * half, half, -2]
+        g = find_connection_graph(combo)
+        assert g is not None
+        assert_graph_on(combo, g)
+        assert find_connection_graph([half, half, -half, -half]) is None
+
+    def test_matches_the_spanning_tree_walk(self):
+        # The sweep below, as in the peel test: a graph is returned exactly
+        # when some spanning tree of K_{s1,s2} carries positive flows.
+        sweep = list(_oracle_cases(7, 5)) + [c for c in _oracle_cases(8, 4) if len(c) == 8]
+        assert len(sweep) == 704 + 227
+        found = 0
+        for combo in sweep:
+            plus = [m for m in combo if m > 0]
+            minus = [-m for m in combo if m < 0]
+            trees = _bipartite_trees(len(plus), len(minus))
+            walked = any(_flows_positive(plus, minus, pairs) for pairs in trees)
+            g = find_connection_graph(combo)
+            assert (g is not None) == walked, combo
+            if g is not None:
+                assert_graph_on(combo, g)
+                found += 1
+        assert 0 < found < len(sweep)
+
+    def test_excluded_six_plus_six_ray(self):
+        # K_{6,6} has 6^5 * 6^5 = 60,466,176 spanning trees; the leaf-removal
+        # search answers without walking them.
+        assert find_connection_graph((-1, -1, 4, -3, 1, 1, 1, -1, 2, 1, -2, -2)) is None
 
     def test_spanning_tree_counts(self):
         # Scoins: K_{s1,s2} has s1^(s2-1) * s2^(s1-1) spanning trees.
@@ -159,6 +234,17 @@ class TestFindConnectionGraph:
             assert all(
                 ConnectionGraph.from_sides([1] * s1, [1] * s2, pairs).is_tree() for pairs in trees
             )
+
+
+def assert_graph_on(combo, g):
+    """A connection graph whose sides carry the entries' sizes, in order."""
+    assert is_connection_graph(g), combo
+    plus = [Fraction(m) for m in combo if m > 0]
+    minus = [Fraction(-m) for m in combo if m < 0]
+    assert g.weights == tuple(plus + minus), combo
+    assert g.vertices == tuple(("+", i) for i in range(len(plus))) + tuple(
+        ("-", j) for j in range(len(minus))
+    )
 
 
 class TestPeelConnectionGraph:

@@ -79,8 +79,27 @@ class TestVerifySurface:
     def test_vector_mismatch_detected(self):
         square = Polygon((ONE, I, -ONE, -I))
         surf = FlatSurface((square,), (((0, 0), (0, 1)), ((0, 2), (0, 3))))
-        with pytest.raises(VerificationError, match="vector mismatch"):
+        with pytest.raises(VerificationError, match="vector mismatch") as both:
             verify_surface(surf)
+        assert [v.split(":")[0] for v in both.value.violations] == ["pairing 0", "pairing 1"]
+        # A slot matched twice ends the matching, after the mismatch before it.
+        surf = FlatSurface((square,), (((0, 0), (0, 1)), ((0, 1), (0, 3)), ((0, 2), (0, 3))))
+        with pytest.raises(VerificationError) as blocked:
+            verify_surface(surf)
+        assert blocked.value.violations == (
+            "pairing 0: vector mismatch, 1 against 1i",
+            "pairing 1: slot (0, 1) is matched twice",
+        )
+
+    def test_pairing_that_cannot_be_indexed(self):
+        square = Polygon((ONE, I, -ONE, -I))
+        for pairings, violations in (
+            ((((0, 0), (0, 0)),), ("pairing 0: slot (0, 0) glued to itself",)),
+            ((((0, 4), (0, 4)),), ("pairing 0: no such edge slot (0, 4)",) * 2),
+        ):
+            with pytest.raises(VerificationError) as exc:
+                verify_surface(FlatSurface((square,), pairings))
+            assert exc.value.violations == violations
 
     def test_unmatched_edge_detected(self):
         square = Polygon((ONE, I, -ONE, -I))
