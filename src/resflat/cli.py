@@ -5,7 +5,7 @@ Exit status 0 means realizable / verified / full agreement, 1 means not
 realizable / violation / disagreement, 2 means a malformed document, a
 validation error, an exhausted search budget or any other error.
 
-Document formats (format_version "1").  Rationals are [numerator,
+Document formats (format_version "2").  Rationals are [numerator,
 denominator] pairs in lowest terms with positive denominators; a bare
 integer is accepted on input.  Gaussian rationals are {"re": rational,
 "im": rational}; bare integers and rationals are accepted and taken real.
@@ -14,6 +14,10 @@ orders.  A surface document lists pieces and pairings of edge slots; slot
 k of a polygon is its k-th edge, slots of a polar part list the top chain
 then the bottom chain, slots of a simple-pole part are its chain vectors.
 Matched slots carry equal vectors with the two pieces on opposite sides.
+A certificate holds one "surface", its "surgeries" and the claimed
+profile; a node of a stable tree is a polygon, the finite cylinder that
+plumbing the node leaves.  A certificate field outside this format, such
+as the separate surfaces and node list of format "1", is rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from . import decide as _decide
 from . import graphs as _graphs
 from . import surfaces as _surfaces
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 class DocumentError(Exception):
@@ -240,8 +244,7 @@ def _certificate_to_json(cert: _surfaces.ConstructionCertificate) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "certificate",
-        "bases": [_surface_to_json(s) for s in cert.bases],
-        "node_pairings": [[list(a), list(b)] for a, b in cert.node_pairs],
+        "surface": _surface_to_json(cert.surface),
         "surgeries": surgeries,
         "claimed_profile": _profile_to_json(cert.claimed),
         "claimed_rotation": cert.claimed_rotation,
@@ -249,28 +252,28 @@ def _certificate_to_json(cert: _surfaces.ConstructionCertificate) -> dict:
     }
 
 
+_CERTIFICATE_FIELDS = {
+    "format_version",
+    "kind",
+    "surface",
+    "surgeries",
+    "claimed_profile",
+    "claimed_rotation",
+    "family",
+}
+
+
 def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionCertificate:
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a certificate object")
-    bases_doc = doc.get("bases")
-    if not isinstance(bases_doc, list) or not bases_doc:
-        raise DocumentError(path + ".bases", "expected a nonempty list of surfaces")
-    bases = tuple(
-        _surface_from_json(b, f"{path}.bases[{k}]") for k, b in enumerate(bases_doc)
-    )
-    for key in ("node_pairings", "surgeries"):
-        if not isinstance(doc.get(key, []), list):
-            raise DocumentError(f"{path}.{key}", "expected a list")
-    node_pairs = []
-    for k, pair in enumerate(doc.get("node_pairings", [])):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"{path}.node_pairings[{k}]", "expected a pair")
-        node_pairs.append(
-            (
-                _slot_from_json(pair[0], f"{path}.node_pairings[{k}][0]"),
-                _slot_from_json(pair[1], f"{path}.node_pairings[{k}][1]"),
-            )
+    extra = sorted(set(doc) - _CERTIFICATE_FIELDS)
+    if extra:
+        raise DocumentError(
+            f"{path}.{extra[0]}", 'unexpected field; a certificate has one "surface"'
         )
+    surface = _surface_from_json(doc.get("surface"), path + ".surface")
+    if not isinstance(doc.get("surgeries", []), list):
+        raise DocumentError(path + ".surgeries", "expected a list")
     surgeries = []
     for k, sg in enumerate(doc.get("surgeries", [])):
         spath = f"{path}.surgeries[{k}]"
@@ -303,7 +306,7 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
             tuple(_int_list(fam_doc.get("taus", []), path + ".family.taus")),
         )
     return _surfaces.ConstructionCertificate(
-        bases, tuple(node_pairs), tuple(surgeries), claimed, rotation, family
+        surface, tuple(surgeries), claimed, rotation, family
     )
 
 
@@ -548,43 +551,43 @@ def _piece_drawing(piece: _surfaces.Piece) -> tuple[list, tuple[float, float, fl
 
 
 def _emit_svg(cert: _surfaces.ConstructionCertificate, path: str) -> None:
-    """Draw the pieces of every base with shared labels on matched edges."""
+    """Draw the pieces of the surface with shared labels on matched edges."""
     scale = 40.0
     pad = 30.0
     elements = []
     cursor_x = 0.0
     max_y = 0.0
-    for surface in cert.bases:
-        labels = {}
-        for num, (a, b) in enumerate(surface.pairings):
-            labels[a] = num
-            labels[b] = num
-        for idx, piece in enumerate(surface.pieces):
-            segs, (x0, y0, x1, y1) = _piece_drawing(piece)
-            w = max(x1 - x0, 1.0)
-            h = (y1 - y0) * scale
-            for sx, sy, ex, ey, slot in segs:
-                a = (cursor_x + (sx - x0) * scale, 20.0 + (y1 - sy) * scale)
-                b = (cursor_x + (ex - x0) * scale, 20.0 + (y1 - ey) * scale)
-                elements.append(
-                    f'<line x1="{a[0]:.1f}" y1="{a[1]:.1f}" x2="{b[0]:.1f}" '
-                    f'y2="{b[1]:.1f}" stroke="black" stroke-width="1.5"/>'
-                )
-                tag = labels.get((idx, slot))
-                if tag is not None:
-                    mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2 - 4
-                    elements.append(
-                        f'<text x="{mx:.1f}" y="{my:.1f}" font-size="11" '
-                        f'text-anchor="middle" fill="crimson">{tag}</text>'
-                    )
-            name = type(piece).__name__
+    surface = cert.surface
+    labels = {}
+    for num, (a, b) in enumerate(surface.pairings):
+        labels[a] = num
+        labels[b] = num
+    for idx, piece in enumerate(surface.pieces):
+        segs, (x0, y0, x1, y1) = _piece_drawing(piece)
+        w = max(x1 - x0, 1.0)
+        h = (y1 - y0) * scale
+        for sx, sy, ex, ey, slot in segs:
+            a = (cursor_x + (sx - x0) * scale, 20.0 + (y1 - sy) * scale)
+            b = (cursor_x + (ex - x0) * scale, 20.0 + (y1 - ey) * scale)
             elements.append(
-                f'<text x="{cursor_x:.1f}" y="{h + 40.0:.1f}" '
-                f'font-size="10" fill="gray">{name} #{idx}</text>'
+                f'<line x1="{a[0]:.1f}" y1="{a[1]:.1f}" x2="{b[0]:.1f}" '
+                f'y2="{b[1]:.1f}" stroke="black" stroke-width="1.5"/>'
             )
-            max_y = max(max_y, h + 60.0)
-            cursor_x += w * scale + pad
-        cursor_x += 2 * pad
+            tag = labels.get((idx, slot))
+            if tag is not None:
+                mx, my = (a[0] + b[0]) / 2, (a[1] + b[1]) / 2 - 4
+                elements.append(
+                    f'<text x="{mx:.1f}" y="{my:.1f}" font-size="11" '
+                    f'text-anchor="middle" fill="crimson">{tag}</text>'
+                )
+        name = type(piece).__name__
+        elements.append(
+            f'<text x="{cursor_x:.1f}" y="{h + 40.0:.1f}" '
+            f'font-size="10" fill="gray">{name} #{idx}</text>'
+        )
+        max_y = max(max_y, h + 60.0)
+        cursor_x += w * scale + pad
+    cursor_x += 2 * pad
     width = max(cursor_x, 100.0)
     height = max(max_y, 100.0)
     body = "\n".join(elements)
@@ -624,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("decide")
     w = add("witness")
-    w.add_argument("--svg", default=None, help="also draw the base surfaces to this SVG file")
+    w.add_argument("--svg", default=None, help="also draw the surface to this SVG file")
     add("verify")
     t = add("table", needs_input=False)
     t.add_argument("--s-min", type=int, default=2)

@@ -198,7 +198,14 @@ def _validate_chain(vectors: list[Pair], decreasing: bool, label: str) -> None:
 def validate_piece(piece: Piece, vs: list[Pair]) -> None:
     """Local validity checks on a piece whose boundary vectors, scaled to
     integer pairs by :func:`_scaled`, are ``vs``; raises ValueError with the
-    violated condition.  The piece type is one :func:`_boundary` accepts."""
+    violated condition.  The piece type is one :func:`_boundary` accepts.
+
+    A simple-pole chain with residue r != 0 must be strictly monotone along
+    r: every vector v has v . r > 0.  Its periodic lift, the chain and its
+    translates by k * r, then advances strictly along r from vertex to
+    vertex, so it is a simple polyline, and the region on its left, taken
+    modulo r, really is a half-infinite cylinder.  A zero residue is
+    reported by :func:`verify_surface`."""
     if isinstance(piece, Polygon):
         if len(vs) < 3:
             raise ValueError("polygon needs at least three edges")
@@ -223,11 +230,9 @@ def validate_piece(piece: Piece, vs: list[Pair]) -> None:
             raise ValueError("simple-pole part needs at least one vector")
         if (0, 0) in vs:
             raise ValueError("simple-pole chain contains a zero vector")
-        for a, b in zip(vs, vs[1:]):
-            if _cross(a, b) == 0 and _dot(a, b) < 0:
-                raise ValueError("simple-pole chain backtracks")
-        if len(vs) >= 2 and _cross(vs[-1], vs[0]) == 0 and _dot(vs[-1], vs[0]) < 0:
-            raise ValueError("simple-pole chain wraps onto itself")
+        r = (sum(x for x, _ in vs), sum(y for _, y in vs))
+        if r != (0, 0) and any(_dot(v, r) <= 0 for v in vs):
+            raise ValueError("simple-pole chain is not monotone along its residue")
 
 
 def _cycle_and_corners(
@@ -533,63 +538,19 @@ def family_loop_indices(family: FamilyInfo) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class ConstructionCertificate:
-    """Base surfaces, node pairings, surgeries and the claimed invariants.
+    """One glued surface, surgeries and the claimed invariants.
 
-    Node pairings reference simple poles of the bases by (base index, pole
-    index within that base's verified profile); paired poles carry opposite
-    residues and disappear from the assembled profile.  Surgeries act on the
-    claimed profile by bookkeeping: a blow-up splits a zero, a handle raises
-    genus by one and a chosen zero's order by two.  Zero indices refer to the
-    current zero tuple, sorted descending, at each step.
+    Surgeries act on the surface's verified profile by bookkeeping: a
+    blow-up splits a zero, a handle raises genus by one and a chosen zero's
+    order by two.  Zero indices refer to the current zero tuple, sorted
+    descending, at each step.
     """
 
-    bases: tuple[FlatSurface, ...]
-    node_pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    surface: FlatSurface
     surgeries: tuple[Surgery, ...]
     claimed: Profile
     claimed_rotation: int | None = None
     family: FamilyInfo | None = None
-
-
-def _assemble(profiles: Sequence[Profile], node_pairs) -> Profile:
-    violations: list[str] = []
-    used: set[tuple[int, int]] = set()
-    for num, (a, b) in enumerate(node_pairs):
-        for end in (a, b):
-            bi, pi = end
-            if not (0 <= bi < len(profiles)) or not (0 <= pi < len(profiles[bi].poles)):
-                violations.append(f"node pairing {num}: no pole {end}")
-                raise VerificationError(violations)
-            if end in used:
-                violations.append(f"node pairing {num}: pole {end} used twice")
-            used.add(end)
-        oa, ra = profiles[a[0]].poles[a[1]]
-        ob, rb = profiles[b[0]].poles[b[1]]
-        if oa != -1 or ob != -1:
-            violations.append(f"node pairing {num}: both poles must be simple")
-        elif not (ra + rb).is_zero() or ra.is_zero():
-            violations.append(
-                f"node pairing {num}: node residues must be opposite and nonzero"
-            )
-    if violations:
-        raise VerificationError(violations)
-
-    if not _graphs._connected(len(profiles), [(a[0], b[0]) for a, b in node_pairs]):
-        raise VerificationError(("assembled configuration is disconnected",))
-
-    genus = sum(p.genus for p in profiles) + len(node_pairs) - len(profiles) + 1
-    if genus < 0:
-        raise VerificationError((f"assembled genus {genus} is negative",))
-    zeros = tuple(
-        sorted((a for p in profiles for a in p.zero_orders), reverse=True)
-    )
-    poles = tuple(
-        (o, r)
-        for bi, p in enumerate(profiles)
-        for pi, (o, r) in enumerate(p.poles)
-        if (bi, pi) not in used
-    )
-    return Profile(genus, zeros, poles)
 
 
 def _apply_surgery(profile: Profile, surgery: Surgery, step: int) -> Profile:
@@ -660,19 +621,13 @@ def sew_handle(cert: ConstructionCertificate, zero_index: int) -> ConstructionCe
 def verify_certificate(cert: ConstructionCertificate) -> Profile:
     """Re-derive a certificate's profile and check it against the claim.
 
-    Every base surface is verified from scratch; node pairings and surgeries
-    are then folded in by their transformation rules.  For a claimed
-    rotation number the certificate must be a pristine genus-1 family base:
-    the claim must divide the gcd of all orders and must equal the family's
-    closed-form gcd including the loop indices.
+    The surface is verified from scratch; surgeries are then folded in by
+    their transformation rules.  For a claimed rotation number the
+    certificate must be a pristine genus-1 family base: the claim must
+    divide the gcd of all orders and must equal the family's closed-form
+    gcd including the loop indices.
     """
-    base_profiles: list[Profile] = []
-    for i, base in enumerate(cert.bases):
-        try:
-            base_profiles.append(verify_surface(base))
-        except VerificationError as exc:
-            raise VerificationError(tuple(f"base {i}: {v}" for v in exc.violations))
-    profile = _assemble(base_profiles, cert.node_pairs)
+    profile = verify_surface(cert.surface)
     for step, surgery in enumerate(cert.surgeries):
         profile = _apply_surgery(profile, surgery, step)
 
@@ -738,7 +693,7 @@ def _cert_of(
     family: FamilyInfo | None = None,
 ) -> ConstructionCertificate:
     claimed = verify_surface(surface)
-    return ConstructionCertificate((surface,), (), (), claimed, rotation, family)
+    return ConstructionCertificate(surface, (), claimed, rotation, family)
 
 
 def _flat_torus() -> FlatSurface:
@@ -962,26 +917,6 @@ def _collinear_mixed_surface(
     return FlatSurface(tuple(pieces), tuple(pairings))
 
 
-def _connection_graph_surface(direction: QQi, integers: Sequence[int]) -> FlatSurface:
-    """Single zero, simple poles with residues ``direction * integers[k]``.
-
-    Each step of the peeled connection graph glues the leaf's pole part to
-    its neighbour's along one segment of the step's length, the next on each
-    part's boundary.
-    """
-    steps = _graphs.peel_connection_graph(integers)
-    if steps is None:
-        raise InternalBuildError("no connection graph although the decider says realizable")
-    vectors: list[list[QQi]] = [[] for _ in integers]
-    pairings = []
-    for leaf, nb, length in steps:
-        plus, minus = (leaf, nb) if integers[leaf] > 0 else (nb, leaf)
-        pairings.append(((plus, len(vectors[plus])), (minus, len(vectors[minus]))))
-        vectors[plus].append(direction * length)
-        vectors[minus].append(direction * -length)
-    return FlatSurface(tuple(SimplePolePart(tuple(v)) for v in vectors), tuple(pairings))
-
-
 def _torus_with_hole(residues: Sequence[QQi]) -> FlatSurface:
     """Genus one, a single zero, simple poles with the given residues.
 
@@ -1198,15 +1133,15 @@ def _mark_point(surface: FlatSurface) -> FlatSurface:
 def _with_marked_points(
     cert: ConstructionCertificate, zeros: tuple[int, ...]
 ) -> ConstructionCertificate:
-    """Mark regular points on the first base until the declared order-0 zeros
+    """Mark regular points on the surface until the declared order-0 zeros
     are covered.  They join the claimed zeros last, so no surgery's zero
     index moves."""
     missing = max(0, zeros.count(0) - cert.claimed.zero_orders.count(0))
-    base = cert.bases[0]
+    surface = cert.surface
     for _ in range(missing):
-        base = _mark_point(base)
+        surface = _mark_point(surface)
     claimed = replace(cert.claimed, zero_orders=cert.claimed.zero_orders + (0,) * missing)
-    return replace(cert, bases=(base,) + cert.bases[1:], claimed=claimed)
+    return replace(cert, surface=surface, claimed=claimed)
 
 
 def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
@@ -1245,32 +1180,63 @@ def _single_zero_surface(
 
 
 def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> ConstructionCertificate:
-    """Collinear residues at simple poles only: single-zero pieces joined at nodes.
+    """Collinear residues at simple poles only: one surface of single-zero
+    components plumbed at nodes.
 
-    Each piece is a connection graph on its entries of the peel
-    (:func:`resflat.graphs.find_stable_config`); a leaf's node half, last
-    on the leaf, pairs with the pole of the piece holding the leaf's sum.
-    The remainder's zero is then blown up into the zeros not peeled.  With
-    one zero, or when one zero carries every entry, there is a single piece.
+    Each component is a connection graph on its entries of the peel
+    (:func:`resflat.graphs.find_stable_config`); leaf c has one more part,
+    its node half, of residue minus the leaf's sum.  Each step of a
+    component's peel (:func:`resflat.graphs.peel_connection_graph`) glues
+    the leaf's part to its neighbour's along one segment of the step's
+    length, the next on each part's chain.  Entry k < s is the simple-pole
+    part k.  Node c is the finite cylinder that plumbing leaves of the node
+    half and the part holding the leaf's sum, entry s + c: piece s + c is
+    the rectangle lower + [h] + upper + [-h] of their chains, h = i *
+    sum(lower), with h glued to -h.  The remainder's zero is then blown up
+    into the zeros not peeled.  With one zero, or when one zero carries
+    every entry, there are no nodes.
     """
     found = _graphs.find_stable_config(ray.integers, _positive_parts(sig.zeros))
     if found is None:
         raise InternalBuildError("no stable configuration although the decider says realizable")
     components, left = found
-    *leaves, rest = components
-    ints = list(ray.integers)
-    pieces = []
-    for leaf in leaves:
-        sigma = sum(ints[k] for k in leaf)
-        pieces.append([ints[k] for k in leaf] + [-sigma])
-        ints.append(sigma)
-    pieces.append([ints[k] for k in rest])
-    bases = tuple(_connection_graph_surface(ray.direction, piece) for piece in pieces)
-    pole_of = {pos: (c, k) for c, comp in enumerate(components) for k, pos in enumerate(comp)}
     s = len(ray.integers)
-    node_pairs = tuple(((c, len(leaf)), pole_of[s + c]) for c, leaf in enumerate(leaves))
-    claimed = _assemble([verify_surface(base) for base in bases], node_pairs)
-    return _blow_to_target(ConstructionCertificate(bases, node_pairs, (), claimed), left)
+    ints = list(ray.integers)
+    # chains[piece, 1] is a node's upper chain; chains[piece, 0] is a
+    # simple-pole part's chain or a node's lower chain.
+    chains: dict[tuple[int, int], list[QQi]] = {}
+    glued = []
+    for c, comp in enumerate(components):
+        parts = [(k, 1 if k >= s else 0) for k in comp]
+        weights = [ints[k] for k in comp]
+        if c < len(components) - 1:
+            parts.append((s + c, 0))
+            weights.append(-sum(weights))
+            ints.append(-weights[-1])
+        steps = _graphs.peel_connection_graph(weights)
+        if steps is None:
+            raise InternalBuildError("no connection graph although the decider says realizable")
+        for leaf, nb, length in steps:
+            plus, minus = (leaf, nb) if weights[leaf] > 0 else (nb, leaf)
+            ends = []
+            for j, m in ((plus, length), (minus, -length)):
+                chain = chains.setdefault(parts[j], [])
+                ends.append((parts[j], len(chain)))
+                chain.append(ray.direction * m)
+            glued.append(ends)
+
+    def slot(part: tuple[int, int], k: int) -> Slot:
+        piece, upper = part
+        return (piece, k + len(chains[piece, 0]) + 1 if upper else k)
+
+    pieces: list[Piece] = [SimplePolePart(chains[k, 0]) for k in range(s)]
+    pairings = [(slot(*a), slot(*b)) for a, b in glued]
+    for c in range(len(components) - 1):
+        lower, upper = chains[s + c, 0], chains[s + c, 1]
+        h = _I * sum(lower, QQi(0))
+        pieces.append(Polygon(lower + [h] + upper + [-h]))
+        pairings.append(((s + c, len(lower)), (s + c, len(lower) + len(upper) + 1)))
+    return _blow_to_target(_cert_of(FlatSurface(pieces, pairings)), left)
 
 
 def _genus1_zero_residue_cert(
@@ -1349,11 +1315,10 @@ def _certificate_for(
 ) -> ConstructionCertificate:
     """Build along a realizable verdict's route and check the claim.
 
-    Every claim is :func:`verify_surface`'s reading of each base, folded
-    through :func:`_assemble` and :func:`_apply_surgery`, plus one order-0
-    zero per point :func:`_mark_point` marks.  That is what
-    :func:`verify_certificate` re-derives, so only the request and a claimed
-    rotation are checked here.
+    Every claim is :func:`verify_surface`'s reading of the surface, folded
+    through :func:`_apply_surgery`, plus one order-0 zero per point
+    :func:`_mark_point` marks.  That is what :func:`verify_certificate`
+    re-derives, so only the request and a claimed rotation are checked here.
     """
     if rotation is not None and sig.genus != 1:
         raise ValueError("rotation numbers apply to genus-1 certificates")

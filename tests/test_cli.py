@@ -2,10 +2,16 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from resflat.cli import main
+
+# A gluing of four simple-pole parts whose naive reading is an excluded ray.
+EXCLUDED_RAY_GLUING = json.loads(
+    Path(__file__).with_name("excluded_ray_gluing.json").read_text()
+)
 
 
 def run_cli(args, tmp_path, doc=None, name="in.json"):
@@ -92,7 +98,10 @@ def test_stable_assembly_round_trips_through_json(tmp_path):
         "residues": [2, 1, 1, -1, -1, -2],
     }
     code, cert = run_cli(["witness"], tmp_path, doc)
-    assert code == 0 and len(cert["bases"]) == 2 and cert["node_pairings"]
+    assert code == 0 and "bases" not in cert and "node_pairings" not in cert
+    # Six simple-pole parts in request order, then the node's cylinder.
+    pieces = cert["surface"]["pieces"]
+    assert [p["kind"] for p in pieces] == ["simple_pole_part"] * 6 + ["polygon"]
     code2, out2 = run_cli(["verify"], tmp_path, cert, name="stable.json")
     assert code2 == 0
     assert out2["profile"]["zeros"] == [2, 2]
@@ -222,6 +231,17 @@ def test_verify_rejects_tampered_certificate(tmp_path):
     assert out["kind"] == "violation"
 
 
+def test_verify_rejects_a_gluing_of_an_excluded_ray(tmp_path):
+    # Read naively it is genus 0 with zeros (2, 0) and the excluded ray
+    # (1, 1, -1, -1); two of its simple-pole chains run against their residues.
+    code, out = run_cli(["verify"], tmp_path, EXCLUDED_RAY_GLUING)
+    assert code == 1
+    assert out["violations"] == [
+        "piece 2: simple-pole chain is not monotone along its residue",
+        "piece 3: simple-pole chain is not monotone along its residue",
+    ]
+
+
 def _certificate_doc(tmp_path, **changes):
     doc = {
         "stratum": {"genus": 1, "zeros": [4], "poles": [2, 2], "simple_poles": 0},
@@ -234,7 +254,7 @@ def _certificate_doc(tmp_path, **changes):
 
 def _boolean_pole_type(tmp_path):
     cert = _certificate_doc(tmp_path)
-    piece = cert["bases"][0]["pieces"][0]
+    piece = cert["surface"]["pieces"][0]
     assert piece["kind"] == "polar_part" and piece["type"] == 1
     piece["type"] = True
     return cert
@@ -257,9 +277,10 @@ def _boolean_claimed_pole_order(tmp_path):
 @pytest.mark.parametrize(
     "command, make_doc, where",
     [
-        (["verify"], lambda tmp: _certificate_doc(tmp, node_pairings=5), "$.node_pairings"),
+        (["verify"], lambda tmp: _certificate_doc(tmp, node_pairings=[]), "$.node_pairings"),
+        (["verify"], lambda tmp: _certificate_doc(tmp, bases=[]), "$.bases"),
         (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=7), "$.surgeries"),
-        (["verify"], _boolean_pole_type, "$.bases[0].pieces[0]"),
+        (["verify"], _boolean_pole_type, "$.surface.pieces[0]"),
         (["verify"], _boolean_surgery_zero, "$.surgeries[0].zero"),
         (["verify"], _boolean_claimed_pole_order, "$.claimed_profile.poles[0]"),
         (["table"], lambda tmp: {"s_max": 4, "max_zero": "x"}, "$.max_zero"),
@@ -279,7 +300,8 @@ def _boolean_claimed_pole_order(tmp_path):
         ),
     ],
     ids=[
-        "node-pairings-not-a-list",
+        "format-1-node-pairings",
+        "format-1-bases",
         "surgeries-not-a-list",
         "boolean-type",
         "boolean-surgery-zero",

@@ -10,6 +10,7 @@ CHANGES.md.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,7 @@ CASES = [
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [2, 2]), "residues": [0, 0]},
         0,
-        "e6dd9f7b391e10e25fdba54eb1835995335073e5e26fce6b68121a53f859edc7",
+        "08264678be7eea9bfe4d958f9be07fdc3f493bdbbdcec87b3277c585b333debc",
     ),
     (
         "witness-residual-polygon",
@@ -41,42 +42,42 @@ CASES = [
             "residues": [_gauss(1, 0), _gauss(0, 1), _gauss(-1, 0), _gauss(0, -1)],
         },
         0,
-        "fd14d069ccb309dc299d5f9f4751ba00c67bf3c1d5551498df9f45ac83579598",
+        "3730512a47eceb12ea589de1d4ed2280e6d8fae969e6834b2336ef2da580bc58",
     ),
     (
         "witness-collinear-anchor-chain",
         ["witness"],
         {"stratum": _stratum(0, [2], [2], 2), "residues": [1, 2, -3]},
         0,
-        "cb1f45150857f43c183e9a08f6668da498d866e09d0207c7236a86a386e9a79b",
+        "6b9f46f6e54d6faabc62d038a3df598fc7a0b541b64c6effe3d8cea457ee103d",
     ),
     (
         "witness-connection-graph",
         ["witness"],
         {"stratum": _stratum(0, [5], [], 7), "residues": [3, 1, 1, 1, -2, -2, -2]},
         0,
-        "8c5110818af65ebd061e4245f8098aa42949eae76070f67d63eee83a7bb0a978",
+        "eaa47e1dd0c87390af5abe80b6a43856270cd0300e3a5fc4d64c019d2048ff2f",
     ),
     (
         "witness-blow-up-of-single-zero",
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [], 4), "residues": [3, -1, -1, -1]},
         0,
-        "51e24c05f9acee6946b95342e14427140d964307c663e6c93a2e34a3d55d512e",
+        "d95f12c75226223820ee8c840e64ef49e5718a50726bf2440d9af5c1224c618d",
     ),
     (
         "witness-stable-tree",
         ["witness"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "ea9154d17c1233f47ccb23bf4a628cbfad97d77d0dbb752a3c3f223820361dc5",
+        "40639e4e1f5c7ae8caf6c7df048840b09c2bdfe71102a821206e0b51de8c2a15",
     ),
     (
         "witness-genus-reduction",
         ["witness"],
         {"stratum": _stratum(1, [3], [2], 1), "residues": [[1, 2], [-1, 2]]},
         0,
-        "7117f0dfd95f09e7ce4716449526f2e6c565f6fc21ce1eee0c7fedfb29290ec7",
+        "b374137883b66087306ea33794b716330555ddeb71fa8010b12dfc6a88dfed34",
     ),
     (
         "witness-genus-2-nonzero-residues",
@@ -86,84 +87,84 @@ CASES = [
             "residues": [_gauss(1, 1), 1, _gauss(-2, -1)],
         },
         0,
-        "651e599f4857bf216598dac0a49c8357209f571852ddc99b2131393d5fa4b50c",
+        "88326e71cca30e112fc15df3ad3a7560ff0ed10442f020c673df31ec5ed35bf7",
     ),
     (
         "witness-genus-2-simple-poles",
         ["witness"],
         {"stratum": _stratum(2, [2, 2], [], 2), "residues": [1, -1]},
         0,
-        "ea87a5b364e474d44a9a943fdad2bf1766fd2c770401a53ba920e24290724043",
+        "c7bbb54bfe659d54baf5c9118e8b5bb566978d803e285278e21b6e6f43e6a1d4",
     ),
     (
         "witness-genus-1-rotation",
         ["witness"],
         {"stratum": _stratum(1, [4], [2, 2]), "residues": [0, 0], "rotation": 2},
         0,
-        "e06ec8057ee77222a7321b17b283d7eba78a148282a118ae794f14acc8754aec",
+        "ea23cff101f3114da706216d017fbcc55edef097ac6e9b1eb431ccfaec57eafc",
     ),
     (
         "witness-marked-point",
         ["witness"],
         {"stratum": _stratum(0, [0], [], 2), "residues": [1, -1]},
         0,
-        "88b23969084eb432e9721ad4f72dd6bde0f18bee952615b5da0ef4659a5ba45f",
+        "2d7f5c19327e20b853831ae8a0ff96a859c7a9e6b3fad116ff4a35195d3442ee",
     ),
     (
         "witness-anchor-chain-two-zeros",
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [2], 2), "residues": [1, 2, -3]},
         0,
-        "f6b3a7502514728396457358be88efb8b3d1437b46d9f39338035a776b66d53d",
+        "beeaf6caf973eb75523944372b3768eff55e8311a80461f1c1e19f5001fc097e",
     ),
     (
         "witness-genus-1-zero-residues-two-zeros",
         ["witness"],
         {"stratum": _stratum(1, [2, 2], [2, 2]), "residues": [0, 0]},
         0,
-        "46204b27d9a3deefd508beab848b4ee2cf47a7ba8b7913dd43ff3152969178ed",
+        "a6bc0219e7563cf83dced988366838ac142002b1f83c5120a381902233a9e89c",
     ),
     (
         "witness-genus-3-holomorphic",
         ["witness"],
         {"stratum": _stratum(3, [2, 2]), "residues": []},
         0,
-        "243fc5920be3710753a8b507fb08e2e14076e3f87bfeb7eb887838dd16295a67",
+        "31ad7e02cbbbfd7fe7fc9b4468270d68593eaa51e81a96f6e5a8a91c0d85df55",
     ),
     (
         "witness-not-realizable",
         ["witness"],
         {"stratum": _stratum(0, [2], [2, 2]), "residues": [0, 0]},
         1,
-        "e7fbad9539b843d304ee304ea53a10da437f77db0d46aef30350772bc200b561",
+        "c6e9e788ec3affda79aaf858cf5cf8b5b592e653398847d6744724999f3b9484",
     ),
     (
         "decide-excluded-ray",
         ["decide"],
         {"stratum": _stratum(0, [2], [], 4), "residues": [1, 1, -1, -1]},
         1,
-        "209d61e6ee3181b156c5c91be5bfb794c24b920bd8eee7e6c7740116dddc521e",
+        "90be44ede4554c81458bb14192714000f033bafd9c56253d6540abd4fb383714",
     ),
     (
         "decide-stable-tree",
         ["decide"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "312213cc95922e4c71652c30d52fe3baecd65ac7903fe6380107c0690c3d566e",
+        "7f28a0ba8d1bf62d1aefe99a9ae1be420880f14791fdfb4e0be610f146fa7c91",
     ),
     (
         "cylinders-closed-form",
         ["cylinders"],
         {"stratum": _stratum(4, [6]), "circumferences": [1, 1, 1, 1]},
         1,
-        "e01bf49b5e2fab116488acef1b352c72bdc40873edbedad7e9087f3a3bd4b000",
+        "d5801c7ba4437a49d83d701ef14312c87909f2e4585ae6e66d3e7a4b38311e78",
     ),
     (
         "cylinders-search",
         ["cylinders"],
         {"stratum": _stratum(4, [4, 1, 1]), "circumferences": [1, 1, 1, 1]},
         0,
-        "9a923730338dd601da056bc56320b2225b42f2bc5e949a3fc4711e69cbd9ed87",
+        "9cb44a8b82ca0db2b38592263d6f541c83729db5e52c29399eb535b384fd252e",
     ),
 ]
 
@@ -182,7 +183,7 @@ def test_output_bytes_are_pinned(tmp_path, args, doc, code, digest):
 def _certificate(pieces, pairings, claimed=None):
     claimed = claimed or {"genus": 0, "zeros": [], "poles": []}
     return {
-        "bases": [{"pieces": pieces, "pairings": pairings}],
+        "surface": {"pieces": pieces, "pairings": pairings},
         "claimed_profile": claimed,
     }
 
@@ -212,13 +213,13 @@ VERIFY_CASES = [
         "verify-profile-genus-reduction",
         "witness-genus-reduction",
         0,
-        "2b99a30aff20603ec7ff2beecf4de96847cb8467da79f76c897a007c126d0e6d",
+        "dcad5d34aebfeb38cfe8ed305a90ee580e5bcf633080954cca50bc476f1137fa",
     ),
     (
         "verify-profile-genus-2-nonzero-residues",
         "witness-genus-2-nonzero-residues",
         0,
-        "5410ba3ec5268693f1494e5461f608ce7a99d3efb1fc7a60d1e5de523f1e71f2",
+        "40565bf5f25299eb1b96405cf0e4bcb843dfd133e755311dea28e0d0157e7098",
     ),
     (
         "verify-vector-mismatch",
@@ -230,7 +231,7 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "c30bc637c5f85210b650f0235212a3f5e3959a5124a049335f2fdcdb2bbd548d",
+        "204b5c488f6eea6386f930635398cc77efcce15160fd5f3c07deef1a8dcfb855",
     ),
     (
         "verify-vector-mismatch-gaussian",
@@ -239,13 +240,13 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "b012567b18d31ab0755e33453154aff3467ef2da7894d66f4b34ab7b0f6645b7",
+        "abcc03253daa90d1be0ebb190a6b7d0f7dd5bf3bdf1d728c511028bbce00dfea",
     ),
     (
         "verify-polygon-open",
         _certificate([_polygon(HALF, _gauss(0, THIRD), MINUS_HALF)], []),
         1,
-        "bad74b5d63ecebbfd9397a65f5eaca85d539028375f08a4a2b50468ad34be460",
+        "e58c97b7cd6f7478fa9705a6360981abe9c11a293d0a07ee7ac823bbc4cf081e",
     ),
     (
         "verify-polygon-winds-twice",
@@ -253,31 +254,37 @@ VERIFY_CASES = [
             [_polygon(*[[2, 3], _gauss(0, [2, 3]), [-2, 3], _gauss(0, [-2, 3])] * 2)], []
         ),
         1,
-        "cbe08bc7ee4636cf6ddc62323128b8d7fa5750a5bdf5ffa086906ef1aeecc923",
+        "5b58a952c30c589a06dd7f7b88547f9ca0f612d604eedbb00f14d9433d6c1a51",
     ),
     (
         "verify-negative-real-axis",
         _certificate([_polar(2, 1, [1], [_gauss(1, 1), MINUS_HALF])], []),
         1,
-        "3679b2168e344ae1e609d16580666df5feb02c679d6cf2b5a4ff974765d7e2e2",
+        "b20a4518e10c0f7c92614af866834ddc2026dd24d62ea0a7ccb64f0af904e59f",
     ),
     (
         "verify-top-chain-order",
         _certificate([_polar(3, 1, [1, _gauss(0, HALF)], [])], []),
         1,
-        "3accdbe7201126dc31871626bfc69e99759ef8f4d5f679d37f63c0e2d486ee9c",
+        "0f8204899542ec74204880e17dbc7a673f0c1dfe809dfedce248814fe8f08f0b",
     ),
     (
         "verify-chain-sum",
         _certificate([_polar(2, 1, [_gauss(-1, THIRD)], [])], []),
         1,
-        "fbb69044f4649cde32398f68e0d8c15a4590e0448cc9303ac28099ddbe009457",
+        "ca71529d982b71e78bd3008ef19c84304ebd0a58a3bb99ec30997dea9a1eb0ae",
     ),
     (
         "verify-simple-pole-backtrack",
         _certificate([_simple(THIRD, MINUS_HALF)], []),
         1,
-        "2beb1d44a4ac34896c885a95d7340986565c037c145b72717e03a54f95904316",
+        "073c3aace3c5e6de9b69758701ce20701f9c96fef2b7c8db04cc8298314ebd37",
+    ),
+    (
+        "verify-excluded-ray-gluing",
+        json.loads(Path(__file__).with_name("excluded_ray_gluing.json").read_text()),
+        1,
+        "f40940976bf7554e4d1c216e1fd2bc8308a7259818c0478ebdb9ad64ff40674b",
     ),
     (
         "verify-zero-residue-at-simple-pole",
@@ -289,7 +296,7 @@ VERIFY_CASES = [
             [[[0, k], [1, k]] for k in range(3)],
         ),
         1,
-        "af101b075db93455b423c8c2437f32d1f04162dd635e662300d5a5a15d12c5e6",
+        "6bdfe0789e3c41d00cc22e742256bbd9e54961f9773c49a265e8822cd9e47e53",
     ),
     (
         "verify-unmatched-edge",
@@ -298,7 +305,7 @@ VERIFY_CASES = [
             [[[0, 0], [0, 2]]],
         ),
         1,
-        "84f8b712a1365655663c07273357baca8137b7456ea76d1506455258f4267e13",
+        "a18232c12f0a3ee1b6275c79fff2a9331cc03f184b32b59fae9038f6a4f347a1",
     ),
     (
         "verify-claimed-poles-differ",
@@ -312,7 +319,7 @@ VERIFY_CASES = [
             },
         ),
         1,
-        "2505bebb9750b8d2a53a6a08431f88fb453efac4965077ac3deda6132e3658b8",
+        "75da44dc03d1d747f8207d2f25fc730f13f6d193fbfcccb03d5db7da4ee6abf9",
     ),
 ]
 

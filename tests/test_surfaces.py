@@ -30,7 +30,6 @@ from resflat.surfaces import (
     _flat_torus,
     _two_zero_chain,
     _choose_taus,
-    _connection_graph_surface,
 )
 
 ONE = QQi(1)
@@ -70,7 +69,7 @@ class TestVerifySurface:
 
     def test_graph_surface_profile(self):
         r = residue_tuple([3, 1, 1, 1, -2, -2, -2])
-        prof = verify_surface(_connection_graph_surface(ONE, [3, 1, 1, 1, -2, -2, -2]))
+        prof = verify_surface(build_witness(StratumSignature(0, (5,), (), 7), r).surface)
         assert prof.genus == 0
         assert prof.zero_orders == (5,)
         assert prof.pole_orders() == (-1,) * 7
@@ -120,6 +119,30 @@ class TestVerifySurface:
         )
         with pytest.raises(VerificationError, match="disconnected"):
             verify_surface(surf)
+
+    def test_wrapping_simple_pole_chains_detected(self):
+        # Read naively, this gluing is genus 0 with zeros (2, 0) and residues
+        # (1, 1, -1, -1): the primitive ray the theorem excludes for a zero
+        # of order 2.  Pieces 2 and 3 run back against their residue -1, so
+        # they are not half-infinite cylinders.
+        pieces = (
+            SimplePolePart((ONE,)),
+            SimplePolePart((ONE,)),
+            SimplePolePart((QQi(-3, -2), QQi(2, 2))),
+            SimplePolePart((QQi(-2, -2), -ONE, QQi(3, 2), -ONE)),
+        )
+        pairings = (((0, 0), (3, 1)), ((1, 0), (3, 3)), ((2, 0), (3, 2)), ((2, 1), (3, 0)))
+        profile = resflat.surfaces.Profile(
+            0, (2, 0), tuple((-1, QQi(m)) for m in (1, 1, -1, -1))
+        )
+        cert = resflat.surfaces.ConstructionCertificate(FlatSurface(pieces, pairings), (), profile)
+        with pytest.raises(VerificationError) as exc:
+            verify_certificate(cert)
+        assert exc.value.violations == tuple(
+            f"piece {i}: simple-pole chain is not monotone along its residue" for i in (2, 3)
+        )
+        sig = StratumSignature(0, (2, 0), (), 4)
+        assert not decide_realizable(sig, residue_tuple([1, 1, -1, -1])).realizable
 
     def test_bad_polygon_detected(self):
         with pytest.raises(VerificationError, match="close up"):
@@ -174,7 +197,7 @@ class TestBuildWitness:
 
     def test_residual_polygon_witness(self):
         cert = self.check(StratumSignature(0, (2,), (), 4), [ONE, I, -ONE, -I])
-        kinds = {type(p).__name__ for p in cert.bases[0].pieces}
+        kinds = {type(p).__name__ for p in cert.surface.pieces}
         assert kinds == {"Polygon", "SimplePolePart"}
 
     def test_triangle_family_witness(self):
@@ -186,7 +209,7 @@ class TestBuildWitness:
     def test_two_handles_witness(self):
         cert = self.check(StratumSignature(2, (6,), (2, 2)), [1, -1])
         assert sum(1 for s in cert.surgeries if type(s).__name__ == "SewHandle") == 2
-        assert cert.bases[0] and verify_surface(cert.bases[0]).genus == 0
+        assert verify_surface(cert.surface).genus == 0
 
     def test_corrected_mixed_example(self):
         self.check(
@@ -202,7 +225,13 @@ class TestBuildWitness:
         sig = StratumSignature(0, (2, 2), (), 6)
         r = residue_tuple([2, 1, 1, -1, -1, -2])
         cert = self.check(sig, r)
-        assert len(cert.bases) == 2 and len(cert.node_pairs) == 1
+        # The node is one cylinder: the node half's chain, a side h, the
+        # chain holding the leaf's sum and -h, with h glued to -h.
+        *parts, node = cert.surface.pieces
+        assert [p.vectors for p in parts] == [(v,) for v in r]
+        h = 4 * I
+        assert node == Polygon((QQi(-2), -ONE, -ONE, -h, ONE, ONE, QQi(2), h))
+        assert cert.surface.pairings[-1] == ((6, 3), (6, 7))
 
     def test_connection_graph_wall(self):
         # Twelve poles on one zero, out of reach of an exhaustive tree
@@ -297,7 +326,7 @@ class TestBuildWitness:
         cert = build_witness(sig, residue_tuple(values))
         assert [v.certificate_hint for v in verdicts] == [route]
         assert len(validated) == 1
-        assert verified == list(cert.bases)
+        assert verified == [cert.surface]
 
     @pytest.mark.parametrize(
         "sig, values, route",
