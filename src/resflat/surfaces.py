@@ -1210,9 +1210,10 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
         parts = [(k, 1 if k >= s else 0) for k in comp]
         weights = [ints[k] for k in comp]
         if c < len(components) - 1:
+            sigma = sum(weights)
             parts.append((s + c, 0))
-            weights.append(-sum(weights))
-            ints.append(-weights[-1])
+            weights.append(-sigma)
+            ints.append(sigma)
         steps = _graphs.peel_connection_graph(weights)
         if steps is None:
             raise InternalBuildError("no connection graph although the decider says realizable")
