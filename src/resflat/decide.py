@@ -240,7 +240,12 @@ def search_cylinder_tuple(
     circumferences: Sequence[QQi],
     budget: int | None = None,
 ) -> Verdict:
-    """Resolve a cylinder tuple, running the bounded search when needed."""
+    """Resolve a cylinder tuple, running the bounded search when needed.
+
+    A negative ``budget`` raises ValueError even when no search is needed.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     outcome = decide_cylinder_tuple(sig, circumferences)
     if isinstance(outcome, Verdict):
         return outcome

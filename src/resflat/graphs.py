@@ -14,7 +14,6 @@ search.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,9 @@ class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of budget before concluding.
 
     ``stage`` names the search (``"cylinder"``), ``spent`` counts the
-    candidates it examined and ``budget`` is the limit it hit.
+    candidates it examined and ``budget`` is the limit it hit.  The cylinder
+    search examines one candidate each time it puts a cylinder's two ends
+    on a pair of components (see :func:`find_cylinder_config`).
     """
 
     def __init__(self, stage: str, spent: int, budget: int) -> None:
@@ -384,16 +385,6 @@ def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
     return len({find(x) for x in range(k)}) == 1
 
 
-def _multisets(pairs: Sequence[tuple[int, int]], sizes: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """One multiset of end pairs per group size, concatenated, lazily."""
-    if not sizes:
-        yield ()
-        return
-    for head in itertools.combinations_with_replacement(pairs, sizes[0]):
-        for tail in _multisets(pairs, sizes[1:]):
-            yield head + tail
-
-
 def find_cylinder_config(
     sig: StratumSignature,
     circumferences: Sequence[QQi],
@@ -407,68 +398,204 @@ def find_cylinder_config(
     itself, with residues plus/minus the circumference at its two branches.
     Component genera are forced by the degree identity; a component is
     acceptable when its residue tuple sums to zero and its own stratum
-    admits it (closed form: always for positive genus, the primitive-ray
-    criterion for genus zero).  Each set partition of the zeros is tried
-    with each assignment of cylinder ends, and ``budget`` counts these; as
-    permuting cylinders equal up to sign (negated where opposite) maps
-    configurations to configurations, such cylinders take a multiset of
-    ends.  Then the non-loop cylinders' signs are tried, the first fixed to
-    +1, as negating them all negates every residue.
+    admits it (:func:`_admits`).
+
+    Relabellings are skipped where they are cheap to see.  Zeros of equal
+    order are interchangeable, so set partitions of the zeros are tried once
+    per multiset of zero-order blocks, equal blocks on adjacent components.
+    Ends are placed one cylinder at a time, never past a component's degree
+    cap, the sum of its zeros + 2 (genus zero).  Cylinders equal up to sign
+    (negated where opposite) are interchangeable, so each such group takes a
+    multiset of end pairs, in pair order.  Components with equal blocks are
+    interchangeable too, so each takes its first end only once the one
+    before it has one.  Among the relabellings of a configuration, the one
+    whose sequence of end pairs is lexicographically least obeys both rules:
+    sorting a group, or swapping a component that takes its first end too
+    early with the unused one before it, would make it less.
+
+    Signs vanish mod 2, so a balanced component's non-loop circumferences,
+    divided by the gcd of all of them, sum to zero mod 2: a branch stops
+    once a component reaches its cap with an odd sum.  A complete
+    assignment is kept when every sum is even and every genus whole; then
+    :func:`_cylinder_signs` finds the signs.  ``budget`` counts the ends
+    placed, one unit per cylinder put on a pair of components; it must be
+    nonnegative.
     """
     bad = validate_stratum(sig)
     if bad:
         raise ValueError("; ".join(bad))
     if sig.p != 0 or sig.s != 0:
         raise ValueError("cylinder configurations require a holomorphic stratum")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     lam = tuple(circumferences)
     if not lam or any(c.is_zero() for c in lam):
         raise ValueError("circumferences must be a nonempty tuple of nonzero values")
     scale = math.lcm(*(x.denominator for c in lam for x in (c.re, c.im)))  # to Gaussian integers
-    gauss = [(int(c.re * scale), int(c.im * scale)) for c in lam]
+    gauss = [
+        (c.re.numerator * (scale // c.re.denominator), c.im.numerator * (scale // c.im.denominator))
+        for c in lam
+    ]
+    unit = math.gcd(*(v for x in gauss for v in x))  # divided out, or every residue could be even
     groups: dict[tuple[int, int], list[int]] = {}
     for j, (x, y) in enumerate(gauss):
         groups.setdefault(max((x, y), (-x, -y)), []).append(j)
     order = [j for js in groups.values() for j in js]  # input position of each enumerated end
-    gauss = [gauss[j] for j in order]  # in enumeration order
+    gauss = [(gauss[j][0] // unit, gauss[j][1] // unit) for j in order]  # in enumeration order
+    bits = [x & 1 | (y & 1) << 1 for x, y in gauss]  # mod 2, where signs vanish
+    t = len(order)
+    fresh = [False] * t  # cylinder i starts a group: its ends start over from pair 0
+    first = 0
+    for js in groups.values():
+        fresh[first] = True
+        first += len(js)
     spent = 0
-    for k in range(1, min(sig.n, len(lam) + 1) + 1):
+    tried: set[tuple[tuple[int, ...], ...]] = set()
+    # The caps of k components total 2g - 2 + 2k and must hold all 2t ends.
+    for k in range(max(1, t - sig.genus + 1), min(sig.n, t + 1) + 1):
         pairs = [(a, b) for a in range(k) for b in range(a, k)]
-        for blocks in _partitions_of_set(tuple(range(sig.n)), k):
-            zeros = [tuple(sig.zeros[i] for i in block) for block in blocks]
-            for ends in _multisets(pairs, [len(js) for js in groups.values()]):
-                if spent == budget:
-                    raise SearchBudgetExceeded("cylinder", spent, budget)
-                spent += 1
-                twice_genus = [sum(z) + 2 for z in zeros]  # less the half-edges: degree identity
-                for a, b in ends:
-                    twice_genus[a] -= 1
-                    twice_genus[b] -= 1
-                if any(d < 0 or d % 2 for d in twice_genus) or not _connected(k, ends):
-                    continue
-                signs = [(1,) if a == b else (1, -1) for a, b in ends]  # a loop's sign is moot
-                signs[next((i for i, (a, b) in enumerate(ends) if a != b), 0)] = (1,)
-                for sign in itertools.product(*signs):
-                    sums = [0] * (2 * k)
-                    for (a, b), eps, (x, y) in zip(ends, sign, gauss):
-                        sums[a] += eps * x
-                        sums[b] -= eps * x
-                        sums[k + a] += eps * y
-                        sums[k + b] -= eps * y
-                    if any(sums):
+        for partition in _partitions_of_set(tuple(range(sig.n)), k):
+            blocks = sorted(
+                (tuple(sorted(sig.zeros[i] for i in block)), block) for block in partition
+            )
+            shape = tuple(zeros for zeros, _ in blocks)
+            if shape in tried:
+                continue
+            tried.add(shape)
+            cap = [sum(zeros) + 2 for zeros in shape]
+            twin = [c > 0 and shape[c] == shape[c - 1] for c in range(k)]  # c - 1 is c's twin
+            deg = [0] * k
+            odd = [0] * k  # the bits of each component's non-loop ends, summed mod 2
+            ends = [pairs[0]] * t
+
+            def place(i: int, low: int) -> CylinderConfig | None:
+                """Place the ends of cylinders i.. from pair ``low`` on, depth first."""
+                nonlocal spent
+                if i == t:
+                    if any(odd) or any((m - d) % 2 for m, d in zip(cap, deg)):
+                        return None
+                    genera = [(m - d) // 2 for m, d in zip(cap, deg)]
+                    signs = _cylinder_signs(ends, gauss, genera, shape)
+                    if signs is None:
+                        return None
+                    by_input = sorted(zip(order, signs, ends))
+                    return CylinderConfig(
+                        tuple(CylinderComponent(g, block) for g, (_, block) in zip(genera, blocks)),
+                        tuple((a, b, lam[j] * eps) for j, eps, (a, b) in by_input),
+                    )
+                for p in range(0 if fresh[i] else low, len(pairs)):
+                    a, b = ends[i] = pairs[p]
+                    loop = a == b
+                    if not (
+                        deg[a] + loop < cap[a]
+                        and deg[b] + loop < cap[b]
+                        # A component's first end only after its twin's first.
+                        and (deg[a] or not twin[a] or deg[a - 1])
+                        and (deg[b] or not twin[b] or deg[b - 1] or b - 1 == a)
+                    ):
                         continue
-                    edges = tuple((a, b, lam[j] * eps) for j, eps, (a, b) in sorted(zip(order, sign, ends)))
-                    residues: list[list[QQi]] = [[] for _ in range(k)]
-                    for a, b, r in edges:
-                        residues[a].append(r)
-                        residues[b].append(-r)
-                    comps = [CylinderComponent(d // 2, block) for d, block in zip(twice_genus, blocks)]
-                    if all(_cylinder_component_ok(c.genus, z, tuple(r)) for c, z, r in zip(comps, zeros, residues)):
-                        return CylinderConfig(tuple(comps), edges)
+                    if spent == budget:
+                        raise SearchBudgetExceeded("cylinder", spent, budget)
+                    spent += 1
+                    deg[a] += 1
+                    deg[b] += 1
+                    odd[a] ^= bits[i]  # a loop adds its bits twice, so nothing
+                    odd[b] ^= bits[i]
+                    # A full component takes no more ends: an odd sum there never cancels.
+                    if not (deg[a] == cap[a] and odd[a] or deg[b] == cap[b] and odd[b]):
+                        found = place(i + 1, p)
+                        if found is not None:
+                            return found
+                    deg[a] -= 1
+                    deg[b] -= 1
+                    odd[a] ^= bits[i]
+                    odd[b] ^= bits[i]
+                return None
+
+            found = place(0, 0)
+            if found is not None:
+                return found
     return None
 
 
-def _cylinder_component_ok(
-    genus: int, zeros: tuple[int, ...], residues: tuple[QQi, ...]
-) -> bool:
-    comp_sig = StratumSignature(genus, zeros, (), len(residues))
-    return decide.decide_realizable(comp_sig, residues).realizable
+def _cylinder_signs(
+    ends: Sequence[tuple[int, int]],
+    gauss: Sequence[tuple[int, int]],
+    genera: Sequence[int],
+    zeros: Sequence[tuple[int, ...]],
+) -> list[int] | None:
+    """Signs under which cylinders with these ends make every component
+    balanced and admitted, or None.
+
+    Cylinder i joins components ``ends[i] = (a, b)``: its residue is
+    ``gauss[i]`` times its sign at a, minus that at b.  A loop's sign is
+    moot.  The non-loop cylinders off a breadth-first spanning tree take
+    every sign, the first fixed to +1, as negating every sign negates every
+    residue.  Then the tree is peeled from its leaves: a tree cylinder must
+    carry what balances the leaf it joins, which is plus or minus its
+    circumference or nothing fits.  A disconnected graph gets no signs.
+    """
+    k = len(genera)
+    link = [-1] * k  # the tree cylinder joining each component to its parent
+    tree = [0]  # breadth-first order
+    for c in tree:
+        for i, (a, b) in enumerate(ends):
+            u = b if a == c else a if b == c else c
+            if u and link[u] < 0:
+                link[u] = i
+                tree.append(u)
+    if len(tree) < k:
+        return None
+    free = [i for i, (a, b) in enumerate(ends) if a != b and i not in link]
+    signs = [1] * len(ends)
+    for mask in range(0, 1 << len(free), 2):  # bit n: the sign of free[n]
+        sx = [0] * k  # each component's residue sum so far, on the real
+        sy = [0] * k  # and imaginary axes
+        for n, i in enumerate(free):
+            eps = signs[i] = -1 if mask >> n & 1 else 1
+            (a, b), (x, y) = ends[i], gauss[i]
+            sx[a] += eps * x
+            sy[a] += eps * y
+            sx[b] -= eps * x
+            sy[b] -= eps * y
+        for c in reversed(tree[1:]):
+            i = link[c]
+            (a, b), (x, y) = ends[i], gauss[i]
+            fx, fy = sx[c], sy[c]  # sign * gauss[i] must cancel c's sum at a, match it at b
+            if c == a:
+                fx, fy = -fx, -fy
+            if fx == x and fy == y:
+                signs[i] = 1
+            elif fx == -x and fy == -y:
+                signs[i] = -1
+            else:
+                break
+            sx[a + b - c] += sx[c]
+            sy[a + b - c] += sy[c]
+        else:
+            residues: list[list[tuple[int, int]]] = [[] for _ in genera]
+            for (a, b), (x, y), eps in zip(ends, gauss, signs):
+                residues[a].append((eps * x, eps * y))
+                residues[b].append((-eps * x, -eps * y))
+            if all(_admits(g, max(z), r) for g, z, r in zip(genera, zeros, residues)):
+                return signs
+    return None
+
+
+def _admits(genus: int, max_zero: int, residues: Sequence[tuple[int, int]]) -> bool:
+    """Whether a component's own stratum admits its residues.
+
+    ``residues`` are balanced nonzero Gaussian-integer (re, im) pairs at
+    simple poles.  This is :func:`resflat.decide.decide_realizable` on
+    integers: positive genus admits every balanced tuple; genus zero admits
+    a tuple that spans the plane, and a collinear one whose integer form
+    passes the primitive-ray test at the largest zero order.  Dot products
+    with the first residue are that integer form times a nonzero factor,
+    which the test, on a tuple summing to zero, does not see.
+    """
+    if genus:
+        return True
+    x0, y0 = residues[0]
+    if any(x * y0 - y * x0 for x, y in residues):
+        return True
+    return decide.primitive_total_exceeds([x * x0 + y * y0 for x, y in residues], max_zero)

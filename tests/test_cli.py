@@ -198,6 +198,19 @@ def test_cylinders_budget_exceeded_is_status_two(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zeros", [[2, 2, 2], [6]], ids=["search", "closed-form"])
+def test_cylinders_negative_budget_is_status_two(tmp_path, capsys, zeros):
+    # Both used to exit 1: the search ran unbounded, the closed form ignored it.
+    doc = {
+        "stratum": {"genus": 4, "zeros": zeros, "poles": [], "simple_poles": 0},
+        "circumferences": [1, 1, 1, 1],
+    }
+    code, out = run_cli(["cylinders", "--budget", "-5"], tmp_path, doc)
+    err = capsys.readouterr().err
+    assert code == 2 and out is None
+    assert err == "error: budget must be nonnegative, got -5\n"
+
+
 def test_malformed_json_is_status_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -6,16 +6,18 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from resflat import graphs
+from resflat import decide, graphs
 from resflat.cli import _oracle_cases, main
 from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.decide import search_cylinder_tuple
 from resflat.graphs import (
     ConnectionGraph,
     SearchBudgetExceeded,
+    _admits,
     _connected,
-    _cylinder_component_ok,
     _flows_positive,
     _partitions_of_set,
     find_connection_graph,
@@ -351,6 +353,11 @@ class TestFindCylinderConfig:
             find_cylinder_config(sig, scaled) is None
         )
 
+    def test_negative_budget_rejected(self):
+        # A negative budget is never reached, so it used to run the whole search.
+        with pytest.raises(ValueError, match="budget"):
+            find_cylinder_config(StratumSignature(4, (2, 2, 2), ()), residue_tuple([1] * 6), budget=-1)
+
     def test_budget_exceeded_reports_stage_and_progress(self):
         with pytest.raises(SearchBudgetExceeded) as cyl:
             find_cylinder_config(StratumSignature(4, (4, 1, 1), ()), residue_tuple([1, 1, 1, 1]), budget=3)
@@ -397,11 +404,39 @@ class TestFindCylinderConfig:
                     checked += 1
         assert checked == 865
 
+    def test_matches_the_unreduced_enumeration_on_five_cylinders(self):
+        # H_3(2,1,1) with five cylinders, the slowest class of the benchmark's
+        # search workload: two realizable tuples and three that are not, the
+        # last with a Gaussian direction; shuffled, with random signs.
+        rng = random.Random(5)
+        sig = StratumSignature(3, (2, 1, 1), ())
+        for values in (
+            [3, 3, 2, 2, 1],
+            [2, 2, 1, 1, 1],
+            [3, 3, 3, 2, 1],
+            [1, 1, 1, 1, 1],
+            [1, QQi(0, 1), QQi(0, 1), QQi(0, 1), QQi(0, 1)],
+        ):
+            lam = [rng.choice((1, -1)) * c for c in residue_tuple(values)]
+            rng.shuffle(lam)
+            cfg = find_cylinder_config(sig, lam)
+            assert (cfg is not None) == unreduced_cylinder_search(sig, lam), lam
+            if cfg is not None:
+                assert_valid_cylinder_config(sig, lam, cfg)
+
     def test_former_walls_are_not_realizable(self, tmp_path, capsys):
         # Six unit cylinders: the unreduced enumeration took 47.8 s and 6.2 s.
-        for genus, zeros in ((3, (1, 1, 1, 1)), (4, (2, 2, 2))):
-            verdict = search_cylinder_tuple(StratumSignature(genus, zeros, ()), residue_tuple([1] * 6))
-            assert verdict.reason == "search-not-realizable"
+        # Eight and nine on H_4(1^6), and ten on H_6(2^5), spent the default
+        # budget on multisets of ends without an answer.
+        for genus, zeros, t in (
+            (3, (1, 1, 1, 1), 6),
+            (4, (2, 2, 2), 6),
+            (4, (1,) * 6, 8),
+            (4, (1,) * 6, 9),
+            (6, (2,) * 5, 10),
+        ):
+            verdict = search_cylinder_tuple(StratumSignature(genus, zeros, ()), residue_tuple([1] * t))
+            assert verdict.reason == "search-not-realizable", (genus, zeros, t)
         path = tmp_path / "req.json"
         path.write_text(json.dumps({
             "stratum": {"genus": 3, "zeros": [1, 1, 1, 1], "poles": [], "simple_poles": 0},
@@ -475,6 +510,46 @@ def assert_valid_cylinder_config(sig, lam, cfg):
         assert sum(zeros) == 2 * comp.genus - 2 + len(res)
         assert sum(res, QQi(0)) == QQi(0)
         assert _cylinder_component_ok(comp.genus, zeros, tuple(res))
+
+
+def _cylinder_component_ok(
+    genus: int, zeros: tuple[int, ...], residues: tuple[QQi, ...]
+) -> bool:
+    comp_sig = StratumSignature(genus, zeros, (), len(residues))
+    return decide.decide_realizable(comp_sig, residues).realizable
+
+
+small = st.integers(-3, 3)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_admission_matches_the_closed_form(data):
+    # A balanced tuple of 2-5 nonzero Gaussian integers in [-3, 3]^2, half
+    # the time collinear, on genus 0 or 1 with zeros of orders 1-4 meeting
+    # the degree identity: the search's integer test agrees with
+    # decide_realizable on the component's own stratum.
+    if data.draw(st.booleans(), label="collinear"):
+        dx, dy = data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)).filter(any))
+        # Multipliers of size 1 make excluded rays common.
+        bound = data.draw(st.integers(1, 3), label="largest multiplier")
+        multiplier = st.integers(-bound, bound).filter(bool)
+        multipliers = data.draw(st.lists(multiplier, min_size=1, max_size=4))
+        head = [(m * dx, m * dy) for m in multipliers]
+    else:
+        head = data.draw(st.lists(st.tuples(small, small).filter(any), min_size=1, max_size=4))
+    last = (-sum(x for x, _ in head), -sum(y for _, y in head))
+    assume(any(last) and max(map(abs, last)) <= 3)
+    residues = head + [last]
+    genus = data.draw(st.sampled_from((0, 1)), label="genus")
+    left = 2 * genus - 2 + len(residues)
+    assume(left >= 1)
+    zeros = []
+    while left:
+        zeros.append(data.draw(st.integers(1, min(4, left))))
+        left -= zeros[-1]
+    expected = _cylinder_component_ok(genus, tuple(zeros), tuple(QQi(x, y) for x, y in residues))
+    assert _admits(genus, max(zeros), residues) == expected
 
 
 def unreduced_cylinder_search(sig, lam):
