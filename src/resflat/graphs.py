@@ -444,11 +444,7 @@ def find_cylinder_config(
     gauss = [(gauss[j][0] // unit, gauss[j][1] // unit) for j in order]  # in enumeration order
     bits = [x & 1 | (y & 1) << 1 for x, y in gauss]  # mod 2, where signs vanish
     t = len(order)
-    fresh = [False] * t  # cylinder i starts a group: its ends start over from pair 0
-    first = 0
-    for js in groups.values():
-        fresh[first] = True
-        first += len(js)
+    fresh = [j == js[0] for js in groups.values() for j in js]  # its ends start over at pair 0
     spent = 0
     tried: set[tuple[tuple[int, ...], ...]] = set()
     # The caps of k components total 2g - 2 + 2k and must hold all 2t ends.
