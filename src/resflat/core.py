@@ -3,6 +3,16 @@
 Everything downstream (deciders, graph searches, flat-surface builders and
 the surface verifier) works over Gaussian rationals, so every comparison made
 by this package is exact; cone angles are counted in whole turns.
+
+Exact integers.  Plane geometry is read on integer pairs: :func:`scaled`
+multiplies a list of Gaussian rationals once by the lcm m of their
+denominators.  A positive rational scale keeps every argument order, every
+sign of a cross or dot product, every zero test and the negative-real-axis
+test, so :func:`cross`, :func:`dot`, :func:`arg_cmp` and
+:func:`line_integers` answer on the pairs as on the Gaussian rationals; a
+sum of pairs divided back by m is the sum of the values.  The verifier
+scales each piece on its own, which keeps the integers as small as that
+piece's data.
 """
 
 from __future__ import annotations
@@ -112,50 +122,56 @@ ONE = QQi(1)
 I = QQi(0, 1)
 
 
-def cross(a: QQi, b: QQi) -> Fraction:
+Pair = tuple[int, int]
+
+# Lists, not tuples built from generators: such a tuple is allocated at a
+# guessed length and resized, and on release joins the free list of its
+# final length, so those free lists grow call after call.
+
+
+def scaled(values: Sequence[QQi]) -> tuple[int, list[Pair]]:
+    """The lcm m of the values' denominators, and each value times m as an
+    integer pair (re, im)."""
+    m = math.lcm(*[x.denominator for v in values for x in (v.re, v.im)])
+    return m, [
+        (v.re.numerator * (m // v.re.denominator), v.im.numerator * (m // v.im.denominator))
+        for v in values
+    ]
+
+
+def cross(a: Pair, b: Pair) -> int:
     """Planar cross product; 0 exactly when a and b are real-collinear."""
-    return a.re * b.im - a.im * b.re
+    return a[0] * b[1] - a[1] * b[0]
 
 
-def dot(a: QQi, b: QQi) -> Fraction:
-    return a.re * b.re + a.im * b.im
+def dot(a: Pair, b: Pair) -> int:
+    return a[0] * b[0] + a[1] * b[1]
 
 
-def real_ratio(a: QQi, b: QQi) -> Fraction | None:
-    """The rational t with a = t*b, or None when a/b is not real.
-
-    Collinear Gaussian rationals always have a rational ratio: a/b real means
-    the imaginary part of a*conj(b) vanishes, and the real part is rational.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("ratio with zero vector")
-    if cross(a, b) != 0:
-        return None
-    return dot(a, b) / b.norm2()
-
-
-def _is_upper(v: QQi) -> bool:
-    # Half-plane classification for arguments taken in (-pi, pi]:
-    # "upper" covers (0, pi], the rest covers (-pi, 0].
-    return v.im > 0 or (v.im == 0 and v.re < 0)
-
-
-def arg_cmp(a: QQi, b: QQi) -> int:
-    """Exactly compare arg(a) and arg(b), both taken in (-pi, pi].
-
-    Returns -1, 0 or 1.  Both vectors must be nonzero.
-    """
-    if a.is_zero() or b.is_zero():
-        raise ValueError("argument of zero vector")
-    ua, ub = _is_upper(a), _is_upper(b)
+def arg_cmp(a: Pair, b: Pair) -> int:
+    """Exactly compare arg(a) and arg(b) of nonzero pairs, both taken in
+    (-pi, pi]; returns -1, 0 or 1."""
+    # "Upper" covers the arguments in (0, pi], the rest lie in (-pi, 0].
+    ua = a[1] > 0 or (a[1] == 0 and a[0] < 0)
+    ub = b[1] > 0 or (b[1] == 0 and b[0] < 0)
     if ua != ub:
         return 1 if ua else -1
     c = cross(b, a)
-    if c > 0:
-        return 1
-    if c < 0:
-        return -1
-    return 0
+    return (c > 0) - (c < 0)
+
+
+def line_integers(pairs: Sequence[Pair]) -> list[int] | None:
+    """The dot products of the pairs with the first, or None when some pair
+    is off the first one's real line.
+
+    On that line the dot products are the pairs' ratios to the first times
+    its squared length: an integer form of the tuple with a positive first
+    entry.
+    """
+    base = pairs[0]
+    if any(cross(p, base) for p in pairs):
+        return None
+    return [dot(p, base) for p in pairs]
 
 
 @dataclass(frozen=True)
@@ -179,8 +195,8 @@ class StratumSignature:
         simple_poles: int = 0,
     ) -> None:
         object.__setattr__(self, "genus", int(genus))
-        object.__setattr__(self, "zeros", tuple(int(a) for a in zeros))
-        object.__setattr__(self, "higher_poles", tuple(int(b) for b in higher_poles))
+        object.__setattr__(self, "zeros", tuple([int(a) for a in zeros]))
+        object.__setattr__(self, "higher_poles", tuple([int(b) for b in higher_poles]))
         object.__setattr__(self, "simple_poles", int(simple_poles))
 
     @property
@@ -309,10 +325,7 @@ class PrimitiveRay:
             raise ValueError("ray integers must be nonzero")
         if sum(ints) != 0:
             raise ValueError("ray integers must sum to zero")
-        g = 0
-        for m in ints:
-            g = gcd(g, abs(m))
-        if g != 1:
+        if gcd(*ints) != 1:
             raise ValueError("ray integers must be coprime")
 
     @property
@@ -320,15 +333,7 @@ class PrimitiveRay:
         return sum(m for m in self.integers if m > 0)
 
     def entries(self) -> tuple[QQi, ...]:
-        return tuple(self.direction * m for m in self.integers)
-
-
-def _primitive_integers(ratios: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """Coprime integers m_k and the unit u with ratios[k] == m_k * u, u > 0."""
-    scale = math.lcm(*(t.denominator for t in ratios))
-    ints = [int(t * scale) for t in ratios]
-    g = gcd(*ints)
-    return [m // g for m in ints], Fraction(g, scale)
+        return tuple([self.direction * m for m in self.integers])
 
 
 def collinear_normal_form(entries: Sequence[QQi]):
@@ -342,45 +347,19 @@ def collinear_normal_form(entries: Sequence[QQi]):
     entries = tuple(entries)
     if not entries:
         raise ValueError("empty tuple has no normal form")
-    if any(e.is_zero() for e in entries):
+    _, pairs = scaled(entries)
+    if (0, 0) in pairs:
         raise ValueError("zero entry: the ray normal form is undefined")
-    base = entries[0]
-    ratios: list[Fraction] = []
-    for e in entries:
-        t = real_ratio(e, base)
-        if t is None:
-            return NON_COLLINEAR
-        ratios.append(t)
-    ints, unit = _primitive_integers(ratios)
-    sign = 1 if ints[0] > 0 else -1
-    ints = [sign * m for m in ints]
-    direction = base * (sign * unit)
-    ray_entries = tuple(direction * m for m in ints)
-    assert ray_entries == entries, "normal form must reproduce the input exactly"
+    ints = line_integers(pairs)
+    if ints is None:
+        return NON_COLLINEAR
+    g = gcd(*ints)
+    ints = [m // g for m in ints]
+    (x0, y0), m0 = pairs[0], ints[0]
+    assert all(
+        x * m0 == x0 * m and y * m0 == y0 * m for (x, y), m in zip(pairs, ints)
+    ), "normal form must reproduce the input exactly"
     if sum(ints) != 0:
         raise ValueError("collinear normal form requires entries summing to zero")
-    return PrimitiveRay(direction, tuple(ints))
+    return PrimitiveRay(entries[0] / m0, tuple(ints))
 
-
-def primitive_abs_profile(entries: Sequence[QQi]) -> tuple[int, ...] | None:
-    """Primitive positive integer profile of entries collinear up to sign.
-
-    Used for tuples that are only defined modulo sign (cylinder
-    circumferences): returns the multiset, sorted descending, of |m_k| for
-    the primitive integer form, or None when the entries do not all lie on
-    one real line through the origin.
-    """
-    entries = tuple(entries)
-    if not entries:
-        raise ValueError("empty tuple")
-    if any(e.is_zero() for e in entries):
-        raise ValueError("zero entry")
-    base = entries[0]
-    ratios = []
-    for e in entries:
-        t = real_ratio(e, base)
-        if t is None:
-            return None
-        ratios.append(abs(t))
-    ints, _ = _primitive_integers(ratios)
-    return tuple(sorted(ints, reverse=True))

@@ -27,7 +27,8 @@ from .core import (
     QQi,
     StratumSignature,
     collinear_normal_form,
-    primitive_abs_profile,
+    line_integers,
+    scaled,
     validate_residues,
     validate_stratum,
 )
@@ -226,10 +227,10 @@ def decide_cylinder_tuple(
     if t < g:
         return Verdict(True, REASON_BELOW_GENUS)
     if t == g and n == 1:
-        profile = primitive_abs_profile(circumferences)
-        if profile is None:
+        ints = line_integers(scaled(circumferences)[1])
+        if ints is None:
             return Verdict(True, REASON_NON_COLLINEAR)
-        if sum(profile) <= 2 * g - 2:
+        if not primitive_total_exceeds([abs(m) for m in ints], 2 * g - 2):
             return Verdict(False, REASON_EXCLUDED_RAY)
         return Verdict(True, REASON_COLLINEAR_OK)
     return NEEDS_SEARCH

@@ -24,6 +24,8 @@ from .core import (
     QQi,
     Rat,
     StratumSignature,
+    line_integers,
+    scaled,
     validate_stratum,
 )
 from . import decide
@@ -431,11 +433,7 @@ def find_cylinder_config(
     lam = tuple(circumferences)
     if not lam or any(c.is_zero() for c in lam):
         raise ValueError("circumferences must be a nonempty tuple of nonzero values")
-    scale = math.lcm(*(x.denominator for c in lam for x in (c.re, c.im)))  # to Gaussian integers
-    gauss = [
-        (c.re.numerator * (scale // c.re.denominator), c.im.numerator * (scale // c.im.denominator))
-        for c in lam
-    ]
+    gauss = scaled(lam)[1]  # Gaussian integers
     unit = math.gcd(*(v for x in gauss for v in x))  # divided out, or every residue could be even
     groups: dict[tuple[int, int], list[int]] = {}
     for j, (x, y) in enumerate(gauss):
@@ -585,13 +583,11 @@ def _admits(genus: int, max_zero: int, residues: Sequence[tuple[int, int]]) -> b
     simple poles.  This is :func:`resflat.decide.decide_realizable` on
     integers: positive genus admits every balanced tuple; genus zero admits
     a tuple that spans the plane, and a collinear one whose integer form
-    passes the primitive-ray test at the largest zero order.  Dot products
-    with the first residue are that integer form times a nonzero factor,
-    which the test, on a tuple summing to zero, does not see.
+    passes the primitive-ray test at the largest zero order.
+    :func:`resflat.core.line_integers` gives that integer form times a
+    positive factor, which the test does not see.
     """
     if genus:
         return True
-    x0, y0 = residues[0]
-    if any(x * y0 - y * x0 for x, y in residues):
-        return True
-    return decide.primitive_total_exceeds([x * x0 + y * y0 for x, y in residues], max_zero)
+    ints = line_integers(residues)
+    return ints is None or decide.primitive_total_exceeds(ints, max_zero)

@@ -15,33 +15,28 @@ chain with nonnegative real sum) wrapped around b half-plane sheets; its
 wrap corners acquire whole turns from the sheets, so cone angles are counted
 in whole turns without materializing anything infinite.  Chain vectors must
 not point along the negative real axis, where they would run back over the
-horizontal gluing rays.
-
-Exact integers.  The verifier scales each piece once by the lcm m of the
-denominators of its own vectors and reads it on plain integer pairs.  A
-positive rational scale keeps every argument order, every sign of a cross
-or dot product, every zero test and the negative-real-axis test, so the
-piece checks, the winding counts and the corner turns come out as on the
-Gaussian rationals; a residue is the integer sum divided back by m.
-Scaling per piece keeps the integers as small as that piece's data.
+horizontal gluing rays.  The verifier reads each piece on integer pairs,
+scaled once by :func:`resflat.core.scaled`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .core import (
+    Pair,
     PrimitiveRay,
     QQi,
     StratumSignature,
     arg_cmp,
     cross,
+    dot,
     residue_tuple,
+    scaled,
 )
 from . import decide as _decide
 from . import graphs as _graphs
@@ -73,7 +68,7 @@ class Polygon:
     edges: tuple[QQi, ...]
 
     def __init__(self, edges: Iterable[QQi]) -> None:
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "edges", tuple([*edges]))
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,8 @@ class PolarPart:
     ) -> None:
         object.__setattr__(self, "order", int(order))
         object.__setattr__(self, "pole_type", int(pole_type))
-        object.__setattr__(self, "top", tuple(top))
-        object.__setattr__(self, "bottom", tuple(bottom))
+        object.__setattr__(self, "top", tuple([*top]))
+        object.__setattr__(self, "bottom", tuple([*bottom]))
 
 
 @dataclass(frozen=True)
@@ -101,15 +96,10 @@ class SimplePolePart:
     vectors: tuple[QQi, ...]
 
     def __init__(self, vectors: Iterable[QQi]) -> None:
-        object.__setattr__(self, "vectors", tuple(vectors))
+        object.__setattr__(self, "vectors", tuple([*vectors]))
 
 
 Piece = Polygon | PolarPart | SimplePolePart
-
-
-# The piece checks run on integer pairs (see "Exact integers" above).
-
-Pair = tuple[int, int]
 
 
 def _boundary(piece: Piece) -> tuple[tuple[QQi, ...], int]:
@@ -124,41 +114,9 @@ def _boundary(piece: Piece) -> tuple[tuple[QQi, ...], int]:
     raise ValueError(f"unknown piece type {type(piece).__name__}")
 
 
-# Lists, not tuples built from generators: such a tuple is allocated at a
-# guessed length and resized, and on release joins the free list of its
-# final length, so those free lists grow call after call.
-
-
-def _scaled(vectors: Sequence[QQi]) -> tuple[int, list[Pair]]:
-    """The lcm m of the vectors' denominators, and each vector times m."""
-    m = math.lcm(*[x.denominator for v in vectors for x in (v.re, v.im)])
-    return m, [
-        (v.re.numerator * (m // v.re.denominator), v.im.numerator * (m // v.im.denominator))
-        for v in vectors
-    ]
-
-
 def _canonical(vs: list[Pair], lead: int) -> list[Pair]:
     """Scaled boundary vectors directed with the piece interior on the left."""
     return vs[:lead] + [(-x, -y) for x, y in vs[lead:]]
-
-
-def _cross(a: Pair, b: Pair) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _dot(a: Pair, b: Pair) -> int:
-    return a[0] * b[0] + a[1] * b[1]
-
-
-def _arg_cmp(a: Pair, b: Pair) -> int:
-    """:func:`resflat.core.arg_cmp` on nonzero integer pairs."""
-    ua = a[1] > 0 or (a[1] == 0 and a[0] < 0)
-    ub = b[1] > 0 or (b[1] == 0 and b[0] < 0)
-    if ua != ub:
-        return 1 if ua else -1
-    c = _cross(b, a)
-    return (c > 0) - (c < 0)
 
 
 # Angles are counted in whole turns.  With arguments in (-pi, pi], an angle
@@ -169,14 +127,14 @@ def _arg_cmp(a: Pair, b: Pair) -> int:
 
 def _sweep_turns(u: Pair, v: Pair) -> int:
     """w of the counterclockwise sweep from u to v, taken in (0, 2*pi]."""
-    return 1 if _arg_cmp(v, u) <= 0 else 0
+    return 1 if arg_cmp(v, u) <= 0 else 0
 
 
 def _signed_turns(u: Pair, v: Pair) -> int:
     """w of the signed turn from u to v, taken in [-pi, pi)."""
-    if _cross(u, v) > 0:
-        return 1 if _arg_cmp(v, u) < 0 else 0
-    return -1 if _arg_cmp(v, u) > 0 else 0
+    if cross(u, v) > 0:
+        return 1 if arg_cmp(v, u) < 0 else 0
+    return -1 if arg_cmp(v, u) > 0 else 0
 
 
 def _validate_chain(vectors: list[Pair], decreasing: bool, label: str) -> None:
@@ -186,7 +144,7 @@ def _validate_chain(vectors: list[Pair], decreasing: bool, label: str) -> None:
         if y == 0 and x < 0:
             raise ValueError(f"{label} chain vector points along the negative real axis")
     for a, b in zip(vectors, vectors[1:]):
-        c = _arg_cmp(a, b)
+        c = arg_cmp(a, b)
         if decreasing and c < 0:
             raise ValueError(f"{label} chain arguments must be weakly decreasing")
         if not decreasing and c > 0:
@@ -197,8 +155,9 @@ def _validate_chain(vectors: list[Pair], decreasing: bool, label: str) -> None:
 
 def validate_piece(piece: Piece, vs: list[Pair]) -> None:
     """Local validity checks on a piece whose boundary vectors, scaled to
-    integer pairs by :func:`_scaled`, are ``vs``; raises ValueError with the
-    violated condition.  The piece type is one :func:`_boundary` accepts.
+    integer pairs by :func:`resflat.core.scaled`, are ``vs``; raises
+    ValueError with the violated condition.  The piece type is one
+    :func:`_boundary` accepts.
 
     A simple-pole chain with residue r != 0 must be strictly monotone along
     r: every vector v has v . r > 0.  Its periodic lift, the chain and its
@@ -231,7 +190,7 @@ def validate_piece(piece: Piece, vs: list[Pair]) -> None:
         if (0, 0) in vs:
             raise ValueError("simple-pole chain contains a zero vector")
         r = (sum(x for x, _ in vs), sum(y for _, y in vs))
-        if r != (0, 0) and any(_dot(v, r) <= 0 for v in vs):
+        if r != (0, 0) and any(dot(v, r) <= 0 for v in vs):
             raise ValueError("simple-pole chain is not monotone along its residue")
 
 
@@ -269,9 +228,6 @@ def _cycle_and_corners(
     return cyc, tuple(turns)
 
 
-NOT_A_POLE = None
-
-
 def _residue(canon: list[Pair], scale: int) -> QQi:
     """A pole piece's residue, the sum of its canonical vectors, from the
     scaled vectors ``canon`` and the scale ``scale``."""
@@ -282,9 +238,9 @@ def _residue(canon: list[Pair], scale: int) -> QQi:
 def residue_of_piece(piece: Piece) -> QQi | None:
     """Exact residue of the pole a piece carries; None for polygons."""
     if isinstance(piece, Polygon):
-        return NOT_A_POLE
+        return None
     vectors, lead = _boundary(piece)
-    scale, vs = _scaled(vectors)
+    scale, vs = scaled(vectors)
     return _residue(_canonical(vs, lead), scale)
 
 
@@ -313,11 +269,9 @@ class FlatSurface:
         pieces: Iterable[Piece],
         pairings: Iterable[tuple[Slot, Slot]] = (),
     ) -> None:
-        object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "pieces", tuple([*pieces]))
         object.__setattr__(
-            self,
-            "pairings",
-            tuple((tuple(a), tuple(b)) for a, b in pairings),
+            self, "pairings", tuple([(tuple(a), tuple(b)) for a, b in pairings])
         )
 
 
@@ -333,12 +287,6 @@ class Profile:
     genus: int
     zero_orders: tuple[int, ...]
     poles: tuple[tuple[int, QQi], ...]
-
-    def pole_orders(self) -> tuple[int, ...]:
-        return tuple(o for o, _ in self.poles)
-
-    def residues(self) -> tuple[QQi, ...]:
-        return tuple(r for _, r in self.poles)
 
 
 def verify_surface(surface: FlatSurface) -> Profile:
@@ -369,7 +317,7 @@ def verify_surface(surface: FlatSurface) -> Profile:
     for idx, pc in enumerate(pieces):
         try:
             vectors, lead = _boundary(pc)
-            scale, vs = _scaled(vectors)
+            scale, vs = scaled(vectors)
             validate_piece(pc, vs)
         except ValueError as exc:
             violations.append(f"piece {idx}: {exc}")
@@ -483,19 +431,32 @@ def profile_matches(
     """
     if profile.genus != sig.genus:
         return False
-    want_pos = Counter(a for a in sig.zeros if a > 0)
-    have_pos = Counter(a for a in profile.zero_orders if a > 0)
-    if want_pos != have_pos:
+    if sorted([a for a in sig.zeros if a > 0]) != sorted(
+        [a for a in profile.zero_orders if a > 0]
+    ):
         return False
-    want_marked = sum(1 for a in sig.zeros if a == 0)
-    have_marked = sum(1 for a in profile.zero_orders if a == 0)
-    if want_marked > have_marked:
+    if sig.zeros.count(0) > profile.zero_orders.count(0):
         return False
-    want_poles = Counter(
-        [(-b, residues[k]) for k, b in enumerate(sig.higher_poles)]
-        + [(-1, residues[sig.p + k]) for k in range(sig.s)]
-    )
-    return want_poles == Counter(profile.poles)
+    orders = [-b for b in sig.higher_poles] + [-1] * sig.s
+    return _same_poles(list(zip(orders, residues)), profile.poles)
+
+
+def _same_poles(a: Sequence[tuple[int, QQi]], b: Sequence[tuple[int, QQi]]) -> bool:
+    """Whether two lists of (order, residue) poles agree as multisets.
+
+    Reduced fractions are equal exactly when their integer parts are, so
+    the poles are compared as sorted tuples of integers.
+    """
+
+    def key(poles: Sequence[tuple[int, QQi]]) -> list[tuple[int, int, int, int, int]]:
+        return sorted(
+            [
+                (o, r.re.numerator, r.re.denominator, r.im.numerator, r.im.denominator)
+                for o, r in poles
+            ]
+        )
+
+    return len(a) == len(b) and key(a) == key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -553,28 +514,35 @@ class ConstructionCertificate:
     family: FamilyInfo | None = None
 
 
-def _apply_surgery(profile: Profile, surgery: Surgery, step: int) -> Profile:
+def _apply_surgery(profile: Profile, surgery: Surgery) -> Profile:
+    """The profile after one surgery; raises ValueError when it does not apply."""
+    if not isinstance(surgery, (BlowUpZero, SewHandle)):
+        raise ValueError(f"unknown operation {surgery!r}")
     zeros = list(profile.zero_orders)
-    if isinstance(surgery, BlowUpZero):
-        if not (0 <= surgery.zero_index < len(zeros)):
-            raise VerificationError((f"surgery {step}: zero index out of range",))
-        order = zeros.pop(surgery.zero_index)
-        if not surgery.parts or any(x <= 0 for x in surgery.parts):
-            raise VerificationError((f"surgery {step}: blow-up parts must be positive",))
-        if sum(surgery.parts) != order:
-            raise VerificationError(
-                (f"surgery {step}: parts sum to {sum(surgery.parts)}, zero has order {order}",)
-            )
-        zeros.extend(surgery.parts)
-        return Profile(profile.genus, tuple(sorted(zeros, reverse=True)), profile.poles)
+    if not (0 <= surgery.zero_index < len(zeros)):
+        raise ValueError("zero index out of range")
+    genus = profile.genus
     if isinstance(surgery, SewHandle):
-        if not (0 <= surgery.zero_index < len(zeros)):
-            raise VerificationError((f"surgery {step}: zero index out of range",))
         zeros[surgery.zero_index] += 2
-        return Profile(
-            profile.genus + 1, tuple(sorted(zeros, reverse=True)), profile.poles
-        )
-    raise VerificationError((f"surgery {step}: unknown operation {surgery!r}",))
+        genus += 1
+    else:
+        order = zeros.pop(surgery.zero_index)
+        parts = surgery.parts
+        if not parts or any(x <= 0 for x in parts):
+            raise ValueError("blow-up parts must be positive")
+        if sum(parts) != order:
+            raise ValueError(f"parts sum to {sum(parts)}, zero has order {order}")
+        zeros.extend(parts)
+    return Profile(genus, tuple(sorted(zeros, reverse=True)), profile.poles)
+
+
+def _with_surgery(cert: ConstructionCertificate, step: Surgery) -> ConstructionCertificate:
+    return replace(
+        cert,
+        surgeries=cert.surgeries + (step,),
+        claimed=_apply_surgery(cert.claimed, step),
+        claimed_rotation=None,
+    )
 
 
 def blow_up_zero(
@@ -583,39 +551,18 @@ def blow_up_zero(
     """Split a zero of the claimed profile into parts of the same total order.
 
     Pole orders, residues and genus are unchanged.  Raises ValueError when
-    the parts do not sum to the chosen zero's order.
+    the index names no zero, or the parts are not positive or do not sum
+    to the chosen zero's order.
     """
-    parts = tuple(int(x) for x in parts)
-    zeros = cert.claimed.zero_orders
-    if not (0 <= zero_index < len(zeros)):
-        raise ValueError(f"no zero with index {zero_index}")
-    if not parts or any(x <= 0 for x in parts):
-        raise ValueError("blow-up parts must be positive integers")
-    if sum(parts) != zeros[zero_index]:
-        raise ValueError(
-            f"parts sum to {sum(parts)} but the zero has order {zeros[zero_index]}"
-        )
-    step = BlowUpZero(zero_index, parts)
-    return replace(
-        cert,
-        surgeries=cert.surgeries + (step,),
-        claimed=_apply_surgery(cert.claimed, step, len(cert.surgeries)),
-        claimed_rotation=None,
-    )
+    return _with_surgery(cert, BlowUpZero(zero_index, tuple([int(x) for x in parts])))
 
 
 def sew_handle(cert: ConstructionCertificate, zero_index: int) -> ConstructionCertificate:
-    """Raise genus by one and the chosen zero's order by two; residues fixed."""
-    zeros = cert.claimed.zero_orders
-    if not (0 <= zero_index < len(zeros)):
-        raise ValueError(f"no zero with index {zero_index}")
-    step = SewHandle(zero_index)
-    return replace(
-        cert,
-        surgeries=cert.surgeries + (step,),
-        claimed=_apply_surgery(cert.claimed, step, len(cert.surgeries)),
-        claimed_rotation=None,
-    )
+    """Raise genus by one and the chosen zero's order by two; residues fixed.
+
+    Raises ValueError when the index names no zero.
+    """
+    return _with_surgery(cert, SewHandle(zero_index))
 
 
 def verify_certificate(cert: ConstructionCertificate) -> Profile:
@@ -629,7 +576,10 @@ def verify_certificate(cert: ConstructionCertificate) -> Profile:
     """
     profile = verify_surface(cert.surface)
     for step, surgery in enumerate(cert.surgeries):
-        profile = _apply_surgery(profile, surgery, step)
+        try:
+            profile = _apply_surgery(profile, surgery)
+        except ValueError as exc:
+            raise VerificationError((f"surgery {step}: {exc}",)) from exc
 
     if profile.genus != cert.claimed.genus:
         raise VerificationError(
@@ -642,7 +592,7 @@ def verify_certificate(cert: ConstructionCertificate) -> Profile:
                 f"derived {profile.zero_orders}",
             )
         )
-    if Counter(profile.poles) != Counter(cert.claimed.poles):
+    if not _same_poles(profile.poles, cert.claimed.poles):
         raise VerificationError(("claimed poles differ from the derived poles",))
 
     if cert.claimed_rotation is not None:
@@ -710,7 +660,7 @@ def _two_zero_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
     pieces = [PolarPart(b, t, (_ONE,), (_ONE,)) for b, t in zip(orders, taus)]
     p = len(pieces)
     pairings = [((i, 0), ((i + 1) % p, 1)) for i in range(p)]
-    return FlatSurface(tuple(pieces), tuple(pairings))
+    return FlatSurface(pieces, pairings)
 
 
 def _genus1_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
@@ -721,7 +671,7 @@ def _genus1_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
     pieces.append(Polygon((_ONE, _I, -_ONE, -_I)))
     pairings = [((i, 0), (i + 1, 1)) for i in range(p - 1)]
     pairings += [((p - 1, 0), (p, 2)), ((p, 0), (0, 1)), ((p, 1), (p, 3))]
-    return FlatSurface(tuple(pieces), tuple(pairings))
+    return FlatSurface(pieces, pairings)
 
 
 def _genus1_special_two(orders: Sequence[int]) -> FlatSurface:
@@ -733,7 +683,7 @@ def _genus1_special_two(orders: Sequence[int]) -> FlatSurface:
     sp = p - 1
     pairings = [((j, 0), (j + 1, 1)) for j in range(p - 2)]
     pairings += [((p - 2, 0), (sp, 2)), ((sp, 1), (0, 1)), ((sp, 0), (sp, 3))]
-    return FlatSurface(tuple(pieces), tuple(pairings))
+    return FlatSurface(pieces, pairings)
 
 
 def _genus1_special_three(orders: Sequence[int]) -> FlatSurface:
@@ -752,7 +702,7 @@ def _genus1_special_three(orders: Sequence[int]) -> FlatSurface:
         ((sp, 0), (vr, 1)),
         ((vr, 0), (sp, 3)),
     ]
-    return FlatSurface(tuple(pieces), tuple(pairings))
+    return FlatSurface(pieces, pairings)
 
 
 def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
@@ -774,41 +724,33 @@ def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
 
 
 def _sorted_by_arg(values: Sequence[QQi]) -> list[int]:
-    """Indices sorted by ascending argument in (-pi, pi], ties by index."""
-
-    def cmp(i: int, j: int) -> int:
-        c = arg_cmp(values[i], values[j])
-        return c if c else (i > j) - (i < j)
-
-    return sorted(range(len(values)), key=cmp_to_key(cmp))
+    """Indices of nonzero values sorted by ascending argument in (-pi, pi],
+    ties by index (the sort is stable)."""
+    pairs = scaled(values)[1]
+    return sorted(range(len(pairs)), key=cmp_to_key(lambda i, j: arg_cmp(pairs[i], pairs[j])))
 
 
-class _ChainWriter:
-    """Splices pole pieces, trivial parts and a terminal slot into pairings."""
-
-    def __init__(self, pairings: list) -> None:
-        self.pairings = pairings
-
-    def run(
-        self,
-        start: tuple[Slot, QQi],
-        trivials: Sequence[tuple[int, QQi]],
-        terminal: Slot,
-    ) -> None:
-        slot, exposure = start
-        for piece_idx, u in trivials:
-            # Trivial part (u; u): top slot 0 has canonical +u, bottom slot 1
-            # has canonical -u.  Enter through whichever slot opposes the
-            # current exposure, leave through the other.
-            if exposure == u:
-                self.pairings.append((slot, (piece_idx, 1)))
-                slot, exposure = (piece_idx, 0), u
-            elif exposure == -u:
-                self.pairings.append((slot, (piece_idx, 0)))
-                slot, exposure = (piece_idx, 1), -u
-            else:
-                raise InternalBuildError("trivial part does not fit the chain")
-        self.pairings.append((slot, terminal))
+def _write_chain(
+    pairings: list,
+    start: tuple[Slot, QQi],
+    trivials: Sequence[tuple[int, QQi]],
+    terminal: Slot,
+) -> None:
+    """Splice a pole piece's slot, trivial parts and a terminal slot into pairings."""
+    slot, exposure = start
+    for piece_idx, u in trivials:
+        # Trivial part (u; u): top slot 0 has canonical +u, bottom slot 1
+        # has canonical -u.  Enter through whichever slot opposes the
+        # current exposure, leave through the other.
+        if exposure == u:
+            pairings.append((slot, (piece_idx, 1)))
+            slot, exposure = (piece_idx, 0), u
+        elif exposure == -u:
+            pairings.append((slot, (piece_idx, 0)))
+            slot, exposure = (piece_idx, 1), -u
+        else:
+            raise InternalBuildError("trivial part does not fit the chain")
+    pairings.append((slot, terminal))
 
 
 def _general_nonzero_surface(
@@ -827,7 +769,7 @@ def _general_nonzero_surface(
         raise ValueError("need at least two nonzero residues")
 
     edge_order = _sorted_by_arg([-residues[k] for k in nonzero])
-    polygon = Polygon(tuple(-residues[nonzero[t]] for t in edge_order))
+    polygon = Polygon([-residues[nonzero[t]] for t in edge_order])
     pieces: list[Piece] = [None] * (1 + sig.p + sig.s)  # type: ignore[list-item]
     pieces[0] = polygon
 
@@ -849,12 +791,11 @@ def _general_nonzero_surface(
             pieces[1 + k] = SimplePolePart((r,))
 
     pairings: list = []
-    writer = _ChainWriter(pairings)
     for t, pos in enumerate(edge_order):
         k = nonzero[pos]
         trivials = trivial_ids if k == host else ()
-        writer.run(((1 + k, 0), residues[k]), trivials, (0, t))
-    return FlatSurface(tuple(pieces), tuple(pairings))
+        _write_chain(pairings, ((1 + k, 0), residues[k]), trivials, (0, t))
+    return FlatSurface(pieces, pairings)
 
 
 def _collinear_mixed_surface(
@@ -881,8 +822,8 @@ def _collinear_mixed_surface(
     anchor = 0  # pole position of the first higher pole
     negs = [k for k in nonzero if t_of[k] < 0 and k != anchor]
     poss = [k for k in nonzero if t_of[k] > 0 and k != anchor]
-    top = tuple(-residues[k] for k in negs)
-    bottom = tuple(residues[k] for k in poss)
+    top = [-residues[k] for k in negs]
+    bottom = [residues[k] for k in poss]
 
     pieces: list[Piece] = [None] * (sig.p + sig.s)  # type: ignore[list-item]
     pieces[anchor] = PolarPart(sig.higher_poles[0], 1, top, bottom)
@@ -907,14 +848,13 @@ def _collinear_mixed_surface(
             pieces[k] = SimplePolePart((r,))
 
     pairings: list = []
-    writer = _ChainWriter(pairings)
     for pos, k in enumerate(negs):
         trivials = trivial_ids if k == host else ()
-        writer.run(((k, 0), residues[k]), trivials, (anchor, pos))
+        _write_chain(pairings, ((k, 0), residues[k]), trivials, (anchor, pos))
     for pos, k in enumerate(poss):
         trivials = trivial_ids if k == host else ()
-        writer.run(((k, 0), residues[k]), trivials, (anchor, len(negs) + pos))
-    return FlatSurface(tuple(pieces), tuple(pairings))
+        _write_chain(pairings, ((k, 0), residues[k]), trivials, (anchor, len(negs) + pos))
+    return FlatSurface(pieces, pairings)
 
 
 def _torus_with_hole(residues: Sequence[QQi]) -> FlatSurface:
@@ -955,7 +895,8 @@ def _torus_with_hole(residues: Sequence[QQi]) -> FlatSurface:
     d = None
     for num, den in ((0, 1), (1, 3), (1, 5), (2, 5), (1, 7), (3, 7), (2, 7)):
         cand = QQi(side / 2 + Fraction(num, den), side / 2)
-        if cross(cand, walk[0]) != 0 and cross(cand, walk[-1]) != 0:
+        c, first, last = scaled([cand, walk[0], walk[-1]])[1]
+        if cross(c, first) and cross(c, last):
             d = cand
             break
     if d is None:
@@ -973,7 +914,7 @@ def _torus_with_hole(residues: Sequence[QQi]) -> FlatSurface:
     ]
     for k in range(s):
         pairings.append(((0, 1 + k), (1 + walk_idx[k], 0)))
-    return FlatSurface(tuple(pieces), tuple(pairings))
+    return FlatSurface(pieces, pairings)
 
 
 def _triangle_distribution(
@@ -1053,26 +994,14 @@ def _triangle_surface(sig: StratumSignature) -> FlatSurface:
         chains[pair].append((1 + pole_pos, u, tau))
 
     pairings: list = []
-    writer = _ChainWriter(pairings)
     anchor_piece = 1 + anchor_pos
     # Chains start at the anchor's three boundary segments and end on the
     # triangle; slot 0 of the triangle is -v1, slot 1 is +v3, slot 2 is -v2.
-    writer.run(
-        ((anchor_piece, 0), v1),
-        [(pid, u) for pid, u, _ in chains[frozenset((0, 1))]],
-        (0, 0),
-    )
-    writer.run(
-        ((anchor_piece, 1), v2),
-        [(pid, u) for pid, u, _ in chains[frozenset((0, 2))]],
-        (0, 2),
-    )
-    writer.run(
-        ((anchor_piece, 2), -v3),
-        [(pid, u) for pid, u, _ in chains[frozenset((1, 2))]],
-        (0, 1),
-    )
-    return FlatSurface(tuple(pieces), tuple(pairings))
+    ends = ((v1, (0, 1), 0), (v2, (0, 2), 2), (-v3, (1, 2), 1))
+    for k, (start, key, terminal) in enumerate(ends):
+        trivials = [(pid, u) for pid, u, _ in chains[frozenset(key)]]
+        _write_chain(pairings, ((anchor_piece, k), start), trivials, (0, terminal))
+    return FlatSurface(pieces, pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,7 +1009,7 @@ def _triangle_surface(sig: StratumSignature) -> FlatSurface:
 
 
 def _positive_parts(zeros: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a for a in zeros if a > 0)
+    return tuple([a for a in zeros if a > 0])
 
 
 def _blow_to_target(

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,17 @@ from resflat.core import (
     arg_cmp,
     collinear_normal_form,
     cross,
-    primitive_abs_profile,
+    line_integers,
     residue_tuple,
+    scaled,
     validate_residues,
     validate_stratum,
+)
+from resflat.decide import (
+    REASON_COLLINEAR_OK,
+    REASON_EXCLUDED_RAY,
+    REASON_NON_COLLINEAR,
+    decide_cylinder_tuple,
 )
 
 small_fracs = st.fractions(
@@ -43,15 +51,22 @@ def test_canonical_representation():
     assert z.re.denominator > 0
 
 
-@given(nonzero_qqis, nonzero_qqis)
-def test_arg_cmp_matches_atan2(a, b):
-    import math
+nonzero_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any)
 
-    fa = math.atan2(float(a.im), float(a.re))
-    fb = math.atan2(float(b.im), float(b.re))
+
+@given(nonzero_pairs, nonzero_pairs)
+def test_arg_cmp_matches_atan2(a, b):
+    fa = math.atan2(a[1], a[0])
+    fb = math.atan2(b[1], b[0])
     c = arg_cmp(a, b)
     if abs(fa - fb) > 1e-12:
         assert c == (1 if fa > fb else -1)
+    else:
+        assert c == 0
+
+
+def test_scaled_to_integer_pairs():
+    assert scaled([QQi(Fraction(1, 2), Fraction(-1, 3)), QQi(2)]) == (6, [(3, -2), (12, 0)])
 
 
 class TestValidateStratum:
@@ -146,12 +161,90 @@ class TestCollinearNormalForm:
         assert form.entries() == entries
 
 
-def test_primitive_abs_profile():
+def _reference_ratio(a: QQi, b: QQi) -> Fraction | None:
+    """The rational t with a = t*b, or None when a/b is not real."""
+    if a.re * b.im - a.im * b.re != 0:
+        return None
+    return (a.re * b.re + a.im * b.im) / b.norm2()
+
+
+def _reference_primitive(ratios: list[Fraction]) -> tuple[list[int], Fraction]:
+    """Coprime integers m_k and the unit u > 0 with ratios[k] == m_k * u."""
+    scale = math.lcm(*(t.denominator for t in ratios))
+    ints = [int(t * scale) for t in ratios]
+    g = math.gcd(*ints)
+    return [m // g for m in ints], Fraction(g, scale)
+
+
+def _reference_normal_form(entries: tuple[QQi, ...]):
+    """collinear_normal_form on Fractions, as it was computed before integer pairs."""
+    ratios = [_reference_ratio(e, entries[0]) for e in entries]
+    if None in ratios:
+        return NON_COLLINEAR
+    ints, unit = _reference_primitive(ratios)
+    sign = 1 if ints[0] > 0 else -1
+    direction = entries[0] * (sign * unit)
+    ints = [sign * m for m in ints]
+    assert tuple(direction * m for m in ints) == entries
+    return PrimitiveRay(direction, tuple(ints))
+
+
+def _reference_abs_profile(entries: tuple[QQi, ...]) -> tuple[int, ...] | None:
+    """The primitive integers of entries collinear up to sign, as absolute
+    values sorted descending, on Fractions; None off a line."""
+    ratios = [_reference_ratio(e, entries[0]) for e in entries]
+    if None in ratios:
+        return None
+    ints, _ = _reference_primitive([abs(t) for t in ratios])
+    return tuple(sorted(ints, reverse=True))
+
+
+@st.composite
+def balanced_tuples(draw):
+    """Nonzero Gaussian rationals summing to zero, collinear or not, times
+    10^e for e in [-320, 320] and a Gaussian rational direction."""
+    direction = draw(nonzero_qqis) * Fraction(10) ** draw(st.integers(-320, 320))
+    if draw(st.booleans()):
+        ints = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=6))
+        shape = [QQi(m) for m in ints]
+    else:
+        shape = draw(st.lists(nonzero_qqis, min_size=1, max_size=6))
+    total = sum(shape, QQi(0))
+    if not total.is_zero():
+        shape.append(-total)
+    return tuple(direction * z for z in shape)
+
+
+@given(balanced_tuples())
+@settings(max_examples=150)
+def test_integer_pairs_agree_with_fractions(entries):
+    form = collinear_normal_form(entries)
+    want = _reference_normal_form(entries)
+    if want is NON_COLLINEAR:
+        assert form is NON_COLLINEAR
+    else:
+        assert (form.direction, form.integers) == (want.direction, want.integers)
+    ints = line_integers(scaled(entries)[1])
+    if ints is None:
+        assert _reference_abs_profile(entries) is None
+    else:
+        profile = sorted([abs(m) // math.gcd(*ints) for m in ints], reverse=True)
+        assert tuple(profile) == _reference_abs_profile(entries)
+
+
+def test_cylinder_tuple_on_gaussian_rationals():
+    sig = StratumSignature(3, (4,))
     w = QQi(0, Fraction(5, 3))
-    assert primitive_abs_profile((w * 2, -w * 4, w * 6)) == (3, 2, 1)
-    assert primitive_abs_profile(residue_tuple([1, QQi(1, 1)])) is None
+    # Primitive profile (3, 2, 1): total 6 exceeds 2g - 2 = 4.
+    assert decide_cylinder_tuple(sig, (w * 2, -w * 4, w * 6)).reason == REASON_COLLINEAR_OK
+    # Primitive profile (2, 1, 1): total 4 does not.
+    third = QQi(0, Fraction(1, 3))
+    verdict = decide_cylinder_tuple(sig, (third, third, third * -2))
+    assert (verdict.realizable, verdict.reason) == (False, REASON_EXCLUDED_RAY)
+    verdict = decide_cylinder_tuple(sig, residue_tuple([1, QQi(1, 1), 1]))
+    assert (verdict.realizable, verdict.reason) == (True, REASON_NON_COLLINEAR)
 
 
 def test_cross_detects_collinearity():
-    assert cross(QQi(2, 4), QQi(1, 2)) == 0
-    assert cross(QQi(1), QQi(0, 1)) == 1
+    assert cross((2, 4), (1, 2)) == 0
+    assert cross((1, 0), (0, 1)) == 1
