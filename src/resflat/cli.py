@@ -521,29 +521,16 @@ def _cmd_cylinders(args: argparse.Namespace) -> int:
 
 def _piece_drawing(piece: _surfaces.Piece) -> tuple[list, tuple[float, float, float, float]]:
     """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box."""
-    segs = []
-    if isinstance(piece, _surfaces.Polygon):
-        x = y = 0.0
-        for k, e in enumerate(piece.edges):
-            nx, ny = x + float(e.re), y + float(e.im)
-            segs.append((x, y, nx, ny, k))
-            x, y = nx, ny
-    elif isinstance(piece, _surfaces.PolarPart):
-        x = y = 0.0
-        for k, v in enumerate(piece.top):
-            nx, ny = x + float(v.re), y + float(v.im)
-            segs.append((x, y, nx, ny, k))
-            x, y = nx, ny
-        x, y = 0.0, -1.0
-        for j, w in enumerate(piece.bottom):
-            nx, ny = x + float(w.re), y + float(w.im)
-            segs.append((x, y, nx, ny, len(piece.top) + j))
-            x, y = nx, ny
+    if isinstance(piece, _surfaces.PolarPart):
+        walks = ((piece.top, 0.0), (piece.bottom, -1.0))
     else:
-        x = y = 0.0
-        for k, v in enumerate(piece.vectors):
+        walks = ((_surfaces._boundary(piece)[0], 0.0),)
+    segs = []
+    for chain, y in walks:
+        x = 0.0
+        for v in chain:
             nx, ny = x + float(v.re), y + float(v.im)
-            segs.append((x, y, nx, ny, k))
+            segs.append((x, y, nx, ny, len(segs)))
             x, y = nx, ny
     xs = [c for s in segs for c in (s[0], s[2])] or [0.0]
     ys = [c for s in segs for c in (s[1], s[3])] or [0.0]

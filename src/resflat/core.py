@@ -117,11 +117,6 @@ class QQi:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-ZERO = QQi(0)
-ONE = QQi(1)
-I = QQi(0, 1)
-
-
 Pair = tuple[int, int]
 
 # Lists, not tuples built from generators: such a tuple is allocated at a
@@ -283,11 +278,10 @@ def validate_residues(sig: StratumSignature, residues: Sequence[QQi]) -> tuple[s
             f"residue tuple has length {len(residues)}, expected {sig.num_poles}"
         )
         return tuple(bad)
-    total = ZERO
-    for r in residues:
-        total = total + r
-    if not total.is_zero():
-        bad.append(f"residues sum to {total}, expected 0")
+    m, pairs = scaled(residues)
+    re, im = sum(x for x, _ in pairs), sum(y for _, y in pairs)
+    if re or im:
+        bad.append(f"residues sum to {QQi(Fraction(re, m), Fraction(im, m))}, expected 0")
     for k in range(sig.p, sig.num_poles):
         if residues[k].is_zero():
             bad.append(f"zero residue at simple pole #{k - sig.p}")

@@ -651,11 +651,6 @@ def _flat_torus() -> FlatSurface:
     return FlatSurface((square,), (((0, 0), (0, 2)), ((0, 1), (0, 3))))
 
 
-def _one_pole_self_chain(order: int, tau: int = 1) -> FlatSurface:
-    piece = PolarPart(order, tau, (_ONE,), (_ONE,))
-    return FlatSurface((piece,), (((0, 0), (0, 1)),))
-
-
 def _two_zero_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
     pieces = [PolarPart(b, t, (_ONE,), (_ONE,)) for b, t in zip(orders, taus)]
     p = len(pieces)
@@ -753,6 +748,39 @@ def _write_chain(
     pairings.append((slot, terminal))
 
 
+def _plumb(
+    pieces: Sequence[Piece], pairings: Sequence[tuple[Slot, Slot]], nodes: int
+) -> FlatSurface:
+    """Plumb the last ``2 * nodes`` pieces, simple-pole parts in pairs
+    (lower, upper) of opposite residues, into finite cylinders.
+
+    Plumbing two simple poles of residues c and -c leaves a finite cylinder
+    of circumference c.  The first n pieces keep their places, and pair c
+    becomes the polygon lower + [h] + upper + [-h], h = i * sum(lower),
+    at piece n + c, with h glued to -h.  A pair on two components is a
+    node; a pair on one component is a handle.  Slot k of lower stays slot
+    k and slot k of upper becomes slot len(lower) + 1 + k; ``pairings``
+    keep their order with their slots renumbered, and the gluings of h
+    follow them, in node order.
+    """
+    n = len(pieces) - 2 * nodes
+    out = list(pieces[:n])
+    shift = []
+    ends = []
+    for c in range(nodes):
+        lower, upper = pieces[n + 2 * c].vectors, pieces[n + 2 * c + 1].vectors
+        h = _I * sum(lower, QQi(0))
+        out.append(Polygon(lower + (h,) + upper + (-h,)))
+        shift += [0, len(lower) + 1]
+        ends.append(((n + c, len(lower)), (n + c, len(lower) + len(upper) + 1)))
+
+    def moved(slot: Slot) -> Slot:
+        i, k = slot
+        return slot if i < n else (n + (i - n) // 2, k + shift[i - n])
+
+    return FlatSurface(out, [(moved(a), moved(b)) for a, b in pairings] + ends)
+
+
 def _general_nonzero_surface(
     sig: StratumSignature, residues: Sequence[QQi]
 ) -> FlatSurface:
@@ -764,7 +792,6 @@ def _general_nonzero_surface(
     nonzero chain.
     """
     nonzero = [k for k, r in enumerate(residues) if not r.is_zero()]
-    zero_higher = [k for k in range(sig.p) if residues[k].is_zero()]
     if len(nonzero) < 2:
         raise ValueError("need at least two nonzero residues")
 
@@ -854,66 +881,6 @@ def _collinear_mixed_surface(
     for pos, k in enumerate(poss):
         trivials = trivial_ids if k == host else ()
         _write_chain(pairings, ((k, 0), residues[k]), trivials, (anchor, len(negs) + pos))
-    return FlatSurface(pieces, pairings)
-
-
-def _torus_with_hole(residues: Sequence[QQi]) -> FlatSurface:
-    """Genus one, a single zero, simple poles with the given residues.
-
-    A large square torus is slit along the convex chain of the residues
-    (degenerate when they are collinear); half-infinite cylinders glue to the
-    slit.  The hole is reached from a square corner through a doubled cut
-    edge, which is angle-neutral.
-    """
-    s = len(residues)
-    if s < 2:
-        raise ValueError("need at least two simple poles")
-    mag = Fraction(0)
-    for r in residues:
-        mag += abs(r.re) + abs(r.im)
-    side = 4 * (mag + 1)
-    big = QQi(side)
-
-    order = _sorted_by_arg(list(residues))
-    hole = [residues[i] for i in order]
-    # Re-root the convex cycle at its bottom-most vertex so the cut, coming
-    # up from the square corner, meets the hole from outside.
-    pos = QQi(0)
-    best = (Fraction(0), Fraction(0))
-    jmin = 0
-    for j, h in enumerate(hole[:-1], start=1):
-        pos = pos + h
-        key = (pos.im, pos.re)
-        if key < best:
-            best = key
-            jmin = j
-    hole = hole[jmin:] + hole[:jmin]
-    order = order[jmin:] + order[:jmin]
-    walk = [-hole[s - 1 - k] for k in range(s)]
-    walk_idx = [order[s - 1 - k] for k in range(s)]
-
-    d = None
-    for num, den in ((0, 1), (1, 3), (1, 5), (2, 5), (1, 7), (3, 7), (2, 7)):
-        cand = QQi(side / 2 + Fraction(num, den), side / 2)
-        c, first, last = scaled([cand, walk[0], walk[-1]])[1]
-        if cross(c, first) and cross(c, last):
-            d = cand
-            break
-    if d is None:
-        raise InternalBuildError("no cut direction avoided the hole edges")
-
-    edges = (d,) + tuple(walk) + (-d, big, QQi(0, side), -big, QQi(0, -side))
-    pieces: list[Piece] = [Polygon(edges)]
-    for r in residues:
-        pieces.append(SimplePolePart((r,)))
-
-    pairings = [
-        ((0, 0), (0, s + 1)),
-        ((0, s + 2), (0, s + 4)),
-        ((0, s + 3), (0, s + 5)),
-    ]
-    for k in range(s):
-        pairings.append(((0, 1 + k), (1 + walk_idx[k], 0)))
     return FlatSurface(pieces, pairings)
 
 
@@ -1081,7 +1048,7 @@ def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
     if len(zeros) <= 1:
         # The decider admits at most one zero only with a single pole, which
         # a self-glued chain carries; profile_matches rejects anything else.
-        return _cert_of(_one_pole_self_chain(orders[0], 1))
+        return _cert_of(_two_zero_chain((orders[0],), (1,)))
     if len(zeros) == 2:
         taus = _choose_taus(orders, zeros[0] + 1)
         return _cert_of(_two_zero_chain(orders, taus))
@@ -1118,29 +1085,26 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
     component's peel (:func:`resflat.graphs.peel_connection_graph`) glues
     the leaf's part to its neighbour's along one segment of the step's
     length, the next on each part's chain.  Entry k < s is the simple-pole
-    part k.  Node c is the finite cylinder that plumbing leaves of the node
-    half and the part holding the leaf's sum, entry s + c: piece s + c is
-    the rectangle lower + [h] + upper + [-h] of their chains, h = i *
-    sum(lower), with h glued to -h.  The remainder's zero is then blown up
-    into the zeros not peeled.  With one zero, or when one zero carries
-    every entry, there are no nodes.
+    piece k; leaf c's node half is piece s + 2c and entry s + c, the leaf's
+    sum, piece s + 2c + 1, so :func:`_plumb` turns each such pair into node
+    c.  The remainder's zero is then blown up into the zeros not peeled.
+    With one zero, or when one zero carries every entry, there are no nodes.
     """
     found = _graphs.find_stable_config(ray.integers, _positive_parts(sig.zeros))
     if found is None:
         raise InternalBuildError("no stable configuration although the decider says realizable")
     components, left = found
     s = len(ray.integers)
+    nodes = len(components) - 1
     ints = list(ray.integers)
-    # chains[piece, 1] is a node's upper chain; chains[piece, 0] is a
-    # simple-pole part's chain or a node's lower chain.
-    chains: dict[tuple[int, int], list[QQi]] = {}
+    chains: list[list[QQi]] = [[] for _ in range(s + 2 * nodes)]
     glued = []
     for c, comp in enumerate(components):
-        parts = [(k, 1 if k >= s else 0) for k in comp]
+        parts = [k if k < s else s + 2 * (k - s) + 1 for k in comp]
         weights = [ints[k] for k in comp]
-        if c < len(components) - 1:
+        if c < nodes:
             sigma = sum(weights)
-            parts.append((s + c, 0))
+            parts.append(s + 2 * c)
             weights.append(-sigma)
             ints.append(sigma)
         steps = _graphs.peel_connection_graph(weights)
@@ -1150,23 +1114,12 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
             plus, minus = (leaf, nb) if weights[leaf] > 0 else (nb, leaf)
             ends = []
             for j, m in ((plus, length), (minus, -length)):
-                chain = chains.setdefault(parts[j], [])
+                chain = chains[parts[j]]
                 ends.append((parts[j], len(chain)))
                 chain.append(ray.direction * m)
             glued.append(ends)
-
-    def slot(part: tuple[int, int], k: int) -> Slot:
-        piece, upper = part
-        return (piece, k + len(chains[piece, 0]) + 1 if upper else k)
-
-    pieces: list[Piece] = [SimplePolePart(chains[k, 0]) for k in range(s)]
-    pairings = [(slot(*a), slot(*b)) for a, b in glued]
-    for c in range(len(components) - 1):
-        lower, upper = chains[s + c, 0], chains[s + c, 1]
-        h = _I * sum(lower, QQi(0))
-        pieces.append(Polygon(lower + [h] + upper + [-h]))
-        pairings.append(((s + c, len(lower)), (s + c, len(lower) + len(upper) + 1)))
-    return _blow_to_target(_cert_of(FlatSurface(pieces, pairings)), left)
+    pieces = [SimplePolePart(chain) for chain in chains]
+    return _blow_to_target(_cert_of(_plumb(pieces, glued, nodes)), left)
 
 
 def _genus1_zero_residue_cert(
@@ -1219,7 +1172,13 @@ def _positive_genus_cert(
     elif sig.p == 0:
         if rotation is not None:
             raise ValueError("rotation bookkeeping covers zero-residue families only")
-        cert = _cert_of(_torus_with_hole(residues))
+        # One handle: the residual polygon with two more half-infinite
+        # cylinders, of residues c = i * r_0 and -c, plumbed to each other.
+        # c is off the real line of r_0, so the residues span the plane.
+        c = QQi(-residues[0].im, residues[0].re)
+        base_sig = StratumSignature(0, (sig.s,), (), sig.s + 2)
+        base = _general_nonzero_surface(base_sig, (*residues, c, -c))
+        cert = _cert_of(_plumb(base.pieces, base.pairings, 1))
     elif all(r.is_zero() for r in residues):
         cert = _genus1_zero_residue_cert(sig.higher_poles, rotation)
         if rotation is not None and len(_positive_parts(sig.zeros)) > 1:

@@ -94,7 +94,7 @@ CASES = [
         ["witness"],
         {"stratum": _stratum(2, [2, 2], [], 2), "residues": [1, -1]},
         0,
-        "c7bbb54bfe659d54baf5c9118e8b5bb566978d803e285278e21b6e6f43e6a1d4",
+        "910b7fbe4e623624c2f9f8d4e9a16c1e57a3b75666043e197313a614fa745100",
     ),
     (
         "witness-genus-1-rotation",

@@ -8,7 +8,7 @@ import pytest
 
 import resflat.decide
 import resflat.surfaces
-from resflat.core import QQi, StratumSignature, residue_tuple
+from resflat.core import QQi, StratumSignature, cross, dot, residue_tuple, scaled
 from resflat.decide import _partitions, decide_realizable, primitive_total_exceeds
 from resflat.surfaces import (
     FamilyInfo,
@@ -28,12 +28,51 @@ from resflat.surfaces import (
 )
 from resflat.surfaces import (
     _flat_torus,
+    _plumb,
     _two_zero_chain,
     _choose_taus,
 )
 
 ONE = QQi(1)
 I = QQi(0, 1)
+
+
+def _orient(a, b, c):
+    v = cross((b[0] - a[0], b[1] - a[1]), (c[0] - a[0], c[1] - a[1]))
+    return (v > 0) - (v < 0)
+
+
+def _between(p, q, r):
+    """Whether r, on the line through p and q, lies on the segment pq."""
+    return min(p[0], q[0]) <= r[0] <= max(p[0], q[0]) and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
+
+
+def _segments_meet(a, b, c, d):
+    """Whether the closed segments ab and cd share a point, exactly."""
+    o1, o2, o3, o4 = _orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)
+    if o1 * o2 < 0 and o3 * o4 < 0:
+        return True
+    return (
+        (o1 == 0 and _between(a, b, c))
+        or (o2 == 0 and _between(a, b, d))
+        or (o3 == 0 and _between(c, d, a))
+        or (o4 == 0 and _between(c, d, b))
+    )
+
+
+def _is_simple_polygon(edges):
+    """Whether a closed edge chain bounds a simple polygon: consecutive edges
+    share only their common vertex, and no other two edges meet."""
+    _, vs = scaled(list(edges))
+    pts = list(itertools.accumulate(vs, lambda p, v: (p[0] + v[0], p[1] + v[1]), initial=(0, 0)))
+    n = len(vs)
+    for i, j in itertools.combinations(range(n), 2):
+        if j == i + 1 or (i, j) == (0, n - 1):
+            if cross(vs[i], vs[j]) == 0 and dot(vs[i], vs[j]) < 0:
+                return False
+        elif _segments_meet(pts[i], pts[i + 1], pts[j], pts[j + 1]):
+            return False
+    return True
 
 
 class TestResidueOfPiece:
@@ -58,6 +97,19 @@ class TestVerifySurface:
         assert prof.genus == 1
         assert prof.zero_orders == (0,)
         assert prof.poles == ()
+
+    def test_plumbed_pole_pair_is_the_flat_torus(self):
+        # The simplest handle: the cylinder of two simple poles of residues
+        # 1 and -1, glued to each other and then plumbed.
+        parts = [SimplePolePart((ONE,)), SimplePolePart((-ONE,))]
+        assert _plumb(parts, [((0, 0), (1, 0))], 1) == _flat_torus()
+
+    def test_simple_polygon_helper(self):
+        assert _is_simple_polygon((ONE, I, -ONE, -I))
+        bowtie = (ONE + I, -I, -ONE + I, -I)
+        slit = (QQi(2), 2 * I, -ONE, -I, I, -ONE, -2 * I)
+        assert not _is_simple_polygon(bowtie)
+        assert not _is_simple_polygon(slit)
 
     def test_two_pole_chain(self):
         surf = _two_zero_chain((3, 4), _choose_taus((3, 4), 5))
@@ -205,6 +257,26 @@ class TestBuildWitness:
 
     def test_torus_with_boundary_witness(self):
         self.check(StratumSignature(1, (4,), (), 4), [1, 1, -1, -1])
+
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "t", [Fraction(1, 10**320), Fraction(1), Fraction(10**320)], ids=["1e-320", "1", "1e320"]
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [(1, -1), (I, -I), (1, 1, -1, -1), (ONE + I, ONE + I, -ONE - I, -ONE - I)],
+        ids=["1", "i", "1,1", "1+i,1+i"],
+    )
+    def test_simple_pole_handles_are_simple_polygons(self, values, t, genus):
+        # Simple poles only at positive genus: the residual polygon with one
+        # plumbed handle, then g - 1 sewn handles.
+        s = len(values)
+        sig = StratumSignature(genus, (s + 2 * genus - 2,), (), s)
+        values = [v * t for v in residue_tuple(values)]
+        assert decide_realizable(sig, values).certificate_hint == "genus-reduction"
+        cert = self.check(sig, values)
+        polygons = [p for p in cert.surface.pieces if isinstance(p, Polygon)]
+        assert polygons and all(_is_simple_polygon(p.edges) for p in polygons)
 
     def test_two_handles_witness(self):
         cert = self.check(StratumSignature(2, (6,), (2, 2)), [1, -1])
