@@ -519,8 +519,11 @@ def _cmd_cylinders(args: argparse.Namespace) -> int:
 # SVG emission (informational only, never parsed back)
 
 
-def _piece_drawing(piece: _surfaces.Piece) -> tuple[list, tuple[float, float, float, float]]:
-    """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box."""
+def _piece_drawing(
+    piece: _surfaces.Piece, unit: Fraction
+) -> tuple[list, tuple[float, float, float, float]]:
+    """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box, with
+    coordinates counted in ``unit``."""
     if isinstance(piece, _surfaces.PolarPart):
         walks = ((piece.top, 0.0), (piece.bottom, -1.0))
     else:
@@ -529,7 +532,7 @@ def _piece_drawing(piece: _surfaces.Piece) -> tuple[list, tuple[float, float, fl
     for chain, y in walks:
         x = 0.0
         for v in chain:
-            nx, ny = x + float(v.re), y + float(v.im)
+            nx, ny = x + float(v.re / unit), y + float(v.im / unit)
             segs.append((x, y, nx, ny, len(segs)))
             x, y = nx, ny
     xs = [c for s in segs for c in (s[0], s[2])] or [0.0]
@@ -545,12 +548,21 @@ def _emit_svg(cert: _surfaces.ConstructionCertificate, path: str) -> None:
     cursor_x = 0.0
     max_y = 0.0
     surface = cert.surface
+    # Vectors are divided exactly by a quarter of the largest coordinate
+    # before float(), so a drawing neither overflows nor vanishes at any
+    # magnitude.
+    unit = max(
+        abs(c)
+        for piece in surface.pieces
+        for v in _surfaces._boundary(piece)[0]
+        for c in (v.re, v.im)
+    ) / 4
     labels = {}
     for num, (a, b) in enumerate(surface.pairings):
         labels[a] = num
         labels[b] = num
     for idx, piece in enumerate(surface.pieces):
-        segs, (x0, y0, x1, y1) = _piece_drawing(piece)
+        segs, (x0, y0, x1, y1) = _piece_drawing(piece, unit)
         w = max(x1 - x0, 1.0)
         h = (y1 - y0) * scale
         for sx, sy, ex, ey, slot in segs:

@@ -154,18 +154,6 @@ def _partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _block_sorted(ints: tuple[int, ...]) -> tuple[int, ...]:
-    pos = sorted((m for m in ints if m > 0), reverse=True)
-    neg = sorted((m for m in ints if m < 0), key=abs, reverse=True)
-    return tuple(pos) + tuple(neg)
-
-
-def _canonical_ray(ints: tuple[int, ...]) -> tuple[int, ...]:
-    a = _block_sorted(ints)
-    b = _block_sorted(tuple(-m for m in ints))
-    return max(a, b)
-
-
 def enumerate_excluded_rays(s: int, max_zero: int) -> tuple[PrimitiveRay, ...]:
     """All excluded primitive rays of length s, up to permutation and sign.
 
@@ -185,13 +173,13 @@ def enumerate_excluded_rays(s: int, max_zero: int) -> tuple[PrimitiveRay, ...]:
                 continue
             for pos in _partitions(total, s1):
                 for neg in _partitions(total, s2):
-                    ints = pos + tuple(-y for y in neg)
-                    g = 0
-                    for m in ints:
-                        g = gcd(g, abs(m))
-                    if g != 1:
+                    if gcd(*pos, *neg) != 1:
                         continue
-                    found.add(_canonical_ray(ints))
+                    # Both parts descend, so each sign's form is already
+                    # sorted: positives descending, then negatives by size.
+                    found.add(
+                        max(pos + tuple(-y for y in neg), neg + tuple(-x for x in pos))
+                    )
     return tuple(
         PrimitiveRay(QQi(1), ints) for ints in sorted(found)
     )

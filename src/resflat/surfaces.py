@@ -570,9 +570,10 @@ def verify_certificate(cert: ConstructionCertificate) -> Profile:
 
     The surface is verified from scratch; surgeries are then folded in by
     their transformation rules.  For a claimed rotation number the
-    certificate must be a pristine genus-1 family base: the claim must
-    divide the gcd of all orders and must equal the family's closed-form
-    gcd including the loop indices.
+    certificate must be a pristine genus-1 family base: the surface must be
+    the base its family's fields rebuild, up to marked regular points, and
+    the claim must divide the gcd of all orders and equal the family's
+    closed-form gcd including the loop indices.
     """
     profile = verify_surface(cert.surface)
     for step, surgery in enumerate(cert.surgeries):
@@ -604,7 +605,7 @@ def _check_rotation(cert: ConstructionCertificate, profile: Profile) -> None:
     rot = cert.claimed_rotation
     if profile.genus != 1:
         raise VerificationError(("rotation numbers apply to genus-1 certificates",))
-    if rot is None or rot < 1:
+    if rot < 1:
         raise VerificationError((f"invalid rotation number {rot}",))
     orders = [a for a in profile.zero_orders] + [abs(o) for o, _ in profile.poles]
     g0 = 0
@@ -623,6 +624,16 @@ def _check_rotation(cert: ConstructionCertificate, profile: Profile) -> None:
     indices = family_loop_indices(cert.family)
     if indices is None:
         raise VerificationError((f"unknown family {cert.family.name!r}",))
+    # The loop indices hold for the family's base surface only, with the
+    # regular points that _with_marked_points marks on it.
+    try:
+        base = _family_base(cert.family)
+    except ValueError as exc:
+        raise VerificationError((f"family base: {exc}",)) from exc
+    for _ in range(len(cert.surface.pairings) - len(base.pairings)):
+        base = _mark_point(base)
+    if base != cert.surface:
+        raise VerificationError(("the surface is not the base surface of its family",))
     rot_family = g0
     for ind in indices:
         rot_family = math.gcd(rot_family, ind)
@@ -698,6 +709,16 @@ def _genus1_special_three(orders: Sequence[int]) -> FlatSurface:
         ((vr, 0), (sp, 3)),
     ]
     return FlatSurface(pieces, pairings)
+
+
+def _family_base(family: FamilyInfo) -> FlatSurface:
+    """The base surface a known family's fields describe; raises ValueError
+    when the fields fit no surface of the family."""
+    if family.name == "zero-residue-chain":
+        return _genus1_chain(family.pole_orders, family.taus)
+    if family.name == "double-pole-handle-chain":
+        return _genus1_special_two(family.pole_orders)
+    return _genus1_special_three(family.pole_orders)
 
 
 def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
@@ -781,106 +802,62 @@ def _plumb(
     return FlatSurface(out, [(moved(a), moved(b)) for a, b in pairings] + ends)
 
 
-def _general_nonzero_surface(
-    sig: StratumSignature, residues: Sequence[QQi]
+def _single_zero_surface(
+    sig: StratumSignature, residues: Sequence[QQi], ray: PrimitiveRay | None
 ) -> FlatSurface:
-    """Single zero, residues not all collinear: residual polygon plus parts.
+    """Single zero, some residue nonzero: a centre piece and one chain per pole.
 
-    Each nonzero-residue pole contributes a one-chain polar part (or a
-    half-infinite cylinder when simple) glued to the matching polygon edge;
-    zero-residue higher poles contribute trivial parts spliced into the first
-    nonzero chain.
+    Slot t of the centre, piece 0, is glued to the chain of pole order[t]:
+    the pole's piece, one segment of its full residue, with the zero-residue
+    higher poles spliced into the host's chain as trivial parts.  With
+    ``ray`` None the residues span the plane, the centre is their residual
+    polygon and pole k is piece 1 + k.  Otherwise ``ray`` is the normal form
+    of the nonzero residues and the centre is the first higher pole, its top
+    chain the negated residues that point down and its bottom chain those
+    that point up; pole k >= 1 is piece k.  Only the poles of ``sig`` are
+    read; the zero carries their whole degree.
     """
     nonzero = [k for k, r in enumerate(residues) if not r.is_zero()]
-    if len(nonzero) < 2:
-        raise ValueError("need at least two nonzero residues")
+    if ray is None:
+        first = 0
+        order = [nonzero[t] for t in _sorted_by_arg([-residues[k] for k in nonzero])]
+        is_up = {k: residues[k].re >= 0 for k in nonzero}
+        centre: Piece = Polygon([-residues[k] for k in order])
+        host = nonzero[0]
+    else:
+        first = 1
+        d = ray.direction
+        flip = d.re < 0 or (d.re == 0 and d.im < 0)
+        is_up = {k: (m > 0) != flip for k, m in zip(nonzero, ray.integers)}
+        down = [k for k in nonzero if k and not is_up[k]]
+        up = [k for k in nonzero if k and is_up[k]]
+        order = down + up
+        centre = PolarPart(
+            sig.higher_poles[0], 1, [-residues[k] for k in down], [residues[k] for k in up]
+        )
+        host = order[0]
+    u = residues[host] if is_up[host] else -residues[host]
 
-    edge_order = _sorted_by_arg([-residues[k] for k in nonzero])
-    polygon = Polygon([-residues[nonzero[t]] for t in edge_order])
-    pieces: list[Piece] = [None] * (1 + sig.p + sig.s)  # type: ignore[list-item]
-    pieces[0] = polygon
-
-    host = nonzero[0]
-    u_host = residues[host] if residues[host].re >= 0 else -residues[host]
-    trivial_ids: list[tuple[int, QQi]] = []
-    for k in range(sig.p + sig.s):
+    pieces: list[Piece] = [centre]
+    trivials: list[tuple[int, QQi]] = []
+    for k in range(first, sig.p + sig.s):
         r = residues[k]
-        if k < sig.p:
-            b = sig.higher_poles[k]
-            if r.is_zero():
-                pieces[1 + k] = PolarPart(b, 1, (u_host,), (u_host,))
-                trivial_ids.append((1 + k, u_host))
-            elif r.re >= 0:
-                pieces[1 + k] = PolarPart(b, 1, (r,), ())
-            else:
-                pieces[1 + k] = PolarPart(b, 1, (), (-r,))
-        else:
-            pieces[1 + k] = SimplePolePart((r,))
-
-    pairings: list = []
-    for t, pos in enumerate(edge_order):
-        k = nonzero[pos]
-        trivials = trivial_ids if k == host else ()
-        _write_chain(pairings, ((1 + k, 0), residues[k]), trivials, (0, t))
-    return FlatSurface(pieces, pairings)
-
-
-def _collinear_mixed_surface(
-    sig: StratumSignature, residues: Sequence[QQi], ray: PrimitiveRay
-) -> FlatSurface:
-    """Single zero, collinear residues, at least one higher-order pole.
-
-    ``ray`` is the normal form of the nonzero residues.  The first higher
-    pole anchors the construction: its two chains list the negated negative
-    residues on top and the positive residues below, so its own residue
-    comes out right and every other pole glues to it along a full-residue
-    segment.
-    """
-    if sig.p < 1:
-        raise ValueError("an anchor pole of order at least 2 is required")
-    nonzero = [k for k, r in enumerate(residues) if not r.is_zero()]
-    direction = ray.direction
-    ints = list(ray.integers)
-    if direction.re < 0 or (direction.re == 0 and direction.im < 0):
-        direction = -direction
-        ints = [-m for m in ints]
-    t_of = dict(zip(nonzero, ints))
-
-    anchor = 0  # pole position of the first higher pole
-    negs = [k for k in nonzero if t_of[k] < 0 and k != anchor]
-    poss = [k for k in nonzero if t_of[k] > 0 and k != anchor]
-    top = [-residues[k] for k in negs]
-    bottom = [residues[k] for k in poss]
-
-    pieces: list[Piece] = [None] * (sig.p + sig.s)  # type: ignore[list-item]
-    pieces[anchor] = PolarPart(sig.higher_poles[0], 1, top, bottom)
-
-    host = (negs + poss)[0]
-    u_host = abs(t_of[host]) * direction
-    trivial_ids: list[tuple[int, QQi]] = []
-    for k in range(sig.p + sig.s):
-        if k == anchor:
+        if k >= sig.p:
+            pieces.append(SimplePolePart((r,)))
             continue
-        r = residues[k]
-        if k < sig.p:
-            b = sig.higher_poles[k]
-            if r.is_zero():
-                pieces[k] = PolarPart(b, 1, (u_host,), (u_host,))
-                trivial_ids.append((k, u_host))
-            elif t_of[k] > 0:
-                pieces[k] = PolarPart(b, 1, (r,), ())
-            else:
-                pieces[k] = PolarPart(b, 1, (), (-r,))
+        b = sig.higher_poles[k]
+        if r.is_zero():
+            trivials.append((len(pieces), u))
+            pieces.append(PolarPart(b, 1, (u,), (u,)))
+        elif is_up[k]:
+            pieces.append(PolarPart(b, 1, (r,), ()))
         else:
-            pieces[k] = SimplePolePart((r,))
+            pieces.append(PolarPart(b, 1, (), (-r,)))
 
     pairings: list = []
-    for pos, k in enumerate(negs):
-        trivials = trivial_ids if k == host else ()
-        _write_chain(pairings, ((k, 0), residues[k]), trivials, (anchor, pos))
-    for pos, k in enumerate(poss):
-        trivials = trivial_ids if k == host else ()
-        _write_chain(pairings, ((k, 0), residues[k]), trivials, (anchor, len(negs) + pos))
+    for t, k in enumerate(order):
+        chain = trivials if k == host else ()
+        _write_chain(pairings, ((1 + k - first, 0), residues[k]), chain, (0, t))
     return FlatSurface(pieces, pairings)
 
 
@@ -1063,18 +1040,6 @@ def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
     return blow_up_zero(cert, idx, (lo1, lo2))
 
 
-def _single_zero_surface(
-    sig: StratumSignature, residues: Sequence[QQi], verdict: "_decide.Verdict"
-) -> FlatSurface:
-    """The one-zero surface a genus-0 route with a higher pole starts from.
-
-    Only the poles of ``sig`` are read; the zero carries their whole degree.
-    """
-    if verdict.certificate_hint == "residual-polygon":
-        return _general_nonzero_surface(sig, residues)
-    return _collinear_mixed_surface(sig, residues, verdict.ray)
-
-
 def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> ConstructionCertificate:
     """Collinear residues at simple poles only: one surface of single-zero
     components plumbed at nodes.
@@ -1125,40 +1090,30 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
 def _genus1_zero_residue_cert(
     orders: Sequence[int], rotation: int | None
 ) -> ConstructionCertificate:
+    """A genus-1 zero-residue family base, of the rotation number given if
+    any; :func:`_family_base` builds it, and again to verify the claim."""
     orders = tuple(orders)
     p = len(orders)
-    a = sum(orders)
     if rotation is None:
-        taus = tuple([1] * p)
-        family = FamilyInfo("zero-residue-chain", orders, taus)
-        return _cert_of(_genus1_chain(orders, taus), family=family)
+        family = FamilyInfo("zero-residue-chain", orders, tuple([1] * p))
+        return _cert_of(_family_base(family), family=family)
     rot = int(rotation)
-    g0 = a
+    g0 = sum(orders)
     for b in orders:
         g0 = math.gcd(g0, b)
     if rot < 1 or g0 % rot:
         raise ValueError(f"rotation {rot} does not divide gcd of the orders")
     if p == 1 and rot == orders[0]:
         raise ValueError("the rotation number of this family is a strict divisor")
-    for total in range(p, sum(orders) - p + 1):
-        if math.gcd(g0, total) == rot:
-            taus = _choose_taus(orders, total)
-            family = FamilyInfo("zero-residue-chain", orders, taus)
-            return _cert_of(
-                _genus1_chain(orders, taus), rotation=rot, family=family
-            )
-    if all(b == 2 for b in orders):
-        if rot == 1:
-            family = FamilyInfo("double-pole-handle-chain", orders)
-            return _cert_of(
-                _genus1_special_two(orders), rotation=rot, family=family
-            )
-        if rot == 2:
-            family = FamilyInfo("double-pole-two-handles", orders)
-            return _cert_of(
-                _genus1_special_three(orders), rotation=rot, family=family
-            )
-    raise ValueError(f"no family realizes rotation {rot} on this stratum")
+    total = next((t for t in range(p, sum(orders) - p + 1) if math.gcd(g0, t) == rot), None)
+    if total is not None:
+        family = FamilyInfo("zero-residue-chain", orders, _choose_taus(orders, total))
+    elif all(b == 2 for b in orders) and rot in (1, 2):
+        name = "double-pole-handle-chain" if rot == 1 else "double-pole-two-handles"
+        family = FamilyInfo(name, orders)
+    else:
+        raise ValueError(f"no family realizes rotation {rot} on this stratum")
+    return _cert_of(_family_base(family), rotation=rot, family=family)
 
 
 def _positive_genus_cert(
@@ -1166,30 +1121,22 @@ def _positive_genus_cert(
 ) -> ConstructionCertificate:
     """A genus-1 base with a single zero, g - 1 handles, then the blow-ups."""
     if sig.p == 0 and sig.s == 0:
-        if rotation is not None:
-            raise ValueError("rotation claims need poles of order at least 2")
         cert = _cert_of(_flat_torus())
     elif sig.p == 0:
-        if rotation is not None:
-            raise ValueError("rotation bookkeeping covers zero-residue families only")
         # One handle: the residual polygon with two more half-infinite
         # cylinders, of residues c = i * r_0 and -c, plumbed to each other.
         # c is off the real line of r_0, so the residues span the plane.
         c = QQi(-residues[0].im, residues[0].re)
         base_sig = StratumSignature(0, (sig.s,), (), sig.s + 2)
-        base = _general_nonzero_surface(base_sig, (*residues, c, -c))
+        base = _single_zero_surface(base_sig, (*residues, c, -c), None)
         cert = _cert_of(_plumb(base.pieces, base.pairings, 1))
     elif all(r.is_zero() for r in residues):
         cert = _genus1_zero_residue_cert(sig.higher_poles, rotation)
-        if rotation is not None and len(_positive_parts(sig.zeros)) > 1:
-            raise ValueError("rotation claims require the single-zero family base")
     else:
-        if rotation is not None:
-            raise ValueError("rotation bookkeeping covers zero-residue families only")
         a0 = sig.pole_degree + sig.s - 2
         base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
         verdict = _decide._genus0_verdict(base_sig, residues)
-        cert = _cert_of(_single_zero_surface(base_sig, residues, verdict))
+        cert = _cert_of(_single_zero_surface(base_sig, residues, verdict.ray))
         cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
     for _ in range(sig.genus - 1):
         cert = sew_handle(cert, 0)
@@ -1209,8 +1156,16 @@ def _certificate_for(
     :func:`_mark_point` marks.  That is what :func:`verify_certificate`
     re-derives, so only the request and a claimed rotation are checked here.
     """
-    if rotation is not None and sig.genus != 1:
-        raise ValueError("rotation numbers apply to genus-1 certificates")
+    if rotation is not None and not (
+        sig.genus == 1
+        and sig.p > 0
+        and all(r.is_zero() for r in residues)
+        and len(_positive_parts(sig.zeros)) <= 1
+    ):
+        raise ValueError(
+            "rotation numbers apply to genus-1 strata with higher poles, "
+            "zero residues and at most one zero"
+        )
     route = verdict.certificate_hint
     if route == "zero-residue-chain":
         cert = _zero_residue_cert(sig)
@@ -1219,7 +1174,7 @@ def _certificate_for(
     elif route == "genus-reduction":
         cert = _positive_genus_cert(sig, residues, rotation)
     else:
-        cert = _cert_of(_single_zero_surface(sig, residues, verdict))
+        cert = _cert_of(_single_zero_surface(sig, residues, verdict.ray))
         cert = _blow_to_target(cert, sig.zeros)
     cert = _with_marked_points(cert, sig.zeros)
     if not profile_matches(cert.claimed, sig, residues):

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from resflat import StratumSignature, build_witness, residue_tuple
 from resflat.cli import main
 
 # A gluing of four simple-pole parts whose naive reading is an excluded ray.
@@ -157,6 +159,54 @@ def test_svg_emission(tmp_path):
     root = ET.parse(svg_path).getroot()
     assert root.tag.endswith("svg")
     assert len(list(root.iter())) > 5
+
+
+@pytest.mark.parametrize("exponent", [320, -320])
+def test_svg_emission_at_any_magnitude(tmp_path, exponent):
+    x = Fraction(10) ** exponent
+    pos, neg = [x.numerator, x.denominator], [-x.numerator, x.denominator]
+    doc = {
+        "stratum": {"genus": 0, "zeros": [2], "poles": [], "simple_poles": 4},
+        "residues": [{"re": pos}, {"im": pos}, {"re": neg}, {"im": neg}],
+    }
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(doc))
+    svg_path = tmp_path / "drawing.svg"
+    code = main(
+        ["witness", str(req), "-o", str(tmp_path / "c.json"), "--svg", str(svg_path)]
+    )
+    assert code == 0
+    assert ET.parse(svg_path).getroot().tag.endswith("svg")
+
+
+def test_forged_rotation_family_is_a_violation(tmp_path):
+    """A rotation-2 chain certificate relabelled as the rotation-1 handle
+    chain: its bookkeeping agrees, its surface is not that family's base."""
+    cert = json.loads(Path(__file__).with_name("forged_rotation_family.json").read_text())
+    code, out = run_cli(["verify"], tmp_path, cert)
+    assert code == 1
+    assert out["violations"] == ["the surface is not the base surface of its family"]
+
+
+@pytest.mark.parametrize(
+    "genus, zeros, poles, simple, residues",
+    [
+        (0, [1, 1], [2, 2], 0, [0, 0]),
+        (1, [0], [], 0, []),
+        (1, [2], [], 2, [1, -1]),
+        (1, [3], [2], 1, [1, -1]),
+        (1, [2, 2], [2, 2], 0, [0, 0]),
+    ],
+    ids=["genus-0", "holomorphic", "simple-poles-only", "nonzero-residues", "two-zeros"],
+)
+def test_rotation_outside_its_families_is_rejected(tmp_path, genus, zeros, poles, simple, residues):
+    with pytest.raises(ValueError, match="rotation numbers apply"):
+        build_witness(
+            StratumSignature(genus, zeros, poles, simple), residue_tuple(residues), rotation=1
+        )
+    stratum = {"genus": genus, "zeros": zeros, "poles": poles, "simple_poles": simple}
+    doc = {"stratum": stratum, "residues": residues, "rotation": 1}
+    assert run_cli(["witness"], tmp_path, doc) == (2, None)
 
 
 def test_oracle_check_small(tmp_path):

@@ -111,6 +111,23 @@ CASES = [
         "2d7f5c19327e20b853831ae8a0ff96a859c7a9e6b3fad116ff4a35195d3442ee",
     ),
     (
+        "witness-residual-polygon-trivial-part",
+        ["witness"],
+        {"stratum": _stratum(0, [4], [2, 2], 2), "residues": [0, 1, _gauss(0, 1), _gauss(-1, -1)]},
+        0,
+        "d43a4a1c737c2fa7d79a73ac4cccaf3dbcfa7e3560563227892665ca52ce10ad",
+    ),
+    (
+        "witness-anchor-chain-down-imaginary-trivial-part",
+        ["witness"],
+        {
+            "stratum": _stratum(0, [5], [2, 3], 2),
+            "residues": [_gauss(0, -2), 0, _gauss(0, 1), _gauss(0, 1)],
+        },
+        0,
+        "f589c1e1c167dbfcedd2cd805d50f51d2b4361ccf8287692f063dd5449175c75",
+    ),
+    (
         "witness-anchor-chain-two-zeros",
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [2], 2), "residues": [1, 2, -3]},

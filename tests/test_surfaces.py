@@ -597,6 +597,23 @@ class TestRotationBookkeeping:
         with pytest.raises(VerificationError, match="poles"):
             verify_certificate(flipped)
 
+    def test_family_of_another_base_violation(self):
+        """The rotation-3 chain claimed as rotation 1 under the rotation-1
+        chain's family: the bookkeeping agrees, the surface does not."""
+        sig, zero = StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0])
+        one = build_witness(sig, zero, rotation=1)
+        three = build_witness(sig, zero, rotation=3)
+        assert one.family.taus == (1, 1) != three.family.taus
+        forged = dataclasses.replace(three, claimed_rotation=1, family=one.family)
+        with pytest.raises(VerificationError, match="base surface of its family"):
+            verify_certificate(forged)
+
+    def test_rotation_with_marked_point(self):
+        sig = StratumSignature(1, (4, 0), (2, 2))
+        cert = build_witness(sig, residue_tuple([0, 0]), rotation=2)
+        assert cert.claimed.zero_orders == (4, 0)
+        assert verify_certificate(cert).zero_orders == (4, 0)
+
     def test_type_shift_moves_beta_index(self):
         fam1 = FamilyInfo("zero-residue-chain", (3, 3), (1, 1))
         fam2 = FamilyInfo("zero-residue-chain", (3, 3), (1, 2))
