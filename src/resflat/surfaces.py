@@ -486,15 +486,28 @@ class FamilyInfo:
     taus: tuple[int, ...] = ()
 
 
+# Each family's base builder and the winding indices (alpha, beta) of its
+# symplectic loop basis, both read off the family's fields.
+_FAMILIES = {
+    "zero-residue-chain": (
+        lambda f: _genus1_chain(f.pole_orders, f.taus),
+        lambda f: (0, sum(f.taus)),
+    ),
+    "double-pole-handle-chain": (
+        lambda f: _genus1_special_two(f.pole_orders),
+        lambda f: (1, len(f.pole_orders)),
+    ),
+    "double-pole-two-handles": (
+        lambda f: _genus1_special_three(f.pole_orders),
+        lambda f: (2, len(f.pole_orders) - 1),
+    ),
+}
+
+
 def family_loop_indices(family: FamilyInfo) -> tuple[int, int] | None:
     """Winding indices (alpha, beta) of the family's symplectic loop basis."""
-    if family.name == "zero-residue-chain":
-        return (0, sum(family.taus))
-    if family.name == "double-pole-handle-chain":
-        return (1, len(family.pole_orders))
-    if family.name == "double-pole-two-handles":
-        return (2, len(family.pole_orders) - 1)
-    return None
+    entry = _FAMILIES.get(family.name)
+    return None if entry is None else entry[1](family)
 
 
 @dataclass(frozen=True)
@@ -621,21 +634,21 @@ def _check_rotation(cert: ConstructionCertificate, profile: Profile) -> None:
         )
     if cert.family is None:
         raise VerificationError(("no family bookkeeping supports the rotation claim",))
-    indices = family_loop_indices(cert.family)
-    if indices is None:
-        raise VerificationError((f"unknown family {cert.family.name!r}",))
     # The loop indices hold for the family's base surface only, with the
-    # regular points that _with_marked_points marks on it.
+    # regular points that _with_marked_points marks on it, one pairing each.
     try:
         base = _family_base(cert.family)
     except ValueError as exc:
         raise VerificationError((f"family base: {exc}",)) from exc
-    for _ in range(len(cert.surface.pairings) - len(base.pairings)):
+    marked = len(cert.surface.pairings) - len(base.pairings)
+    if marked != profile.zero_orders.count(0):
+        raise VerificationError(("the surface is not the base surface of its family",))
+    for _ in range(marked):
         base = _mark_point(base)
     if base != cert.surface:
         raise VerificationError(("the surface is not the base surface of its family",))
     rot_family = g0
-    for ind in indices:
+    for ind in family_loop_indices(cert.family):
         rot_family = math.gcd(rot_family, ind)
     if rot_family != rot:
         raise VerificationError(
@@ -670,6 +683,8 @@ def _two_zero_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
 
 
 def _genus1_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
+    if len(taus) != len(orders) or any(not 1 <= t < b for b, t in zip(orders, taus)):
+        raise ValueError("this family needs one type 1 <= tau < b per pole")
     pieces: list[Piece] = [
         PolarPart(b, t, (_ONE,), (_ONE,)) for b, t in zip(orders, taus)
     ]
@@ -712,13 +727,12 @@ def _genus1_special_three(orders: Sequence[int]) -> FlatSurface:
 
 
 def _family_base(family: FamilyInfo) -> FlatSurface:
-    """The base surface a known family's fields describe; raises ValueError
-    when the fields fit no surface of the family."""
-    if family.name == "zero-residue-chain":
-        return _genus1_chain(family.pole_orders, family.taus)
-    if family.name == "double-pole-handle-chain":
-        return _genus1_special_two(family.pole_orders)
-    return _genus1_special_three(family.pole_orders)
+    """The base surface a family's fields describe; raises ValueError when
+    the family is unknown or its fields fit no surface of it."""
+    entry = _FAMILIES.get(family.name)
+    if entry is None:
+        raise ValueError(f"unknown family {family.name!r}")
+    return entry[0](family)
 
 
 def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:

@@ -608,6 +608,25 @@ class TestRotationBookkeeping:
         with pytest.raises(VerificationError, match="base surface of its family"):
             verify_certificate(forged)
 
+    def test_family_with_extra_types_violation(self):
+        """The rotation-1 chain claimed as rotation 3 under its own family
+        with one type too many: the base ignores the extra type, the beta
+        index would count it."""
+        sig, zero = StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0])
+        one = build_witness(sig, zero, rotation=1)
+        family = FamilyInfo("zero-residue-chain", (3, 3), (1, 1, 1))
+        forged = dataclasses.replace(one, claimed_rotation=3, family=family)
+        with pytest.raises(VerificationError, match="one type"):
+            verify_certificate(forged)
+
+    def test_unknown_family_violation(self):
+        cert = build_witness(
+            StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0]), rotation=1
+        )
+        bad = dataclasses.replace(cert, family=FamilyInfo("no-such-family", (3, 3)))
+        with pytest.raises(VerificationError, match="unknown family"):
+            verify_certificate(bad)
+
     def test_rotation_with_marked_point(self):
         sig = StratumSignature(1, (4, 0), (2, 2))
         cert = build_witness(sig, residue_tuple([0, 0]), rotation=2)
