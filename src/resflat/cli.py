@@ -5,7 +5,7 @@ Exit status 0 means realizable / verified / full agreement, 1 means not
 realizable / violation / disagreement, 2 means a malformed document, a
 validation error, an exhausted search budget or any other error.
 
-Document formats (format_version "2").  Rationals are [numerator,
+Document formats (format_version "3").  Rationals are [numerator,
 denominator] pairs in lowest terms with positive denominators; a bare
 integer is accepted on input.  Gaussian rationals are {"re": rational,
 "im": rational}; bare integers and rationals are accepted and taken real.
@@ -14,10 +14,11 @@ orders.  A surface document lists pieces and pairings of edge slots; slot
 k of a polygon is its k-th edge, slots of a polar part list the top chain
 then the bottom chain, slots of a simple-pole part are its chain vectors.
 Matched slots carry equal vectors with the two pieces on opposite sides.
-A certificate holds one "surface", its "surgeries" and the claimed
-profile; a node of a stable tree is a polygon, the finite cylinder that
-plumbing the node leaves.  A certificate field outside this format, such
-as the separate surfaces and node list of format "1", is rejected.
+A certificate holds one "surface", its "surgeries", the claimed
+profile and a claimed rotation number; a node of a stable tree is a
+polygon, the finite cylinder that plumbing the node leaves.  A certificate
+field outside this format, such as the separate surfaces and node list of
+format "1" or the "family" of format "2", is rejected.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import decide as _decide
 from . import graphs as _graphs
 from . import surfaces as _surfaces
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 
 class DocumentError(Exception):
@@ -234,13 +235,6 @@ def _certificate_to_json(cert: _surfaces.ConstructionCertificate) -> dict:
             )
         else:
             surgeries.append({"op": "sew_handle", "zero": sg.zero_index})
-    family = None
-    if cert.family is not None:
-        family = {
-            "name": cert.family.name,
-            "pole_orders": list(cert.family.pole_orders),
-            "taus": list(cert.family.taus),
-        }
     return {
         "format_version": FORMAT_VERSION,
         "kind": "certificate",
@@ -248,7 +242,6 @@ def _certificate_to_json(cert: _surfaces.ConstructionCertificate) -> dict:
         "surgeries": surgeries,
         "claimed_profile": _profile_to_json(cert.claimed),
         "claimed_rotation": cert.claimed_rotation,
-        "family": family,
     }
 
 
@@ -259,7 +252,6 @@ _CERTIFICATE_FIELDS = {
     "surgeries",
     "claimed_profile",
     "claimed_rotation",
-    "family",
 }
 
 
@@ -269,7 +261,7 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
     extra = sorted(set(doc) - _CERTIFICATE_FIELDS)
     if extra:
         raise DocumentError(
-            f"{path}.{extra[0]}", 'unexpected field; a certificate has one "surface"'
+            f"{path}.{extra[0]}", f"unexpected field in a format {FORMAT_VERSION} certificate"
         )
     surface = _surface_from_json(doc.get("surface"), path + ".surface")
     if not isinstance(doc.get("surgeries", []), list):
@@ -295,19 +287,7 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
     rotation = doc.get("claimed_rotation")
     if rotation is not None and not _is_int(rotation):
         raise DocumentError(path + ".claimed_rotation", "expected an integer or null")
-    family = None
-    fam_doc = doc.get("family")
-    if fam_doc is not None:
-        if not isinstance(fam_doc, dict) or not isinstance(fam_doc.get("name"), str):
-            raise DocumentError(path + ".family", "expected an object with a 'name'")
-        family = _surfaces.FamilyInfo(
-            fam_doc["name"],
-            tuple(_int_list(fam_doc.get("pole_orders", []), path + ".family.pole_orders")),
-            tuple(_int_list(fam_doc.get("taus", []), path + ".family.taus")),
-        )
-    return _surfaces.ConstructionCertificate(
-        surface, tuple(surgeries), claimed, rotation, family
-    )
+    return _surfaces.ConstructionCertificate(surface, tuple(surgeries), claimed, rotation)
 
 
 def _verdict_document(sig: StratumSignature, verdict: _decide.Verdict, **extra) -> dict:
@@ -393,24 +373,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         profile = _surfaces.verify_certificate(cert)
     except _surfaces.VerificationError as exc:
-        _write_document(
-            {
-                "format_version": FORMAT_VERSION,
-                "kind": "violation",
-                "violations": list(exc.violations),
-            },
-            args.output,
-        )
-        return 1
-    _write_document(
-        {
-            "format_version": FORMAT_VERSION,
-            "kind": "profile",
-            "profile": _profile_to_json(profile),
-        },
-        args.output,
-    )
-    return 0
+        doc, code = {"kind": "violation", "violations": list(exc.violations)}, 1
+    else:
+        doc, code = {"kind": "profile", "profile": _profile_to_json(profile)}, 0
+    _write_document({"format_version": FORMAT_VERSION, **doc}, args.output)
+    return code
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -37,13 +37,16 @@ class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of budget before concluding.
 
     ``stage`` names the search (``"cylinder"``), ``spent`` counts the
-    candidates it examined and ``budget`` is the limit it hit.  The cylinder
-    search examines one candidate each time it puts a cylinder's two ends
+    cylinder ends it placed and ``budget`` is the limit it hit.  The
+    cylinder search spends one unit each time it puts a cylinder's two ends
     on a pair of components (see :func:`find_cylinder_config`).
     """
 
     def __init__(self, stage: str, spent: int, budget: int) -> None:
-        super().__init__(f"{stage} search exceeded budget of {budget} assignments")
+        super().__init__(
+            f"{stage} search exceeded its budget: {spent} of {budget} placements of "
+            "cylinder ends spent"
+        )
         self.stage, self.spent, self.budget = stage, spent, budget
 
 
@@ -371,7 +374,9 @@ def _partitions_of_set(items: tuple[int, ...], blocks: int) -> Iterator[tuple[tu
     yield from rec(rest, ((first,),))
 
 
-def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
+def _spanning_forest(k: int, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+    """Whether each pair joins two components of the pairs before it, on
+    vertices 0..k-1; the pairs that do form a spanning forest."""
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -380,11 +385,16 @@ def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
             x = parent[x]
         return x
 
+    joins = []
     for a, b in pairs:
         ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(x) for x in range(k)}) == 1
+        parent[ra] = rb
+        joins.append(ra != rb)
+    return joins
+
+
+def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
+    return sum(_spanning_forest(k, pairs)) == k - 1
 
 
 def find_cylinder_config(

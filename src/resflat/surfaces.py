@@ -159,6 +159,13 @@ def validate_piece(piece: Piece, vs: list[Pair]) -> None:
     ValueError with the violated condition.  The piece type is one
     :func:`_boundary` accepts.
 
+    A polygon must turn once in all, and be convex: at every corner, from
+    edge u to edge v, it turns left (cross(u, v) > 0) or goes straight on
+    (cross(u, v) == 0 and dot(u, v) > 0).  Every turn is then in [0, pi)
+    and they add up to one whole turn, so the edge directions sweep the
+    circle once, counterclockwise, and every edge has the whole polygon on
+    its left: the polygon is convex, hence simple, and bounds a flat disk.
+
     A simple-pole chain with residue r != 0 must be strictly monotone along
     r: every vector v has v . r > 0.  Its periodic lift, the chain and its
     translates by k * r, then advances strictly along r from vertex to
@@ -172,8 +179,13 @@ def validate_piece(piece: Piece, vs: list[Pair]) -> None:
             raise ValueError("polygon edge is zero")
         if sum(x for x, _ in vs) or sum(y for _, y in vs):
             raise ValueError("polygon edges do not close up")
-        if sum(_signed_turns(vs[k - 1], vs[k]) for k in range(len(vs))) != 1:
+        corners = list(zip(vs[-1:] + vs[:-1], vs))
+        if sum(_signed_turns(u, v) for u, v in corners) != 1:
             raise ValueError("polygon boundary does not wind once counterclockwise")
+        for u, v in corners:
+            c = cross(u, v)
+            if c < 0 or (c == 0 and dot(u, v) < 0):
+                raise ValueError("polygon is not convex: it turns right or back at a corner")
     elif isinstance(piece, PolarPart):
         if piece.order < 2:
             raise ValueError("polar part order must be at least 2")
@@ -304,14 +316,23 @@ def verify_surface(surface: FlatSurface) -> Profile:
     Matched vectors are compared on their reduced parts, and each residue
     is its piece's integer sum divided back by the scale.
     """
+    return _read_surface(surface)[0]
+
+
+def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
+    """:func:`verify_surface`, with the tables it reads the profile from, on
+    flat slot ids in sorted (piece, slot) order: each piece's scaled
+    canonical vectors, the pairings, each slot's predecessor on its piece's
+    boundary cycle with the turns of the corner between them, and the
+    corner orbit, a point of the surface, that each slot starts at."""
     violations: list[str] = []
     pieces = surface.pieces
     if not pieces:
         raise VerificationError(("surface has no pieces",))
     scales: list[int] = []
     canons: list[list[Pair]] = []
-    # Slots get flat ids in sorted (piece, slot) order; ``stored`` holds each
-    # one's stored vector and the sign that makes it canonical.
+    # ``stored`` holds each slot's stored vector and the sign that makes it
+    # canonical.
     index: dict[Slot, int] = {}
     stored: list[tuple[QQi, int]] = []
     for idx, pc in enumerate(pieces):
@@ -331,6 +352,7 @@ def verify_surface(surface: FlatSurface) -> Profile:
         raise VerificationError(violations)
 
     partner = [-1] * len(stored)
+    glued = []
     for num, (a, b) in enumerate(surface.pairings):
         # A pairing that cannot be indexed ends the matching; a vector
         # mismatch does not, so every mismatched pairing is reported.
@@ -357,6 +379,7 @@ def verify_surface(surface: FlatSurface) -> Profile:
             violations.append(f"pairing {num}: vector mismatch, {su * u} against {sv * v}")
         partner[fa] = fb
         partner[fb] = fa
+        glued.append((fa, fb))
     slots = list(index)
     unmatched = [slots[f] for f, g in enumerate(partner) if g < 0]
     if unmatched:
@@ -379,15 +402,15 @@ def verify_surface(surface: FlatSurface) -> Profile:
     # Each corner ends on the direction the next one starts from (matched
     # edges are exact translates), so an orbit's cone angle is 2*pi times
     # its summed turns: a positive integer, as every corner angle is positive.
-    seen = [False] * len(stored)
+    vertex = [-1] * len(stored)
     orders: list[int] = []
     for start in range(len(stored)):
-        if seen[start]:
+        if vertex[start] >= 0:
             continue
         total = 0
         cur = start
-        while not seen[cur]:
-            seen[cur] = True
+        while vertex[cur] < 0:
+            vertex[cur] = len(orders)
             prev_slot, turns = corner_into[cur]
             total += turns
             cur = partner[prev_slot]
@@ -415,7 +438,8 @@ def verify_surface(surface: FlatSurface) -> Profile:
         raise VerificationError(
             (f"degree identity fails: orders sum to {degree}, expected {2 * genus - 2}",)
         )
-    return Profile(genus, tuple(sorted(orders, reverse=True)), tuple(poles))
+    profile = Profile(genus, tuple(sorted(orders, reverse=True)), tuple(poles))
+    return profile, (canons, glued, corner_into, vertex)
 
 
 def profile_matches(
@@ -459,6 +483,73 @@ def _same_poles(a: Sequence[tuple[int, QQi]], b: Sequence[tuple[int, QQi]]) -> b
     return len(a) == len(b) and key(a) == key(b)
 
 
+def _loop_indices(tables: tuple) -> list[int]:
+    """Indices of 2g loops that span H_1 of the closed surface.
+
+    A tree-cotree split finds them (Eppstein, SODA 2003): the pairings off a
+    spanning tree of the corner orbits join pieces as dual edges, and each
+    of the 2g of these off a spanning tree of the pieces closes a loop.
+
+    A loop crosses a pairing along the inward normal i*c of the slot it
+    enters, c that slot's canonical vector, and runs through a piece from
+    slot e to slot f just inside the boundary arc from e counterclockwise to
+    f; the other arc differs by a loop about the piece's pole, if any, whose
+    index is the pole's order.  It turns by -pi/2, by pi minus each inner
+    corner's angle arg(-c_(k-1)) - arg(c_k) + 2*pi*w_k, and by -pi/2.  As
+    arg(-c) = arg(c) + pi - 2*pi*up(c), up(c) for arguments in (0, pi], the
+    arguments cancel around the loop, and a piece adds the sum of up(c) over
+    the arc, minus the inner corners' w_k, minus 1 whole turn.
+    """
+    canons, glued, corner_into, vertex = tables
+    piece_of = [i for i, canon in enumerate(canons) for _ in canon]
+    up = [y > 0 or (y == 0 and x < 0) for canon in canons for x, y in canon]
+    tree = _graphs._spanning_forest(max(vertex) + 1, [(vertex[a], vertex[b]) for a, b in glued])
+    dual: list[list[tuple[int, int]]] = [[] for _ in canons]
+    for (a, b), t in zip(glued, tree):
+        if not t:
+            dual[piece_of[a]].append((a, b))
+            dual[piece_of[b]].append((b, a))
+    # Grow the cotree from piece 0, breadth first: link[x] is (slot of x,
+    # slot of its parent).  Each dual edge left out, met from both ends,
+    # closes one loop.
+    depth = [0] + [-1] * (len(canons) - 1)
+    link = [(0, 0)] * len(canons)
+    queue, loops = [0], []
+    for x in queue:
+        for a, b in dual[x]:
+            y = piece_of[b]
+            if depth[y] < 0:
+                depth[y], link[y] = depth[x] + 1, (b, a)
+                queue.append(y)
+            elif a < b and link[x] != (a, b):
+                loops.append((a, b))
+
+    def arc(e: int, f: int) -> int:
+        total = up[f] - 1
+        while f != e:
+            f, turns = corner_into[f]
+            total += up[f] - turns
+        return total
+
+    indices = []
+    for a, b in loops:
+        # Crossings (exit slot, entry slot): through a -> b, then along the
+        # cotree from b's piece up to the common ancestor and down to a's.
+        u, v = piece_of[b], piece_of[a]
+        climb, descent = [], []
+        while u != v:
+            if depth[u] >= depth[v]:
+                climb.append(link[u])
+                u = piece_of[link[u][1]]
+            else:
+                descent.append(link[v][::-1])
+                v = piece_of[link[v][1]]
+        crossings = [(a, b), *climb, *reversed(descent)]
+        exits = [f for f, _ in crossings[1:] + crossings[:1]]
+        indices.append(sum(arc(e, f) for (_, e), f in zip(crossings, exits)))
+    return indices
+
+
 # ---------------------------------------------------------------------------
 # Certificates
 
@@ -478,39 +569,6 @@ Surgery = BlowUpZero | SewHandle
 
 
 @dataclass(frozen=True)
-class FamilyInfo:
-    """Closed-form loop bookkeeping for the genus-1 zero-residue families."""
-
-    name: str
-    pole_orders: tuple[int, ...] = ()
-    taus: tuple[int, ...] = ()
-
-
-# Each family's base builder and the winding indices (alpha, beta) of its
-# symplectic loop basis, both read off the family's fields.
-_FAMILIES = {
-    "zero-residue-chain": (
-        lambda f: _genus1_chain(f.pole_orders, f.taus),
-        lambda f: (0, sum(f.taus)),
-    ),
-    "double-pole-handle-chain": (
-        lambda f: _genus1_special_two(f.pole_orders),
-        lambda f: (1, len(f.pole_orders)),
-    ),
-    "double-pole-two-handles": (
-        lambda f: _genus1_special_three(f.pole_orders),
-        lambda f: (2, len(f.pole_orders) - 1),
-    ),
-}
-
-
-def family_loop_indices(family: FamilyInfo) -> tuple[int, int] | None:
-    """Winding indices (alpha, beta) of the family's symplectic loop basis."""
-    entry = _FAMILIES.get(family.name)
-    return None if entry is None else entry[1](family)
-
-
-@dataclass(frozen=True)
 class ConstructionCertificate:
     """One glued surface, surgeries and the claimed invariants.
 
@@ -524,7 +582,6 @@ class ConstructionCertificate:
     surgeries: tuple[Surgery, ...]
     claimed: Profile
     claimed_rotation: int | None = None
-    family: FamilyInfo | None = None
 
 
 def _apply_surgery(profile: Profile, surgery: Surgery) -> Profile:
@@ -582,13 +639,13 @@ def verify_certificate(cert: ConstructionCertificate) -> Profile:
     """Re-derive a certificate's profile and check it against the claim.
 
     The surface is verified from scratch; surgeries are then folded in by
-    their transformation rules.  For a claimed rotation number the
-    certificate must be a pristine genus-1 family base: the surface must be
-    the base its family's fields rebuild, up to marked regular points, and
-    the claim must divide the gcd of all orders and equal the family's
-    closed-form gcd including the loop indices.
+    their transformation rules.  A claimed rotation number needs a genus-1
+    surface and no surgeries; it must divide the gcd of all orders and
+    equal the rotation number read off the surface, the gcd of all orders
+    and the indices of two loops that span H_1 (Boissy, Comment. Math.
+    Helv. 90, 2015).
     """
-    profile = verify_surface(cert.surface)
+    profile, tables = _read_surface(cert.surface)
     for step, surgery in enumerate(cert.surgeries):
         try:
             profile = _apply_surgery(profile, surgery)
@@ -610,64 +667,32 @@ def verify_certificate(cert: ConstructionCertificate) -> Profile:
         raise VerificationError(("claimed poles differ from the derived poles",))
 
     if cert.claimed_rotation is not None:
-        _check_rotation(cert, profile)
+        _check_rotation(cert, profile, tables)
     return profile
 
 
-def _check_rotation(cert: ConstructionCertificate, profile: Profile) -> None:
+def _check_rotation(cert: ConstructionCertificate, profile: Profile, tables: tuple) -> None:
     rot = cert.claimed_rotation
     if profile.genus != 1:
         raise VerificationError(("rotation numbers apply to genus-1 certificates",))
     if rot < 1:
         raise VerificationError((f"invalid rotation number {rot}",))
-    orders = [a for a in profile.zero_orders] + [abs(o) for o, _ in profile.poles]
-    g0 = 0
-    for x in orders:
-        g0 = math.gcd(g0, x)
+    g0 = math.gcd(*profile.zero_orders, *[o for o, _ in profile.poles])
     if g0 % rot:
-        raise VerificationError(
-            (f"rotation {rot} does not divide gcd of the orders {g0}",)
-        )
+        raise VerificationError((f"rotation {rot} does not divide gcd of the orders {g0}",))
     if cert.surgeries:
-        raise VerificationError(
-            ("rotation claims require a pristine family base, no surgeries",)
-        )
-    if cert.family is None:
-        raise VerificationError(("no family bookkeeping supports the rotation claim",))
-    # The loop indices hold for the family's base surface only, with the
-    # regular points that _with_marked_points marks on it, one pairing each.
-    try:
-        base = _family_base(cert.family)
-    except ValueError as exc:
-        raise VerificationError((f"family base: {exc}",)) from exc
-    marked = len(cert.surface.pairings) - len(base.pairings)
-    if marked != profile.zero_orders.count(0):
-        raise VerificationError(("the surface is not the base surface of its family",))
-    for _ in range(marked):
-        base = _mark_point(base)
-    if base != cert.surface:
-        raise VerificationError(("the surface is not the base surface of its family",))
-    rot_family = g0
-    for ind in family_loop_indices(cert.family):
-        rot_family = math.gcd(rot_family, ind)
-    if rot_family != rot:
-        raise VerificationError(
-            (f"family bookkeeping yields rotation {rot_family}, claimed {rot}",)
-        )
+        raise VerificationError(("rotation claims require a surface without surgeries",))
+    measured = math.gcd(g0, *_loop_indices(tables))
+    if measured != rot:
+        raise VerificationError((f"the surface has rotation number {measured}, claimed {rot}",))
 
 
 # ---------------------------------------------------------------------------
 # Elementary builders
 
 
-def _cert_of(
-    surface: FlatSurface,
-    *,
-    rotation: int | None = None,
-    family: FamilyInfo | None = None,
-) -> ConstructionCertificate:
-    claimed = verify_surface(surface)
-    return ConstructionCertificate(surface, (), claimed, rotation, family)
+def _cert_of(surface: FlatSurface) -> ConstructionCertificate:
+    return ConstructionCertificate(surface, (), verify_surface(surface))
 
 
 def _flat_torus() -> FlatSurface:
@@ -683,8 +708,8 @@ def _two_zero_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
 
 
 def _genus1_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
-    if len(taus) != len(orders) or any(not 1 <= t < b for b, t in zip(orders, taus)):
-        raise ValueError("this family needs one type 1 <= tau < b per pole")
+    """Polar parts of types taus in a chain closed by a square torus; two
+    of its loops have indices 0 and sum(taus)."""
     pieces: list[Piece] = [
         PolarPart(b, t, (_ONE,), (_ONE,)) for b, t in zip(orders, taus)
     ]
@@ -695,10 +720,9 @@ def _genus1_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
     return FlatSurface(pieces, pairings)
 
 
-def _genus1_special_two(orders: Sequence[int]) -> FlatSurface:
-    if any(b != 2 for b in orders) or len(orders) < 2:
-        raise ValueError("this family needs at least two poles, all of order 2")
-    p = len(orders)
+def _genus1_special_two(p: int) -> FlatSurface:
+    """p >= 2 double poles, the last one carrying the handle; two of its
+    loops have indices 1 and p."""
     pieces: list[Piece] = [PolarPart(2, 1, (_ONE,), (_ONE,)) for _ in range(p - 1)]
     pieces.append(PolarPart(2, 1, (_I, _ONE), (_ONE, _I)))
     sp = p - 1
@@ -707,10 +731,9 @@ def _genus1_special_two(orders: Sequence[int]) -> FlatSurface:
     return FlatSurface(pieces, pairings)
 
 
-def _genus1_special_three(orders: Sequence[int]) -> FlatSurface:
-    if any(b != 2 for b in orders) or len(orders) < 3:
-        raise ValueError("this family needs at least three poles, all of order 2")
-    p = len(orders)
+def _genus1_special_three(p: int) -> FlatSurface:
+    """p >= 3 double poles, the handle over the last two; two of its loops
+    have indices 2 and p - 1."""
     pieces: list[Piece] = [PolarPart(2, 1, (_ONE,), (_ONE,)) for _ in range(p - 2)]
     sp = p - 2
     pieces.append(PolarPart(2, 1, (_I, _ONE), (_ONE, _I)))
@@ -724,15 +747,6 @@ def _genus1_special_three(orders: Sequence[int]) -> FlatSurface:
         ((vr, 0), (sp, 3)),
     ]
     return FlatSurface(pieces, pairings)
-
-
-def _family_base(family: FamilyInfo) -> FlatSurface:
-    """The base surface a family's fields describe; raises ValueError when
-    the family is unknown or its fields fit no surface of it."""
-    entry = _FAMILIES.get(family.name)
-    if entry is None:
-        raise ValueError(f"unknown family {family.name!r}")
-    return entry[0](family)
 
 
 def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
@@ -982,39 +996,19 @@ def _blow_to_target(
     return blow_up_zero(cert, idx, parts)
 
 
-def _halve_slot(piece: Piece, slot: int) -> tuple[Piece, tuple[int, int]]:
-    """Cut a boundary slot into equal halves, at ``slot`` and ``slot + 1``.
+def _cut_slot(piece: Piece, slot: int, parts: int) -> tuple[Piece, list[int]]:
+    """Cut a boundary slot into ``parts`` equal parts, at ``slot`` onwards.
 
-    Returns the new piece and the two half slots in the order the canonical
-    direction runs through them, which is reversed on a polar bottom chain.
+    Returns the new piece and the parts' offsets from ``slot`` in the order
+    the canonical direction runs through them, reversed on a bottom chain.
     """
     field = {Polygon: "edges", SimplePolePart: "vectors", PolarPart: "top"}[type(piece)]
-    k, halves = slot, (slot, slot + 1)
+    k, offsets = slot, list(range(parts))
     if isinstance(piece, PolarPart) and slot >= len(piece.top):
-        field, k, halves = "bottom", slot - len(piece.top), (slot + 1, slot)
+        field, k, offsets = "bottom", slot - len(piece.top), offsets[::-1]
     vectors = getattr(piece, field)
-    half = vectors[k] / 2
-    return replace(piece, **{field: vectors[:k] + (half, half) + vectors[k + 1 :]}), halves
-
-
-def _mark_point(surface: FlatSurface) -> FlatSurface:
-    """The surface with the midpoint of its first glued edge pair marked.
-
-    Both edges are halved.  Glued edges run in opposite directions, so the
-    halves are glued crosswise; the midpoint has angle pi on either side.
-    """
-    (a, b), *rest = surface.pairings
-    pieces = list(surface.pieces)
-    # The later slot is cut first, so the earlier one keeps its index.
-    for i, k in sorted((a, b), reverse=True):
-        pieces[i], (h0, h1) = _halve_slot(pieces[i], k)
-
-        def shift(slot: Slot) -> Slot:
-            return (i, slot[1] + 1) if slot[0] == i and slot[1] > k else slot
-
-        rest = [(shift(x), shift(y)) for x, y in rest] + [((i, h0), (i, h1))]
-    *rest, (p0, p1), (q0, q1) = rest
-    return FlatSurface(pieces, [(p0, q1), (p1, q0)] + rest)
+    part = vectors[k] / parts
+    return replace(piece, **{field: vectors[:k] + (part,) * parts + vectors[k + 1 :]}), offsets
 
 
 def _with_marked_points(
@@ -1022,11 +1016,29 @@ def _with_marked_points(
 ) -> ConstructionCertificate:
     """Mark regular points on the surface until the declared order-0 zeros
     are covered.  They join the claimed zeros last, so no surgery's zero
-    index moves."""
+    index moves.
+
+    The k points cut the first glued edge pair into k + 1 equal parts each.
+    Glued edges run in opposite directions, so the parts are glued
+    crosswise, and every cut point has angle pi on either side.
+    """
     missing = max(0, zeros.count(0) - cert.claimed.zero_orders.count(0))
-    surface = cert.surface
-    for _ in range(missing):
-        surface = _mark_point(surface)
+    if not missing:
+        return cert
+    (a, b), *rest = cert.surface.pairings
+    pieces = list(cert.surface.pieces)
+
+    def moved(slot: Slot) -> Slot:  # on past the parts cut before it
+        return slot[0], slot[1] + missing * sum(i == slot[0] and k < slot[1] for i, k in (a, b))
+
+    ends = []
+    # The later slot is cut first, so the earlier one keeps its index.
+    for i, k in sorted((a, b), reverse=True):
+        pieces[i], offsets = _cut_slot(pieces[i], k, missing + 1)
+        ends.append([(i, moved((i, k))[1] + j) for j in offsets])
+    later, earlier = ends
+    glued = [*zip(later, earlier[::-1]), *[(moved(x), moved(y)) for x, y in rest]]
+    surface = FlatSurface(pieces, glued)
     claimed = replace(cert.claimed, zero_orders=cert.claimed.zero_orders + (0,) * missing)
     return replace(cert, surface=surface, claimed=claimed)
 
@@ -1104,30 +1116,30 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
 def _genus1_zero_residue_cert(
     orders: Sequence[int], rotation: int | None
 ) -> ConstructionCertificate:
-    """A genus-1 zero-residue family base, of the rotation number given if
-    any; :func:`_family_base` builds it, and again to verify the claim."""
+    """A genus-1 zero-residue base, of the rotation number given if any: a
+    chain whose types sum to a total of that gcd with the orders, or for
+    double poles only, one of two bases with a handle on the poles."""
     orders = tuple(orders)
     p = len(orders)
     if rotation is None:
-        family = FamilyInfo("zero-residue-chain", orders, tuple([1] * p))
-        return _cert_of(_family_base(family), family=family)
+        return _cert_of(_genus1_chain(orders, (1,) * p))
     rot = int(rotation)
-    g0 = sum(orders)
-    for b in orders:
-        g0 = math.gcd(g0, b)
+    g0 = math.gcd(*orders)
     if rot < 1 or g0 % rot:
         raise ValueError(f"rotation {rot} does not divide gcd of the orders")
     if p == 1 and rot == orders[0]:
         raise ValueError("the rotation number of this family is a strict divisor")
     total = next((t for t in range(p, sum(orders) - p + 1) if math.gcd(g0, t) == rot), None)
     if total is not None:
-        family = FamilyInfo("zero-residue-chain", orders, _choose_taus(orders, total))
+        surface = _genus1_chain(orders, _choose_taus(orders, total))
     elif all(b == 2 for b in orders) and rot in (1, 2):
-        name = "double-pole-handle-chain" if rot == 1 else "double-pole-two-handles"
-        family = FamilyInfo(name, orders)
+        surface = _genus1_special_two(p) if rot == 1 else _genus1_special_three(p)
     else:
         raise ValueError(f"no family realizes rotation {rot} on this stratum")
-    return _cert_of(_family_base(family), rotation=rot, family=family)
+    claimed, tables = _read_surface(surface)
+    cert = ConstructionCertificate(surface, (), claimed, rot)
+    _check_rotation(cert, claimed, tables)
+    return cert
 
 
 def _positive_genus_cert(
@@ -1167,8 +1179,10 @@ def _certificate_for(
 
     Every claim is :func:`verify_surface`'s reading of the surface, folded
     through :func:`_apply_surgery`, plus one order-0 zero per point
-    :func:`_mark_point` marks.  That is what :func:`verify_certificate`
-    re-derives, so only the request and a claimed rotation are checked here.
+    :func:`_with_marked_points` marks.  That is what
+    :func:`verify_certificate` re-derives, so only the request is checked
+    here.  A claimed rotation is checked where its base is built, against
+    the rotation read off it; marking regular points does not change it.
     """
     if rotation is not None and not (
         sig.genus == 1
@@ -1196,8 +1210,6 @@ def _certificate_for(
             f"builder output does not reproduce the request: got {cert.claimed}, "
             f"wanted {sig} with residues {tuple(map(str, residues))}"
         )
-    if cert.claimed_rotation is not None:
-        _check_rotation(cert, cert.claimed)
     return cert
 
 

@@ -180,12 +180,12 @@ def test_svg_emission_at_any_magnitude(tmp_path, exponent):
 
 
 def test_forged_rotation_family_is_a_violation(tmp_path):
-    """A rotation-2 chain certificate relabelled as the rotation-1 handle
-    chain: its bookkeeping agrees, its surface is not that family's base."""
+    """The rotation-2 chain on H_1(4, -2^2) claimed as rotation 1: the
+    rotation read off its surface contradicts the claim."""
     cert = json.loads(Path(__file__).with_name("forged_rotation_family.json").read_text())
     code, out = run_cli(["verify"], tmp_path, cert)
     assert code == 1
-    assert out["violations"] == ["the surface is not the base surface of its family"]
+    assert out["violations"] == ["the surface has rotation number 2, claimed 1"]
 
 
 @pytest.mark.parametrize(
@@ -245,7 +245,22 @@ def test_cylinders_budget_exceeded_is_status_two(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code = main(["cylinders", str(path), "--budget", "1", "-o", str(tmp_path / "o.json")])
     assert code == 2
-    assert "budget" in capsys.readouterr().err
+    # The budget counts cylinder ends placed; the message says so.
+    assert capsys.readouterr().err == (
+        "error: cylinder search exceeded its budget: 1 of 1 placements of "
+        "cylinder ends spent\n"
+    )
+
+
+def test_self_overlapping_polygon_is_a_violation(tmp_path):
+    """A gluing around a 16-gon with a clockwise kink: it turns once in all,
+    but it is not convex."""
+    cert = json.loads(Path(__file__).with_name("self_overlapping_polygon.json").read_text())
+    code, out = run_cli(["verify"], tmp_path, cert)
+    assert code == 1
+    assert out["violations"] == [
+        "piece 0: polygon is not convex: it turns right or back at a corner"
+    ]
 
 
 @pytest.mark.parametrize("zeros", [[2, 2, 2], [6]], ids=["search", "closed-form"])
@@ -342,6 +357,14 @@ def _boolean_claimed_pole_order(tmp_path):
     [
         (["verify"], lambda tmp: _certificate_doc(tmp, node_pairings=[]), "$.node_pairings"),
         (["verify"], lambda tmp: _certificate_doc(tmp, bases=[]), "$.bases"),
+        (["verify"], lambda tmp: _certificate_doc(tmp, family=None), "$.family"),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(
+                tmp, family={"name": "zero-residue-chain", "pole_orders": [2, 2], "taus": [1, 1]}
+            ),
+            "$.family",
+        ),
         (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=7), "$.surgeries"),
         (["verify"], _boolean_pole_type, "$.surface.pieces[0]"),
         (["verify"], _boolean_surgery_zero, "$.surgeries[0].zero"),
@@ -365,6 +388,8 @@ def _boolean_claimed_pole_order(tmp_path):
     ids=[
         "format-1-node-pairings",
         "format-1-bases",
+        "format-2-null-family",
+        "format-2-family",
         "surgeries-not-a-list",
         "boolean-type",
         "boolean-surgery-zero",

@@ -32,7 +32,7 @@ CASES = [
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [2, 2]), "residues": [0, 0]},
         0,
-        "08264678be7eea9bfe4d958f9be07fdc3f493bdbbdcec87b3277c585b333debc",
+        "f9866cce153f27aeb692e9e96e8b2ce3e72a871c31f287bacf29b06d7700d3fc",
     ),
     (
         "witness-residual-polygon",
@@ -42,42 +42,42 @@ CASES = [
             "residues": [_gauss(1, 0), _gauss(0, 1), _gauss(-1, 0), _gauss(0, -1)],
         },
         0,
-        "3730512a47eceb12ea589de1d4ed2280e6d8fae969e6834b2336ef2da580bc58",
+        "c8401d6cfc3a5bcc6d89d7cb8db06b3331de3500a9df98b6f4ebff0f8b918891",
     ),
     (
         "witness-collinear-anchor-chain",
         ["witness"],
         {"stratum": _stratum(0, [2], [2], 2), "residues": [1, 2, -3]},
         0,
-        "6b9f46f6e54d6faabc62d038a3df598fc7a0b541b64c6effe3d8cea457ee103d",
+        "1e60c615f8ed7dba88f8d48dad0e92ecf3268be63fbcfdc827bd9c3544ba63ae",
     ),
     (
         "witness-connection-graph",
         ["witness"],
         {"stratum": _stratum(0, [5], [], 7), "residues": [3, 1, 1, 1, -2, -2, -2]},
         0,
-        "eaa47e1dd0c87390af5abe80b6a43856270cd0300e3a5fc4d64c019d2048ff2f",
+        "f05fa6c0c80513a2218dc5c79305aecdf63f2ccdde1ae38ef207e25c5a9a8478",
     ),
     (
         "witness-blow-up-of-single-zero",
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [], 4), "residues": [3, -1, -1, -1]},
         0,
-        "d95f12c75226223820ee8c840e64ef49e5718a50726bf2440d9af5c1224c618d",
+        "7eb2fd9acd492dc01722402e9b49bd3196ed73f348345049b7d7019b3d4e2e79",
     ),
     (
         "witness-stable-tree",
         ["witness"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "40639e4e1f5c7ae8caf6c7df048840b09c2bdfe71102a821206e0b51de8c2a15",
+        "06f51b5abb49919be412a74b1000b2b3231bb2a0be0467a4267fdce44b18a682",
     ),
     (
         "witness-genus-reduction",
         ["witness"],
         {"stratum": _stratum(1, [3], [2], 1), "residues": [[1, 2], [-1, 2]]},
         0,
-        "b374137883b66087306ea33794b716330555ddeb71fa8010b12dfc6a88dfed34",
+        "6729bdbad89048dd6b04c7e6e39242174c39ac84e25279e8fd6831814215f563",
     ),
     (
         "witness-genus-2-nonzero-residues",
@@ -87,35 +87,35 @@ CASES = [
             "residues": [_gauss(1, 1), 1, _gauss(-2, -1)],
         },
         0,
-        "88326e71cca30e112fc15df3ad3a7560ff0ed10442f020c673df31ec5ed35bf7",
+        "25b89367e68b74b045ae5a97caa9c86fa6bd42e0014292057a64e43f97b0fdfd",
     ),
     (
         "witness-genus-2-simple-poles",
         ["witness"],
         {"stratum": _stratum(2, [2, 2], [], 2), "residues": [1, -1]},
         0,
-        "910b7fbe4e623624c2f9f8d4e9a16c1e57a3b75666043e197313a614fa745100",
+        "11860b3e2ff203899c7bef4044e644d525b4e63ff91864938c1c4a34a3100c6e",
     ),
     (
         "witness-genus-1-rotation",
         ["witness"],
         {"stratum": _stratum(1, [4], [2, 2]), "residues": [0, 0], "rotation": 2},
         0,
-        "ea23cff101f3114da706216d017fbcc55edef097ac6e9b1eb431ccfaec57eafc",
+        "ee1b852167c7613a9982b0a372f4f14c716ca4b2353d655f92cbe1d361239519",
     ),
     (
         "witness-marked-point",
         ["witness"],
         {"stratum": _stratum(0, [0], [], 2), "residues": [1, -1]},
         0,
-        "2d7f5c19327e20b853831ae8a0ff96a859c7a9e6b3fad116ff4a35195d3442ee",
+        "58f49557b49d1502b6a516ffd6bbd094440ea5a4ba14e3c87438dcff9171a600",
     ),
     (
         "witness-residual-polygon-trivial-part",
         ["witness"],
         {"stratum": _stratum(0, [4], [2, 2], 2), "residues": [0, 1, _gauss(0, 1), _gauss(-1, -1)]},
         0,
-        "d43a4a1c737c2fa7d79a73ac4cccaf3dbcfa7e3560563227892665ca52ce10ad",
+        "adeb860730f9e99928d9b43df9ea7d94d61c5a778e9641446c5bc99e5cde4c25",
     ),
     (
         "witness-anchor-chain-down-imaginary-trivial-part",
@@ -125,63 +125,63 @@ CASES = [
             "residues": [_gauss(0, -2), 0, _gauss(0, 1), _gauss(0, 1)],
         },
         0,
-        "f589c1e1c167dbfcedd2cd805d50f51d2b4361ccf8287692f063dd5449175c75",
+        "e7dc1d36352a7fa97d072f9febc57fadad0feb7794f43547db9c02b093100d20",
     ),
     (
         "witness-anchor-chain-two-zeros",
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [2], 2), "residues": [1, 2, -3]},
         0,
-        "beeaf6caf973eb75523944372b3768eff55e8311a80461f1c1e19f5001fc097e",
+        "2c0f7e656636771d0c3d9cf42bd2a8344d6d3d5feaca7ca31cf8034850e64e3e",
     ),
     (
         "witness-genus-1-zero-residues-two-zeros",
         ["witness"],
         {"stratum": _stratum(1, [2, 2], [2, 2]), "residues": [0, 0]},
         0,
-        "a6bc0219e7563cf83dced988366838ac142002b1f83c5120a381902233a9e89c",
+        "35d1a23a21d3fe5c5ed279ae25e2d0cf21447d3d8b5ccf2a0b9471463a7e47b4",
     ),
     (
         "witness-genus-3-holomorphic",
         ["witness"],
         {"stratum": _stratum(3, [2, 2]), "residues": []},
         0,
-        "31ad7e02cbbbfd7fe7fc9b4468270d68593eaa51e81a96f6e5a8a91c0d85df55",
+        "b5160f042bcdf821a9ba066af8586021d6534faca00f84cbdcd22a3620d8d199",
     ),
     (
         "witness-not-realizable",
         ["witness"],
         {"stratum": _stratum(0, [2], [2, 2]), "residues": [0, 0]},
         1,
-        "c6e9e788ec3affda79aaf858cf5cf8b5b592e653398847d6744724999f3b9484",
+        "9195a5265bee98f39e2aa573aa88f58e052224b34e740df6ce89fde8e28a6129",
     ),
     (
         "decide-excluded-ray",
         ["decide"],
         {"stratum": _stratum(0, [2], [], 4), "residues": [1, 1, -1, -1]},
         1,
-        "90be44ede4554c81458bb14192714000f033bafd9c56253d6540abd4fb383714",
+        "82512cd88aa90c2b82ae56b02b56a260e6c3480aa7f72f998fcc817f519d2b7a",
     ),
     (
         "decide-stable-tree",
         ["decide"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "7f28a0ba8d1bf62d1aefe99a9ae1be420880f14791fdfb4e0be610f146fa7c91",
+        "b634c17b27d7223707eac65c14aa8ee33eebcfdc2b6539326f60e2cab5c9b2fb",
     ),
     (
         "cylinders-closed-form",
         ["cylinders"],
         {"stratum": _stratum(4, [6]), "circumferences": [1, 1, 1, 1]},
         1,
-        "d5801c7ba4437a49d83d701ef14312c87909f2e4585ae6e66d3e7a4b38311e78",
+        "d087af5f79b386ca50d38d8f6eabbdc9741e68d15d5bde605d90d8ee44d41625",
     ),
     (
         "cylinders-search",
         ["cylinders"],
         {"stratum": _stratum(4, [4, 1, 1]), "circumferences": [1, 1, 1, 1]},
         0,
-        "9cb44a8b82ca0db2b38592263d6f541c83729db5e52c29399eb535b384fd252e",
+        "9b8ca606ef73f43e9db80f9e1cf0a628e3f7c44d5523979118e15bc4c72fb118",
     ),
 ]
 
@@ -230,13 +230,13 @@ VERIFY_CASES = [
         "verify-profile-genus-reduction",
         "witness-genus-reduction",
         0,
-        "dcad5d34aebfeb38cfe8ed305a90ee580e5bcf633080954cca50bc476f1137fa",
+        "d88adafda2ad0edd4f87c65327ac3021d9af94c1eea8ade418d7462dfafa672b",
     ),
     (
         "verify-profile-genus-2-nonzero-residues",
         "witness-genus-2-nonzero-residues",
         0,
-        "40565bf5f25299eb1b96405cf0e4bcb843dfd133e755311dea28e0d0157e7098",
+        "d5ff7a20d21bc7499190af3572c1ec5d460e0b739ca058a14eb3c87104795e2f",
     ),
     (
         "verify-vector-mismatch",
@@ -248,7 +248,7 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "204b5c488f6eea6386f930635398cc77efcce15160fd5f3c07deef1a8dcfb855",
+        "630d410f6ed0d28c7b352e972fa5cbebbb14aac1f3ac86f65d041e05acd58615",
     ),
     (
         "verify-vector-mismatch-gaussian",
@@ -257,13 +257,13 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "abcc03253daa90d1be0ebb190a6b7d0f7dd5bf3bdf1d728c511028bbce00dfea",
+        "fd7e2b0228278c934ce3356ad1b2d1e5fc9c476cacbf0438fa8c634c121f028b",
     ),
     (
         "verify-polygon-open",
         _certificate([_polygon(HALF, _gauss(0, THIRD), MINUS_HALF)], []),
         1,
-        "e58c97b7cd6f7478fa9705a6360981abe9c11a293d0a07ee7ac823bbc4cf081e",
+        "425121ab65eaf0f5d5d3477c8db26b7b39330f1ddb2fca0b9ac9d63eb68eb00e",
     ),
     (
         "verify-polygon-winds-twice",
@@ -271,37 +271,37 @@ VERIFY_CASES = [
             [_polygon(*[[2, 3], _gauss(0, [2, 3]), [-2, 3], _gauss(0, [-2, 3])] * 2)], []
         ),
         1,
-        "5b58a952c30c589a06dd7f7b88547f9ca0f612d604eedbb00f14d9433d6c1a51",
+        "4e0877c862f29b472655fa5f47b9c7e398fb0404f060b06452db0f3fe1ea374f",
     ),
     (
         "verify-negative-real-axis",
         _certificate([_polar(2, 1, [1], [_gauss(1, 1), MINUS_HALF])], []),
         1,
-        "b20a4518e10c0f7c92614af866834ddc2026dd24d62ea0a7ccb64f0af904e59f",
+        "1719e5850452ead790aa761d97e3da58ceac9f8dd435a0c458bc948a60576c5b",
     ),
     (
         "verify-top-chain-order",
         _certificate([_polar(3, 1, [1, _gauss(0, HALF)], [])], []),
         1,
-        "0f8204899542ec74204880e17dbc7a673f0c1dfe809dfedce248814fe8f08f0b",
+        "d6f38e75854bb8204ff4df0b2b33cb226046db97c9692fa9f59d29f384500aea",
     ),
     (
         "verify-chain-sum",
         _certificate([_polar(2, 1, [_gauss(-1, THIRD)], [])], []),
         1,
-        "ca71529d982b71e78bd3008ef19c84304ebd0a58a3bb99ec30997dea9a1eb0ae",
+        "f7fa90fa80fc260957bd65adb28f2d7b65a38358a81fc2b46511cb470372fd0c",
     ),
     (
         "verify-simple-pole-backtrack",
         _certificate([_simple(THIRD, MINUS_HALF)], []),
         1,
-        "073c3aace3c5e6de9b69758701ce20701f9c96fef2b7c8db04cc8298314ebd37",
+        "f8b3833bb0468bb4397cf753c191db5033bee7b4fd0b1a404b6172e28f85d4bc",
     ),
     (
         "verify-excluded-ray-gluing",
         json.loads(Path(__file__).with_name("excluded_ray_gluing.json").read_text()),
         1,
-        "f40940976bf7554e4d1c216e1fd2bc8308a7259818c0478ebdb9ad64ff40674b",
+        "0826987fcf2eff9397f71130a0837d729976ce226e29363e5bfbcc30cf51a67b",
     ),
     (
         "verify-zero-residue-at-simple-pole",
@@ -313,7 +313,7 @@ VERIFY_CASES = [
             [[[0, k], [1, k]] for k in range(3)],
         ),
         1,
-        "6bdfe0789e3c41d00cc22e742256bbd9e54961f9773c49a265e8822cd9e47e53",
+        "c4c981143a786dd447355a8194a39df23f29110914b5167276d912f6224d9b43",
     ),
     (
         "verify-unmatched-edge",
@@ -322,7 +322,7 @@ VERIFY_CASES = [
             [[[0, 0], [0, 2]]],
         ),
         1,
-        "a18232c12f0a3ee1b6275c79fff2a9331cc03f184b32b59fae9038f6a4f347a1",
+        "0952ccecbe253fc674e4459736e871b824a4b66d258c068729d25dfeb0e14c31",
     ),
     (
         "verify-claimed-poles-differ",
@@ -336,7 +336,7 @@ VERIFY_CASES = [
             },
         ),
         1,
-        "75da44dc03d1d747f8207d2f25fc730f13f6d193fbfcccb03d5db7da4ee6abf9",
+        "15fa4771f6cf03dcf185431a8e51ad67c25fbb9df11b8f490675625de514b512",
     ),
 ]
 

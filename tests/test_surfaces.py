@@ -11,7 +11,7 @@ import resflat.surfaces
 from resflat.core import QQi, StratumSignature, cross, dot, residue_tuple, scaled
 from resflat.decide import _partitions, decide_realizable, primitive_total_exceeds
 from resflat.surfaces import (
-    FamilyInfo,
+    ConstructionCertificate,
     FlatSurface,
     PolarPart,
     Polygon,
@@ -19,7 +19,6 @@ from resflat.surfaces import (
     VerificationError,
     blow_up_zero,
     build_witness,
-    family_loop_indices,
     profile_matches,
     residue_of_piece,
     sew_handle,
@@ -28,9 +27,13 @@ from resflat.surfaces import (
 )
 from resflat.surfaces import (
     _flat_torus,
+    _genus1_chain,
+    _genus1_special_three,
+    _genus1_special_two,
     _plumb,
     _two_zero_chain,
     _choose_taus,
+    _with_marked_points,
 )
 
 ONE = QQi(1)
@@ -229,6 +232,26 @@ class TestVerifySurface:
         for opposite in (SimplePolePart((-u,)), PolarPart(2, 1, (), (u,))):
             prof = verify_surface(FlatSurface((SimplePolePart((u,)), opposite), (((0, 0), (1, 0)),)))
             assert tuple(r for _, r in prof.poles) == (u, -u)
+
+    def test_self_overlapping_polygon_is_rejected(self):
+        """A 16-gon that turns once in all but has a clockwise kink: the
+        region inside the kink has winding number -1, so no flat disk has
+        this boundary.  Turning number 1 alone accepted it."""
+        points = [
+            (0, 0), (6, 0), (6, -2), (5, -2), (5, 1), (7, 1), (7, 0), (10, 0),
+            (10, 10), (5, 10), (5, 8), (7, 8), (7, 11), (4, 11), (4, 10), (0, 10),
+        ]
+        edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])]
+        polygon = Polygon(QQi(x, y) for x, y in edges)
+        corners = zip(edges[-1:] + edges[:-1], edges)
+        assert sum(resflat.surfaces._signed_turns(u, v) for u, v in corners) == 1
+        with pytest.raises(ValueError, match="not convex"):
+            resflat.surfaces.validate_piece(polygon, edges)
+
+    def test_straight_corners_are_convex(self):
+        """A square with one side cut in three keeps two straight corners."""
+        edges = (ONE / 3, ONE / 3, ONE / 3, I, -ONE, -I)
+        resflat.surfaces.validate_piece(Polygon(edges), scaled(edges)[1])
 
     @pytest.mark.parametrize(
         "edges", [(ONE, -I, -ONE, I), (ONE, I, -ONE, -I) * 2], ids=["clockwise", "twice-around"]
@@ -559,7 +582,43 @@ class TestSurgeries:
             sew_handle(self.base_cert(), 5)
 
 
+# The genus-1 base families in closed form: each builder, and the indices
+# of two loops that span H_1 of its surface.  The rotation number is the gcd
+# of these with every order.
+def _chain_bases(orders):
+    for taus in itertools.product(*(range(1, b) for b in orders)):
+        yield _genus1_chain(orders, taus), (0, sum(taus))
+
+
+def _reference_bases():
+    for p in range(1, 5):
+        for orders in itertools.combinations_with_replacement(range(2, 6), p):
+            for surface, loops in _chain_bases(orders):
+                yield surface, math.gcd(*orders, *loops)
+    for p in range(2, 7):
+        yield _genus1_special_two(p), math.gcd(2, 1, p)
+        if p >= 3:
+            yield _genus1_special_three(p), math.gcd(2, 2, p - 1)
+
+
+def _claim(surface, rotation):
+    return ConstructionCertificate(surface, (), verify_surface(surface), rotation)
+
+
 class TestRotationBookkeeping:
+    def test_measured_rotation_matches_the_closed_form(self):
+        """Every family base with 1-4 poles of orders 2-5 (every admissible
+        type tuple), and the double-pole bases with 2-6 poles, read their
+        closed-form rotation off the surface, with 0 and with 2 marked
+        points."""
+        count = 0
+        for surface, rot in _reference_bases():
+            base = _claim(surface, rot)
+            for marked in (base, _with_marked_points(base, (0, 0))):
+                assert verify_certificate(marked).genus == 1
+                count += 1
+        assert count == 2 * 2135
+
     def test_chain_rot_one_and_three(self):
         for rot in (1, 3):
             cert = build_witness(
@@ -577,11 +636,12 @@ class TestRotationBookkeeping:
             verify_certificate(bad)
 
     def test_family_mismatch_violation(self):
-        cert = build_witness(
-            StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0]), rotation=3
-        )
+        """The rotation-2 base with a handle over two double poles, claimed
+        as the rotation 1 of the other double-pole base."""
+        sig = StratumSignature(1, (6,), (2, 2, 2))
+        cert = build_witness(sig, residue_tuple([0, 0, 0]), rotation=2)
         bad = dataclasses.replace(cert, claimed_rotation=1)
-        with pytest.raises(VerificationError, match="family"):
+        with pytest.raises(VerificationError, match="rotation number 2, claimed 1"):
             verify_certificate(bad)
 
     def test_flipped_residue_violation(self):
@@ -598,34 +658,18 @@ class TestRotationBookkeeping:
             verify_certificate(flipped)
 
     def test_family_of_another_base_violation(self):
-        """The rotation-3 chain claimed as rotation 1 under the rotation-1
-        chain's family: the bookkeeping agrees, the surface does not."""
+        """The rotation-3 chain on H_1(6, -3^2) claimed as rotation 1."""
         sig, zero = StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0])
-        one = build_witness(sig, zero, rotation=1)
-        three = build_witness(sig, zero, rotation=3)
-        assert one.family.taus == (1, 1) != three.family.taus
-        forged = dataclasses.replace(three, claimed_rotation=1, family=one.family)
-        with pytest.raises(VerificationError, match="base surface of its family"):
+        forged = dataclasses.replace(build_witness(sig, zero, rotation=3), claimed_rotation=1)
+        with pytest.raises(VerificationError, match="rotation number 3, claimed 1"):
             verify_certificate(forged)
 
     def test_family_with_extra_types_violation(self):
-        """The rotation-1 chain claimed as rotation 3 under its own family
-        with one type too many: the base ignores the extra type, the beta
-        index would count it."""
+        """The rotation-1 chain on H_1(6, -3^2) claimed as rotation 3."""
         sig, zero = StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0])
-        one = build_witness(sig, zero, rotation=1)
-        family = FamilyInfo("zero-residue-chain", (3, 3), (1, 1, 1))
-        forged = dataclasses.replace(one, claimed_rotation=3, family=family)
-        with pytest.raises(VerificationError, match="one type"):
+        forged = dataclasses.replace(build_witness(sig, zero, rotation=1), claimed_rotation=3)
+        with pytest.raises(VerificationError, match="rotation number 1, claimed 3"):
             verify_certificate(forged)
-
-    def test_unknown_family_violation(self):
-        cert = build_witness(
-            StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0]), rotation=1
-        )
-        bad = dataclasses.replace(cert, family=FamilyInfo("no-such-family", (3, 3)))
-        with pytest.raises(VerificationError, match="unknown family"):
-            verify_certificate(bad)
 
     def test_rotation_with_marked_point(self):
         sig = StratumSignature(1, (4, 0), (2, 2))
@@ -633,21 +677,42 @@ class TestRotationBookkeeping:
         assert cert.claimed.zero_orders == (4, 0)
         assert verify_certificate(cert).zero_orders == (4, 0)
 
-    def test_type_shift_moves_beta_index(self):
-        fam1 = FamilyInfo("zero-residue-chain", (3, 3), (1, 1))
-        fam2 = FamilyInfo("zero-residue-chain", (3, 3), (1, 2))
-        a1, b1 = family_loop_indices(fam1)
-        a2, b2 = family_loop_indices(fam2)
-        assert a1 == a2 == 0
-        assert b2 - b1 == 1
+    def test_marked_point_on_the_last_pairing(self):
+        """An honest claim no builder emits: the rotation-3 base with its
+        marked point cut on its last pairing rather than its first."""
+        zero = residue_tuple([0, 0])
+        surface = build_witness(StratumSignature(1, (6,), (3, 3)), zero, rotation=3).surface
+        *rest, last = surface.pairings
+        moved = _claim(FlatSurface(surface.pieces, [last, *rest]), 3)
+        cert = _with_marked_points(moved, (0,))
+        built = build_witness(StratumSignature(1, (6, 0), (3, 3)), zero, rotation=3)
+        assert cert.surface.pieces != built.surface.pieces
+        assert verify_certificate(cert).zero_orders == (6, 0)
 
-    def test_rotation_requires_family(self):
-        cert = build_witness(
-            StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0]), rotation=3
-        )
-        bad = dataclasses.replace(cert, family=None)
-        with pytest.raises(VerificationError, match="family"):
-            verify_certificate(bad)
+    def test_relabelled_surface_keeps_its_rotation(self):
+        """The reading does not depend on how pieces and pairings are listed."""
+        rng = random.Random(5)
+        for taus, rot in (((1, 1), 1), ((1, 2), 3)):
+            surface = _genus1_chain((3, 3), taus)
+            for _ in range(10):
+                order = list(range(len(surface.pieces)))
+                rng.shuffle(order)
+                where = {old: new for new, old in enumerate(order)}
+                pairings = [
+                    tuple(rng.sample([(where[a[0]], a[1]), (where[b[0]], b[1])], 2))
+                    for a, b in surface.pairings
+                ]
+                rng.shuffle(pairings)
+                pieces = [surface.pieces[i] for i in order]
+                verify_certificate(_claim(FlatSurface(pieces, pairings), rot))
+
+    def test_type_shift_moves_beta_index(self):
+        """Raising one type by one moves the beta index by one, and the
+        rotation of H_1(6, -3^2) from gcd(3, 2) = 1 to gcd(3, 3) = 3."""
+        for taus, rot in (((1, 1), 1), ((1, 2), 3)):
+            verify_certificate(_claim(_genus1_chain((3, 3), taus), rot))
+            with pytest.raises(VerificationError, match=f"rotation number {rot}, claimed"):
+                verify_certificate(_claim(_genus1_chain((3, 3), taus), 4 - rot))
 
 
 class TestMarkedPoints:
