@@ -92,16 +92,6 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
     _require_valid(sig, residues)
     if sig.genus >= 1:
         return Verdict(True, REASON_GENUS_POSITIVE, "genus-reduction", every_component=True)
-    return _genus0_verdict(sig, residues)
-
-
-def _genus0_verdict(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict:
-    """The genus-0 routing of :func:`decide_realizable`, without validation.
-
-    The caller vouches for (sig, residues): :func:`decide_realizable` has
-    validated it, and the genus-reduction builder's one-zero genus-0 base
-    shares the poles and residues of a validated request.
-    """
     nonzero = [r for r in residues if not r.is_zero()]
     if not nonzero:
         # All residues vanish; only higher poles present.

@@ -28,11 +28,13 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .core import (
+    NON_COLLINEAR,
     Pair,
     PrimitiveRay,
     QQi,
     StratumSignature,
     arg_cmp,
+    collinear_normal_form,
     cross,
     dot,
     residue_tuple,
@@ -695,78 +697,6 @@ def _cert_of(surface: FlatSurface) -> ConstructionCertificate:
     return ConstructionCertificate(surface, (), verify_surface(surface))
 
 
-def _flat_torus() -> FlatSurface:
-    square = Polygon((_ONE, _I, -_ONE, -_I))
-    return FlatSurface((square,), (((0, 0), (0, 2)), ((0, 1), (0, 3))))
-
-
-def _two_zero_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
-    pieces = [PolarPart(b, t, (_ONE,), (_ONE,)) for b, t in zip(orders, taus)]
-    p = len(pieces)
-    pairings = [((i, 0), ((i + 1) % p, 1)) for i in range(p)]
-    return FlatSurface(pieces, pairings)
-
-
-def _genus1_chain(orders: Sequence[int], taus: Sequence[int]) -> FlatSurface:
-    """Polar parts of types taus in a chain closed by a square torus; two
-    of its loops have indices 0 and sum(taus)."""
-    pieces: list[Piece] = [
-        PolarPart(b, t, (_ONE,), (_ONE,)) for b, t in zip(orders, taus)
-    ]
-    p = len(pieces)
-    pieces.append(Polygon((_ONE, _I, -_ONE, -_I)))
-    pairings = [((i, 0), (i + 1, 1)) for i in range(p - 1)]
-    pairings += [((p - 1, 0), (p, 2)), ((p, 0), (0, 1)), ((p, 1), (p, 3))]
-    return FlatSurface(pieces, pairings)
-
-
-def _genus1_special_two(p: int) -> FlatSurface:
-    """p >= 2 double poles, the last one carrying the handle; two of its
-    loops have indices 1 and p."""
-    pieces: list[Piece] = [PolarPart(2, 1, (_ONE,), (_ONE,)) for _ in range(p - 1)]
-    pieces.append(PolarPart(2, 1, (_I, _ONE), (_ONE, _I)))
-    sp = p - 1
-    pairings = [((j, 0), (j + 1, 1)) for j in range(p - 2)]
-    pairings += [((p - 2, 0), (sp, 2)), ((sp, 1), (0, 1)), ((sp, 0), (sp, 3))]
-    return FlatSurface(pieces, pairings)
-
-
-def _genus1_special_three(p: int) -> FlatSurface:
-    """p >= 3 double poles, the handle over the last two; two of its loops
-    have indices 2 and p - 1."""
-    pieces: list[Piece] = [PolarPart(2, 1, (_ONE,), (_ONE,)) for _ in range(p - 2)]
-    sp = p - 2
-    pieces.append(PolarPart(2, 1, (_I, _ONE), (_ONE, _I)))
-    pieces.append(PolarPart(2, 1, (_I,), (_I,)))
-    vr = p - 1
-    pairings = [((j, 0), (j + 1, 1)) for j in range(p - 3)]
-    pairings += [
-        ((p - 3, 0), (sp, 2)),
-        ((sp, 1), (0, 1)),
-        ((sp, 0), (vr, 1)),
-        ((vr, 0), (sp, 3)),
-    ]
-    return FlatSurface(pieces, pairings)
-
-
-def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
-    """Types tau_i in [1, b_i - 1] with the prescribed total, greedily."""
-    caps = [b - 1 for b in orders]
-    if not (len(orders) <= total <= sum(caps)):
-        raise ValueError(f"no admissible types reach total {total}")
-    taus = []
-    rest = total
-    for i, cap in enumerate(caps):
-        later_min = len(caps) - i - 1
-        later_max = sum(caps[i + 1 :])
-        t = min(cap, rest - later_min)
-        t = max(t, rest - later_max, 1)
-        taus.append(t)
-        rest -= t
-    assert rest == 0 and all(1 <= t <= c for t, c in zip(taus, caps))
-    return tuple(taus)
-
-
 def _sorted_by_arg(values: Sequence[QQi]) -> list[int]:
     """Indices of nonzero values sorted by ascending argument in (-pi, pi],
     ties by index (the sort is stable)."""
@@ -795,6 +725,61 @@ def _write_chain(
         else:
             raise InternalBuildError("trivial part does not fit the chain")
     pairings.append((slot, terminal))
+
+
+# The two closers of a genus-1 chain: the unit square, and the handle, a
+# double pole whose +i and -i slots are glued round through ``loop`` more.
+_SQUARE = Polygon((_ONE, _I, -_ONE, -_I))
+_HANDLE = PolarPart(2, 1, (_I, _ONE), (_ONE, _I))
+
+
+def _chain_surface(
+    orders: Sequence[int], taus: Sequence[int], closer: Piece | None = None, loop: int = 0
+) -> FlatSurface:
+    """Polar parts (1; 1) of the given orders and types, glued in a cycle.
+
+    With no closer the cycle closes on itself: genus 0, two zeros.  A
+    closer makes it genus 1: the cycle runs out of the closer's +1 slot and
+    back into its -1 slot, and its +i and -i slots are glued to each other
+    through ``loop`` double poles (i; i).  Two loops that span H_1 then have
+    indices 0 and sum(taus) on :data:`_SQUARE`, and k and p - k + 1 on
+    :data:`_HANDLE`, for p double poles in all and k = loop + 1 of them on
+    the handle.  Pieces are the parts, the closer, then the loop.
+    """
+    pieces: list[Piece] = [PolarPart(b, t, (_ONE,), (_ONE,)) for b, t in zip(orders, taus)]
+    p = len(pieces)
+    chain = [(i, _ONE) for i in range(1, p)]
+    pairings: list = []
+    if closer is None:
+        _write_chain(pairings, ((0, 0), _ONE), chain, (0, 1))
+        return FlatSurface(pieces, pairings)
+    vectors, lead = _boundary(closer)
+    canon = [v if k < lead else -v for k, v in enumerate(vectors)]
+    plus, minus, up, down = [(p, canon.index(v)) for v in (_ONE, -_ONE, _I, -_I)]
+    pieces.append(closer)
+    if p:
+        _write_chain(pairings, ((0, 0), _ONE), chain, minus)
+        pairings.append((plus, (0, 1)))
+    else:
+        pairings.append((plus, minus))
+    ring = [(p + 1 + j, _I) for j in range(loop)]
+    pieces += [PolarPart(2, 1, (_I,), (_I,)) for _ in ring]
+    _write_chain(pairings, (up, _I), ring, down)
+    return FlatSurface(pieces, pairings)
+
+
+def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
+    """Types tau_i in [1, b_i - 1] with the prescribed total, front-loaded:
+    each takes as much of the excess over one per pole as is left."""
+    extra = total - len(orders)
+    if not (0 <= extra <= sum(b - 2 for b in orders)):
+        raise ValueError(f"no admissible types reach total {total}")
+    taus = []
+    for b in orders:
+        t = min(b - 2, extra)
+        taus.append(1 + t)
+        extra -= t
+    return tuple(taus)
 
 
 def _plumb(
@@ -924,7 +909,6 @@ def _triangle_distribution(
             mult[j] = {2: 1, 1: b - 1}
             val[0] -= 1
             val[2] += 1
-            val[1] += b - 1
     if tuple(val) != targets:
         raise InternalBuildError(f"corner valences {val} missed targets {targets}")
     for m in mult:
@@ -933,20 +917,15 @@ def _triangle_distribution(
     return mult
 
 
-def _triangle_surface(sig: StratumSignature) -> FlatSurface:
-    """Three zeros, zero residues, large zeros: triangle with polar chains."""
-    if sig.n != 3 or sig.s != 0:
-        raise ValueError("triangle construction needs three zeros and no simple poles")
-    orders = sig.higher_poles
-    try:
-        anchor_pos = orders.index(2)
-    except ValueError:
-        raise InternalBuildError("no double pole available for the triangle anchor")
-    others = [(k, b) for k, b in enumerate(orders) if k != anchor_pos]
+def _triangle_surface(zeros: Sequence[int], orders: Sequence[int]) -> FlatSurface:
+    """Three zeros, zero residues, large zeros: triangle with polar chains.
 
-    ranking = sorted(range(3), key=lambda i: sig.zeros[i])
-    targets = (sig.zeros[ranking[0]], sig.zeros[ranking[1]], sig.zeros[ranking[2]])
-    mult = _triangle_distribution(targets, [b for _, b in others])
+    ``zeros`` are the three zero orders, ascending, and ``orders`` the
+    higher pole orders, one of them 2: that double pole anchors the chains.
+    """
+    anchor_pos = orders.index(2)
+    others = [(k, b) for k, b in enumerate(orders) if k != anchor_pos]
+    mult = _triangle_distribution(tuple(zeros), [b for _, b in others])
 
     v1, v2, v3 = _I, _ONE, _ONE + _I
     chain_vec = {frozenset((0, 1)): v1, frozenset((0, 2)): v2, frozenset((1, 2)): v3}
@@ -1051,14 +1030,12 @@ def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
     if len(zeros) <= 1:
         # The decider admits at most one zero only with a single pole, which
         # a self-glued chain carries; profile_matches rejects anything else.
-        return _cert_of(_two_zero_chain((orders[0],), (1,)))
+        return _cert_of(_chain_surface((orders[0],), (1,)))
     if len(zeros) == 2:
-        taus = _choose_taus(orders, zeros[0] + 1)
-        return _cert_of(_two_zero_chain(orders, taus))
+        return _cert_of(_chain_surface(orders, _choose_taus(orders, zeros[0] + 1)))
     lo1, lo2 = sorted(zeros)[:2]
     if len(zeros) == 3 and lo1 + lo2 > total_b - p - 1:
-        sub = StratumSignature(0, tuple(zeros), orders)
-        return _cert_of(_triangle_surface(sub))
+        return _cert_of(_triangle_surface(sorted(zeros), orders))
     rest = sorted(zeros)[2:]
     sub = StratumSignature(0, tuple(rest + [lo1 + lo2]), orders)
     cert = _zero_residue_cert(sub)
@@ -1117,12 +1094,13 @@ def _genus1_zero_residue_cert(
     orders: Sequence[int], rotation: int | None
 ) -> ConstructionCertificate:
     """A genus-1 zero-residue base, of the rotation number given if any: a
-    chain whose types sum to a total of that gcd with the orders, or for
-    double poles only, one of two bases with a handle on the poles."""
+    chain closed by the square whose types sum to a total of that gcd with
+    the orders, or for double poles only, where no total has it, a handle
+    over that many of the poles."""
     orders = tuple(orders)
     p = len(orders)
     if rotation is None:
-        return _cert_of(_genus1_chain(orders, (1,) * p))
+        return _cert_of(_chain_surface(orders, (1,) * p, _SQUARE))
     rot = int(rotation)
     g0 = math.gcd(*orders)
     if rot < 1 or g0 % rot:
@@ -1130,12 +1108,10 @@ def _genus1_zero_residue_cert(
     if p == 1 and rot == orders[0]:
         raise ValueError("the rotation number of this family is a strict divisor")
     total = next((t for t in range(p, sum(orders) - p + 1) if math.gcd(g0, t) == rot), None)
-    if total is not None:
-        surface = _genus1_chain(orders, _choose_taus(orders, total))
-    elif all(b == 2 for b in orders) and rot in (1, 2):
-        surface = _genus1_special_two(p) if rot == 1 else _genus1_special_three(p)
+    if total is None:  # only double poles leave no total, and rot is 1 or 2
+        surface = _chain_surface((2,) * (p - rot), (1,) * (p - rot), _HANDLE, rot - 1)
     else:
-        raise ValueError(f"no family realizes rotation {rot} on this stratum")
+        surface = _chain_surface(orders, _choose_taus(orders, total), _SQUARE)
     claimed, tables = _read_surface(surface)
     cert = ConstructionCertificate(surface, (), claimed, rot)
     _check_rotation(cert, claimed, tables)
@@ -1146,8 +1122,9 @@ def _positive_genus_cert(
     sig: StratumSignature, residues: Sequence[QQi], rotation: int | None
 ) -> ConstructionCertificate:
     """A genus-1 base with a single zero, g - 1 handles, then the blow-ups."""
-    if sig.p == 0 and sig.s == 0:
-        cert = _cert_of(_flat_torus())
+    if all(r.is_zero() for r in residues):
+        # With no poles at all this is the bare square.
+        cert = _genus1_zero_residue_cert(sig.higher_poles, rotation)
     elif sig.p == 0:
         # One handle: the residual polygon with two more half-infinite
         # cylinders, of residues c = i * r_0 and -c, plumbed to each other.
@@ -1156,13 +1133,12 @@ def _positive_genus_cert(
         base_sig = StratumSignature(0, (sig.s,), (), sig.s + 2)
         base = _single_zero_surface(base_sig, (*residues, c, -c), None)
         cert = _cert_of(_plumb(base.pieces, base.pairings, 1))
-    elif all(r.is_zero() for r in residues):
-        cert = _genus1_zero_residue_cert(sig.higher_poles, rotation)
     else:
         a0 = sig.pole_degree + sig.s - 2
         base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
-        verdict = _decide._genus0_verdict(base_sig, residues)
-        cert = _cert_of(_single_zero_surface(base_sig, residues, verdict.ray))
+        form = collinear_normal_form(tuple([r for r in residues if not r.is_zero()]))
+        ray = None if form is NON_COLLINEAR else form
+        cert = _cert_of(_single_zero_surface(base_sig, residues, ray))
         cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
     for _ in range(sig.genus - 1):
         cert = sew_handle(cert, 0)

@@ -26,13 +26,11 @@ from resflat.surfaces import (
     verify_surface,
 )
 from resflat.surfaces import (
-    _flat_torus,
-    _genus1_chain,
-    _genus1_special_three,
-    _genus1_special_two,
-    _plumb,
-    _two_zero_chain,
+    _HANDLE,
+    _SQUARE,
+    _chain_surface,
     _choose_taus,
+    _plumb,
     _with_marked_points,
 )
 
@@ -96,7 +94,7 @@ class TestResidueOfPiece:
 
 class TestVerifySurface:
     def test_flat_torus(self):
-        prof = verify_surface(_flat_torus())
+        prof = verify_surface(_chain_surface((), (), _SQUARE))
         assert prof.genus == 1
         assert prof.zero_orders == (0,)
         assert prof.poles == ()
@@ -105,7 +103,7 @@ class TestVerifySurface:
         # The simplest handle: the cylinder of two simple poles of residues
         # 1 and -1, glued to each other and then plumbed.
         parts = [SimplePolePart((ONE,)), SimplePolePart((-ONE,))]
-        assert _plumb(parts, [((0, 0), (1, 0))], 1) == _flat_torus()
+        assert _plumb(parts, [((0, 0), (1, 0))], 1) == _chain_surface((), (), _SQUARE)
 
     def test_simple_polygon_helper(self):
         assert _is_simple_polygon((ONE, I, -ONE, -I))
@@ -115,7 +113,7 @@ class TestVerifySurface:
         assert not _is_simple_polygon(slit)
 
     def test_two_pole_chain(self):
-        surf = _two_zero_chain((3, 4), _choose_taus((3, 4), 5))
+        surf = _chain_surface((3, 4), _choose_taus((3, 4), 5))
         prof = verify_surface(surf)
         assert prof.genus == 0
         assert prof.zero_orders == (4, 1)
@@ -277,6 +275,25 @@ class TestBuildWitness:
 
     def test_triangle_family_witness(self):
         self.check(StratumSignature(0, (3, 3, 3), (2, 2, 2, 2, 3)), [0] * 5)
+
+    def test_triangle_rebalanced_corner_witness(self):
+        # The corner split moves a pole's unit from corner 0 to corner 2,
+        # which leaves corner 1's valence as it was.
+        self.check(StratumSignature(0, (3, 3, 2), (2, 2, 2, 2, 2)), [0] * 5)
+
+    def test_every_realizable_zero_residue_request_builds(self):
+        """Every realizable genus-0 zero-residue stratum with 1-6 poles of
+        orders 2-4 and 1-4 zeros builds, verifies and matches."""
+        count = 0
+        for p in range(1, 7):
+            for orders in itertools.combinations_with_replacement(range(2, 5), p):
+                for n in range(1, 5):
+                    for zeros in _partitions(sum(orders) - 2, n):
+                        sig = StratumSignature(0, zeros, orders)
+                        if decide_realizable(sig, residue_tuple([0] * p)).realizable:
+                            self.check(sig, [0] * p)
+                            count += 1
+        assert count == 2745
 
     def test_torus_with_boundary_witness(self):
         self.check(StratumSignature(1, (4,), (), 4), [1, 1, -1, -1])
@@ -582,23 +599,19 @@ class TestSurgeries:
             sew_handle(self.base_cert(), 5)
 
 
-# The genus-1 base families in closed form: each builder, and the indices
-# of two loops that span H_1 of its surface.  The rotation number is the gcd
-# of these with every order.
-def _chain_bases(orders):
-    for taus in itertools.product(*(range(1, b) for b in orders)):
-        yield _genus1_chain(orders, taus), (0, sum(taus))
-
-
+# The genus-1 bases in closed form, and the indices of two loops that span
+# H_1 of each surface: the square closes a chain with indices 0 and the
+# types' sum, and the handle over k of p double poles has indices k and
+# p - k + 1.  The rotation number is the gcd of these with every order.
 def _reference_bases():
     for p in range(1, 5):
         for orders in itertools.combinations_with_replacement(range(2, 6), p):
-            for surface, loops in _chain_bases(orders):
-                yield surface, math.gcd(*orders, *loops)
-    for p in range(2, 7):
-        yield _genus1_special_two(p), math.gcd(2, 1, p)
-        if p >= 3:
-            yield _genus1_special_three(p), math.gcd(2, 2, p - 1)
+            for taus in itertools.product(*(range(1, b) for b in orders)):
+                yield _chain_surface(orders, taus, _SQUARE), math.gcd(*orders, sum(taus))
+    for p in range(1, 7):
+        for k in range(1, p + 1):
+            surface = _chain_surface((2,) * (p - k), (1,) * (p - k), _HANDLE, k - 1)
+            yield surface, math.gcd(2, k, p - k + 1)
 
 
 def _claim(surface, rotation):
@@ -607,17 +620,17 @@ def _claim(surface, rotation):
 
 class TestRotationBookkeeping:
     def test_measured_rotation_matches_the_closed_form(self):
-        """Every family base with 1-4 poles of orders 2-5 (every admissible
-        type tuple), and the double-pole bases with 2-6 poles, read their
-        closed-form rotation off the surface, with 0 and with 2 marked
-        points."""
+        """Every square-closed chain with 1-4 poles of orders 2-5 (every
+        admissible type tuple), and every handle base with 1-6 double poles,
+        read their closed-form rotation off the surface, with 0 and with 2
+        marked points."""
         count = 0
         for surface, rot in _reference_bases():
             base = _claim(surface, rot)
             for marked in (base, _with_marked_points(base, (0, 0))):
                 assert verify_certificate(marked).genus == 1
                 count += 1
-        assert count == 2 * 2135
+        assert count == 2 * 2147
 
     def test_chain_rot_one_and_three(self):
         for rot in (1, 3):
@@ -693,7 +706,7 @@ class TestRotationBookkeeping:
         """The reading does not depend on how pieces and pairings are listed."""
         rng = random.Random(5)
         for taus, rot in (((1, 1), 1), ((1, 2), 3)):
-            surface = _genus1_chain((3, 3), taus)
+            surface = _chain_surface((3, 3), taus, _SQUARE)
             for _ in range(10):
                 order = list(range(len(surface.pieces)))
                 rng.shuffle(order)
@@ -710,9 +723,9 @@ class TestRotationBookkeeping:
         """Raising one type by one moves the beta index by one, and the
         rotation of H_1(6, -3^2) from gcd(3, 2) = 1 to gcd(3, 3) = 3."""
         for taus, rot in (((1, 1), 1), ((1, 2), 3)):
-            verify_certificate(_claim(_genus1_chain((3, 3), taus), rot))
+            verify_certificate(_claim(_chain_surface((3, 3), taus, _SQUARE), rot))
             with pytest.raises(VerificationError, match=f"rotation number {rot}, claimed"):
-                verify_certificate(_claim(_genus1_chain((3, 3), taus), 4 - rot))
+                verify_certificate(_claim(_chain_surface((3, 3), taus, _SQUARE), 4 - rot))
 
 
 class TestMarkedPoints:
