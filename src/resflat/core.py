@@ -169,6 +169,17 @@ def line_integers(pairs: Sequence[Pair]) -> list[int] | None:
     return [dot(p, base) for p in pairs]
 
 
+def primitive_total_exceeds(integers: Sequence[int], bound: int) -> bool:
+    """The simple-pole closed form: does the primitive positive total exceed ``bound``?
+
+    ``integers`` is a collinear tuple's integer form, not necessarily
+    coprime.  The tuple is excluded exactly when this fails for the largest
+    zero order, and one zero (a connection graph) realizes it when it
+    holds for ``bound = s - 2``.
+    """
+    return sum(m for m in integers if m > 0) > bound * gcd(*integers)
+
+
 @dataclass(frozen=True)
 class StratumSignature:
     """Genus, zero orders, higher pole orders and simple pole count.

@@ -11,8 +11,10 @@ the obstructions are exactly
   largest zero order.
 
 Cylinder circumference tuples of holomorphic strata reduce to the simple-pole
-case; below the genus there is no obstruction, and past the closed-form cases
-the question is delegated to a bounded search over stable configurations.
+case; below the genus there is no obstruction.  Past the closed-form cases
+:func:`decide_cylinder_tuple` returns None, and :func:`search_cylinder_tuple`
+runs the bounded search of :mod:`resflat.graphs`, which this module imports
+after :mod:`resflat.core`, in the chain core, graphs, decide, surfaces, cli.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from .core import (
     StratumSignature,
     collinear_normal_form,
     line_integers,
+    primitive_total_exceeds,
     scaled,
     validate_residues,
-    validate_stratum,
 )
+from . import graphs
 
 REASON_GENUS_POSITIVE = "genus-positive-surjective"
 REASON_NON_COLLINEAR = "non-collinear"
@@ -66,16 +69,6 @@ class Verdict:
     def __post_init__(self) -> None:
         if self.realizable == (self.reason in _NEGATIVE_REASONS):
             raise ValueError(f"reason {self.reason!r} contradicts realizable={self.realizable}")
-
-
-class NeedsSearch:
-    """Sentinel outcome: no closed form applies, run the cylinder search."""
-
-    def __repr__(self) -> str:
-        return "NEEDS_SEARCH"
-
-
-NEEDS_SEARCH = NeedsSearch()
 
 
 def _require_valid(sig: StratumSignature, residues: Sequence[QQi]) -> None:
@@ -116,23 +109,8 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
     return Verdict(True, REASON_COLLINEAR_OK, hint, ray=form)
 
 
-def primitive_total_exceeds(integers: Sequence[int], bound: int) -> bool:
-    """The simple-pole closed form: does the primitive positive total exceed ``bound``?
-
-    ``integers`` is a collinear tuple's integer form, not necessarily
-    coprime.  The tuple is excluded exactly when this fails for the largest
-    zero order, and one zero (a connection graph) realizes it when it
-    holds for ``bound = s - 2``.
-    """
-    return sum(m for m in integers if m > 0) > bound * gcd(*integers)
-
-
 def _partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of `total` into exactly `parts` positive parts, descending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """Partitions of `total` into exactly `parts` >= 1 positive parts, descending."""
     if parts == 1:
         if total >= 1:
             yield (total,)
@@ -177,26 +155,18 @@ def enumerate_excluded_rays(s: int, max_zero: int) -> tuple[PrimitiveRay, ...]:
 
 def decide_cylinder_tuple(
     sig: StratumSignature, circumferences: Sequence[QQi]
-) -> Verdict | NeedsSearch:
+) -> Verdict | None:
     """Decide whether a holomorphic stratum carries disjoint cylinders with
     the given circumference tuple (each entry taken up to sign).
 
     Below the genus every tuple works.  At the genus, on the single-zero
     stratum, the obstruction is the primitive integer profile with total at
     most 2g-2.  The remaining cases (t = g with several zeros, or t > g up
-    to the maximal count g + n - 1) have no closed form here and are handed
-    to the cylinder search, :func:`resflat.graphs.find_cylinder_config`.
+    to the maximal count g + n - 1) have no closed form here: the answer is
+    None, and :func:`search_cylinder_tuple` runs the cylinder search.
     """
-    bad = validate_stratum(sig)
-    if bad:
-        raise ValueError("; ".join(bad))
-    if sig.p != 0 or sig.s != 0:
-        raise ValueError("cylinder decision requires a holomorphic stratum")
+    graphs._require_cylinder_request(sig, circumferences)
     t = len(circumferences)
-    if t < 1:
-        raise ValueError("at least one circumference required")
-    if any(c.is_zero() for c in circumferences):
-        raise ValueError("circumferences must be nonzero")
     g, n = sig.genus, sig.n
     if t > g + n - 1:
         raise ValueError(
@@ -211,7 +181,7 @@ def decide_cylinder_tuple(
         if not primitive_total_exceeds([abs(m) for m in ints], 2 * g - 2):
             return Verdict(False, REASON_EXCLUDED_RAY)
         return Verdict(True, REASON_COLLINEAR_OK)
-    return NEEDS_SEARCH
+    return None
 
 
 def search_cylinder_tuple(
@@ -226,10 +196,8 @@ def search_cylinder_tuple(
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     outcome = decide_cylinder_tuple(sig, circumferences)
-    if isinstance(outcome, Verdict):
+    if outcome is not None:
         return outcome
-    from . import graphs  # deferred: graphs depends on this module
-
     kwargs = {} if budget is None else {"budget": budget}
     config = graphs.find_cylinder_config(sig, circumferences, **kwargs)
     if config is None:

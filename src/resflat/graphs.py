@@ -9,7 +9,9 @@ several zeros the peel first takes leaf components, each a single-zero
 star joined to the rest at a node, until one zero can carry what is left.
 Stable configurations with arbitrary component genera and multigraphs
 answer disjoint-cylinder questions on holomorphic strata by a bounded
-search.
+search, which generates each multiset of zero-order blocks once.  This
+module imports only :mod:`resflat.core`, in the chain core, graphs, decide,
+surfaces, cli.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .core import (
     Rat,
     StratumSignature,
     line_integers,
+    primitive_total_exceeds,
     scaled,
     validate_stratum,
 )
-from . import decide
 
 Vertex = tuple[str, int]  # ("+", k) or ("-", k), k an index within its side
 
@@ -210,9 +212,9 @@ def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGr
     edge flow, and the new edge carries flow w > 0, so a connection graph
     stays one (see :func:`_flows_positive`).  Whether a state succeeds
     depends only on its multiset of weights, so the failed multisets are
-    remembered for the length of one call.  The closed form of
-    :mod:`resflat.decide` is never used: the oracle is independent of the
-    theorem it checks.
+    remembered for the length of one call.  The closed form,
+    :func:`resflat.core.primitive_total_exceeds`, is never used: the oracle
+    is independent of the theorem it checks.
     """
     values = entries.integers if isinstance(entries, PrimitiveRay) else tuple(entries)
     if not values or any(v == 0 for v in values):
@@ -263,7 +265,7 @@ def peel_connection_graph(integers: Sequence[int]) -> tuple[tuple[int, int, int]
     passes is safe to peel, and the peel never backtracks.
     """
     weight = dict(enumerate(integers))  # position -> signed weight, in entry order
-    if not decide.primitive_total_exceeds(integers, len(weight) - 2):
+    if not primitive_total_exceeds(integers, len(weight) - 2):
         return None
     steps = []
     while len(weight) > 2:
@@ -273,7 +275,7 @@ def peel_connection_graph(integers: Sequence[int]) -> tuple[tuple[int, int, int]
             for u, wu in weight.items()
             if wu * wv < 0
             and abs(wu) > abs(wv)
-            and decide.primitive_total_exceeds(
+            and primitive_total_exceeds(
                 [w + wv if k == u else w for k, w in weight.items() if k != v],
                 len(weight) - 3,
             )
@@ -316,11 +318,11 @@ def find_stable_config(
     """
     entries = list(integers)
     left = list(zeros)
-    if not decide.primitive_total_exceeds(entries, max(left, default=0)):
+    if not primitive_total_exceeds(entries, max(left, default=0)):
         return None
     live = list(range(len(entries)))  # positions of the remainder, ascending
     leaves = []
-    while not decide.primitive_total_exceeds([entries[k] for k in live], len(live) - 2):
+    while not primitive_total_exceeds([entries[k] for k in live], len(live) - 2):
         a = min(left)
         left.remove(a)
         plus = [k for k in live if entries[k] > 0]
@@ -350,28 +352,35 @@ class CylinderConfig:
     edges: tuple[tuple[int, int, QQi], ...]
 
 
-def _partitions_of_set(items: tuple[int, ...], blocks: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Partitions of items into `blocks` nonempty blocks, canonical order."""
-    if blocks == 0:
-        if not items:
-            yield ()
-        return
-    if len(items) < blocks:
-        return
-    first, rest = items[0], items[1:]
+def _zero_shapes(
+    orders: tuple[int, ...], k: int, least: tuple[int, ...] = ()
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Each multiset of k nonempty blocks of the ascending ``orders`` once.
 
-    def rec(remaining: tuple[int, ...], blocks_open: tuple[tuple[int, ...], ...]):
-        if not remaining:
-            if all(blocks_open) and len(blocks_open) == blocks:
-                yield tuple(tuple(b) for b in blocks_open)
-            return
-        x, tail = remaining[0], remaining[1:]
-        for k in range(len(blocks_open)):
-            yield from rec(tail, blocks_open[:k] + (blocks_open[k] + (x,),) + blocks_open[k + 1 :])
-        if len(blocks_open) < blocks:
-            yield from rec(tail, blocks_open + ((x,),))
+    Blocks are ascending and come in nondecreasing order, none below
+    ``least``.  The least block holds the smallest order, so it is that
+    order plus a sub-multiset of the rest; the other blocks split the rest.
+    """
+    if k == 1:
+        if orders >= least:
+            yield (orders,)
+        return
+    for sub, left in _splits(orders[1:]):
+        block = orders[:1] + sub
+        if block >= least and len(left) >= k - 1:
+            for shape in _zero_shapes(left, k - 1, block):
+                yield (block,) + shape
 
-    yield from rec(rest, ((first,),))
+
+def _splits(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each sub-multiset of the ascending ``items`` once, with what it leaves."""
+    if not items:
+        yield (), ()
+        return
+    run = items.count(items[0])
+    for sub, left in _splits(items[run:]):
+        for c in range(run + 1):
+            yield items[:c] + sub, items[c:run] + left
 
 
 def _spanning_forest(k: int, pairs: Sequence[tuple[int, int]]) -> list[bool]:
@@ -397,6 +406,18 @@ def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
     return sum(_spanning_forest(k, pairs)) == k - 1
 
 
+def _require_cylinder_request(sig: StratumSignature, circumferences: Sequence[QQi]) -> None:
+    """Raise ValueError unless ``sig`` is a valid holomorphic stratum and
+    ``circumferences`` a nonempty tuple of nonzero values."""
+    bad = validate_stratum(sig)
+    if bad:
+        raise ValueError("; ".join(bad))
+    if sig.p != 0 or sig.s != 0:
+        raise ValueError("disjoint cylinders require a holomorphic stratum")
+    if not circumferences or any(c.is_zero() for c in circumferences):
+        raise ValueError("circumferences must be a nonempty tuple of nonzero values")
+
+
 def find_cylinder_config(
     sig: StratumSignature,
     circumferences: Sequence[QQi],
@@ -413,8 +434,8 @@ def find_cylinder_config(
     admits it (:func:`_admits`).
 
     Relabellings are skipped where they are cheap to see.  Zeros of equal
-    order are interchangeable, so set partitions of the zeros are tried once
-    per multiset of zero-order blocks, equal blocks on adjacent components.
+    order are interchangeable, so each multiset of zero-order blocks is
+    tried once (:func:`_zero_shapes`), equal blocks on adjacent components.
     Ends are placed one cylinder at a time, never past a component's degree
     cap, the sum of its zeros + 2 (genus zero).  Cylinders equal up to sign
     (negated where opposite) are interchangeable, so each such group takes a
@@ -433,16 +454,10 @@ def find_cylinder_config(
     placed, one unit per cylinder put on a pair of components; it must be
     nonnegative.
     """
-    bad = validate_stratum(sig)
-    if bad:
-        raise ValueError("; ".join(bad))
-    if sig.p != 0 or sig.s != 0:
-        raise ValueError("cylinder configurations require a holomorphic stratum")
+    lam = tuple(circumferences)
+    _require_cylinder_request(sig, lam)
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    lam = tuple(circumferences)
-    if not lam or any(c.is_zero() for c in lam):
-        raise ValueError("circumferences must be a nonempty tuple of nonzero values")
     gauss = scaled(lam)[1]  # Gaussian integers
     unit = math.gcd(*(v for x in gauss for v in x))  # divided out, or every residue could be even
     groups: dict[tuple[int, int], list[int]] = {}
@@ -453,19 +468,12 @@ def find_cylinder_config(
     bits = [x & 1 | (y & 1) << 1 for x, y in gauss]  # mod 2, where signs vanish
     t = len(order)
     fresh = [j == js[0] for js in groups.values() for j in js]  # its ends start over at pair 0
+    pool = {m: [i for i, z in enumerate(sig.zeros) if z == m] for m in sig.zeros}  # ascending
     spent = 0
-    tried: set[tuple[tuple[int, ...], ...]] = set()
     # The caps of k components total 2g - 2 + 2k and must hold all 2t ends.
     for k in range(max(1, t - sig.genus + 1), min(sig.n, t + 1) + 1):
         pairs = [(a, b) for a in range(k) for b in range(a, k)]
-        for partition in _partitions_of_set(tuple(range(sig.n)), k):
-            blocks = sorted(
-                (tuple(sorted(sig.zeros[i] for i in block)), block) for block in partition
-            )
-            shape = tuple(zeros for zeros, _ in blocks)
-            if shape in tried:
-                continue
-            tried.add(shape)
+        for shape in _zero_shapes(tuple(sorted(sig.zeros)), k):
             cap = [sum(zeros) + 2 for zeros in shape]
             twin = [c > 0 and shape[c] == shape[c - 1] for c in range(k)]  # c - 1 is c's twin
             deg = [0] * k
@@ -483,8 +491,12 @@ def find_cylinder_config(
                     if signs is None:
                         return None
                     by_input = sorted(zip(order, signs, ends))
+                    taken = {m: iter(js) for m, js in pool.items()}
                     return CylinderConfig(
-                        tuple(CylinderComponent(g, block) for g, (_, block) in zip(genera, blocks)),
+                        tuple(
+                            CylinderComponent(g, tuple(sorted(next(taken[m]) for m in zeros)))
+                            for g, zeros in zip(genera, shape)
+                        ),
                         tuple((a, b, lam[j] * eps) for j, eps, (a, b) in by_input),
                     )
                 for p in range(0 if fresh[i] else low, len(pairs)):
@@ -600,4 +612,4 @@ def _admits(genus: int, max_zero: int, residues: Sequence[tuple[int, int]]) -> b
     if genus:
         return True
     ints = line_integers(residues)
-    return ints is None or decide.primitive_total_exceeds(ints, max_zero)
+    return ints is None or primitive_total_exceeds(ints, max_zero)

@@ -1102,8 +1102,10 @@ def _genus1_zero_residue_cert(
     if rotation is None:
         return _cert_of(_chain_surface(orders, (1,) * p, _SQUARE))
     rot = int(rotation)
+    if rot < 1:
+        raise ValueError(f"rotation number must be at least 1, got {rot}")
     g0 = math.gcd(*orders)
-    if rot < 1 or g0 % rot:
+    if g0 % rot:
         raise ValueError(f"rotation {rot} does not divide gcd of the orders")
     if p == 1 and rot == orders[0]:
         raise ValueError("the rotation number of this family is a strict divisor")

@@ -14,7 +14,6 @@ from math import gcd
 
 from resflat.core import QQi, StratumSignature, residue_tuple, validate_residues
 from resflat.decide import (
-    NEEDS_SEARCH,
     decide_cylinder_tuple,
     decide_realizable,
     enumerate_excluded_rays,
@@ -439,7 +438,7 @@ def test_cylinders():
 
     sig = StratumSignature(4, (4, 1, 1), ())
     lam = residue_tuple([1, 1, 1, 1])
-    assert decide_cylinder_tuple(sig, lam) is NEEDS_SEARCH
+    assert decide_cylinder_tuple(sig, lam) is None
     found = search_cylinder_tuple(sig, lam)
     assert found.realizable
     print(

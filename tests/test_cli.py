@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from resflat import StratumSignature, build_witness, residue_tuple
-from resflat.cli import main
+from resflat import (
+    StratumSignature,
+    VerificationError,
+    build_witness,
+    residue_tuple,
+    verify_certificate,
+)
+from resflat.cli import _certificate_to_json, main
+from resflat.surfaces import BlowUpZero, SewHandle
 
 # A gluing of four simple-pole parts whose naive reading is an excluded ray.
 EXCLUDED_RAY_GLUING = json.loads(
@@ -209,6 +217,23 @@ def test_rotation_outside_its_families_is_rejected(tmp_path, genus, zeros, poles
     assert run_cli(["witness"], tmp_path, doc) == (2, None)
 
 
+@pytest.mark.parametrize(
+    "poles, rotation, message",
+    [
+        ([2, 2], 0, "rotation number must be at least 1, got 0"),
+        ([2, 2], -1, "rotation number must be at least 1, got -1"),
+        ([2, 2], 3, "rotation 3 does not divide gcd of the orders"),
+        ([4], 4, "the rotation number of this family is a strict divisor"),
+    ],
+    ids=["zero", "negative", "not-a-divisor", "strict-divisor"],
+)
+def test_unattainable_rotation_is_status_two(tmp_path, capsys, poles, rotation, message):
+    stratum = {"genus": 1, "zeros": [4], "poles": poles, "simple_poles": 0}
+    doc = {"stratum": stratum, "residues": [0] * len(poles), "rotation": rotation}
+    assert run_cli(["witness"], tmp_path, doc) == (2, None)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_oracle_check_small(tmp_path):
     code, out = run_cli(
         ["oracle-check", "--s-max", "5", "--entry-bound", "3"], tmp_path
@@ -320,6 +345,60 @@ def test_verify_rejects_a_gluing_of_an_excluded_ray(tmp_path):
     ]
 
 
+GENUS_0 = build_witness(StratumSignature(0, (1, 1), (2, 2)), residue_tuple([0, 0]))
+GENUS_1 = build_witness(StratumSignature(1, (4,), (2, 2)), residue_tuple([0, 0]))
+BLOWN_UP = build_witness(StratumSignature(1, (3, 1), (2, 2)), residue_tuple([0, 0]))
+
+
+@pytest.mark.parametrize(
+    "cert, violation, through_cli",
+    [
+        (
+            dataclasses.replace(GENUS_0, claimed=dataclasses.replace(GENUS_0.claimed, genus=1)),
+            "claimed genus 1, derived 0",
+            True,
+        ),
+        (
+            dataclasses.replace(GENUS_0, surgeries=(BlowUpZero(0, (0,)),)),
+            "surgery 0: blow-up parts must be positive",
+            True,
+        ),
+        (
+            dataclasses.replace(GENUS_0, surgeries=(SewHandle(5),)),
+            "surgery 0: zero index out of range",
+            True,
+        ),
+        (
+            dataclasses.replace(GENUS_0, surgeries=("twist",)),
+            "surgery 0: unknown operation 'twist'",
+            False,  # the codec reads no such operation
+        ),
+        (
+            dataclasses.replace(GENUS_0, claimed_rotation=1),
+            "rotation numbers apply to genus-1 certificates",
+            True,
+        ),
+        (dataclasses.replace(GENUS_1, claimed_rotation=0), "invalid rotation number 0", True),
+        (
+            dataclasses.replace(BLOWN_UP, claimed_rotation=1),
+            "rotation claims require a surface without surgeries",
+            True,
+        ),
+    ],
+    ids=[
+        "genus", "blow-up-parts", "zero-index", "unknown-operation", "rotation-genus",
+        "rotation-zero", "rotation-after-surgery",
+    ],
+)
+def test_certificate_violation(tmp_path, cert, violation, through_cli):
+    with pytest.raises(VerificationError) as caught:
+        verify_certificate(cert)
+    assert caught.value.violations == (violation,)
+    if through_cli:
+        code, out = run_cli(["verify"], tmp_path, _certificate_to_json(cert))
+        assert code == 1 and out["violations"] == [violation]
+
+
 def _certificate_doc(tmp_path, **changes):
     doc = {
         "stratum": {"genus": 1, "zeros": [4], "poles": [2, 2], "simple_poles": 0},
@@ -350,6 +429,24 @@ def _boolean_claimed_pole_order(tmp_path):
     cert = _certificate_doc(tmp_path)
     cert["claimed_profile"]["poles"][0]["order"] = True
     return cert
+
+
+def _request(residues=(1, -1), **stratum):
+    return {
+        "stratum": {"genus": 0, "zeros": [0], "poles": [], "simple_poles": 2, **stratum},
+        "residues": residues,
+    }
+
+
+def _certificate_with(part, **changes):
+    """A maker of a certificate document with fields of its ``part`` replaced."""
+
+    def make(tmp_path):
+        cert = _certificate_doc(tmp_path)
+        cert[part].update(changes)
+        return cert
+
+    return make
 
 
 @pytest.mark.parametrize(
@@ -384,6 +481,45 @@ def _boolean_claimed_pole_order(tmp_path):
             },
             "$.residues[0]",
         ),
+        (["decide"], lambda tmp: _request([True, -1]), "$.residues[0]"),
+        (["decide"], lambda tmp: _request([[1, 0], -1]), "$.residues[0]"),
+        (["decide"], lambda tmp: _request([{"re": 1, "x": 2}, -1]), "$.residues[0]"),
+        (["decide"], lambda tmp: _request(7), "$.residues"),
+        (["decide"], lambda tmp: _request(genus="0"), "$.stratum.genus"),
+        (["decide"], lambda tmp: _request(simple_poles=[2]), "$.stratum.simple_poles"),
+        (["decide"], lambda tmp: _request(zeros=0), "$.stratum.zeros"),
+        (["decide"], lambda tmp: [_request()], "$"),
+        (["witness"], lambda tmp: {**_request(), "rotation": "1"}, "$.rotation"),
+        (["verify"], lambda tmp: [], "$"),
+        (["verify"], lambda tmp: _certificate_doc(tmp, surface=[]), "$.surface"),
+        (["verify"], _certificate_with("surface", pieces={}), "$.surface.pieces"),
+        (["verify"], _certificate_with("surface", pieces=[{"edges": []}]), "$.surface.pieces[0]"),
+        (
+            ["verify"],
+            _certificate_with("surface", pieces=[{"kind": "disk"}]),
+            "$.surface.pieces[0].kind",
+        ),
+        (["verify"], _certificate_with("surface", pairings={}), "$.surface.pairings"),
+        (["verify"], _certificate_with("surface", pairings=[[1]]), "$.surface.pairings[0]"),
+        (
+            ["verify"],
+            _certificate_with("surface", pairings=[[[0, 0, 1], [0, 1]]]),
+            "$.surface.pairings[0][0]",
+        ),
+        (["verify"], lambda tmp: _certificate_doc(tmp, claimed_profile=[]), "$.claimed_profile"),
+        (["verify"], _certificate_with("claimed_profile", poles={}), "$.claimed_profile.poles"),
+        (["verify"], _certificate_with("claimed_profile", genus="0"), "$.claimed_profile.genus"),
+        (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=[{"zero": 0}]), "$.surgeries[0]"),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, surgeries=[{"op": "twist", "zero": 0}]),
+            "$.surgeries[0].op",
+        ),
+        (["verify"], lambda tmp: _certificate_doc(tmp, claimed_rotation="1"), "$.claimed_rotation"),
+        (["table"], lambda tmp: [4], "$"),
+        (["oracle-check"], lambda tmp: [4], "$"),
+        (["table"], lambda tmp: {"s_min": 5, "s_max": 4}, "$.s_min/s_max"),
+        (["cylinders"], lambda tmp: [], "$"),
     ],
     ids=[
         "format-1-node-pairings",
@@ -402,6 +538,33 @@ def _boolean_claimed_pole_order(tmp_path):
         "oracle-check-empty-sweep-s-max",
         "oracle-check-empty-sweep-entry-bound",
         "boolean-numerator",
+        "boolean-residue",
+        "zero-denominator",
+        "residue-field",
+        "residues-not-a-list",
+        "string-genus",
+        "list-simple-poles",
+        "integer-zeros",
+        "request-not-an-object",
+        "string-rotation",
+        "certificate-not-an-object",
+        "surface-not-an-object",
+        "pieces-not-a-list",
+        "piece-without-kind",
+        "unknown-piece-kind",
+        "pairings-not-a-list",
+        "short-pairing",
+        "long-slot",
+        "claimed-profile-not-an-object",
+        "claimed-poles-not-a-list",
+        "string-claimed-genus",
+        "surgery-without-op",
+        "unknown-surgery",
+        "string-claimed-rotation",
+        "table-not-an-object",
+        "oracle-check-not-an-object",
+        "table-empty-range",
+        "cylinders-not-an-object",
     ],
 )
 def test_every_failure_is_status_two_with_one_error_line(
@@ -413,7 +576,7 @@ def test_every_failure_is_status_two_with_one_error_line(
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
-    assert err.startswith("error: " + where) and err.count("\n") == 1
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
 
 def test_huge_residues_round_trip(tmp_path):

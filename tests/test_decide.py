@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.decide import (
-    NEEDS_SEARCH,
     REASON_BELOW_GENUS,
     REASON_COLLINEAR_OK,
     REASON_EXCLUDED_RAY,
@@ -111,6 +110,20 @@ class TestEnumerateExcludedRays:
             (3, 1, -1, -1, -1, -1),
         ]
 
+    def test_a_bound_at_s_leaves_out_the_non_primitive_tuples(self):
+        # With max_zero >= s a balanced tuple can share a factor: (2, 2, -2, -2)
+        # sums to 4 but is twice (1, 1, -1, -1), which is already listed.
+        rays = [r.integers for r in enumerate_excluded_rays(4, 4)]
+        assert rays == [
+            (1, 1, -1, -1),
+            (2, 1, -2, -1),
+            (3, -1, -1, -1),
+            (3, 1, -3, -1),
+            (3, 1, -2, -2),
+            (4, -2, -1, -1),
+        ]
+        assert (2, 2, -2, -2) not in rays
+
     def test_empty_rows(self):
         assert enumerate_excluded_rays(3, 1) == ()
         assert enumerate_excluded_rays(2, 0) == ()
@@ -167,7 +180,7 @@ class TestCylinders:
     def test_needs_search_then_found(self):
         sig = StratumSignature(4, (4, 1, 1), ())
         lam = residue_tuple([1, 1, 1, 1])
-        assert decide_cylinder_tuple(sig, lam) is NEEDS_SEARCH
+        assert decide_cylinder_tuple(sig, lam) is None
         assert search_cylinder_tuple(sig, lam).realizable
 
     def test_minimal_large_sum_realizable(self):

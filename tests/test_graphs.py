@@ -19,7 +19,7 @@ from resflat.graphs import (
     _admits,
     _connected,
     _flows_positive,
-    _partitions_of_set,
+    _zero_shapes,
     find_connection_graph,
     find_cylinder_config,
     find_stable_config,
@@ -550,6 +550,49 @@ def test_integer_admission_matches_the_closed_form(data):
         left -= zeros[-1]
     expected = _cylinder_component_ok(genus, tuple(zeros), tuple(QQi(x, y) for x, y in residues))
     assert _admits(genus, max(zeros), residues) == expected
+
+
+def _partitions_of_set(items: tuple[int, ...], blocks: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Partitions of items into `blocks` nonempty blocks, canonical order."""
+    if blocks == 0:
+        if not items:
+            yield ()
+        return
+    if len(items) < blocks:
+        return
+    first, rest = items[0], items[1:]
+
+    def rec(remaining: tuple[int, ...], blocks_open: tuple[tuple[int, ...], ...]):
+        if not remaining:
+            if all(blocks_open) and len(blocks_open) == blocks:
+                yield tuple(tuple(b) for b in blocks_open)
+            return
+        x, tail = remaining[0], remaining[1:]
+        for k in range(len(blocks_open)):
+            yield from rec(tail, blocks_open[:k] + (blocks_open[k] + (x,),) + blocks_open[k + 1 :])
+        if len(blocks_open) < blocks:
+            yield from rec(tail, blocks_open + ((x,),))
+
+    yield from rec(rest, ((first,),))
+
+
+def test_zero_shapes_are_the_distinct_sorted_set_partitions():
+    # Every multiset of at most 7 zero orders in 1..4, and every block
+    # count: the generator yields each shape a set partition of the zeros
+    # has, sorted, exactly once.
+    checked = 0
+    for n in range(1, 8):
+        partitions = {k: list(_partitions_of_set(tuple(range(n)), k)) for k in range(1, n + 1)}
+        for orders in itertools.combinations_with_replacement(range(1, 5), n):
+            for k in range(1, n + 1):
+                shapes = list(_zero_shapes(orders, k))
+                expected = {
+                    tuple(sorted(tuple(sorted(orders[i] for i in block)) for block in partition))
+                    for partition in partitions[k]
+                }
+                assert len(shapes) == len(set(shapes)) and set(shapes) == expected, (orders, k)
+                checked += len(shapes)
+    assert checked == 16779
 
 
 def unreduced_cylinder_search(sig, lam):
