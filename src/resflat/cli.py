@@ -5,7 +5,7 @@ Exit status 0 means realizable / verified / full agreement, 1 means not
 realizable / violation / disagreement, 2 means a malformed document, a
 validation error, an exhausted search budget or any other error.
 
-Document formats (format_version "3").  Rationals are [numerator,
+Document formats (format_version "4").  Rationals are [numerator,
 denominator] pairs in lowest terms with positive denominators; a bare
 integer is accepted on input.  Gaussian rationals are {"re": rational,
 "im": rational}; bare integers and rationals are accepted and taken real.
@@ -15,10 +15,12 @@ k of a polygon is its k-th edge, slots of a polar part list the top chain
 then the bottom chain, slots of a simple-pole part are its chain vectors.
 Matched slots carry equal vectors with the two pieces on opposite sides.
 A certificate holds one "surface", its "surgeries", the claimed
-profile and a claimed rotation number; a node of a stable tree is a
-polygon, the finite cylinder that plumbing the node leaves.  A certificate
-field outside this format, such as the separate surfaces and node list of
-format "1" or the "family" of format "2", is rejected.
+profile and a claimed rotation number; a node of a stable tree and a
+handle are each a polygon, the finite cylinder that plumbing leaves.  The
+only surgery is "blow_up_zero".  A certificate field or surgery outside
+this format, such as the separate surfaces and node list of format "1",
+the "family" of format "2" or the handle sewing of format "3", is
+rejected.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import decide as _decide
 from . import graphs as _graphs
 from . import surfaces as _surfaces
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 
 
 class DocumentError(Exception):
@@ -227,14 +229,10 @@ def _profile_from_json(doc: Any, path: str) -> _surfaces.Profile:
 
 
 def _certificate_to_json(cert: _surfaces.ConstructionCertificate) -> dict:
-    surgeries = []
-    for sg in cert.surgeries:
-        if isinstance(sg, _surfaces.BlowUpZero):
-            surgeries.append(
-                {"op": "blow_up_zero", "zero": sg.zero_index, "parts": list(sg.parts)}
-            )
-        else:
-            surgeries.append({"op": "sew_handle", "zero": sg.zero_index})
+    surgeries = [
+        {"op": "blow_up_zero", "zero": sg.zero_index, "parts": list(sg.parts)}
+        for sg in cert.surgeries
+    ]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "certificate",
@@ -271,18 +269,12 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
         spath = f"{path}.surgeries[{k}]"
         if not isinstance(sg, dict) or "op" not in sg:
             raise DocumentError(spath, "expected an object with an 'op'")
+        if sg["op"] != "blow_up_zero":
+            raise DocumentError(spath + ".op", f"unknown surgery {sg['op']!r}")
         if not _is_int(sg.get("zero")):
             raise DocumentError(spath + ".zero", "expected an integer")
-        if sg["op"] == "blow_up_zero":
-            surgeries.append(
-                _surfaces.BlowUpZero(
-                    sg["zero"], tuple(_int_list(sg.get("parts"), spath + ".parts"))
-                )
-            )
-        elif sg["op"] == "sew_handle":
-            surgeries.append(_surfaces.SewHandle(sg["zero"]))
-        else:
-            raise DocumentError(spath + ".op", f"unknown surgery {sg['op']!r}")
+        parts = tuple(_int_list(sg.get("parts"), spath + ".parts"))
+        surgeries.append(_surfaces.BlowUpZero(sg["zero"], parts))
     claimed = _profile_from_json(doc.get("claimed_profile"), path + ".claimed_profile")
     rotation = doc.get("claimed_rotation")
     if rotation is not None and not _is_int(rotation):

@@ -28,13 +28,11 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .core import (
-    NON_COLLINEAR,
     Pair,
     PrimitiveRay,
     QQi,
     StratumSignature,
     arg_cmp,
-    collinear_normal_form,
     cross,
     dot,
     residue_tuple,
@@ -563,58 +561,35 @@ class BlowUpZero:
 
 
 @dataclass(frozen=True)
-class SewHandle:
-    zero_index: int
-
-
-Surgery = BlowUpZero | SewHandle
-
-
-@dataclass(frozen=True)
 class ConstructionCertificate:
-    """One glued surface, surgeries and the claimed invariants.
+    """One glued surface, blow-ups and the claimed invariants.
 
-    Surgeries act on the surface's verified profile by bookkeeping: a
-    blow-up splits a zero, a handle raises genus by one and a chosen zero's
-    order by two.  Zero indices refer to the current zero tuple, sorted
-    descending, at each step.
+    A blow-up acts on the surface's verified profile by bookkeeping: it
+    splits a zero into parts of the same total order.  Zero indices refer
+    to the current zero tuple, sorted descending, at each step.
     """
 
     surface: FlatSurface
-    surgeries: tuple[Surgery, ...]
+    surgeries: tuple[BlowUpZero, ...]
     claimed: Profile
     claimed_rotation: int | None = None
 
 
-def _apply_surgery(profile: Profile, surgery: Surgery) -> Profile:
-    """The profile after one surgery; raises ValueError when it does not apply."""
-    if not isinstance(surgery, (BlowUpZero, SewHandle)):
+def _apply_surgery(profile: Profile, surgery: BlowUpZero) -> Profile:
+    """The profile after one blow-up; raises ValueError when it does not apply."""
+    if not isinstance(surgery, BlowUpZero):
         raise ValueError(f"unknown operation {surgery!r}")
     zeros = list(profile.zero_orders)
     if not (0 <= surgery.zero_index < len(zeros)):
         raise ValueError("zero index out of range")
-    genus = profile.genus
-    if isinstance(surgery, SewHandle):
-        zeros[surgery.zero_index] += 2
-        genus += 1
-    else:
-        order = zeros.pop(surgery.zero_index)
-        parts = surgery.parts
-        if not parts or any(x <= 0 for x in parts):
-            raise ValueError("blow-up parts must be positive")
-        if sum(parts) != order:
-            raise ValueError(f"parts sum to {sum(parts)}, zero has order {order}")
-        zeros.extend(parts)
-    return Profile(genus, tuple(sorted(zeros, reverse=True)), profile.poles)
-
-
-def _with_surgery(cert: ConstructionCertificate, step: Surgery) -> ConstructionCertificate:
-    return replace(
-        cert,
-        surgeries=cert.surgeries + (step,),
-        claimed=_apply_surgery(cert.claimed, step),
-        claimed_rotation=None,
-    )
+    order = zeros.pop(surgery.zero_index)
+    parts = surgery.parts
+    if not parts or any(x <= 0 for x in parts):
+        raise ValueError("blow-up parts must be positive")
+    if sum(parts) != order:
+        raise ValueError(f"parts sum to {sum(parts)}, zero has order {order}")
+    zeros.extend(parts)
+    return Profile(profile.genus, tuple(sorted(zeros, reverse=True)), profile.poles)
 
 
 def blow_up_zero(
@@ -626,26 +601,23 @@ def blow_up_zero(
     the index names no zero, or the parts are not positive or do not sum
     to the chosen zero's order.
     """
-    return _with_surgery(cert, BlowUpZero(zero_index, tuple([int(x) for x in parts])))
-
-
-def sew_handle(cert: ConstructionCertificate, zero_index: int) -> ConstructionCertificate:
-    """Raise genus by one and the chosen zero's order by two; residues fixed.
-
-    Raises ValueError when the index names no zero.
-    """
-    return _with_surgery(cert, SewHandle(zero_index))
+    step = BlowUpZero(zero_index, tuple([int(x) for x in parts]))
+    return replace(
+        cert,
+        surgeries=cert.surgeries + (step,),
+        claimed=_apply_surgery(cert.claimed, step),
+        claimed_rotation=None,
+    )
 
 
 def verify_certificate(cert: ConstructionCertificate) -> Profile:
     """Re-derive a certificate's profile and check it against the claim.
 
-    The surface is verified from scratch; surgeries are then folded in by
-    their transformation rules.  A claimed rotation number needs a genus-1
-    surface and no surgeries; it must divide the gcd of all orders and
-    equal the rotation number read off the surface, the gcd of all orders
-    and the indices of two loops that span H_1 (Boissy, Comment. Math.
-    Helv. 90, 2015).
+    The surface is verified from scratch; blow-ups are then folded in by
+    their rule.  A claimed rotation number needs a genus-1 surface and no
+    surgeries; it must divide the gcd of all orders and equal the rotation
+    number read off the surface, the gcd of all orders and the indices of
+    two loops that span H_1 (Boissy, Comment. Math. Helv. 90, 2015).
     """
     profile, tables = _read_surface(cert.surface)
     for step, surgery in enumerate(cert.surgeries):
@@ -1123,28 +1095,27 @@ def _genus1_zero_residue_cert(
 def _positive_genus_cert(
     sig: StratumSignature, residues: Sequence[QQi], rotation: int | None
 ) -> ConstructionCertificate:
-    """A genus-1 base with a single zero, g - 1 handles, then the blow-ups."""
-    if all(r.is_zero() for r in residues):
+    """g plumbed handles on a single-zero genus-0 base, then the blow-ups.
+
+    The base adds simple poles of residues c_j = (j + i) * r_0 and -c_j for
+    j < g, r_0 the first nonzero residue or 1, and :func:`_plumb` joins
+    each pair into a handle.  c_0 is off the real line of r_0, so the
+    residues span the plane.  A genus-1 zero-residue base is built apart.
+    """
+    g = sig.genus
+    if g == 1 and all(r.is_zero() for r in residues):
         # With no poles at all this is the bare square.
-        cert = _genus1_zero_residue_cert(sig.higher_poles, rotation)
-    elif sig.p == 0:
-        # One handle: the residual polygon with two more half-infinite
-        # cylinders, of residues c = i * r_0 and -c, plumbed to each other.
-        # c is off the real line of r_0, so the residues span the plane.
-        c = QQi(-residues[0].im, residues[0].re)
-        base_sig = StratumSignature(0, (sig.s,), (), sig.s + 2)
-        base = _single_zero_surface(base_sig, (*residues, c, -c), None)
-        cert = _cert_of(_plumb(base.pieces, base.pairings, 1))
-    else:
-        a0 = sig.pole_degree + sig.s - 2
-        base_sig = StratumSignature(0, (a0,), sig.higher_poles, sig.s)
-        form = collinear_normal_form(tuple([r for r in residues if not r.is_zero()]))
-        ray = None if form is NON_COLLINEAR else form
-        cert = _cert_of(_single_zero_surface(base_sig, residues, ray))
-        cert = sew_handle(cert, cert.claimed.zero_orders.index(a0))
-    for _ in range(sig.genus - 1):
-        cert = sew_handle(cert, 0)
-    return _blow_to_target(cert, sig.zeros)
+        return _blow_to_target(_genus1_zero_residue_cert(sig.higher_poles, rotation), sig.zeros)
+    r0 = next((r for r in residues if not r.is_zero()), _ONE)
+    handles = []
+    for j in range(g):
+        c = r0 * QQi(j, 1)
+        handles += [c, -c]
+    base_sig = StratumSignature(
+        0, (sig.pole_degree + sig.s + 2 * g - 2,), sig.higher_poles, sig.s + 2 * g
+    )
+    base = _single_zero_surface(base_sig, (*residues, *handles), None)
+    return _blow_to_target(_cert_of(_plumb(base.pieces, base.pairings, g)), sig.zeros)
 
 
 def _certificate_for(

@@ -9,14 +9,25 @@ from pathlib import Path
 import pytest
 
 from resflat import (
+    ConstructionCertificate,
+    FlatSurface,
+    PolarPart,
+    Polygon,
+    Profile,
+    QQi,
+    SimplePolePart,
     StratumSignature,
     VerificationError,
     build_witness,
+    decide_realizable,
     residue_tuple,
     verify_certificate,
+    verify_surface,
 )
 from resflat.cli import _certificate_to_json, main
-from resflat.surfaces import BlowUpZero, SewHandle
+from resflat.surfaces import BlowUpZero
+
+ZERO, ONE, I = QQi(0), QQi(1), QQi(0, 1)
 
 # A gluing of four simple-pole parts whose naive reading is an excluded ray.
 EXCLUDED_RAY_GLUING = json.loads(
@@ -364,7 +375,7 @@ BLOWN_UP = build_witness(StratumSignature(1, (3, 1), (2, 2)), residue_tuple([0, 
             True,
         ),
         (
-            dataclasses.replace(GENUS_0, surgeries=(SewHandle(5),)),
+            dataclasses.replace(GENUS_0, surgeries=(BlowUpZero(5, (1,)),)),
             "surgery 0: zero index out of range",
             True,
         ),
@@ -399,6 +410,63 @@ def test_certificate_violation(tmp_path, cert, violation, through_cli):
         assert code == 1 and out["violations"] == [violation]
 
 
+@pytest.mark.parametrize(
+    "pieces, violation",
+    [
+        ([PolarPart(2, 1, (ZERO,), ())], "piece 0: top chain contains a zero vector"),
+        (
+            [PolarPart(2, 1, (), (I, ONE))],
+            "piece 0: bottom chain arguments must be weakly increasing",
+        ),
+        ([Polygon((ONE, -ONE))], "piece 0: polygon needs at least three edges"),
+        ([PolarPart(1, 1, (ONE,), ())], "piece 0: polar part order must be at least 2"),
+        ([PolarPart(2, 1, (), ())], "piece 0: polar part needs a nonempty boundary chain"),
+        ([SimplePolePart(())], "piece 0: simple-pole part needs at least one vector"),
+        ([], "surface has no pieces"),
+    ],
+    ids=[
+        "zero-chain-vector", "bottom-chain-order", "two-edge-polygon", "order-one-polar-part",
+        "empty-polar-part", "empty-simple-pole-part", "no-pieces",
+    ],
+)
+def test_surface_violation(tmp_path, pieces, violation):
+    surface = FlatSurface(pieces)
+    with pytest.raises(VerificationError) as caught:
+        verify_surface(surface)
+    assert caught.value.violations == (violation,)
+    cert = ConstructionCertificate(surface, (), Profile(0, (), ()))
+    code, out = run_cli(["verify"], tmp_path, _certificate_to_json(cert))
+    assert code == 1 and out["violations"] == [violation]
+
+
+@pytest.mark.parametrize(
+    "stratum, violation",
+    [
+        ({"genus": -1, "zeros": [], "poles": [2]}, "genus must be nonnegative, got -1"),
+        ({"genus": 0, "zeros": [-1], "poles": [2]}, "zero orders must be nonnegative"),
+        ({"genus": 0, "zeros": [0], "poles": [1]}, "higher pole orders must be at least 2"),
+        (
+            {"genus": 0, "zeros": [0], "poles": [2], "simple_poles": -1},
+            "simple pole count must be nonnegative",
+        ),
+    ],
+    ids=["negative-genus", "negative-zero", "order-one-pole", "negative-simple-poles"],
+)
+def test_structural_stratum_violation(tmp_path, capsys, stratum, violation):
+    # The residue tuple also has the wrong length: the structural message
+    # comes alone, as validate_residues stops before the length check.
+    sig = StratumSignature(
+        stratum["genus"], stratum["zeros"], stratum["poles"], stratum.get("simple_poles", 0)
+    )
+    with pytest.raises(ValueError) as caught:
+        decide_realizable(sig, residue_tuple([1, 2, 3]))
+    assert str(caught.value) == violation
+    capsys.readouterr()
+    code, _ = run_cli(["decide"], tmp_path, {"stratum": stratum, "residues": [1, 2, 3]})
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {violation}\n"
+
+
 def _certificate_doc(tmp_path, **changes):
     doc = {
         "stratum": {"genus": 1, "zeros": [4], "poles": [2, 2], "simple_poles": 0},
@@ -418,9 +486,12 @@ def _boolean_pole_type(tmp_path):
 
 
 def _boolean_surgery_zero(tmp_path):
-    doc = {"stratum": {"genus": 2, "zeros": [2], "poles": [], "simple_poles": 0}}
+    doc = {
+        "stratum": {"genus": 0, "zeros": [1, 1], "poles": [], "simple_poles": 4},
+        "residues": [3, -1, -1, -1],
+    }
     _, cert = run_cli(["witness"], tmp_path, doc, name="request.json")
-    assert cert["surgeries"] == [{"op": "sew_handle", "zero": 0}]
+    assert cert["surgeries"] == [{"op": "blow_up_zero", "zero": 0, "parts": [1, 1]}]
     cert["surgeries"][0]["zero"] = False
     return cert
 
@@ -515,6 +586,16 @@ def _certificate_with(part, **changes):
             lambda tmp: _certificate_doc(tmp, surgeries=[{"op": "twist", "zero": 0}]),
             "$.surgeries[0].op",
         ),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, surgeries=[{"op": "sew_handle", "zero": 0}]),
+            "$.surgeries[0].op",
+        ),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, surgeries=[{"op": "sew_handle"}]),
+            "$.surgeries[0].op",
+        ),
         (["verify"], lambda tmp: _certificate_doc(tmp, claimed_rotation="1"), "$.claimed_rotation"),
         (["table"], lambda tmp: [4], "$"),
         (["oracle-check"], lambda tmp: [4], "$"),
@@ -560,6 +641,8 @@ def _certificate_with(part, **changes):
         "string-claimed-genus",
         "surgery-without-op",
         "unknown-surgery",
+        "format-3-sew-handle",
+        "unknown-surgery-without-zero",
         "string-claimed-rotation",
         "table-not-an-object",
         "oracle-check-not-an-object",

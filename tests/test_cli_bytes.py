@@ -32,7 +32,7 @@ CASES = [
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [2, 2]), "residues": [0, 0]},
         0,
-        "f9866cce153f27aeb692e9e96e8b2ce3e72a871c31f287bacf29b06d7700d3fc",
+        "7d192e8b72fac142c6c029954bf79651aa54ced98c25e7815a074da95ab4fb14",
     ),
     (
         "witness-residual-polygon",
@@ -42,42 +42,42 @@ CASES = [
             "residues": [_gauss(1, 0), _gauss(0, 1), _gauss(-1, 0), _gauss(0, -1)],
         },
         0,
-        "c8401d6cfc3a5bcc6d89d7cb8db06b3331de3500a9df98b6f4ebff0f8b918891",
+        "a0fba7cc0c06086cc7de1f8c8675e94c92c4b279344191e77e3624101c12709e",
     ),
     (
         "witness-collinear-anchor-chain",
         ["witness"],
         {"stratum": _stratum(0, [2], [2], 2), "residues": [1, 2, -3]},
         0,
-        "1e60c615f8ed7dba88f8d48dad0e92ecf3268be63fbcfdc827bd9c3544ba63ae",
+        "014ef9694f2e3b226d724ccbfbc1785e582d3f5bd5dee2a6490596e2a821acb7",
     ),
     (
         "witness-connection-graph",
         ["witness"],
         {"stratum": _stratum(0, [5], [], 7), "residues": [3, 1, 1, 1, -2, -2, -2]},
         0,
-        "f05fa6c0c80513a2218dc5c79305aecdf63f2ccdde1ae38ef207e25c5a9a8478",
+        "b10250be60e5f0b1434ed1d7d680817f03bcc4ba391729614e996ee8814eb138",
     ),
     (
         "witness-blow-up-of-single-zero",
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [], 4), "residues": [3, -1, -1, -1]},
         0,
-        "7eb2fd9acd492dc01722402e9b49bd3196ed73f348345049b7d7019b3d4e2e79",
+        "1e47e22b0f0e4ab94de19563fe6bf797496bea71d9cddf6e98a5971786d2f125",
     ),
     (
         "witness-stable-tree",
         ["witness"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "06f51b5abb49919be412a74b1000b2b3231bb2a0be0467a4267fdce44b18a682",
+        "08527a9507d8ea3aadc094972fa8a93ba35fd084a8bcaed58cbff4f9028b3358",
     ),
     (
         "witness-genus-reduction",
         ["witness"],
         {"stratum": _stratum(1, [3], [2], 1), "residues": [[1, 2], [-1, 2]]},
         0,
-        "6729bdbad89048dd6b04c7e6e39242174c39ac84e25279e8fd6831814215f563",
+        "7d7866f86023db958fe212a099d6c7192c952314b3e68076f61141e7712563ab",
     ),
     (
         "witness-genus-2-nonzero-residues",
@@ -87,35 +87,35 @@ CASES = [
             "residues": [_gauss(1, 1), 1, _gauss(-2, -1)],
         },
         0,
-        "25b89367e68b74b045ae5a97caa9c86fa6bd42e0014292057a64e43f97b0fdfd",
+        "4f91570cc1637d012c4c23fe94e5c861e54fbbf55a78ca805aca2e9bdf9a277d",
     ),
     (
         "witness-genus-2-simple-poles",
         ["witness"],
         {"stratum": _stratum(2, [2, 2], [], 2), "residues": [1, -1]},
         0,
-        "11860b3e2ff203899c7bef4044e644d525b4e63ff91864938c1c4a34a3100c6e",
+        "7c16065a42206e7ee89eef9437f548cc35af4942854ed7d7be50149ad067cdb7",
     ),
     (
         "witness-genus-1-rotation",
         ["witness"],
         {"stratum": _stratum(1, [4], [2, 2]), "residues": [0, 0], "rotation": 2},
         0,
-        "ee1b852167c7613a9982b0a372f4f14c716ca4b2353d655f92cbe1d361239519",
+        "7911b419eda851a93a41b1f4d07f542a2006c470ddd6b12bb3c48623bfe13f7d",
     ),
     (
         "witness-marked-point",
         ["witness"],
         {"stratum": _stratum(0, [0], [], 2), "residues": [1, -1]},
         0,
-        "58f49557b49d1502b6a516ffd6bbd094440ea5a4ba14e3c87438dcff9171a600",
+        "244d4e470831c69ac36c9db8195f9d88fb0c0dc79a664912deabc69df6f3fdc6",
     ),
     (
         "witness-residual-polygon-trivial-part",
         ["witness"],
         {"stratum": _stratum(0, [4], [2, 2], 2), "residues": [0, 1, _gauss(0, 1), _gauss(-1, -1)]},
         0,
-        "adeb860730f9e99928d9b43df9ea7d94d61c5a778e9641446c5bc99e5cde4c25",
+        "186b07b26b2de349328a8ef03dcdf7e3289db0eaabea3efeecb9262cdad03258",
     ),
     (
         "witness-anchor-chain-down-imaginary-trivial-part",
@@ -125,63 +125,63 @@ CASES = [
             "residues": [_gauss(0, -2), 0, _gauss(0, 1), _gauss(0, 1)],
         },
         0,
-        "e7dc1d36352a7fa97d072f9febc57fadad0feb7794f43547db9c02b093100d20",
+        "af58261d712d3c5f08858c749ca073a454568ac3958ffe2a00d11fad71c6d2a8",
     ),
     (
         "witness-anchor-chain-two-zeros",
         ["witness"],
         {"stratum": _stratum(0, [1, 1], [2], 2), "residues": [1, 2, -3]},
         0,
-        "2c0f7e656636771d0c3d9cf42bd2a8344d6d3d5feaca7ca31cf8034850e64e3e",
+        "92129596af10beea555846a358f8110e6cb77a46f7a3ee0fe1fddb2888f6047f",
     ),
     (
         "witness-genus-1-zero-residues-two-zeros",
         ["witness"],
         {"stratum": _stratum(1, [2, 2], [2, 2]), "residues": [0, 0]},
         0,
-        "35d1a23a21d3fe5c5ed279ae25e2d0cf21447d3d8b5ccf2a0b9471463a7e47b4",
+        "927629b13fa8699f2be56eb1c89895db0cf16d8a84bf346cddbc9f0b8a264d2e",
     ),
     (
         "witness-genus-3-holomorphic",
         ["witness"],
         {"stratum": _stratum(3, [2, 2]), "residues": []},
         0,
-        "b5160f042bcdf821a9ba066af8586021d6534faca00f84cbdcd22a3620d8d199",
+        "022d7239b1974fcea665aae2e29aa95656488e8345a3512b6680d9f99840d5ce",
     ),
     (
         "witness-not-realizable",
         ["witness"],
         {"stratum": _stratum(0, [2], [2, 2]), "residues": [0, 0]},
         1,
-        "9195a5265bee98f39e2aa573aa88f58e052224b34e740df6ce89fde8e28a6129",
+        "dd896d2211166da4ef79ea830a815008b488048019085cef7bdb96edee145eaa",
     ),
     (
         "decide-excluded-ray",
         ["decide"],
         {"stratum": _stratum(0, [2], [], 4), "residues": [1, 1, -1, -1]},
         1,
-        "82512cd88aa90c2b82ae56b02b56a260e6c3480aa7f72f998fcc817f519d2b7a",
+        "05df9e743ac5f1be66aac22aedad1c598545329d232bd37460ac1b38ea3c6d03",
     ),
     (
         "decide-stable-tree",
         ["decide"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "b634c17b27d7223707eac65c14aa8ee33eebcfdc2b6539326f60e2cab5c9b2fb",
+        "43d7e595d047863da8a48ee8c327948edf6af7088cdfe348163be75aa1e14c19",
     ),
     (
         "cylinders-closed-form",
         ["cylinders"],
         {"stratum": _stratum(4, [6]), "circumferences": [1, 1, 1, 1]},
         1,
-        "d087af5f79b386ca50d38d8f6eabbdc9741e68d15d5bde605d90d8ee44d41625",
+        "1b6d48bd3a0a39d436f91e2693b77f15ab263d24a3183e0e15ab4131ff749398",
     ),
     (
         "cylinders-search",
         ["cylinders"],
         {"stratum": _stratum(4, [4, 1, 1]), "circumferences": [1, 1, 1, 1]},
         0,
-        "9b8ca606ef73f43e9db80f9e1cf0a628e3f7c44d5523979118e15bc4c72fb118",
+        "4c9c606775a3e3770fbd4436e8d4cfb780ae37122536f9efe3e5c7ac47e8fb04",
     ),
 ]
 
@@ -230,13 +230,13 @@ VERIFY_CASES = [
         "verify-profile-genus-reduction",
         "witness-genus-reduction",
         0,
-        "d88adafda2ad0edd4f87c65327ac3021d9af94c1eea8ade418d7462dfafa672b",
+        "476b8e2540b1ace43a1408f652b288f3074e7acea134f9f221aa55efcf5d1081",
     ),
     (
         "verify-profile-genus-2-nonzero-residues",
         "witness-genus-2-nonzero-residues",
         0,
-        "d5ff7a20d21bc7499190af3572c1ec5d460e0b739ca058a14eb3c87104795e2f",
+        "e308c320c711755e0f9e1298362da8a6d4922765bb3dd924a75a95bce7b8e5b2",
     ),
     (
         "verify-vector-mismatch",
@@ -248,7 +248,7 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "630d410f6ed0d28c7b352e972fa5cbebbb14aac1f3ac86f65d041e05acd58615",
+        "07b6b480e1b0339d3398dc1bf6821c365f904584db70c732a0237b71890f42ad",
     ),
     (
         "verify-vector-mismatch-gaussian",
@@ -257,13 +257,13 @@ VERIFY_CASES = [
             [[[0, 0], [1, 0]], [[0, 1], [1, 1]]],
         ),
         1,
-        "fd7e2b0228278c934ce3356ad1b2d1e5fc9c476cacbf0438fa8c634c121f028b",
+        "79a321e2757f0bdce4bd5aacf05defb772b0a2cc5f1f4773190bf702658d27fa",
     ),
     (
         "verify-polygon-open",
         _certificate([_polygon(HALF, _gauss(0, THIRD), MINUS_HALF)], []),
         1,
-        "425121ab65eaf0f5d5d3477c8db26b7b39330f1ddb2fca0b9ac9d63eb68eb00e",
+        "b16d5ba5f0e87600fe586a8b6fcb7331204dcafd216915acf1973e316c5678be",
     ),
     (
         "verify-polygon-winds-twice",
@@ -271,37 +271,37 @@ VERIFY_CASES = [
             [_polygon(*[[2, 3], _gauss(0, [2, 3]), [-2, 3], _gauss(0, [-2, 3])] * 2)], []
         ),
         1,
-        "4e0877c862f29b472655fa5f47b9c7e398fb0404f060b06452db0f3fe1ea374f",
+        "8e0a6c72c43a3caa1855856254e1269ab5b8f38f6241f7a5e0eda128b5d6c84d",
     ),
     (
         "verify-negative-real-axis",
         _certificate([_polar(2, 1, [1], [_gauss(1, 1), MINUS_HALF])], []),
         1,
-        "1719e5850452ead790aa761d97e3da58ceac9f8dd435a0c458bc948a60576c5b",
+        "013d3d5c12ef1aed204caa8d17264ad9b7fc0cf6cc17ddd2f3c09378c57be80e",
     ),
     (
         "verify-top-chain-order",
         _certificate([_polar(3, 1, [1, _gauss(0, HALF)], [])], []),
         1,
-        "d6f38e75854bb8204ff4df0b2b33cb226046db97c9692fa9f59d29f384500aea",
+        "44cd6db0af90cd16b9888dfc230c1971cdbee17c6c2fd857c9562f40e1d93dcb",
     ),
     (
         "verify-chain-sum",
         _certificate([_polar(2, 1, [_gauss(-1, THIRD)], [])], []),
         1,
-        "f7fa90fa80fc260957bd65adb28f2d7b65a38358a81fc2b46511cb470372fd0c",
+        "6e2534e702ff9f2c97b7e964a4b86dfc8c4798b8b7616c727a11b39f22cfd171",
     ),
     (
         "verify-simple-pole-backtrack",
         _certificate([_simple(THIRD, MINUS_HALF)], []),
         1,
-        "f8b3833bb0468bb4397cf753c191db5033bee7b4fd0b1a404b6172e28f85d4bc",
+        "54f88c3ecc781a21ba64a41ffc2a734fd238ee4c4043e81fc5725a68f7144566",
     ),
     (
         "verify-excluded-ray-gluing",
         json.loads(Path(__file__).with_name("excluded_ray_gluing.json").read_text()),
         1,
-        "0826987fcf2eff9397f71130a0837d729976ce226e29363e5bfbcc30cf51a67b",
+        "f285ef9ef0bdd5275309968c525135a390c32779f02cd1543c5cf2a54d66457c",
     ),
     (
         "verify-zero-residue-at-simple-pole",
@@ -313,7 +313,7 @@ VERIFY_CASES = [
             [[[0, k], [1, k]] for k in range(3)],
         ),
         1,
-        "c4c981143a786dd447355a8194a39df23f29110914b5167276d912f6224d9b43",
+        "47e7a4384fcc33e5e21e6eaf81c4d544c3954a43f6b9be8667121fbee4386c7f",
     ),
     (
         "verify-unmatched-edge",
@@ -322,7 +322,7 @@ VERIFY_CASES = [
             [[[0, 0], [0, 2]]],
         ),
         1,
-        "0952ccecbe253fc674e4459736e871b824a4b66d258c068729d25dfeb0e14c31",
+        "85ee0bf4b79d6f6668f14bc976dc7c65e5d00ea758ca654523b8b412524338a1",
     ),
     (
         "verify-claimed-poles-differ",
@@ -336,7 +336,7 @@ VERIFY_CASES = [
             },
         ),
         1,
-        "15fa4771f6cf03dcf185431a8e51ad67c25fbb9df11b8f490675625de514b512",
+        "6fb19972cbe886d792655ec20d0e789ee4f526772923d6943f7f68c5f73d6e39",
     ),
 ]
 

@@ -8,9 +8,18 @@ import pytest
 
 import resflat.decide
 import resflat.surfaces
-from resflat.core import QQi, StratumSignature, cross, dot, residue_tuple, scaled
+from resflat.core import (
+    QQi,
+    StratumSignature,
+    cross,
+    dot,
+    residue_tuple,
+    scaled,
+    validate_residues,
+)
 from resflat.decide import _partitions, decide_realizable, primitive_total_exceeds
 from resflat.surfaces import (
+    BlowUpZero,
     ConstructionCertificate,
     FlatSurface,
     PolarPart,
@@ -21,7 +30,6 @@ from resflat.surfaces import (
     build_witness,
     profile_matches,
     residue_of_piece,
-    sew_handle,
     verify_certificate,
     verify_surface,
 )
@@ -36,6 +44,35 @@ from resflat.surfaces import (
 
 ONE = QQi(1)
 I = QQi(0, 1)
+
+
+def _positive_genus_requests(count=640, seed=19):
+    """Valid requests of genus 1-4: 0-3 higher poles of orders 2-4, 0-3
+    simple poles, zero, collinear or generic residues, 1-3 zeros (none when
+    the degree leaves none) and 0-2 marked points."""
+    rng = random.Random(seed)
+    requests = []
+    while len(requests) < count:
+        genus, p, s = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3)
+        orders = [rng.randint(2, 4) for _ in range(p)]
+        total = sum(orders) + s + 2 * genus - 2
+        k = min(rng.randint(1, 3), total)
+        cuts = [0, *sorted(rng.sample(range(1, total), k - 1)), total] if k else [0]
+        zeros = [b - a for a, b in zip(cuts, cuts[1:])] + [0] * rng.randint(0, 2)
+        # The first p + s - 1 residues are drawn, the last balances them.
+        kind = rng.choice(("zero", "collinear", "generic"))
+        if kind == "zero":
+            values = [QQi(0)] * (p + s - 1)
+        elif kind == "collinear":
+            d = rng.choice((ONE, I, ONE + I, QQi(2, -1)))
+            values = [d * rng.randint(-3, 3) for _ in range(p + s - 1)]
+        else:
+            values = [QQi(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(p + s - 1)]
+        values = [*values, -sum(values, QQi(0))] if p + s else []
+        sig = StratumSignature(genus, zeros, orders, s)
+        if not validate_residues(sig, values):
+            requests.append((sig, values))
+    return requests
 
 
 def _orient(a, b, c):
@@ -308,8 +345,8 @@ class TestBuildWitness:
         ids=["1", "i", "1,1", "1+i,1+i"],
     )
     def test_simple_pole_handles_are_simple_polygons(self, values, t, genus):
-        # Simple poles only at positive genus: the residual polygon with one
-        # plumbed handle, then g - 1 sewn handles.
+        # Simple poles only at positive genus: the residual polygon with g
+        # plumbed handles.
         s = len(values)
         sig = StratumSignature(genus, (s + 2 * genus - 2,), (), s)
         values = [v * t for v in residue_tuple(values)]
@@ -320,8 +357,32 @@ class TestBuildWitness:
 
     def test_two_handles_witness(self):
         cert = self.check(StratumSignature(2, (6,), (2, 2)), [1, -1])
-        assert sum(1 for s in cert.surgeries if type(s).__name__ == "SewHandle") == 2
-        assert verify_surface(cert.surface).genus == 0
+        assert cert.surgeries == ()
+        assert verify_surface(cert.surface).genus == 2
+
+    def test_positive_genus_sweep(self):
+        # Every handle is a plumbed cylinder: the surface alone has the
+        # requested genus, and only blow-ups act on its profile.
+        requests = _positive_genus_requests()
+        assert {sig.genus for sig, _ in requests} == {1, 2, 3, 4}
+        for sig, values in requests:
+            cert = self.check(sig, values)
+            assert all(isinstance(step, BlowUpZero) for step in cert.surgeries)
+            assert verify_surface(cert.surface).genus == sig.genus
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            StratumSignature(1, (4,), (), 4),
+            StratumSignature(0, (1, 1), (), 4),
+            StratumSignature(0, (2, 0), (), 4),
+        ],
+        ids=["genus", "zeros", "missing-marked-point"],
+    )
+    def test_profile_matches_rejects_another_request(self, other):
+        r = residue_tuple([1, 2, -1, -2])
+        prof = verify_certificate(self.check(StratumSignature(0, (2,), (), 4), r))
+        assert not profile_matches(prof, other, r)
 
     def test_corrected_mixed_example(self):
         self.check(
@@ -575,28 +636,6 @@ class TestSurgeries:
     def test_blow_up_sum_mismatch(self):
         with pytest.raises(ValueError, match="sum"):
             blow_up_zero(self.base_cert(), 0, (3, 2))
-
-    def test_sew_handle_chain(self):
-        base = build_witness(StratumSignature(0, (2,), (2, 2)), residue_tuple([1, -1]))
-        once = sew_handle(base, 0)
-        prof1 = verify_certificate(once)
-        assert (prof1.genus, prof1.zero_orders) == (1, (4,))
-        twice = sew_handle(once, 0)
-        prof2 = verify_certificate(twice)
-        assert (prof2.genus, prof2.zero_orders) == (2, (6,))
-        assert prof2.poles == prof1.poles
-
-    def test_sew_simple_pole_witness(self):
-        base = build_witness(
-            StratumSignature(0, (4,), (), 6), residue_tuple([3, 1, 1, -2, -2, -1])
-        )
-        cert = sew_handle(base, 0)
-        prof = verify_certificate(cert)
-        assert prof.genus == 1 and 6 in prof.zero_orders
-
-    def test_sew_bad_index(self):
-        with pytest.raises(ValueError, match="zero index out of range"):
-            sew_handle(self.base_cert(), 5)
 
 
 # The genus-1 bases in closed form, and the indices of two loops that span
