@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any
 
-from .core import QQi, StratumSignature, residue_tuple
+from .core import QQi, StratumSignature, residue_tuple, scaled
 from . import decide as _decide
 from . import graphs as _graphs
 from . import surfaces as _surfaces
@@ -55,10 +55,6 @@ def _is_int(doc: Any) -> bool:
     return isinstance(doc, int) and not isinstance(doc, bool)
 
 
-def _frac_to_json(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
-
-
 def _frac_from_json(doc: Any, path: str) -> Fraction:
     if isinstance(doc, bool):
         raise DocumentError(path, "expected a rational, got a boolean")
@@ -72,7 +68,7 @@ def _frac_from_json(doc: Any, path: str) -> Fraction:
 
 
 def _qqi_to_json(z: QQi) -> dict:
-    return {"re": _frac_to_json(z.re), "im": _frac_to_json(z.im)}
+    return {"re": [z.re.numerator, z.re.denominator], "im": [z.im.numerator, z.im.denominator]}
 
 
 def _qqi_from_json(doc: Any, path: str) -> QQi:
@@ -120,24 +116,19 @@ def _residues_from_json(doc: Any, path: str) -> tuple[QQi, ...]:
     return tuple(_qqi_from_json(v, f"{path}[{k}]") for k, v in enumerate(doc))
 
 
-def _piece_to_json(piece: _surfaces.Piece) -> dict:
-    if isinstance(piece, _surfaces.Polygon):
-        return {"kind": "polygon", "edges": [_qqi_to_json(e) for e in piece.edges]}
-    if isinstance(piece, _surfaces.PolarPart):
-        return {
-            "kind": "polar_part",
-            "order": piece.order,
-            "type": piece.pole_type,
-            "top": [_qqi_to_json(v) for v in piece.top],
-            "bottom": [_qqi_to_json(v) for v in piece.bottom],
-        }
-    return {
-        "kind": "simple_pole_part",
-        "vectors": [_qqi_to_json(v) for v in piece.vectors],
+def _piece_to_json(piece: _surfaces.Piece, d: int) -> dict:
+    chains = {
+        name: [_qqi_to_json(_surfaces._value(v, d)) for v in getattr(piece, name)]
+        for name in _surfaces._CHAINS[type(piece)]
     }
+    if isinstance(piece, _surfaces.PolarPart):
+        return {"kind": "polar_part", "order": piece.order, "type": piece.pole_type, **chains}
+    kind = "polygon" if isinstance(piece, _surfaces.Polygon) else "simple_pole_part"
+    return {"kind": kind, **chains}
 
 
 def _piece_from_json(doc: Any, path: str) -> _surfaces.Piece:
+    """A piece whose vectors are still Gaussian rationals, off the lattice."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError(path, "expected a piece object with a 'kind'")
     kind = doc["kind"]
@@ -168,7 +159,7 @@ def _slot_from_json(doc: Any, path: str) -> tuple[int, int]:
 
 def _surface_to_json(surface: _surfaces.FlatSurface) -> dict:
     return {
-        "pieces": [_piece_to_json(p) for p in surface.pieces],
+        "pieces": [_piece_to_json(p, surface.d) for p in surface.pieces],
         "pairings": [[list(a), list(b)] for a, b in surface.pairings],
     }
 
@@ -179,9 +170,11 @@ def _surface_from_json(doc: Any, path: str) -> _surfaces.FlatSurface:
     pieces_doc = doc.get("pieces")
     if not isinstance(pieces_doc, list):
         raise DocumentError(path + ".pieces", "expected a list")
-    pieces = [
-        _piece_from_json(p, f"{path}.pieces[{k}]") for k, p in enumerate(pieces_doc)
-    ]
+    pieces = [_piece_from_json(p, f"{path}.pieces[{k}]") for k, p in enumerate(pieces_doc)]
+    # One lcm puts every piece on the surface's integer lattice.
+    d, pairs = scaled([v for pc in pieces for v in _surfaces._boundary(pc)[0]])
+    at = iter(pairs)
+    pieces = [_surfaces._map_pairs(pc, lambda _: next(at)) for pc in pieces]
     pairings_doc = doc.get("pairings", [])
     if not isinstance(pairings_doc, list):
         raise DocumentError(path + ".pairings", "expected a list")
@@ -195,7 +188,7 @@ def _surface_from_json(doc: Any, path: str) -> _surfaces.FlatSurface:
                 _slot_from_json(pair[1], f"{path}.pairings[{k}][1]"),
             )
         )
-    return _surfaces.FlatSurface(pieces, pairings)
+    return _surfaces.FlatSurface(pieces, pairings, d)
 
 
 def _profile_to_json(profile: _surfaces.Profile) -> dict:
@@ -482,7 +475,7 @@ def _piece_drawing(
     piece: _surfaces.Piece, unit: Fraction
 ) -> tuple[list, tuple[float, float, float, float]]:
     """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box, with
-    coordinates counted in ``unit``."""
+    the integer pairs counted in ``unit``."""
     if isinstance(piece, _surfaces.PolarPart):
         walks = ((piece.top, 0.0), (piece.bottom, -1.0))
     else:
@@ -490,8 +483,8 @@ def _piece_drawing(
     segs = []
     for chain, y in walks:
         x = 0.0
-        for v in chain:
-            nx, ny = x + float(v.re / unit), y + float(v.im / unit)
+        for vx, vy in chain:
+            nx, ny = x + float(vx / unit), y + float(vy / unit)
             segs.append((x, y, nx, ny, len(segs)))
             x, y = nx, ny
     xs = [c for s in segs for c in (s[0], s[2])] or [0.0]
@@ -507,15 +500,12 @@ def _emit_svg(cert: _surfaces.ConstructionCertificate, path: str) -> None:
     cursor_x = 0.0
     max_y = 0.0
     surface = cert.surface
-    # Vectors are divided exactly by a quarter of the largest coordinate
-    # before float(), so a drawing neither overflows nor vanishes at any
-    # magnitude.
-    unit = max(
-        abs(c)
-        for piece in surface.pieces
-        for v in _surfaces._boundary(piece)[0]
-        for c in (v.re, v.im)
-    ) / 4
+    # Pairs are divided exactly by a quarter of the largest coordinate before
+    # float(), so a drawing neither overflows nor vanishes at any magnitude.
+    unit = Fraction(
+        max(abs(c) for piece in surface.pieces for v in _surfaces._boundary(piece)[0] for c in v),
+        4,
+    )
     labels = {}
     for num, (a, b) in enumerate(surface.pairings):
         labels[a] = num

@@ -5,14 +5,14 @@ the surface verifier) works over Gaussian rationals, so every comparison made
 by this package is exact; cone angles are counted in whole turns.
 
 Exact integers.  Plane geometry is read on integer pairs: :func:`scaled`
-multiplies a list of Gaussian rationals once by the lcm m of their
-denominators.  A positive rational scale keeps every argument order, every
-sign of a cross or dot product, every zero test and the negative-real-axis
-test, so :func:`cross`, :func:`dot`, :func:`arg_cmp` and
-:func:`line_integers` answer on the pairs as on the Gaussian rationals; a
-sum of pairs divided back by m is the sum of the values.  The verifier
-scales each piece on its own, which keeps the integers as small as that
-piece's data.
+puts a list of Gaussian rationals on one lattice, the lcm m of their
+denominators, as the pairs m * v.  A positive rational scale keeps every
+argument order, every sign of a cross or dot product, every zero test and
+the negative-real-axis test, so :func:`cross`, :func:`dot`, :func:`arg_cmp`
+and :func:`line_integers` answer on the pairs as on the Gaussian rationals;
+a sum of pairs divided back by m is the sum of the values.  Flat surfaces
+live on such a lattice: their pieces hold the pairs and the surface holds
+m, so the verifier never rescales them.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ chain with nonnegative real sum) wrapped around b half-plane sheets; its
 wrap corners acquire whole turns from the sheets, so cone angles are counted
 in whole turns without materializing anything infinite.  Chain vectors must
 not point along the negative real axis, where they would run back over the
-horizontal gluing rays.  The verifier reads each piece on integer pairs,
-scaled once by :func:`resflat.core.scaled`.
+horizontal gluing rays.  A surface lives on one integer lattice: it holds
+a positive denominator d, and its pieces hold integer pairs (x, y), each
+the vector (x + iy)/d, which the builders compute and the verifier reads
+as stored.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .core import (
 from . import decide as _decide
 from . import graphs as _graphs
 
-_ONE = QQi(1)
-_I = QQi(0, 1)
+_ONE = (1, 0)
+_I = (0, 1)
 
 
 class VerificationError(Exception):
@@ -65,9 +67,9 @@ class InternalBuildError(RuntimeError):
 class Polygon:
     """A flat disk bounded by a closed edge chain, counterclockwise."""
 
-    edges: tuple[QQi, ...]
+    edges: tuple[Pair, ...]
 
-    def __init__(self, edges: Iterable[QQi]) -> None:
+    def __init__(self, edges: Iterable[Pair]) -> None:
         object.__setattr__(self, "edges", tuple([*edges]))
 
 
@@ -77,11 +79,11 @@ class PolarPart:
 
     order: int
     pole_type: int
-    top: tuple[QQi, ...]
-    bottom: tuple[QQi, ...]
+    top: tuple[Pair, ...]
+    bottom: tuple[Pair, ...]
 
     def __init__(
-        self, order: int, pole_type: int, top: Iterable[QQi], bottom: Iterable[QQi]
+        self, order: int, pole_type: int, top: Iterable[Pair], bottom: Iterable[Pair]
     ) -> None:
         object.__setattr__(self, "order", int(order))
         object.__setattr__(self, "pole_type", int(pole_type))
@@ -93,16 +95,18 @@ class PolarPart:
 class SimplePolePart:
     """A half-infinite cylinder over a boundary chain; simple pole at the end."""
 
-    vectors: tuple[QQi, ...]
+    vectors: tuple[Pair, ...]
 
-    def __init__(self, vectors: Iterable[QQi]) -> None:
+    def __init__(self, vectors: Iterable[Pair]) -> None:
         object.__setattr__(self, "vectors", tuple([*vectors]))
 
 
 Piece = Polygon | PolarPart | SimplePolePart
 
+_CHAINS = {Polygon: ("edges",), PolarPart: ("top", "bottom"), SimplePolePart: ("vectors",)}
 
-def _boundary(piece: Piece) -> tuple[tuple[QQi, ...], int]:
+
+def _boundary(piece: Piece) -> tuple[tuple[Pair, ...], int]:
     """Boundary vectors in slot order, and how many lead with their canonical
     direction; the rest, a polar part's bottom chain, run reversed."""
     if isinstance(piece, Polygon):
@@ -114,9 +118,20 @@ def _boundary(piece: Piece) -> tuple[tuple[QQi, ...], int]:
     raise ValueError(f"unknown piece type {type(piece).__name__}")
 
 
-def _canonical(vs: list[Pair], lead: int) -> list[Pair]:
-    """Scaled boundary vectors directed with the piece interior on the left."""
-    return vs[:lead] + [(-x, -y) for x, y in vs[lead:]]
+def _neg(v: Pair) -> Pair:
+    return (-v[0], -v[1])
+
+
+def _canonical(vs: tuple[Pair, ...], lead: int) -> Sequence[Pair]:
+    """Boundary vectors directed with the piece interior on the left."""
+    if lead == len(vs):
+        return vs
+    return [*vs[:lead], *[(-x, -y) for x, y in vs[lead:]]]
+
+
+def _map_pairs(piece: Piece, f) -> Piece:
+    """The piece with ``f`` applied to every boundary vector, in slot order."""
+    return replace(piece, **{k: [f(v) for v in getattr(piece, k)] for k in _CHAINS[type(piece)]})
 
 
 # Angles are counted in whole turns.  With arguments in (-pi, pi], an angle
@@ -137,7 +152,7 @@ def _signed_turns(u: Pair, v: Pair) -> int:
     return -1 if arg_cmp(v, u) > 0 else 0
 
 
-def _validate_chain(vectors: list[Pair], decreasing: bool, label: str) -> None:
+def _validate_chain(vectors: Sequence[Pair], decreasing: bool, label: str) -> None:
     for x, y in vectors:
         if not (x or y):
             raise ValueError(f"{label} chain contains a zero vector")
@@ -153,11 +168,10 @@ def _validate_chain(vectors: list[Pair], decreasing: bool, label: str) -> None:
         raise ValueError(f"{label} chain sum must have nonnegative real part")
 
 
-def validate_piece(piece: Piece, vs: list[Pair]) -> None:
-    """Local validity checks on a piece whose boundary vectors, scaled to
-    integer pairs by :func:`resflat.core.scaled`, are ``vs``; raises
-    ValueError with the violated condition.  The piece type is one
-    :func:`_boundary` accepts.
+def validate_piece(piece: Piece) -> None:
+    """Local validity checks on a piece, read on its own integer pairs (no
+    check changes when they are divided by the surface's positive
+    denominator); raises ValueError with the violated condition.
 
     A polygon must turn once in all, and be convex: at every corner, from
     edge u to edge v, it turns left (cross(u, v) > 0) or goes straight on
@@ -172,6 +186,7 @@ def validate_piece(piece: Piece, vs: list[Pair]) -> None:
     vertex, so it is a simple polyline, and the region on its left, taken
     modulo r, really is a half-infinite cylinder.  A zero residue is
     reported by :func:`verify_surface`."""
+    vs = _boundary(piece)[0]
     if isinstance(piece, Polygon):
         if len(vs) < 3:
             raise ValueError("polygon needs at least three edges")
@@ -193,9 +208,8 @@ def validate_piece(piece: Piece, vs: list[Pair]) -> None:
             raise ValueError("polar part type must lie in [1, order-1]")
         if not vs:
             raise ValueError("polar part needs a nonempty boundary chain")
-        lead = len(piece.top)
-        _validate_chain(vs[:lead], decreasing=True, label="top")
-        _validate_chain(vs[lead:], decreasing=False, label="bottom")
+        _validate_chain(piece.top, decreasing=True, label="top")
+        _validate_chain(piece.bottom, decreasing=False, label="bottom")
     else:
         if not vs:
             raise ValueError("simple-pole part needs at least one vector")
@@ -207,11 +221,11 @@ def validate_piece(piece: Piece, vs: list[Pair]) -> None:
 
 
 def _cycle_and_corners(
-    piece: Piece, canon: list[Pair]
+    piece: Piece, canon: Sequence[Pair]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Boundary cycle of slot ids and the turns of the corner entering each slot.
 
-    ``canon`` holds the scaled canonical vectors of the slots.  The corner
+    ``canon`` holds the canonical vectors of the slots.  The corner
     between cycle[k-1] and cycle[k] sweeps counterclockwise from the
     canonical vector of cycle[k] to the reverse of that of cycle[k-1];
     turns[k] is its w.  For polar parts the wrap corners add the half-plane
@@ -240,28 +254,21 @@ def _cycle_and_corners(
     return cyc, tuple(turns)
 
 
-def _residue(canon: list[Pair], scale: int) -> QQi:
-    """A pole piece's residue, the sum of its canonical vectors, from the
-    scaled vectors ``canon`` and the scale ``scale``."""
-    re, im = sum(x for x, _ in canon), sum(y for _, y in canon)
-    return QQi(Fraction(re, scale), Fraction(im, scale))
+def _value(v: Pair, d: int) -> QQi:
+    """The Gaussian rational an integer pair stands for over the denominator d."""
+    return QQi(Fraction(v[0], d), Fraction(v[1], d))
 
 
-def residue_of_piece(piece: Piece) -> QQi | None:
-    """Exact residue of the pole a piece carries; None for polygons."""
+def _residue(canon: Sequence[Pair], d: int) -> QQi:
+    """A pole piece's residue, the sum of its canonical vectors ``canon``."""
+    return _value((sum(x for x, _ in canon), sum(y for _, y in canon)), d)
+
+
+def residue_of_piece(piece: Piece, d: int) -> QQi | None:
+    """Exact residue of a piece's pole over the denominator d; None for polygons."""
     if isinstance(piece, Polygon):
         return None
-    vectors, lead = _boundary(piece)
-    scale, vs = scaled(vectors)
-    return _residue(_canonical(vs, lead), scale)
-
-
-def pole_order_of_piece(piece: Piece) -> int | None:
-    if isinstance(piece, Polygon):
-        return None
-    if isinstance(piece, PolarPart):
-        return -piece.order
-    return -1
+    return _residue(_canonical(*_boundary(piece)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +280,23 @@ Slot = tuple[int, int]  # (piece index, slot index)
 
 @dataclass(frozen=True)
 class FlatSurface:
+    """Pieces glued along pairings of edge slots; a pair (x, y) is (x + iy)/d."""
+
     pieces: tuple[Piece, ...]
     pairings: tuple[tuple[Slot, Slot], ...]
+    d: int = 1
 
     def __init__(
         self,
         pieces: Iterable[Piece],
         pairings: Iterable[tuple[Slot, Slot]] = (),
+        d: int = 1,
     ) -> None:
         object.__setattr__(self, "pieces", tuple([*pieces]))
         object.__setattr__(
             self, "pairings", tuple([(tuple(a), tuple(b)) for a, b in pairings])
         )
+        object.__setattr__(self, "d", d)
 
 
 @dataclass(frozen=True)
@@ -304,85 +316,85 @@ class Profile:
 def verify_surface(surface: FlatSurface) -> Profile:
     """Check a glued surface and return its invariants.
 
-    Verifies: local piece validity, exact vector equality across the
-    matching (canonical vectors of matched slots are opposite), completeness
-    of the matching, connectivity, and the degree identity.  Cone angles are
-    counted exactly in whole turns, and genus comes from the Euler
-    characteristic of the induced cell complex.  Raises VerificationError.
+    Verifies: a positive denominator, local piece validity, exact vector
+    equality across the matching (canonical vectors of matched slots are
+    opposite), completeness of the matching, connectivity, and the degree
+    identity.  Cone angles are counted exactly in whole turns, and genus
+    comes from the Euler characteristic of the induced cell complex.
+    Raises VerificationError.
 
-    Each piece is scaled once, by the lcm of its own denominators, to
-    integer pairs, on which the piece checks, the winding and the corner
-    turns are read; scaling by a positive rational changes none of them.
-    Matched vectors are compared on their reduced parts, and each residue
-    is its piece's integer sum divided back by the scale.
+    Dividing by the positive denominator d changes no piece check, winding
+    or corner turn, so they are read on the pairs as stored; glued vectors
+    are compared as opposite integer pairs, and each residue is its piece's
+    integer sum over d.
     """
     return _read_surface(surface)[0]
 
 
 def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     """:func:`verify_surface`, with the tables it reads the profile from, on
-    flat slot ids in sorted (piece, slot) order: each piece's scaled
-    canonical vectors, the pairings, each slot's predecessor on its piece's
-    boundary cycle with the turns of the corner between them, and the
-    corner orbit, a point of the surface, that each slot starts at."""
+    flat slot ids in sorted (piece, slot) order: each piece's canonical
+    vectors, the pairings, each slot's predecessor on its piece's boundary
+    cycle with the turns of the corner between them, and the corner orbit,
+    a point of the surface, that each slot starts at."""
     violations: list[str] = []
     pieces = surface.pieces
     if not pieces:
         raise VerificationError(("surface has no pieces",))
-    scales: list[int] = []
-    canons: list[list[Pair]] = []
-    # ``stored`` holds each slot's stored vector and the sign that makes it
-    # canonical.
-    index: dict[Slot, int] = {}
-    stored: list[tuple[QQi, int]] = []
+    d = surface.d
+    if d < 1:
+        raise VerificationError((f"surface denominator {d} is not positive",))
+    canons: list[Sequence[Pair]] = []
+    # ``flat`` holds the canonical vector of every slot, piece after piece,
+    # and ``offsets`` the flat id of each piece's slot 0.
+    flat: list[Pair] = []
+    offsets: list[int] = []
     for idx, pc in enumerate(pieces):
         try:
             vectors, lead = _boundary(pc)
-            scale, vs = scaled(vectors)
-            validate_piece(pc, vs)
+            validate_piece(pc)
         except ValueError as exc:
             violations.append(f"piece {idx}: {exc}")
             continue
-        scales.append(scale)
-        canons.append(_canonical(vs, lead))
-        for k, vec in enumerate(vectors):
-            index[(idx, k)] = len(stored)
-            stored.append((vec, 1 if k < lead else -1))
+        canon = _canonical(vectors, lead)
+        canons.append(canon)
+        offsets.append(len(flat))
+        flat.extend(canon)
     if violations:
         raise VerificationError(violations)
 
-    partner = [-1] * len(stored)
+    partner = [-1] * len(flat)
     glued = []
     for num, (a, b) in enumerate(surface.pairings):
         # A pairing that cannot be indexed ends the matching; a vector
         # mismatch does not, so every mismatched pairing is reported.
-        blocked = []
+        blocked, ends = [], []
         for end in (a, b):
-            if end not in index:
+            try:
+                i, k = end
+                inside = 0 <= i < len(canons) and 0 <= k < len(canons[i])
+                ends.append(offsets[i] + k if inside else -1)
+            except (TypeError, ValueError):
+                ends.append(-1)
+            if ends[-1] < 0:
                 blocked.append(f"pairing {num}: no such edge slot {end}")
-            elif partner[index[end]] >= 0:
+            elif partner[ends[-1]] >= 0:
                 blocked.append(f"pairing {num}: slot {end} is matched twice")
         if not blocked and a == b:
             blocked.append(f"pairing {num}: slot {a} glued to itself")
         if blocked:
             raise VerificationError(violations + blocked)
-        fa, fb = index[a], index[b]
-        (u, su), (v, sv) = stored[fa], stored[fb]
-        # Canonical vectors su*u and sv*v are opposite: u == -su*sv * v.
-        t = -su * sv
-        if not (
-            u.re.numerator == t * v.re.numerator
-            and u.im.numerator == t * v.im.numerator
-            and u.re.denominator == v.re.denominator
-            and u.im.denominator == v.im.denominator
-        ):
-            violations.append(f"pairing {num}: vector mismatch, {su * u} against {sv * v}")
+        fa, fb = ends
+        (ux, uy), (vx, vy) = flat[fa], flat[fb]
+        if ux != -vx or uy != -vy:
+            u, v = _value(flat[fa], d), _value(flat[fb], d)
+            violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
         partner[fa] = fb
         partner[fb] = fa
         glued.append((fa, fb))
-    slots = list(index)
-    unmatched = [slots[f] for f, g in enumerate(partner) if g < 0]
-    if unmatched:
+    if -1 in partner:
+        slots = [(i, k) for i, canon in enumerate(canons) for k in range(len(canon))]
+        unmatched = [slots[f] for f, g in enumerate(partner) if g < 0]
         violations.append(f"unmatched boundary edges: {unmatched}")
     if violations:
         raise VerificationError(violations)
@@ -391,8 +403,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         raise VerificationError(("surface is disconnected",))
 
     corner_into: list[tuple[int, int]] = []
-    for pc, canon in zip(pieces, canons):
-        offset = len(corner_into)
+    for pc, canon, offset in zip(pieces, canons, offsets):
         cyc, turns = _cycle_and_corners(pc, canon)
         into = [(0, 0)] * len(cyc)
         for pos, sid in enumerate(cyc):
@@ -402,9 +413,9 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     # Each corner ends on the direction the next one starts from (matched
     # edges are exact translates), so an orbit's cone angle is 2*pi times
     # its summed turns: a positive integer, as every corner angle is positive.
-    vertex = [-1] * len(stored)
+    vertex = [-1] * len(flat)
     orders: list[int] = []
-    for start in range(len(stored)):
+    for start in range(len(flat)):
         if vertex[start] >= 0:
             continue
         total = 0
@@ -417,11 +428,11 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         orders.append(total - 1)
 
     poles: list[tuple[int, QQi]] = []
-    for i, (pc, canon, scale) in enumerate(zip(pieces, canons, scales)):
-        order = pole_order_of_piece(pc)
-        if order is None:
+    for i, (pc, canon) in enumerate(zip(pieces, canons)):
+        if isinstance(pc, Polygon):
             continue
-        res = _residue(canon, scale)
+        order = -pc.order if isinstance(pc, PolarPart) else -1
+        res = _residue(canon, d)
         if order == -1 and res.is_zero():
             violations.append(f"piece {i}: zero residue at a simple pole")
         poles.append((order, res))
@@ -669,17 +680,10 @@ def _cert_of(surface: FlatSurface) -> ConstructionCertificate:
     return ConstructionCertificate(surface, (), verify_surface(surface))
 
 
-def _sorted_by_arg(values: Sequence[QQi]) -> list[int]:
-    """Indices of nonzero values sorted by ascending argument in (-pi, pi],
-    ties by index (the sort is stable)."""
-    pairs = scaled(values)[1]
-    return sorted(range(len(pairs)), key=cmp_to_key(lambda i, j: arg_cmp(pairs[i], pairs[j])))
-
-
 def _write_chain(
     pairings: list,
-    start: tuple[Slot, QQi],
-    trivials: Sequence[tuple[int, QQi]],
+    start: tuple[Slot, Pair],
+    trivials: Sequence[tuple[int, Pair]],
     terminal: Slot,
 ) -> None:
     """Splice a pole piece's slot, trivial parts and a terminal slot into pairings."""
@@ -691,9 +695,9 @@ def _write_chain(
         if exposure == u:
             pairings.append((slot, (piece_idx, 1)))
             slot, exposure = (piece_idx, 0), u
-        elif exposure == -u:
+        elif exposure == _neg(u):
             pairings.append((slot, (piece_idx, 0)))
-            slot, exposure = (piece_idx, 1), -u
+            slot, exposure = (piece_idx, 1), _neg(u)
         else:
             raise InternalBuildError("trivial part does not fit the chain")
     pairings.append((slot, terminal))
@@ -701,7 +705,7 @@ def _write_chain(
 
 # The two closers of a genus-1 chain: the unit square, and the handle, a
 # double pole whose +i and -i slots are glued round through ``loop`` more.
-_SQUARE = Polygon((_ONE, _I, -_ONE, -_I))
+_SQUARE = Polygon(((1, 0), (0, 1), (-1, 0), (0, -1)))
 _HANDLE = PolarPart(2, 1, (_I, _ONE), (_ONE, _I))
 
 
@@ -725,9 +729,8 @@ def _chain_surface(
     if closer is None:
         _write_chain(pairings, ((0, 0), _ONE), chain, (0, 1))
         return FlatSurface(pieces, pairings)
-    vectors, lead = _boundary(closer)
-    canon = [v if k < lead else -v for k, v in enumerate(vectors)]
-    plus, minus, up, down = [(p, canon.index(v)) for v in (_ONE, -_ONE, _I, -_I)]
+    canon = _canonical(*_boundary(closer))
+    plus, minus, up, down = [(p, canon.index(v)) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     pieces.append(closer)
     if p:
         _write_chain(pairings, ((0, 0), _ONE), chain, minus)
@@ -755,7 +758,7 @@ def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
 
 
 def _plumb(
-    pieces: Sequence[Piece], pairings: Sequence[tuple[Slot, Slot]], nodes: int
+    pieces: Sequence[Piece], pairings: Sequence[tuple[Slot, Slot]], nodes: int, d: int
 ) -> FlatSurface:
     """Plumb the last ``2 * nodes`` pieces, simple-pole parts in pairs
     (lower, upper) of opposite residues, into finite cylinders.
@@ -763,11 +766,11 @@ def _plumb(
     Plumbing two simple poles of residues c and -c leaves a finite cylinder
     of circumference c.  The first n pieces keep their places, and pair c
     becomes the polygon lower + [h] + upper + [-h], h = i * sum(lower),
-    at piece n + c, with h glued to -h.  A pair on two components is a
-    node; a pair on one component is a handle.  Slot k of lower stays slot
-    k and slot k of upper becomes slot len(lower) + 1 + k; ``pairings``
-    keep their order with their slots renumbered, and the gluings of h
-    follow them, in node order.
+    at piece n + c, with h glued to -h, on a surface of denominator d.  A
+    pair on two components is a node; a pair on one component is a handle.
+    Slot k of lower stays slot k and slot k of upper becomes slot
+    len(lower) + 1 + k; ``pairings`` keep their order with their slots
+    renumbered, and the gluings of h follow them, in node order.
     """
     n = len(pieces) - 2 * nodes
     out = list(pieces[:n])
@@ -775,8 +778,8 @@ def _plumb(
     ends = []
     for c in range(nodes):
         lower, upper = pieces[n + 2 * c].vectors, pieces[n + 2 * c + 1].vectors
-        h = _I * sum(lower, QQi(0))
-        out.append(Polygon(lower + (h,) + upper + (-h,)))
+        h = (-sum(y for _, y in lower), sum(x for x, _ in lower))
+        out.append(Polygon(lower + (h,) + upper + (_neg(h),)))
         shift += [0, len(lower) + 1]
         ends.append(((n + c, len(lower)), (n + c, len(lower) + len(upper) + 1)))
 
@@ -784,11 +787,11 @@ def _plumb(
         i, k = slot
         return slot if i < n else (n + (i - n) // 2, k + shift[i - n])
 
-    return FlatSurface(out, [(moved(a), moved(b)) for a, b in pairings] + ends)
+    return FlatSurface(out, [(moved(a), moved(b)) for a, b in pairings] + ends, d)
 
 
 def _single_zero_surface(
-    sig: StratumSignature, residues: Sequence[QQi], ray: PrimitiveRay | None
+    sig: StratumSignature, d: int, residues: Sequence[Pair], ray: PrimitiveRay | None
 ) -> FlatSurface:
     """Single zero, some residue nonzero: a centre piece and one chain per pole.
 
@@ -800,50 +803,51 @@ def _single_zero_surface(
     of the nonzero residues and the centre is the first higher pole, its top
     chain the negated residues that point down and its bottom chain those
     that point up; pole k >= 1 is piece k.  Only the poles of ``sig`` are
-    read; the zero carries their whole degree.
+    read; the zero carries their whole degree.  Residues are pairs over d.
     """
-    nonzero = [k for k, r in enumerate(residues) if not r.is_zero()]
+    nonzero = [k for k, r in enumerate(residues) if r != (0, 0)]
     if ray is None:
         first = 0
-        order = [nonzero[t] for t in _sorted_by_arg([-residues[k] for k in nonzero])]
-        is_up = {k: residues[k].re >= 0 for k in nonzero}
-        centre: Piece = Polygon([-residues[k] for k in order])
+        # By ascending argument of -residues[k] in (-pi, pi], ties by index.
+        by_arg = cmp_to_key(lambda j, k: arg_cmp(_neg(residues[j]), _neg(residues[k])))
+        order = sorted(nonzero, key=by_arg)
+        is_up = {k: residues[k][0] >= 0 for k in nonzero}
+        centre: Piece = Polygon([_neg(residues[k]) for k in order])
         host = nonzero[0]
     else:
         first = 1
-        d = ray.direction
-        flip = d.re < 0 or (d.re == 0 and d.im < 0)
-        is_up = {k: (m > 0) != flip for k, m in zip(nonzero, ray.integers)}
+        # On one real line, up is the half-plane of arguments in (-pi/2, pi/2].
+        is_up = {k: residues[k] > (0, 0) for k in nonzero}
         down = [k for k in nonzero if k and not is_up[k]]
         up = [k for k in nonzero if k and is_up[k]]
         order = down + up
         centre = PolarPart(
-            sig.higher_poles[0], 1, [-residues[k] for k in down], [residues[k] for k in up]
+            sig.higher_poles[0], 1, [_neg(residues[k]) for k in down], [residues[k] for k in up]
         )
         host = order[0]
-    u = residues[host] if is_up[host] else -residues[host]
+    u = residues[host] if is_up[host] else _neg(residues[host])
 
     pieces: list[Piece] = [centre]
-    trivials: list[tuple[int, QQi]] = []
+    trivials: list[tuple[int, Pair]] = []
     for k in range(first, sig.p + sig.s):
         r = residues[k]
         if k >= sig.p:
             pieces.append(SimplePolePart((r,)))
             continue
         b = sig.higher_poles[k]
-        if r.is_zero():
+        if r == (0, 0):
             trivials.append((len(pieces), u))
             pieces.append(PolarPart(b, 1, (u,), (u,)))
         elif is_up[k]:
             pieces.append(PolarPart(b, 1, (r,), ()))
         else:
-            pieces.append(PolarPart(b, 1, (), (-r,)))
+            pieces.append(PolarPart(b, 1, (), (_neg(r),)))
 
     pairings: list = []
     for t, k in enumerate(order):
         chain = trivials if k == host else ()
         _write_chain(pairings, ((1 + k - first, 0), residues[k]), chain, (0, t))
-    return FlatSurface(pieces, pairings)
+    return FlatSurface(pieces, pairings, d)
 
 
 def _triangle_distribution(
@@ -899,14 +903,14 @@ def _triangle_surface(zeros: Sequence[int], orders: Sequence[int]) -> FlatSurfac
     others = [(k, b) for k, b in enumerate(orders) if k != anchor_pos]
     mult = _triangle_distribution(tuple(zeros), [b for _, b in others])
 
-    v1, v2, v3 = _I, _ONE, _ONE + _I
+    v1, v2, v3 = _I, _ONE, (1, 1)
     chain_vec = {frozenset((0, 1)): v1, frozenset((0, 2)): v2, frozenset((1, 2)): v3}
     tau_corner = {frozenset((0, 1)): 1, frozenset((1, 2)): 1, frozenset((0, 2)): 0}
 
     pieces: list[Piece] = [None] * (1 + len(orders))  # type: ignore[list-item]
-    pieces[0] = Polygon((-v1, v3, -v2))
+    pieces[0] = Polygon((_neg(v1), v3, _neg(v2)))
     pieces[1 + anchor_pos] = PolarPart(2, 1, (v1, v2), (v3,))
-    chains: dict[frozenset, list[tuple[int, QQi, int]]] = {
+    chains: dict[frozenset, list[tuple[int, Pair, int]]] = {
         key: [] for key in chain_vec
     }
     for (pole_pos, b), m in zip(others, mult):
@@ -920,7 +924,7 @@ def _triangle_surface(zeros: Sequence[int], orders: Sequence[int]) -> FlatSurfac
     anchor_piece = 1 + anchor_pos
     # Chains start at the anchor's three boundary segments and end on the
     # triangle; slot 0 of the triangle is -v1, slot 1 is +v3, slot 2 is -v2.
-    ends = ((v1, (0, 1), 0), (v2, (0, 2), 2), (-v3, (1, 2), 1))
+    ends = ((v1, (0, 1), 0), (v2, (0, 2), 2), (_neg(v3), (1, 2), 1))
     for k, (start, key, terminal) in enumerate(ends):
         trivials = [(pid, u) for pid, u, _ in chains[frozenset(key)]]
         _write_chain(pairings, ((anchor_piece, k), start), trivials, (0, terminal))
@@ -948,17 +952,17 @@ def _blow_to_target(
 
 
 def _cut_slot(piece: Piece, slot: int, parts: int) -> tuple[Piece, list[int]]:
-    """Cut a boundary slot into ``parts`` equal parts, at ``slot`` onwards.
+    """Cut slot ``slot`` into ``parts`` equal parts, at ``slot`` onwards; ``parts`` divides it.
 
     Returns the new piece and the parts' offsets from ``slot`` in the order
     the canonical direction runs through them, reversed on a bottom chain.
     """
-    field = {Polygon: "edges", SimplePolePart: "vectors", PolarPart: "top"}[type(piece)]
+    field = _CHAINS[type(piece)][0]
     k, offsets = slot, list(range(parts))
     if isinstance(piece, PolarPart) and slot >= len(piece.top):
         field, k, offsets = "bottom", slot - len(piece.top), offsets[::-1]
     vectors = getattr(piece, field)
-    part = vectors[k] / parts
+    part = (vectors[k][0] // parts, vectors[k][1] // parts)
     return replace(piece, **{field: vectors[:k] + (part,) * parts + vectors[k + 1 :]}), offsets
 
 
@@ -971,13 +975,16 @@ def _with_marked_points(
 
     The k points cut the first glued edge pair into k + 1 equal parts each.
     Glued edges run in opposite directions, so the parts are glued
-    crosswise, and every cut point has angle pi on either side.
+    crosswise, and every cut point has angle pi on either side.  The least
+    rescaling that makes the parts integral keeps d the least denominator.
     """
     missing = max(0, zeros.count(0) - cert.claimed.zero_orders.count(0))
     if not missing:
         return cert
     (a, b), *rest = cert.surface.pairings
-    pieces = list(cert.surface.pieces)
+    x, y = _boundary(cert.surface.pieces[a[0]])[0][a[1]]
+    t = (missing + 1) // math.gcd(missing + 1, x, y)
+    pieces = [_map_pairs(pc, lambda v: (v[0] * t, v[1] * t)) for pc in cert.surface.pieces]
 
     def moved(slot: Slot) -> Slot:  # on past the parts cut before it
         return slot[0], slot[1] + missing * sum(i == slot[0] and k < slot[1] for i, k in (a, b))
@@ -989,7 +996,7 @@ def _with_marked_points(
         ends.append([(i, moved((i, k))[1] + j) for j in offsets])
     later, earlier = ends
     glued = [*zip(later, earlier[::-1]), *[(moved(x), moved(y)) for x, y in rest]]
-    surface = FlatSurface(pieces, glued)
+    surface = FlatSurface(pieces, glued, cert.surface.d * t)
     claimed = replace(cert.claimed, zero_orders=cert.claimed.zero_orders + (0,) * missing)
     return replace(cert, surface=surface, claimed=claimed)
 
@@ -1037,7 +1044,8 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
     s = len(ray.integers)
     nodes = len(components) - 1
     ints = list(ray.integers)
-    chains: list[list[QQi]] = [[] for _ in range(s + 2 * nodes)]
+    d, [(x, y)] = scaled([ray.direction])
+    chains: list[list[Pair]] = [[] for _ in range(s + 2 * nodes)]
     glued = []
     for c, comp in enumerate(components):
         parts = [k if k < s else s + 2 * (k - s) + 1 for k in comp]
@@ -1056,10 +1064,10 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
             for j, m in ((plus, length), (minus, -length)):
                 chain = chains[parts[j]]
                 ends.append((parts[j], len(chain)))
-                chain.append(ray.direction * m)
+                chain.append((x * m, y * m))
             glued.append(ends)
     pieces = [SimplePolePart(chain) for chain in chains]
-    return _blow_to_target(_cert_of(_plumb(pieces, glued, nodes)), left)
+    return _blow_to_target(_cert_of(_plumb(pieces, glued, nodes, d)), left)
 
 
 def _genus1_zero_residue_cert(
@@ -1106,16 +1114,17 @@ def _positive_genus_cert(
     if g == 1 and all(r.is_zero() for r in residues):
         # With no poles at all this is the bare square.
         return _blow_to_target(_genus1_zero_residue_cert(sig.higher_poles, rotation), sig.zeros)
-    r0 = next((r for r in residues if not r.is_zero()), _ONE)
+    d, pairs = scaled(residues)
+    x, y = next((r for r in pairs if r != (0, 0)), _ONE)
     handles = []
     for j in range(g):
-        c = r0 * QQi(j, 1)
-        handles += [c, -c]
+        c = (j * x - y, x + j * y)
+        handles += [c, _neg(c)]
     base_sig = StratumSignature(
         0, (sig.pole_degree + sig.s + 2 * g - 2,), sig.higher_poles, sig.s + 2 * g
     )
-    base = _single_zero_surface(base_sig, (*residues, *handles), None)
-    return _blow_to_target(_cert_of(_plumb(base.pieces, base.pairings, g)), sig.zeros)
+    base = _single_zero_surface(base_sig, d, [*pairs, *handles], None)
+    return _blow_to_target(_cert_of(_plumb(base.pieces, base.pairings, g, d)), sig.zeros)
 
 
 def _certificate_for(
@@ -1151,7 +1160,7 @@ def _certificate_for(
     elif route == "genus-reduction":
         cert = _positive_genus_cert(sig, residues, rotation)
     else:
-        cert = _cert_of(_single_zero_surface(sig, residues, verdict.ray))
+        cert = _cert_of(_single_zero_surface(sig, *scaled(residues), verdict.ray))
         cert = _blow_to_target(cert, sig.zeros)
     cert = _with_marked_points(cert, sig.zeros)
     if not profile_matches(cert.claimed, sig, residues):

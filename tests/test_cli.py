@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resflat import (
     ConstructionCertificate,
@@ -27,7 +32,8 @@ from resflat import (
 from resflat.cli import _certificate_to_json, main
 from resflat.surfaces import BlowUpZero
 
-ZERO, ONE, I = QQi(0), QQi(1), QQi(0, 1)
+# Integer pairs (x, y): on a surface of denominator d, the vector (x + iy)/d.
+ZERO, ONE, I = (0, 0), (1, 0), (0, 1)
 
 # A gluing of four simple-pole parts whose naive reading is an excluded ray.
 EXCLUDED_RAY_GLUING = json.loads(
@@ -418,7 +424,7 @@ def test_certificate_violation(tmp_path, cert, violation, through_cli):
             [PolarPart(2, 1, (), (I, ONE))],
             "piece 0: bottom chain arguments must be weakly increasing",
         ),
-        ([Polygon((ONE, -ONE))], "piece 0: polygon needs at least three edges"),
+        ([Polygon((ONE, (-1, 0)))], "piece 0: polygon needs at least three edges"),
         ([PolarPart(1, 1, (ONE,), ())], "piece 0: polar part order must be at least 2"),
         ([PolarPart(2, 1, (), ())], "piece 0: polar part needs a nonempty boundary chain"),
         ([SimplePolePart(())], "piece 0: simple-pole part needs at least one vector"),
@@ -678,3 +684,67 @@ def test_huge_residues_round_trip(tmp_path):
         {"re": [-big, 1], "im": [0, 1]},
         {"re": [0, 1], "im": [-big, 1]},
     ]
+
+
+# The JSON contract: a mutated certificate document, with fields deleted or
+# replaced by nulls, booleans, huge integers, zero denominators or values of
+# the wrong shape, is verified (0), violated (1) or refused (2), never an
+# internal error.  The first base puts the prime denominators 2, 3, 5 and 7
+# on separate pieces, which the codec's one lcm per surface joins.
+HALF = Fraction(1, 2)
+FUZZ_BASES = [
+    _certificate_to_json(build_witness(sig, residue_tuple(values), rotation=rotation))
+    for sig, values, rotation in (
+        (
+            StratumSignature(0, (3,), (), 5),
+            [
+                Fraction(1, 2),
+                QQi(0, Fraction(1, 3)),
+                Fraction(-1, 5),
+                QQi(0, Fraction(-1, 7)),
+                QQi(Fraction(-3, 10), Fraction(-4, 21)),
+            ],
+            None,
+        ),
+        (StratumSignature(0, (2, 2), (), 6), [Fraction(m, 3) for m in (2, 1, 1, -1, -1, -2)], None),
+        (StratumSignature(0, (3,), (3,), 2), [QQi(1, HALF), QQi(0, 1), QQi(-1, -3 * HALF)], None),
+        (StratumSignature(2, (3, 3, 0), (2,), 2), [QQi(1, 1), QQi(HALF), QQi(-3 * HALF, -1)], None),
+        (StratumSignature(1, (4, 0), (2, 2)), [0, 0], 2),
+    )
+] + [EXCLUDED_RAY_GLUING]
+ODD_VALUES = [None, True, False, 10**400, -(10**400), [5, 0], -1, 0.5, "x"]
+ODD_VALUES += [[], {}, [1, 2, 3], [[0, 1]], {"re": [1, 0]}]
+
+
+def _locations(doc, path=()):
+    """Every location below the root of a JSON document, as key paths."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+def _verify_in_process(doc):
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", "-"])
+    return code, err.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_certificates_keep_the_exit_contract(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *head, key = data.draw(st.sampled_from(list(_locations(doc))))
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(ODD_VALUES))))
+    code, err = _verify_in_process(doc)
+    assert code in (0, 1, 2)
+    assert "internal error" not in err

@@ -14,7 +14,6 @@ from resflat.core import (
     cross,
     dot,
     residue_tuple,
-    scaled,
     validate_residues,
 )
 from resflat.decide import _partitions, decide_realizable, primitive_total_exceeds
@@ -44,6 +43,10 @@ from resflat.surfaces import (
 
 ONE = QQi(1)
 I = QQi(0, 1)
+# Pieces hold integer pairs (x, y): on a surface of denominator d, the
+# vector (x + iy)/d.
+RIGHT, UP, LEFT, DOWN = (1, 0), (0, 1), (-1, 0), (0, -1)
+SQUARE = (RIGHT, UP, LEFT, DOWN)
 
 
 def _positive_genus_requests(count=640, seed=19):
@@ -99,9 +102,10 @@ def _segments_meet(a, b, c, d):
 
 
 def _is_simple_polygon(edges):
-    """Whether a closed edge chain bounds a simple polygon: consecutive edges
-    share only their common vertex, and no other two edges meet."""
-    _, vs = scaled(list(edges))
+    """Whether a closed chain of integer-pair edges bounds a simple polygon:
+    consecutive edges share only their common vertex, and no other two
+    edges meet."""
+    vs = list(edges)
     pts = list(itertools.accumulate(vs, lambda p, v: (p[0] + v[0], p[1] + v[1]), initial=(0, 0)))
     n = len(vs)
     for i, j in itertools.combinations(range(n), 2):
@@ -115,18 +119,17 @@ def _is_simple_polygon(edges):
 
 class TestResidueOfPiece:
     def test_polar_top_only(self):
-        v1, v2 = QQi(2, 1), QQi(1, -1)
-        assert residue_of_piece(PolarPart(3, 1, (v1, v2), ())) == v1 + v2
+        assert residue_of_piece(PolarPart(3, 1, ((2, 1), (1, -1)), ()), 1) == QQi(3)
 
     def test_trivial_part(self):
-        assert residue_of_piece(PolarPart(4, 2, (ONE,), (ONE,))).is_zero()
+        assert residue_of_piece(PolarPart(4, 2, (RIGHT,), (RIGHT,)), 1).is_zero()
 
     def test_simple_pole(self):
-        v1, v2 = QQi(1, 2), QQi(3)
-        assert residue_of_piece(SimplePolePart((v1, v2))) == v1 + v2
+        residue = residue_of_piece(SimplePolePart(((1, 2), (3, 0))), 6)
+        assert residue == QQi(Fraction(2, 3), Fraction(1, 3))
 
     def test_polygon_is_not_a_pole(self):
-        assert residue_of_piece(Polygon((ONE, I, -ONE, -I))) is None
+        assert residue_of_piece(Polygon(SQUARE), 1) is None
 
 
 class TestVerifySurface:
@@ -139,13 +142,13 @@ class TestVerifySurface:
     def test_plumbed_pole_pair_is_the_flat_torus(self):
         # The simplest handle: the cylinder of two simple poles of residues
         # 1 and -1, glued to each other and then plumbed.
-        parts = [SimplePolePart((ONE,)), SimplePolePart((-ONE,))]
-        assert _plumb(parts, [((0, 0), (1, 0))], 1) == _chain_surface((), (), _SQUARE)
+        parts = [SimplePolePart((RIGHT,)), SimplePolePart((LEFT,))]
+        assert _plumb(parts, [((0, 0), (1, 0))], 1, 1) == _chain_surface((), (), _SQUARE)
 
     def test_simple_polygon_helper(self):
-        assert _is_simple_polygon((ONE, I, -ONE, -I))
-        bowtie = (ONE + I, -I, -ONE + I, -I)
-        slit = (QQi(2), 2 * I, -ONE, -I, I, -ONE, -2 * I)
+        assert _is_simple_polygon(SQUARE)
+        bowtie = ((1, 1), DOWN, (-1, 1), DOWN)
+        slit = ((2, 0), (0, 2), LEFT, DOWN, UP, LEFT, (0, -2))
         assert not _is_simple_polygon(bowtie)
         assert not _is_simple_polygon(slit)
 
@@ -166,7 +169,7 @@ class TestVerifySurface:
         assert tuple(r for _, r in prof.poles) == r
 
     def test_vector_mismatch_detected(self):
-        square = Polygon((ONE, I, -ONE, -I))
+        square = Polygon(SQUARE)
         surf = FlatSurface((square,), (((0, 0), (0, 1)), ((0, 2), (0, 3))))
         with pytest.raises(VerificationError, match="vector mismatch") as both:
             verify_surface(surf)
@@ -181,23 +184,26 @@ class TestVerifySurface:
         )
 
     def test_pairing_that_cannot_be_indexed(self):
-        square = Polygon((ONE, I, -ONE, -I))
+        square = Polygon(SQUARE)
         for pairings, violations in (
             ((((0, 0), (0, 0)),), ("pairing 0: slot (0, 0) glued to itself",)),
             ((((0, 4), (0, 4)),), ("pairing 0: no such edge slot (0, 4)",) * 2),
+            # Slots that are not pairs of ints name no slot either.
+            ((((0, 0, 0), (0, 2)),), ("pairing 0: no such edge slot (0, 0, 0)",)),
+            (((("a", 0), (0, 2)),), ("pairing 0: no such edge slot ('a', 0)",)),
         ):
             with pytest.raises(VerificationError) as exc:
                 verify_surface(FlatSurface((square,), pairings))
             assert exc.value.violations == violations
 
     def test_unmatched_edge_detected(self):
-        square = Polygon((ONE, I, -ONE, -I))
+        square = Polygon(SQUARE)
         surf = FlatSurface((square,), (((0, 0), (0, 2)),))
         with pytest.raises(VerificationError, match="unmatched"):
             verify_surface(surf)
 
     def test_disconnected_detected(self):
-        sq = Polygon((ONE, I, -ONE, -I))
+        sq = Polygon(SQUARE)
         surf = FlatSurface(
             (sq, sq),
             (
@@ -216,10 +222,10 @@ class TestVerifySurface:
         # of order 2.  Pieces 2 and 3 run back against their residue -1, so
         # they are not half-infinite cylinders.
         pieces = (
-            SimplePolePart((ONE,)),
-            SimplePolePart((ONE,)),
-            SimplePolePart((QQi(-3, -2), QQi(2, 2))),
-            SimplePolePart((QQi(-2, -2), -ONE, QQi(3, 2), -ONE)),
+            SimplePolePart((RIGHT,)),
+            SimplePolePart((RIGHT,)),
+            SimplePolePart(((-3, -2), (2, 2))),
+            SimplePolePart(((-2, -2), LEFT, (3, 2), LEFT)),
         )
         pairings = (((0, 0), (3, 1)), ((1, 0), (3, 3)), ((2, 0), (3, 2)), ((2, 1), (3, 0)))
         profile = resflat.surfaces.Profile(
@@ -236,10 +242,10 @@ class TestVerifySurface:
 
     def test_bad_polygon_detected(self):
         with pytest.raises(VerificationError, match="close up"):
-            verify_surface(FlatSurface((Polygon((ONE, I, -ONE)),), ()))
+            verify_surface(FlatSurface((Polygon((RIGHT, UP, LEFT)),), ()))
 
     @pytest.mark.parametrize(
-        "edges", [(ONE, I, -2 * ONE, -I), (ONE, I, -ONE, -2 * I)], ids=["real-part", "imaginary-part"]
+        "edges", [(RIGHT, UP, (-2, 0), DOWN), (RIGHT, UP, LEFT, (0, -2))], ids=["real-part", "imaginary-part"]
     )
     def test_open_polygon_detected(self, edges):
         with pytest.raises(VerificationError, match="close up"):
@@ -248,25 +254,29 @@ class TestVerifySurface:
     @pytest.mark.parametrize(
         "other",
         [
-            SimplePolePart((QQi(Fraction(-1, 3), Fraction(-1, 3)),)),
-            SimplePolePart((QQi(Fraction(-1, 2), Fraction(-1, 2)),)),
-            SimplePolePart((QQi(Fraction(1, 2), Fraction(-1, 3)),)),
-            SimplePolePart((QQi(Fraction(-1, 2), Fraction(1, 3)),)),
-            PolarPart(2, 1, (), (QQi(Fraction(1, 2), Fraction(1, 4)),)),
-            PolarPart(2, 1, (), (QQi(Fraction(1, 3), Fraction(1, 3)),)),
+            SimplePolePart(((-4, -4),)),
+            SimplePolePart(((-6, -6),)),
+            SimplePolePart(((6, -4),)),
+            SimplePolePart(((-6, 4),)),
+            PolarPart(2, 1, (), ((6, 3),)),
+            PolarPart(2, 1, (), ((4, 4),)),
         ],
         ids=["re-denominator", "im-denominator", "re-sign", "im-sign", "bottom-im", "bottom-re"],
     )
     def test_vector_mismatch_in_one_part(self, other):
-        # Matched against 1/2 + i/3, each differs from the opposite vector
-        # in one reduced part only; a bottom chain is stored reversed.
-        u = QQi(Fraction(1, 2), Fraction(1, 3))
-        surf = FlatSurface((SimplePolePart((u,)), other), (((0, 0), (1, 0)),))
+        # Over the denominator 12, matched against (6, 4), that is
+        # 1/2 + i/3: each differs from the opposite pair in one coordinate
+        # only (-1/3 for -1/2, -1/2 for -1/3, a sign, 1/4 for 1/3, 1/3 for
+        # 1/2); a bottom chain is stored reversed.
+        u = (6, 4)
+        surf = FlatSurface((SimplePolePart((u,)), other), (((0, 0), (1, 0)),), 12)
         with pytest.raises(VerificationError, match="vector mismatch"):
             verify_surface(surf)
-        for opposite in (SimplePolePart((-u,)), PolarPart(2, 1, (), (u,))):
-            prof = verify_surface(FlatSurface((SimplePolePart((u,)), opposite), (((0, 0), (1, 0)),)))
-            assert tuple(r for _, r in prof.poles) == (u, -u)
+        value = QQi(Fraction(1, 2), Fraction(1, 3))
+        for opposite in (SimplePolePart(((-6, -4),)), PolarPart(2, 1, (), (u,))):
+            pieces = (SimplePolePart((u,)), opposite)
+            prof = verify_surface(FlatSurface(pieces, (((0, 0), (1, 0)),), 12))
+            assert tuple(r for _, r in prof.poles) == (value, -value)
 
     def test_self_overlapping_polygon_is_rejected(self):
         """A 16-gon that turns once in all but has a clockwise kink: the
@@ -277,19 +287,23 @@ class TestVerifySurface:
             (10, 10), (5, 10), (5, 8), (7, 8), (7, 11), (4, 11), (4, 10), (0, 10),
         ]
         edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])]
-        polygon = Polygon(QQi(x, y) for x, y in edges)
         corners = zip(edges[-1:] + edges[:-1], edges)
         assert sum(resflat.surfaces._signed_turns(u, v) for u, v in corners) == 1
         with pytest.raises(ValueError, match="not convex"):
-            resflat.surfaces.validate_piece(polygon, edges)
+            resflat.surfaces.validate_piece(Polygon(edges))
 
     def test_straight_corners_are_convex(self):
         """A square with one side cut in three keeps two straight corners."""
-        edges = (ONE / 3, ONE / 3, ONE / 3, I, -ONE, -I)
-        resflat.surfaces.validate_piece(Polygon(edges), scaled(edges)[1])
+        resflat.surfaces.validate_piece(Polygon((RIGHT, RIGHT, RIGHT, (0, 3), (-3, 0), (0, -3))))
+
+    def test_denominator_must_be_positive(self):
+        for d in (0, -1):
+            surface = FlatSurface((Polygon(SQUARE),), (((0, 0), (0, 2)), ((0, 1), (0, 3))), d)
+            with pytest.raises(VerificationError, match=f"surface denominator {d} is not positive"):
+                verify_surface(surface)
 
     @pytest.mark.parametrize(
-        "edges", [(ONE, -I, -ONE, I), (ONE, I, -ONE, -I) * 2], ids=["clockwise", "twice-around"]
+        "edges", [(RIGHT, DOWN, LEFT, UP), SQUARE * 2], ids=["clockwise", "twice-around"]
     )
     def test_bad_winding_detected(self, edges):
         with pytest.raises(VerificationError, match="does not wind once counterclockwise"):
@@ -401,9 +415,10 @@ class TestBuildWitness:
         # The node is one cylinder: the node half's chain, a side h, the
         # chain holding the leaf's sum and -h, with h glued to -h.
         *parts, node = cert.surface.pieces
-        assert [p.vectors for p in parts] == [(v,) for v in r]
-        h = 4 * I
-        assert node == Polygon((QQi(-2), -ONE, -ONE, -h, ONE, ONE, QQi(2), h))
+        assert [p.vectors for p in parts] == [((m, 0),) for m in (2, 1, 1, -1, -1, -2)]
+        assert cert.surface.d == 1
+        h = (0, 4)
+        assert node == Polygon(((-2, 0), LEFT, LEFT, (0, -4), RIGHT, RIGHT, (2, 0), h))
         assert cert.surface.pairings[-1] == ((6, 3), (6, 7))
 
     def test_connection_graph_wall(self):
@@ -735,7 +750,7 @@ class TestRotationBookkeeping:
         zero = residue_tuple([0, 0])
         surface = build_witness(StratumSignature(1, (6,), (3, 3)), zero, rotation=3).surface
         *rest, last = surface.pairings
-        moved = _claim(FlatSurface(surface.pieces, [last, *rest]), 3)
+        moved = _claim(FlatSurface(surface.pieces, [last, *rest], surface.d), 3)
         cert = _with_marked_points(moved, (0,))
         built = build_witness(StratumSignature(1, (6, 0), (3, 3)), zero, rotation=3)
         assert cert.surface.pieces != built.surface.pieces

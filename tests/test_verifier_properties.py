@@ -1,14 +1,20 @@
 """Properties of the surface verifier on witnesses from every route.
 
-The verifier reads each piece on integer pairs scaled by the lcm of the
-piece's denominators, so scaling a whole surface by a positive rational must
-change nothing but the residues, which scale with it.  A single-field change
+Pieces hold integer pairs over one surface denominator d, and the verifier
+reads them as stored, so scaling a whole surface by a positive rational,
+through d and the pairs, must change nothing but the residues, which scale
+with it.  A single-field change
 to a valid surface must either be rejected or re-derive exactly the claim, and
 nothing but VerificationError may escape.  A simple-pole chain the verifier
-accepts must lift to a simple periodic polyline.
+accepts must lift to a simple periodic polyline.  The JSON codec puts a
+surface back on the lattice it was written from, and every small gluing of
+simple-pole parts that the verifier accepts reads as a profile the decider
+calls realizable.
 """
 
 import dataclasses
+import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -17,12 +23,19 @@ from hypothesis import strategies as st
 
 from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.decide import decide_realizable
+from resflat.cli import (
+    _certificate_from_json,
+    _certificate_to_json,
+    _surface_from_json,
+    _surface_to_json,
+)
 from resflat.surfaces import (
     FlatSurface,
     PolarPart,
     Polygon,
     SimplePolePart,
     VerificationError,
+    _with_marked_points,
     build_witness,
     validate_piece,
     verify_certificate,
@@ -67,14 +80,15 @@ def test_every_route_is_covered():
     }
 
 
-def _scaled_piece(piece, t):
+def _scaled_piece(piece, n):
+    def times(chain):
+        return [(x * n, y * n) for x, y in chain]
+
     if isinstance(piece, Polygon):
-        return Polygon(v * t for v in piece.edges)
+        return Polygon(times(piece.edges))
     if isinstance(piece, PolarPart):
-        return PolarPart(
-            piece.order, piece.pole_type, (v * t for v in piece.top), (v * t for v in piece.bottom)
-        )
-    return SimplePolePart(v * t for v in piece.vectors)
+        return PolarPart(piece.order, piece.pole_type, times(piece.top), times(piece.bottom))
+    return SimplePolePart(times(piece.vectors))
 
 
 scales = st.builds(
@@ -88,10 +102,15 @@ scales = st.builds(
 @given(st.sampled_from(WITNESSES), scales)
 @settings(max_examples=150, deadline=None)
 def test_scaling_changes_nothing_but_the_residues(cert, t):
+    # The pairs are multiplied by t's numerator and d by its denominator.
     surface = cert.surface
     before = verify_surface(surface)
     after = verify_surface(
-        FlatSurface((_scaled_piece(pc, t) for pc in surface.pieces), surface.pairings)
+        FlatSurface(
+            (_scaled_piece(pc, t.numerator) for pc in surface.pieces),
+            surface.pairings,
+            surface.d * t.denominator,
+        )
     )
     assert after.genus == before.genus
     assert after.zero_orders == before.zero_orders
@@ -106,34 +125,44 @@ def _vector_fields(piece):
     return ["vectors"]
 
 
-def _nudged(piece, data):
+def _nudged(value, scale, data):
+    """A different integer: nudged by up to 3 lattice steps or up to 3 times
+    ``scale``, negated, or zero."""
+    return data.draw(
+        st.one_of(
+            st.integers(-3, 3).map(lambda k: value + k),
+            st.integers(-3 * scale, 3 * scale).map(lambda k: value + k),
+            st.just(-value),
+            st.just(0),
+        ).filter(lambda x: x != value)
+    )
+
+
+def _nudged_piece(piece, d, data):
+    """The piece with one coordinate of one pair nudged."""
     field = data.draw(st.sampled_from(_vector_fields(piece)))
     vectors = getattr(piece, field)
     k = data.draw(st.integers(0, len(vectors) - 1))
-    v = vectors[k]
-    part = data.draw(st.sampled_from(["re", "im"]))
-    old = getattr(v, part)
-    new = data.draw(
-        st.one_of(
-            st.fractions(-3, 3, max_denominator=7).map(lambda d: old + d),
-            st.just(-old),
-            st.just(Fraction(0)),
-        ).filter(lambda x: x != old)
-    )
-    w = QQi(new, v.im) if part == "re" else QQi(v.re, new)
-    return dataclasses.replace(piece, **{field: vectors[:k] + (w,) + vectors[k + 1 :]})
+    v = list(vectors[k])
+    part = data.draw(st.integers(0, 1))
+    v[part] = _nudged(v[part], d, data)
+    return dataclasses.replace(piece, **{field: vectors[:k] + (tuple(v),) + vectors[k + 1 :]})
 
 
 @given(st.sampled_from(WITNESSES), st.data())
 @settings(max_examples=300, deadline=None)
 def test_single_field_change_is_rejected_or_rederives_the_claim(cert, data):
     pieces, pairings = list(cert.surface.pieces), list(cert.surface.pairings)
+    d = cert.surface.d
     polar = [i for i, pc in enumerate(pieces) if isinstance(pc, PolarPart)]
-    kinds = ["vector"] + (["pairing"] if pairings else []) + (["pole_type"] if polar else [])
+    kinds = ["vector", "denominator"] + (["pairing"] if pairings else [])
+    kinds += ["pole_type"] if polar else []
     kind = data.draw(st.sampled_from(kinds))
     if kind == "vector":
         i = data.draw(st.integers(0, len(pieces) - 1))
-        pieces[i] = _nudged(pieces[i], data)
+        pieces[i] = _nudged_piece(pieces[i], d, data)
+    elif kind == "denominator":
+        d = _nudged(d, d, data)
     elif kind == "pairing":
         num = data.draw(st.integers(0, len(pairings) - 1))
         end = data.draw(st.integers(0, 1))
@@ -147,7 +176,7 @@ def test_single_field_change_is_rejected_or_rederives_the_claim(cert, data):
         old = pieces[i].pole_type
         tau = data.draw(st.integers(-1, pieces[i].order + 1).filter(lambda t: t != old))
         pieces[i] = dataclasses.replace(pieces[i], pole_type=tau)
-    mutated = dataclasses.replace(cert, surface=FlatSurface(pieces, pairings))
+    mutated = dataclasses.replace(cert, surface=FlatSurface(pieces, pairings, d))
     try:
         profile = verify_certificate(mutated)
     except VerificationError:
@@ -226,7 +255,138 @@ small_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda 
 def test_accepted_simple_pole_chains_lift_to_simple_polylines(chain):
     assume(sum(x for x, _ in chain) or sum(y for _, y in chain))
     try:
-        validate_piece(SimplePolePart(QQi(x, y) for x, y in chain), list(chain))
+        validate_piece(SimplePolePart(chain))
     except ValueError:
         assume(False)
     assert _lift_is_simple(chain)
+
+
+@given(st.sampled_from(WITNESSES), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_codec_round_trip_on_the_lattice(cert, marked):
+    # Marked points cut a glued pair into equal parts, which may rescale d.
+    cert = _with_marked_points(cert, cert.claimed.zero_orders + (0,) * marked)
+    # The builders emit the least common denominator, the one lcm the codec
+    # takes, so reading a written surface gives it back exactly.
+    assert _surface_from_json(_surface_to_json(cert.surface), "$") == cert.surface
+    text = json.dumps(_certificate_to_json(cert), sort_keys=True)
+    again = _certificate_to_json(_certificate_from_json(json.loads(text)))
+    assert json.dumps(again, sort_keys=True) == text
+
+
+# Verify implies decide, on every small gluing of four simple-pole parts: 6
+# or 8 slots, vectors a + bi with |a| <= 3 and |b| <= 2.  Such a gluing has
+# 3 or 4 pairings, so a reading is genus 0 with zeros (2), (2, 0) or (1, 1).
+# The decider refuses four simple-pole residues there only when one is zero
+# or they are c, c, -c, -c (a primitive positive total above 2 is realizable
+# on every such stratum, and residues off one line always are), so only
+# gluings whose residues are 0 or +-c can be false certificates, and only
+# those are handed to the verifier.
+
+LENGTHS = [(3, 1, 1, 1), (2, 2, 1, 1)]
+LENGTHS += [(5, 1, 1, 1), (4, 2, 1, 1), (3, 3, 1, 1), (3, 2, 2, 1), (2, 2, 2, 2)]
+VECTORS = [(a, b) for a in range(-3, 4) for b in range(-2, 3) if (a, b) != (0, 0)]
+# A gluing turned by pi is the same surface, so the first vector is taken
+# from one half plane.
+UPPER = [(a, b) for a, b in VECTORS if b > 0 or (b == 0 and a > 0)]
+
+
+def _matchings(slots):
+    if not slots:
+        yield []
+        return
+    for k in range(1, len(slots)):
+        for rest in _matchings(slots[1:k] + slots[k + 1 :]):
+            yield [(slots[0], slots[k]), *rest]
+
+
+def _pairing_classes(lengths):
+    """Connected perfect matchings of the slots of chains of these lengths,
+    one per class under relabelling equal chains and rotating each chain (a
+    rotated chain bounds the same half-infinite cylinder)."""
+    relabel = [
+        p for p in itertools.permutations(range(4)) if [lengths[j] for j in p] == list(lengths)
+    ]
+    turns = list(itertools.product(*[range(n) for n in lengths]))
+
+    def moved(pair, p, r):
+        return tuple(sorted([(p[i], (k + r[i]) % lengths[i]) for i, k in pair]))
+
+    seen = set()
+    for pairing in _matchings([(i, k) for i, n in enumerate(lengths) for k in range(n)]):
+        reached = {0}
+        for _ in range(3):
+            reached |= {x for (a, _), (b, _) in pairing for x in (a, b) if {a, b} & reached}
+        if len(reached) < 4:
+            continue
+        key = min(
+            tuple(sorted(moved(pair, p, r) for pair in pairing)) for p in relabel for r in turns
+        )
+        if key not in seen:
+            seen.add(key)
+            yield pairing
+
+
+def _small_gluings():
+    """Surfaces over the classes of pairings, chains filled slot by slot,
+    shortest chain first.  A chain's last free slot takes only the vectors
+    that make its residue 0 or +-c, c the first nonzero residue, and a
+    chain that :func:`validate_piece` refuses is dropped, as the verifier
+    would drop it."""
+    for lengths in LENGTHS:
+        for pairing in _pairing_classes(lengths):
+            partner = {a: b for pair in pairing for a, b in (pair, pair[::-1])}
+            order = [(i, k) for i in reversed(range(4)) for k in range(lengths[i])]
+            chains = [[None] * n for n in lengths]
+
+            def fill(pos, c):
+                if pos == len(order):
+                    yield FlatSurface([SimplePolePart(chain) for chain in chains], pairing)
+                    return
+                i, k = order[pos]
+                if chains[i][k] is not None:
+                    yield from settle(pos, c)
+                    return
+                j, l = partner[(i, k)]
+                rest = [v for n, v in enumerate(chains[i]) if n != k]
+                if c is None or None in rest:
+                    choices = UPPER if pos == 0 else VECTORS
+                else:
+                    x, y = sum(x for x, _ in rest), sum(y for _, y in rest)
+                    wanted = ((-x, -y), (c[0] - x, c[1] - y), (-c[0] - x, -c[1] - y))
+                    choices = [v for v in wanted if v in VECTORS]
+                for x, y in choices:
+                    chains[i][k], chains[j][l] = (x, y), (-x, -y)
+                    yield from settle(pos, c)
+                chains[i][k] = chains[j][l] = None
+
+            def settle(pos, c):
+                i, k = order[pos]
+                if k == lengths[i] - 1:
+                    try:
+                        validate_piece(SimplePolePart(chains[i]))
+                    except ValueError:
+                        return
+                    r = (sum(x for x, _ in chains[i]), sum(y for _, y in chains[i]))
+                    if c is None:
+                        c = r if r != (0, 0) else None
+                    elif r not in ((0, 0), c, (-c[0], -c[1])):
+                        return
+                yield from fill(pos + 1, c)
+
+            yield from fill(0, None)
+
+
+def test_every_small_gluing_the_verifier_accepts_is_realizable():
+    candidates = accepted = 0
+    for surface in _small_gluings():
+        candidates += 1
+        try:
+            profile = verify_surface(surface)
+        except VerificationError:
+            continue
+        accepted += 1
+        sig = StratumSignature(profile.genus, profile.zero_orders, (), len(profile.poles))
+        residues = [r for _, r in profile.poles]
+        assert decide_realizable(sig, residues).realizable, surface
+    assert (candidates, accepted) == (6631, 389)
