@@ -40,7 +40,6 @@ from .surfaces import (
     blow_up_zero,
     build_witness,
     profile_matches,
-    residue_of_piece,
     verify_certificate,
     verify_surface,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "is_connection_graph",
     "leaf_removal",
     "profile_matches",
-    "residue_of_piece",
     "residue_tuple",
     "search_cylinder_tuple",
     "validate_residues",

@@ -172,7 +172,7 @@ def _surface_from_json(doc: Any, path: str) -> _surfaces.FlatSurface:
         raise DocumentError(path + ".pieces", "expected a list")
     pieces = [_piece_from_json(p, f"{path}.pieces[{k}]") for k, p in enumerate(pieces_doc)]
     # One lcm puts every piece on the surface's integer lattice.
-    d, pairs = scaled([v for pc in pieces for v in _surfaces._boundary(pc)[0]])
+    d, pairs = scaled([v for pc in pieces for v in _surfaces._boundary(pc)])
     at = iter(pairs)
     pieces = [_surfaces._map_pairs(pc, lambda _: next(at)) for pc in pieces]
     pairings_doc = doc.get("pairings", [])
@@ -479,7 +479,7 @@ def _piece_drawing(
     if isinstance(piece, _surfaces.PolarPart):
         walks = ((piece.top, 0.0), (piece.bottom, -1.0))
     else:
-        walks = ((_surfaces._boundary(piece)[0], 0.0),)
+        walks = ((_surfaces._boundary(piece), 0.0),)
     segs = []
     for chain, y in walks:
         x = 0.0
@@ -503,7 +503,7 @@ def _emit_svg(cert: _surfaces.ConstructionCertificate, path: str) -> None:
     # Pairs are divided exactly by a quarter of the largest coordinate before
     # float(), so a drawing neither overflows nor vanishes at any magnitude.
     unit = Fraction(
-        max(abs(c) for piece in surface.pieces for v in _surfaces._boundary(piece)[0] for c in v),
+        max(abs(c) for piece in surface.pieces for v in _surfaces._boundary(piece) for c in v),
         4,
     )
     labels = {}

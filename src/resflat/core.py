@@ -76,34 +76,17 @@ class QQi:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "QQi | Rat") -> "QQi":
-        if isinstance(other, QQi):
-            n = other.norm2()
-            if n == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            conj = other.conjugate()
-            num = self * conj
-            return QQi(num.re / n, num.im / n)
+    def __truediv__(self, other: Rat) -> "QQi":
         w = _frac(other)
         if w == 0:
             raise ZeroDivisionError("division by zero")
         return QQi(self.re / w, self.im / w)
-
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self) -> str:
         return f"QQi({self.re!s}, {self.im!s})"

@@ -35,8 +35,6 @@ from .core import (
     QQi,
     StratumSignature,
     arg_cmp,
-    cross,
-    dot,
     residue_tuple,
     scaled,
 )
@@ -106,27 +104,13 @@ Piece = Polygon | PolarPart | SimplePolePart
 _CHAINS = {Polygon: ("edges",), PolarPart: ("top", "bottom"), SimplePolePart: ("vectors",)}
 
 
-def _boundary(piece: Piece) -> tuple[tuple[Pair, ...], int]:
-    """Boundary vectors in slot order, and how many lead with their canonical
-    direction; the rest, a polar part's bottom chain, run reversed."""
-    if isinstance(piece, Polygon):
-        return piece.edges, len(piece.edges)
-    if isinstance(piece, PolarPart):
-        return piece.top + piece.bottom, len(piece.top)
-    if isinstance(piece, SimplePolePart):
-        return piece.vectors, len(piece.vectors)
-    raise ValueError(f"unknown piece type {type(piece).__name__}")
+def _boundary(piece: Piece) -> tuple[Pair, ...]:
+    """Boundary vectors in slot order; a polar part's bottom chain runs reversed."""
+    return tuple([v for k in _CHAINS[type(piece)] for v in getattr(piece, k)])
 
 
 def _neg(v: Pair) -> Pair:
     return (-v[0], -v[1])
-
-
-def _canonical(vs: tuple[Pair, ...], lead: int) -> Sequence[Pair]:
-    """Boundary vectors directed with the piece interior on the left."""
-    if lead == len(vs):
-        return vs
-    return [*vs[:lead], *[(-x, -y) for x, y in vs[lead:]]]
 
 
 def _map_pairs(piece: Piece, f) -> Piece:
@@ -137,41 +121,25 @@ def _map_pairs(piece: Piece, f) -> Piece:
 # Angles are counted in whole turns.  With arguments in (-pi, pi], an angle
 # from direction u to direction v is arg v - arg u + 2*pi*w for an integer w;
 # summed around a closed walk the argument differences cancel, leaving 2*pi
-# times the sum of the w.
+# times the sum of the w.  Call a nonzero pair up when its argument lies in
+# (0, pi]; -u is up exactly when u is not.  Then, with c = cross(u, v), the
+# counterclockwise sweep from v to -u, taken in (0, 2*pi], has w = up(u)
+# when u and v are up alike and w = (c <= 0) otherwise; the signed turn from
+# u to v, taken in [-pi, pi), has w = 0 when they are up alike, else up(u)
+# when c > 0 and -up(v) when not.
 
 
-def _sweep_turns(u: Pair, v: Pair) -> int:
-    """w of the counterclockwise sweep from u to v, taken in (0, 2*pi]."""
-    return 1 if arg_cmp(v, u) <= 0 else 0
+def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pair | None]:
+    """Check a piece and read it in one pass over its integer pairs.
 
-
-def _signed_turns(u: Pair, v: Pair) -> int:
-    """w of the signed turn from u to v, taken in [-pi, pi)."""
-    if cross(u, v) > 0:
-        return 1 if arg_cmp(v, u) < 0 else 0
-    return -1 if arg_cmp(v, u) > 0 else 0
-
-
-def _validate_chain(vectors: Sequence[Pair], decreasing: bool, label: str) -> None:
-    for x, y in vectors:
-        if not (x or y):
-            raise ValueError(f"{label} chain contains a zero vector")
-        if y == 0 and x < 0:
-            raise ValueError(f"{label} chain vector points along the negative real axis")
-    for a, b in zip(vectors, vectors[1:]):
-        c = arg_cmp(a, b)
-        if decreasing and c < 0:
-            raise ValueError(f"{label} chain arguments must be weakly decreasing")
-        if not decreasing and c > 0:
-            raise ValueError(f"{label} chain arguments must be weakly increasing")
-    if sum(x for x, _ in vectors) < 0:
-        raise ValueError(f"{label} chain sum must have nonnegative real part")
-
-
-def validate_piece(piece: Piece) -> None:
-    """Local validity checks on a piece, read on its own integer pairs (no
-    check changes when they are divided by the surface's positive
-    denominator); raises ValueError with the violated condition.
+    Returns the canonical vectors in slot order, each slot's predecessor on
+    the boundary cycle, the turns w (a bool where w is 0 or 1) of the corner
+    entering each slot, which sweeps counterclockwise from the slot's
+    canonical vector to the reverse of its predecessor's, and the residue
+    of the piece's pole as the integer sum of its canonical vectors (None
+    for a polygon).  Raises ValueError with the first violated condition.
+    Dividing the pairs by the surface's positive denominator changes no
+    check or turn, so all are read as stored.
 
     A polygon must turn once in all, and be convex: at every corner, from
     edge u to edge v, it turns left (cross(u, v) > 0) or goes straight on
@@ -185,90 +153,132 @@ def validate_piece(piece: Piece) -> None:
     translates by k * r, then advances strictly along r from vertex to
     vertex, so it is a simple polyline, and the region on its left, taken
     modulo r, really is a half-infinite cylinder.  A zero residue is
-    reported by :func:`verify_surface`."""
-    vs = _boundary(piece)[0]
-    if isinstance(piece, Polygon):
-        if len(vs) < 3:
-            raise ValueError("polygon needs at least three edges")
-        if (0, 0) in vs:
-            raise ValueError("polygon edge is zero")
-        if sum(x for x, _ in vs) or sum(y for _, y in vs):
-            raise ValueError("polygon edges do not close up")
-        corners = list(zip(vs[-1:] + vs[:-1], vs))
-        if sum(_signed_turns(u, v) for u, v in corners) != 1:
-            raise ValueError("polygon boundary does not wind once counterclockwise")
-        for u, v in corners:
-            c = cross(u, v)
-            if c < 0 or (c == 0 and dot(u, v) < 0):
-                raise ValueError("polygon is not convex: it turns right or back at a corner")
-    elif isinstance(piece, PolarPart):
-        if piece.order < 2:
-            raise ValueError("polar part order must be at least 2")
-        if not (1 <= piece.pole_type <= piece.order - 1):
-            raise ValueError("polar part type must lie in [1, order-1]")
-        if not vs:
-            raise ValueError("polar part needs a nonempty boundary chain")
-        _validate_chain(piece.top, decreasing=True, label="top")
-        _validate_chain(piece.bottom, decreasing=False, label="bottom")
-    else:
+    reported by :func:`verify_surface`.
+    """
+    if isinstance(piece, PolarPart):
+        return _read_polar_part(piece)
+    if isinstance(piece, SimplePolePart):
+        vs = piece.vectors
         if not vs:
             raise ValueError("simple-pole part needs at least one vector")
         if (0, 0) in vs:
             raise ValueError("simple-pole chain contains a zero vector")
-        r = (sum(x for x, _ in vs), sum(y for _, y in vs))
-        if r != (0, 0) and any(dot(v, r) <= 0 for v in vs):
-            raise ValueError("simple-pole chain is not monotone along its residue")
-
-
-def _cycle_and_corners(
-    piece: Piece, canon: Sequence[Pair]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Boundary cycle of slot ids and the turns of the corner entering each slot.
-
-    ``canon`` holds the canonical vectors of the slots.  The corner
-    between cycle[k-1] and cycle[k] sweeps counterclockwise from the
-    canonical vector of cycle[k] to the reverse of that of cycle[k-1];
-    turns[k] is its w.  For polar parts the wrap corners add the half-plane
-    sheets, tau and order - tau turns (order - 1 and a half with one chain).
-    """
-    if isinstance(piece, PolarPart):
-        l, lp = len(piece.top), len(piece.bottom)
-        cyc = tuple(range(l)) + tuple(range(l + lp - 1, l - 1, -1))
-    else:
-        cyc = tuple(range(len(canon)))
+        turns: list[int] = []
+        rx = ry = 0
+        ux, uy = vs[-1]
+        uu = uy > 0 or (uy == 0 and ux < 0)
+        for vx, vy in vs:
+            uv = vy > 0 or (vy == 0 and vx < 0)
+            turns.append(uu if uu == uv else ux * vy - uy * vx <= 0)
+            rx += vx
+            ry += vy
+            ux, uy, uu = vx, vy, uv
+        if rx or ry:
+            for x, y in vs:
+                if x * rx + y * ry <= 0:
+                    raise ValueError("simple-pole chain is not monotone along its residue")
+        return vs, [len(vs) - 1, *range(len(vs) - 1)], turns, (rx, ry)
+    if not isinstance(piece, Polygon):
+        raise ValueError(f"unknown piece type {type(piece).__name__}")
+    vs = piece.edges
+    if len(vs) < 3:
+        raise ValueError("polygon needs at least three edges")
+    if (0, 0) in vs:
+        raise ValueError("polygon edge is zero")
     turns = []
-    for pos, sid in enumerate(cyc):
-        x, y = canon[cyc[pos - 1]]
-        turns.append(_sweep_turns(canon[sid], (-x, -y)))
-    if isinstance(piece, PolarPart):
-        b, tau = piece.order, piece.pole_type
-        # canon[l - 1] is the last top vector, canon[-1] the last bottom
-        # vector reversed.
-        if l and lp:
-            turns[0] = tau
-            turns[l] = b - tau + (canon[-1][1] >= 0) - (canon[l - 1][1] <= 0)
-        elif l:
-            turns[0] = b - 1 + (canon[l - 1][1] > 0)
+    rx = ry = wind = 0
+    convex = True
+    ux, uy = vs[-1]
+    uu = uy > 0 or (uy == 0 and ux < 0)
+    for vx, vy in vs:
+        uv = vy > 0 or (vy == 0 and vx < 0)
+        c = ux * vy - uy * vx
+        if uu == uv:
+            turns.append(uu)
+        elif c > 0:
+            turns.append(False)
+            wind += uu
         else:
-            turns[0] = b - 1 + (canon[-1][1] >= 0)
-    return cyc, tuple(turns)
+            turns.append(True)
+            wind -= uv
+        if c < 0 or (c == 0 and ux * vx + uy * vy < 0):
+            convex = False
+        rx += vx
+        ry += vy
+        ux, uy, uu = vx, vy, uv
+    if rx or ry:
+        raise ValueError("polygon edges do not close up")
+    if wind != 1:
+        raise ValueError("polygon boundary does not wind once counterclockwise")
+    if not convex:
+        raise ValueError("polygon is not convex: it turns right or back at a corner")
+    return vs, [len(vs) - 1, *range(len(vs) - 1)], turns, None
+
+
+def _read_polar_part(piece: PolarPart) -> tuple[Sequence[Pair], list[int], list[int], Pair]:
+    """:func:`_read_piece` on a polar part.  Top slot k follows k - 1 and
+    bottom slot l + k follows l + k + 1, so the corner between chain vectors
+    k - 1 and k sweeps from top[k] to -top[k - 1], or from -bottom[k - 1] to
+    bottom[k]; off the negative real axis a vector is up exactly when y > 0.
+    The wrap corners add the half-plane sheets, tau and order - tau turns
+    (order - 1 and a half with one chain)."""
+    b, tau, top, bottom = piece.order, piece.pole_type, piece.top, piece.bottom
+    if b < 2:
+        raise ValueError("polar part order must be at least 2")
+    if not (1 <= tau <= b - 1):
+        raise ValueError("polar part type must lie in [1, order-1]")
+    if not (top or bottom):
+        raise ValueError("polar part needs a nonempty boundary chain")
+    inner, rx, ry = [], 0, 0
+    for chain, down, label in ((top, True, "top"), (bottom, False, "bottom")):
+        turns: list[int] = []
+        sx = sy = 0
+        pu = ordered = True
+        for k, (x, y) in enumerate(chain):
+            if not (x or y):
+                raise ValueError(f"{label} chain contains a zero vector")
+            if y == 0 and x < 0:
+                raise ValueError(f"{label} chain vector points along the negative real axis")
+            u = y > 0
+            if k:
+                c = px * y - py * x
+                if pu == u:
+                    turns.append(pu if down else not u)
+                    ordered = ordered and (c <= 0 if down else c >= 0)
+                else:
+                    turns.append(c <= 0 if down else c >= 0)
+                    ordered = ordered and (pu if down else u)
+            sx += x
+            sy += y
+            px, py, pu = x, y, u
+        if not ordered:
+            trend = "decreasing" if down else "increasing"
+            raise ValueError(f"{label} chain arguments must be weakly {trend}")
+        if sx < 0:
+            raise ValueError(f"{label} chain sum must have nonnegative real part")
+        inner.append(turns)
+        rx, ry = (rx + sx, ry + sy) if down else (rx - sx, ry - sy)
+    l, lp = len(top), len(bottom)
+    before = [*range(-1, l - 1), *range(l + 1, l + lp + 1)]
+    if l and lp:
+        before[0], before[-1] = l, l - 1
+        wrap = b - tau + (bottom[-1][1] <= 0) - (top[-1][1] <= 0)
+        turns = [tau, *inner[0], *inner[1], wrap]
+    elif l:
+        before[0] = l - 1
+        turns = [b - 1 + (top[-1][1] > 0), *inner[0]]
+    else:
+        before[-1] = 0
+        turns = [*inner[1], b - 1 + (bottom[-1][1] <= 0)]
+    canon = [*top, *[(-x, -y) for x, y in bottom]] if lp else top
+    return canon, before, turns, (rx, ry)
 
 
 def _value(v: Pair, d: int) -> QQi:
     """The Gaussian rational an integer pair stands for over the denominator d."""
+    if d == 1:
+        return QQi(Fraction(v[0]), Fraction(v[1]))
     return QQi(Fraction(v[0], d), Fraction(v[1], d))
-
-
-def _residue(canon: Sequence[Pair], d: int) -> QQi:
-    """A pole piece's residue, the sum of its canonical vectors ``canon``."""
-    return _value((sum(x for x, _ in canon), sum(y for _, y in canon)), d)
-
-
-def residue_of_piece(piece: Piece, d: int) -> QQi | None:
-    """Exact residue of a piece's pole over the denominator d; None for polygons."""
-    if isinstance(piece, Polygon):
-        return None
-    return _residue(_canonical(*_boundary(piece)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +343,11 @@ def verify_surface(surface: FlatSurface) -> Profile:
 
 def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     """:func:`verify_surface`, with the tables it reads the profile from, on
-    flat slot ids in sorted (piece, slot) order: each piece's canonical
-    vectors, the pairings, each slot's predecessor on its piece's boundary
-    cycle with the turns of the corner between them, and the corner orbit,
-    a point of the surface, that each slot starts at."""
+    flat slot ids in sorted (piece, slot) order: each piece's slot count,
+    each slot's canonical vector, the pairings, each slot's predecessor on
+    its piece's boundary cycle and the turns of the corner between them,
+    and the corner orbit, a point of the surface, that each slot starts
+    at.  Each piece is read once, by :func:`_read_piece`."""
     violations: list[str] = []
     pieces = surface.pieces
     if not pieces:
@@ -344,35 +355,55 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     d = surface.d
     if d < 1:
         raise VerificationError((f"surface denominator {d} is not positive",))
-    canons: list[Sequence[Pair]] = []
-    # ``flat`` holds the canonical vector of every slot, piece after piece,
-    # and ``offsets`` the flat id of each piece's slot 0.
     flat: list[Pair] = []
-    offsets: list[int] = []
+    before: list[int] = []
+    turns: list[int] = []
+    offsets: list[int] = []  # the flat id of each piece's slot 0
+    sizes: list[int] = []
+    sums: list[tuple[int, int, Pair]] = []
     for idx, pc in enumerate(pieces):
         try:
-            vectors, lead = _boundary(pc)
-            validate_piece(pc)
+            canon, prev, into, res = _read_piece(pc)
         except ValueError as exc:
             violations.append(f"piece {idx}: {exc}")
             continue
-        canon = _canonical(vectors, lead)
-        canons.append(canon)
-        offsets.append(len(flat))
+        offset = len(flat)
+        offsets.append(offset)
+        sizes.append(len(canon))
+        before.extend([offset + k for k in prev])
         flat.extend(canon)
+        turns.extend(into)
+        if res is not None:
+            sums.append((idx, -pc.order if isinstance(pc, PolarPart) else -1, res))
     if violations:
         raise VerificationError(violations)
 
     partner = [-1] * len(flat)
-    glued = []
+    glued: list[tuple[int, int]] = []
+    n = len(sizes)
     for num, (a, b) in enumerate(surface.pairings):
-        # A pairing that cannot be indexed ends the matching; a vector
-        # mismatch does not, so every mismatched pairing is reported.
+        # Two free slots in range with opposite integer vectors are glued
+        # at once; glued vectors are nonzero, so the slots differ.
+        try:
+            (i, k), (j, m) = a, b
+            if 0 <= i < n and 0 <= k < sizes[i] and 0 <= j < n and 0 <= m < sizes[j]:
+                fa, fb = offsets[i] + k, offsets[j] + m
+                (ux, uy), (vx, vy) = flat[fa], flat[fb]
+                if ux == -vx and uy == -vy and partner[fa] < 0 and partner[fb] < 0:
+                    partner[fa], partner[fb] = fb, fa
+                    glued.append((fa, fb))
+                    continue
+        except (TypeError, ValueError):
+            pass
+        # Any other pairing is read end by end, to word its rejection.  One
+        # that cannot be indexed, or meets a matched slot, ends the matching;
+        # any other has a vector mismatch, which does not, so every
+        # mismatched pairing is reported.
         blocked, ends = [], []
         for end in (a, b):
             try:
                 i, k = end
-                inside = 0 <= i < len(canons) and 0 <= k < len(canons[i])
+                inside = 0 <= i < n and 0 <= k < sizes[i]
                 ends.append(offsets[i] + k if inside else -1)
             except (TypeError, ValueError):
                 ends.append(-1)
@@ -385,15 +416,13 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         if blocked:
             raise VerificationError(violations + blocked)
         fa, fb = ends
-        (ux, uy), (vx, vy) = flat[fa], flat[fb]
-        if ux != -vx or uy != -vy:
-            u, v = _value(flat[fa], d), _value(flat[fb], d)
-            violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
+        u, v = _value(flat[fa], d), _value(flat[fb], d)
+        violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
         partner[fa] = fb
         partner[fb] = fa
         glued.append((fa, fb))
     if -1 in partner:
-        slots = [(i, k) for i, canon in enumerate(canons) for k in range(len(canon))]
+        slots = [(i, k) for i, size in enumerate(sizes) for k in range(size)]
         unmatched = [slots[f] for f, g in enumerate(partner) if g < 0]
         violations.append(f"unmatched boundary edges: {unmatched}")
     if violations:
@@ -401,14 +430,6 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
 
     if not _graphs._connected(len(pieces), [(a[0], b[0]) for a, b in surface.pairings]):
         raise VerificationError(("surface is disconnected",))
-
-    corner_into: list[tuple[int, int]] = []
-    for pc, canon, offset in zip(pieces, canons, offsets):
-        cyc, turns = _cycle_and_corners(pc, canon)
-        into = [(0, 0)] * len(cyc)
-        for pos, sid in enumerate(cyc):
-            into[sid] = (offset + cyc[pos - 1], turns[pos])
-        corner_into.extend(into)
 
     # Each corner ends on the direction the next one starts from (matched
     # edges are exact translates), so an orbit's cone angle is 2*pi times
@@ -422,20 +443,15 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         cur = start
         while vertex[cur] < 0:
             vertex[cur] = len(orders)
-            prev_slot, turns = corner_into[cur]
-            total += turns
-            cur = partner[prev_slot]
+            total += turns[cur]
+            cur = partner[before[cur]]
         orders.append(total - 1)
 
     poles: list[tuple[int, QQi]] = []
-    for i, (pc, canon) in enumerate(zip(pieces, canons)):
-        if isinstance(pc, Polygon):
-            continue
-        order = -pc.order if isinstance(pc, PolarPart) else -1
-        res = _residue(canon, d)
-        if order == -1 and res.is_zero():
+    for i, order, (rx, ry) in sums:
+        if order == -1 and not (rx or ry):
             violations.append(f"piece {i}: zero residue at a simple pole")
-        poles.append((order, res))
+        poles.append((order, _value((rx, ry), d)))
     if violations:
         raise VerificationError(violations)
 
@@ -450,7 +466,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
             (f"degree identity fails: orders sum to {degree}, expected {2 * genus - 2}",)
         )
     profile = Profile(genus, tuple(sorted(orders, reverse=True)), tuple(poles))
-    return profile, (canons, glued, corner_into, vertex)
+    return profile, (sizes, flat, glued, before, turns, vertex)
 
 
 def profile_matches(
@@ -480,18 +496,20 @@ def _same_poles(a: Sequence[tuple[int, QQi]], b: Sequence[tuple[int, QQi]]) -> b
     """Whether two lists of (order, residue) poles agree as multisets.
 
     Reduced fractions are equal exactly when their integer parts are, so
-    the poles are compared as sorted tuples of integers.
+    each pole becomes a tuple of integers.  Lists in the same order are
+    then equal as sequences; only lists that differ are sorted.
     """
 
     def key(poles: Sequence[tuple[int, QQi]]) -> list[tuple[int, int, int, int, int]]:
-        return sorted(
-            [
-                (o, r.re.numerator, r.re.denominator, r.im.numerator, r.im.denominator)
-                for o, r in poles
-            ]
-        )
+        return [
+            (o, r.re.numerator, r.re.denominator, r.im.numerator, r.im.denominator)
+            for o, r in poles
+        ]
 
-    return len(a) == len(b) and key(a) == key(b)
+    if len(a) != len(b):
+        return False
+    ka, kb = key(a), key(b)
+    return ka == kb or sorted(ka) == sorted(kb)
 
 
 def _loop_indices(tables: tuple) -> list[int]:
@@ -511,11 +529,11 @@ def _loop_indices(tables: tuple) -> list[int]:
     arguments cancel around the loop, and a piece adds the sum of up(c) over
     the arc, minus the inner corners' w_k, minus 1 whole turn.
     """
-    canons, glued, corner_into, vertex = tables
-    piece_of = [i for i, canon in enumerate(canons) for _ in canon]
-    up = [y > 0 or (y == 0 and x < 0) for canon in canons for x, y in canon]
+    sizes, flat, glued, before, turns, vertex = tables
+    piece_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+    up = [y > 0 or (y == 0 and x < 0) for x, y in flat]
     tree = _graphs._spanning_forest(max(vertex) + 1, [(vertex[a], vertex[b]) for a, b in glued])
-    dual: list[list[tuple[int, int]]] = [[] for _ in canons]
+    dual: list[list[tuple[int, int]]] = [[] for _ in sizes]
     for (a, b), t in zip(glued, tree):
         if not t:
             dual[piece_of[a]].append((a, b))
@@ -523,8 +541,8 @@ def _loop_indices(tables: tuple) -> list[int]:
     # Grow the cotree from piece 0, breadth first: link[x] is (slot of x,
     # slot of its parent).  Each dual edge left out, met from both ends,
     # closes one loop.
-    depth = [0] + [-1] * (len(canons) - 1)
-    link = [(0, 0)] * len(canons)
+    depth = [0] + [-1] * (len(sizes) - 1)
+    link = [(0, 0)] * len(sizes)
     queue, loops = [0], []
     for x in queue:
         for a, b in dual[x]:
@@ -538,8 +556,9 @@ def _loop_indices(tables: tuple) -> list[int]:
     def arc(e: int, f: int) -> int:
         total = up[f] - 1
         while f != e:
-            f, turns = corner_into[f]
-            total += up[f] - turns
+            total -= turns[f]
+            f = before[f]
+            total += up[f]
         return total
 
     indices = []
@@ -729,7 +748,7 @@ def _chain_surface(
     if closer is None:
         _write_chain(pairings, ((0, 0), _ONE), chain, (0, 1))
         return FlatSurface(pieces, pairings)
-    canon = _canonical(*_boundary(closer))
+    canon = _read_piece(closer)[0]
     plus, minus, up, down = [(p, canon.index(v)) for v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     pieces.append(closer)
     if p:
@@ -982,7 +1001,7 @@ def _with_marked_points(
     if not missing:
         return cert
     (a, b), *rest = cert.surface.pairings
-    x, y = _boundary(cert.surface.pieces[a[0]])[0][a[1]]
+    x, y = _boundary(cert.surface.pieces[a[0]])[a[1]]
     t = (missing + 1) // math.gcd(missing + 1, x, y)
     pieces = [_map_pairs(pc, lambda v: (v[0] * t, v[1] * t)) for pc in cert.surface.pieces]
 

@@ -1,16 +1,20 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resflat.decide
 import resflat.surfaces
 from resflat.core import (
     QQi,
     StratumSignature,
+    arg_cmp,
     cross,
     dot,
     residue_tuple,
@@ -28,7 +32,6 @@ from resflat.surfaces import (
     blow_up_zero,
     build_witness,
     profile_matches,
-    residue_of_piece,
     verify_certificate,
     verify_surface,
 )
@@ -38,6 +41,7 @@ from resflat.surfaces import (
     _chain_surface,
     _choose_taus,
     _plumb,
+    _read_piece,
     _with_marked_points,
 )
 
@@ -117,22 +121,227 @@ def _is_simple_polygon(edges):
     return True
 
 
-class TestResidueOfPiece:
-    def test_polar_top_only(self):
-        assert residue_of_piece(PolarPart(3, 1, ((2, 1), (1, -1)), ()), 1) == QQi(3)
+# The reference for the one pass, :func:`resflat.surfaces._read_piece`: the
+# per-piece reading as it stood before the pass fused it, a check, the
+# canonical vectors, the boundary cycle with its corner turns and the
+# residue, each its own walk over the vectors, with every corner through
+# arg_cmp and cross.
 
-    def test_trivial_part(self):
-        assert residue_of_piece(PolarPart(4, 2, (RIGHT,), (RIGHT,)), 1).is_zero()
 
-    def test_simple_pole(self):
-        residue = residue_of_piece(SimplePolePart(((1, 2), (3, 0))), 6)
-        assert residue == QQi(Fraction(2, 3), Fraction(1, 3))
+def _ref_sweep_turns(u, v):
+    """w of the counterclockwise sweep from u to v, taken in (0, 2*pi]."""
+    return 1 if arg_cmp(v, u) <= 0 else 0
 
-    def test_polygon_is_not_a_pole(self):
-        assert residue_of_piece(Polygon(SQUARE), 1) is None
+
+def _ref_signed_turns(u, v):
+    """w of the signed turn from u to v, taken in [-pi, pi)."""
+    if cross(u, v) > 0:
+        return 1 if arg_cmp(v, u) < 0 else 0
+    return -1 if arg_cmp(v, u) > 0 else 0
+
+
+def _ref_validate_chain(vectors, decreasing, label):
+    for x, y in vectors:
+        if not (x or y):
+            raise ValueError(f"{label} chain contains a zero vector")
+        if y == 0 and x < 0:
+            raise ValueError(f"{label} chain vector points along the negative real axis")
+    for a, b in zip(vectors, vectors[1:]):
+        c = arg_cmp(a, b)
+        if decreasing and c < 0:
+            raise ValueError(f"{label} chain arguments must be weakly decreasing")
+        if not decreasing and c > 0:
+            raise ValueError(f"{label} chain arguments must be weakly increasing")
+    if sum(x for x, _ in vectors) < 0:
+        raise ValueError(f"{label} chain sum must have nonnegative real part")
+
+
+def _ref_validate_piece(piece):
+    if isinstance(piece, Polygon):
+        vs = piece.edges
+        if len(vs) < 3:
+            raise ValueError("polygon needs at least three edges")
+        if (0, 0) in vs:
+            raise ValueError("polygon edge is zero")
+        if sum(x for x, _ in vs) or sum(y for _, y in vs):
+            raise ValueError("polygon edges do not close up")
+        corners = list(zip(vs[-1:] + vs[:-1], vs))
+        if sum(_ref_signed_turns(u, v) for u, v in corners) != 1:
+            raise ValueError("polygon boundary does not wind once counterclockwise")
+        for u, v in corners:
+            c = cross(u, v)
+            if c < 0 or (c == 0 and dot(u, v) < 0):
+                raise ValueError("polygon is not convex: it turns right or back at a corner")
+    elif isinstance(piece, PolarPart):
+        if piece.order < 2:
+            raise ValueError("polar part order must be at least 2")
+        if not (1 <= piece.pole_type <= piece.order - 1):
+            raise ValueError("polar part type must lie in [1, order-1]")
+        if not piece.top + piece.bottom:
+            raise ValueError("polar part needs a nonempty boundary chain")
+        _ref_validate_chain(piece.top, decreasing=True, label="top")
+        _ref_validate_chain(piece.bottom, decreasing=False, label="bottom")
+    else:
+        vs = piece.vectors
+        if not vs:
+            raise ValueError("simple-pole part needs at least one vector")
+        if (0, 0) in vs:
+            raise ValueError("simple-pole chain contains a zero vector")
+        r = (sum(x for x, _ in vs), sum(y for _, y in vs))
+        if r != (0, 0) and any(dot(v, r) <= 0 for v in vs):
+            raise ValueError("simple-pole chain is not monotone along its residue")
+
+
+def _ref_cycle_and_corners(piece, canon):
+    """Boundary cycle of slot ids and the turns of the corner entering each
+    slot, in cycle order; the corner between cycle[k-1] and cycle[k] sweeps
+    from canon[cycle[k]] to -canon[cycle[k-1]]."""
+    if isinstance(piece, PolarPart):
+        l, lp = len(piece.top), len(piece.bottom)
+        cyc = tuple(range(l)) + tuple(range(l + lp - 1, l - 1, -1))
+    else:
+        cyc = tuple(range(len(canon)))
+    turns = []
+    for pos, sid in enumerate(cyc):
+        x, y = canon[cyc[pos - 1]]
+        turns.append(_ref_sweep_turns(canon[sid], (-x, -y)))
+    if isinstance(piece, PolarPart):
+        b, tau = piece.order, piece.pole_type
+        if l and lp:
+            turns[0] = tau
+            turns[l] = b - tau + (canon[-1][1] >= 0) - (canon[l - 1][1] <= 0)
+        elif l:
+            turns[0] = b - 1 + (canon[l - 1][1] > 0)
+        else:
+            turns[0] = b - 1 + (canon[-1][1] >= 0)
+    return cyc, tuple(turns)
+
+
+def _ref_read_piece(piece):
+    """The reference's reading, with the cycle and turns indexed by slot as
+    :func:`_read_piece` returns them."""
+    _ref_validate_piece(piece)
+    if isinstance(piece, PolarPart):
+        canon = [*piece.top, *[(-x, -y) for x, y in piece.bottom]]
+    else:
+        canon = list(piece.edges if isinstance(piece, Polygon) else piece.vectors)
+    cyc, turns = _ref_cycle_and_corners(piece, canon)
+    before, into = [0] * len(cyc), [0] * len(cyc)
+    for pos, sid in enumerate(cyc):
+        before[sid], into[sid] = cyc[pos - 1], turns[pos]
+    residue = None
+    if not isinstance(piece, Polygon):
+        residue = (sum(x for x, _ in canon), sum(y for _, y in canon))
+    return canon, before, into, residue
+
+
+_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_nonzero = _vectors.filter(lambda v: v != (0, 0))
+_by_arg = functools.cmp_to_key(arg_cmp)
+
+
+@st.composite
+def _polygons(draw):
+    """Raw edge lists; closed ones, drawn edges and the edge that closes
+    them, which wind any number of times; or centrally symmetric polygons
+    (each drawn edge with its reverse, sorted by argument: convex unless all
+    are parallel), started at any edge, one in four with one edge redrawn."""
+    kind = draw(st.sampled_from(("raw", "closed", "symmetric", "symmetric")))
+    if kind == "raw":
+        return Polygon(draw(st.lists(_vectors, max_size=6)))
+    if kind == "closed":
+        edges = draw(st.lists(_nonzero, min_size=2, max_size=6))
+        return Polygon([*edges, (-sum(x for x, _ in edges), -sum(y for _, y in edges))])
+    half = draw(st.lists(_nonzero, min_size=1, max_size=4))
+    edges = sorted([*half, *[(-x, -y) for x, y in half]], key=_by_arg)
+    shift = draw(st.integers(0, len(edges) - 1))
+    edges = edges[shift:] + edges[:shift]
+    if not draw(st.integers(0, 3)):
+        edges[draw(st.integers(0, len(edges) - 1))] = draw(_vectors)
+    return Polygon(edges)
+
+
+_off_the_negative_axis = _nonzero.filter(lambda v: v[1] or v[0] > 0)
+
+
+@st.composite
+def _polar_parts(draw):
+    """Polar parts with raw fields, or with an order and type in range and
+    chains off the negative real axis, sorted the way a valid part orders
+    them."""
+    if draw(st.booleans()):
+        order, pole_type = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+        top, bottom = draw(st.lists(_vectors, max_size=4)), draw(st.lists(_vectors, max_size=4))
+        return PolarPart(order, pole_type, top, bottom)
+    order = draw(st.integers(2, 5))
+    pole_type = draw(st.integers(1, order - 1))
+    chains = st.lists(_off_the_negative_axis, max_size=4)
+    top, bottom = draw(chains), draw(chains)
+    top, bottom = sorted(top, key=_by_arg, reverse=True), sorted(bottom, key=_by_arg)
+    return PolarPart(order, pole_type, top, bottom)
+
+
+_pieces = st.one_of(
+    _polygons(),
+    st.lists(_vectors, max_size=4).map(SimplePolePart),
+    _polar_parts(),
+)
+
+
+@given(_pieces)
+@settings(max_examples=800, deadline=None)
+def test_one_pass_matches_the_reference_reading(piece):
+    """_read_piece raises the reference's first message, or returns its
+    canonical vectors, cycle, turns and residue sums."""
+    try:
+        want = _ref_read_piece(piece)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _read_piece(piece)
+        assert str(got.value) == str(exc)
+        return
+    canon, before, turns, residue = _read_piece(piece)
+    assert (list(canon), before, turns, residue) == want
+
+
+def test_one_pass_reference_strategies_reach_valid_pieces():
+    """The strategies above draw accepted pieces of every kind, so the
+    comparison is not only over rejections."""
+    accepted = {Polygon: 0, SimplePolePart: 0, PolarPart: 0}
+
+    @given(_pieces)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    def count(piece):
+        try:
+            _ref_validate_piece(piece)
+        except ValueError:
+            return
+        accepted[type(piece)] += 1
+
+    count()
+    assert min(accepted.values()) >= 10, accepted
 
 
 class TestVerifySurface:
+    def test_residue_of_polar_top_only(self):
+        pieces = (PolarPart(3, 1, ((2, 1), (1, -1)), ()), SimplePolePart(((-1, 1), (-2, -1))))
+        surf = FlatSurface(pieces, (((0, 0), (1, 1)), ((0, 1), (1, 0))))
+        assert verify_surface(surf).poles == ((-3, QQi(3)), (-1, QQi(-3)))
+
+    def test_residue_of_trivial_part(self):
+        surf = FlatSurface((PolarPart(4, 2, (RIGHT,), (RIGHT,)),), (((0, 0), (0, 1)),))
+        assert verify_surface(surf).poles == ((-4, QQi(0)),)
+
+    def test_residue_of_simple_pole_over_six(self):
+        pieces = (SimplePolePart(((1, 2), (3, 0))), SimplePolePart(((-3, 0), (-1, -2))))
+        surf = FlatSurface(pieces, (((0, 0), (1, 1)), ((0, 1), (1, 0))), 6)
+        residue = QQi(Fraction(2, 3), Fraction(1, 3))
+        assert verify_surface(surf).poles == ((-1, residue), (-1, -residue))
+
+    def test_polygon_is_not_a_pole(self):
+        surf = FlatSurface((Polygon(SQUARE),), (((0, 0), (0, 2)), ((0, 1), (0, 3))))
+        assert verify_surface(surf).poles == ()
+
     def test_flat_torus(self):
         prof = verify_surface(_chain_surface((), (), _SQUARE))
         assert prof.genus == 1
@@ -288,13 +497,13 @@ class TestVerifySurface:
         ]
         edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1])]
         corners = zip(edges[-1:] + edges[:-1], edges)
-        assert sum(resflat.surfaces._signed_turns(u, v) for u, v in corners) == 1
+        assert sum(_ref_signed_turns(u, v) for u, v in corners) == 1
         with pytest.raises(ValueError, match="not convex"):
-            resflat.surfaces.validate_piece(Polygon(edges))
+            _read_piece(Polygon(edges))
 
     def test_straight_corners_are_convex(self):
         """A square with one side cut in three keeps two straight corners."""
-        resflat.surfaces.validate_piece(Polygon((RIGHT, RIGHT, RIGHT, (0, 3), (-3, 0), (0, -3))))
+        _read_piece(Polygon((RIGHT, RIGHT, RIGHT, (0, 3), (-3, 0), (0, -3))))
 
     def test_denominator_must_be_positive(self):
         for d in (0, -1):
@@ -308,6 +517,30 @@ class TestVerifySurface:
     def test_bad_winding_detected(self, edges):
         with pytest.raises(VerificationError, match="does not wind once counterclockwise"):
             verify_surface(FlatSurface((Polygon(edges),), ()))
+
+
+def test_poles_match_as_multisets():
+    """verify_certificate and profile_matches compare poles as multisets: a
+    claim that lists the derived poles in another order passes both, and a
+    claim that moves one residue by 1/d fails both."""
+    sig = StratumSignature(0, (1, 1), (), 4)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    residues = residue_tuple([half, QQi(0, third), -half, QQi(0, -third)])
+    cert = build_witness(sig, residues)
+    poles = cert.claimed.poles
+    for permuted in (poles[1:] + poles[:1], poles[::-1]):
+        assert permuted != poles
+        claimed = dataclasses.replace(cert.claimed, poles=permuted)
+        assert verify_certificate(dataclasses.replace(cert, claimed=claimed)).poles == poles
+        assert profile_matches(claimed, sig, residues)
+    step = QQi(Fraction(1, cert.surface.d))
+    for k in range(len(poles)):
+        order, r = poles[k]
+        off = (*poles[:k], (order, r + step), *poles[k + 1 :])
+        claimed = dataclasses.replace(cert.claimed, poles=off)
+        with pytest.raises(VerificationError, match="claimed poles differ"):
+            verify_certificate(dataclasses.replace(cert, claimed=claimed))
+        assert not profile_matches(claimed, sig, residues)
 
 
 class TestBuildWitness:

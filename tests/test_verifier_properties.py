@@ -35,9 +35,9 @@ from resflat.surfaces import (
     Polygon,
     SimplePolePart,
     VerificationError,
+    _read_piece,
     _with_marked_points,
     build_witness,
-    validate_piece,
     verify_certificate,
     verify_surface,
 )
@@ -255,7 +255,7 @@ small_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda 
 def test_accepted_simple_pole_chains_lift_to_simple_polylines(chain):
     assume(sum(x for x, _ in chain) or sum(y for _, y in chain))
     try:
-        validate_piece(SimplePolePart(chain))
+        _read_piece(SimplePolePart(chain))
     except ValueError:
         assume(False)
     assert _lift_is_simple(chain)
@@ -331,7 +331,7 @@ def _small_gluings():
     """Surfaces over the classes of pairings, chains filled slot by slot,
     shortest chain first.  A chain's last free slot takes only the vectors
     that make its residue 0 or +-c, c the first nonzero residue, and a
-    chain that :func:`validate_piece` refuses is dropped, as the verifier
+    chain that :func:`_read_piece` refuses is dropped, as the verifier
     would drop it."""
     for lengths in LENGTHS:
         for pairing in _pairing_classes(lengths):
@@ -364,7 +364,7 @@ def _small_gluings():
                 i, k = order[pos]
                 if k == lengths[i] - 1:
                     try:
-                        validate_piece(SimplePolePart(chains[i]))
+                        _read_piece(SimplePolePart(chains[i]))
                     except ValueError:
                         return
                     r = (sum(x for x, _ in chains[i]), sum(y for _, y in chains[i]))
