@@ -28,17 +28,15 @@ from .graphs import (
     is_connection_graph,
     leaf_removal,
 )
-from .surfaces import (
+from .surfaces import InternalBuildError, blow_up_zero, build_witness
+from .verify import (
     ConstructionCertificate,
     FlatSurface,
-    InternalBuildError,
     Polygon,
     PolarPart,
     Profile,
     SimplePolePart,
     VerificationError,
-    blow_up_zero,
-    build_witness,
     profile_matches,
     verify_certificate,
     verify_surface,

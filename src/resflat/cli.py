@@ -5,6 +5,10 @@ Exit status 0 means realizable / verified / full agreement, 1 means not
 realizable / violation / disagreement, 2 means a malformed document, a
 validation error, an exhausted search budget or any other error.
 
+Only codecs and subcommands live here: ``witness`` calls
+:func:`resflat.surfaces.build_witness`, and ``verify`` calls
+:func:`resflat.verify.verify_certificate`, whose module defines the format.
+
 Document formats (format_version "4").  Rationals are [numerator,
 denominator] pairs in lowest terms with positive denominators; a bare
 integer is accepted on input.  Gaussian rationals are {"re": rational,
@@ -37,6 +41,7 @@ from .core import QQi, StratumSignature, residue_tuple, scaled
 from . import decide as _decide
 from . import graphs as _graphs
 from . import surfaces as _surfaces
+from . import verify as _verify
 
 FORMAT_VERSION = "4"
 
@@ -116,37 +121,35 @@ def _residues_from_json(doc: Any, path: str) -> tuple[QQi, ...]:
     return tuple(_qqi_from_json(v, f"{path}[{k}]") for k, v in enumerate(doc))
 
 
-def _piece_to_json(piece: _surfaces.Piece, d: int) -> dict:
+def _piece_to_json(piece: _verify.Piece, d: int) -> dict:
     chains = {
-        name: [_qqi_to_json(_surfaces._value(v, d)) for v in getattr(piece, name)]
-        for name in _surfaces._CHAINS[type(piece)]
+        name: [_qqi_to_json(_verify._value(v, d)) for v in getattr(piece, name)]
+        for name in _verify._CHAINS[type(piece)]
     }
-    if isinstance(piece, _surfaces.PolarPart):
+    if isinstance(piece, _verify.PolarPart):
         return {"kind": "polar_part", "order": piece.order, "type": piece.pole_type, **chains}
-    kind = "polygon" if isinstance(piece, _surfaces.Polygon) else "simple_pole_part"
+    kind = "polygon" if isinstance(piece, _verify.Polygon) else "simple_pole_part"
     return {"kind": kind, **chains}
 
 
-def _piece_from_json(doc: Any, path: str) -> _surfaces.Piece:
+def _piece_from_json(doc: Any, path: str) -> _verify.Piece:
     """A piece whose vectors are still Gaussian rationals, off the lattice."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError(path, "expected a piece object with a 'kind'")
     kind = doc["kind"]
     if kind == "polygon":
-        return _surfaces.Polygon(_residues_from_json(doc.get("edges"), path + ".edges"))
+        return _verify.Polygon(_residues_from_json(doc.get("edges"), path + ".edges"))
     if kind == "polar_part":
         if not (_is_int(doc.get("order")) and _is_int(doc.get("type"))):
             raise DocumentError(path, "polar parts need integer 'order' and 'type'")
-        return _surfaces.PolarPart(
+        return _verify.PolarPart(
             doc["order"],
             doc["type"],
             _residues_from_json(doc.get("top", []), path + ".top"),
             _residues_from_json(doc.get("bottom", []), path + ".bottom"),
         )
     if kind == "simple_pole_part":
-        return _surfaces.SimplePolePart(
-            _residues_from_json(doc.get("vectors"), path + ".vectors")
-        )
+        return _verify.SimplePolePart(_residues_from_json(doc.get("vectors"), path + ".vectors"))
     raise DocumentError(path + ".kind", f"unknown piece kind {kind!r}")
 
 
@@ -157,14 +160,14 @@ def _slot_from_json(doc: Any, path: str) -> tuple[int, int]:
     return (pair[0], pair[1])
 
 
-def _surface_to_json(surface: _surfaces.FlatSurface) -> dict:
+def _surface_to_json(surface: _verify.FlatSurface) -> dict:
     return {
         "pieces": [_piece_to_json(p, surface.d) for p in surface.pieces],
         "pairings": [[list(a), list(b)] for a, b in surface.pairings],
     }
 
 
-def _surface_from_json(doc: Any, path: str) -> _surfaces.FlatSurface:
+def _surface_from_json(doc: Any, path: str) -> _verify.FlatSurface:
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a surface object")
     pieces_doc = doc.get("pieces")
@@ -172,9 +175,9 @@ def _surface_from_json(doc: Any, path: str) -> _surfaces.FlatSurface:
         raise DocumentError(path + ".pieces", "expected a list")
     pieces = [_piece_from_json(p, f"{path}.pieces[{k}]") for k, p in enumerate(pieces_doc)]
     # One lcm puts every piece on the surface's integer lattice.
-    d, pairs = scaled([v for pc in pieces for v in _surfaces._boundary(pc)])
+    d, pairs = scaled([v for pc in pieces for v in _verify._boundary(pc)])
     at = iter(pairs)
-    pieces = [_surfaces._map_pairs(pc, lambda _: next(at)) for pc in pieces]
+    pieces = [_verify._map_pairs(pc, lambda _: next(at)) for pc in pieces]
     pairings_doc = doc.get("pairings", [])
     if not isinstance(pairings_doc, list):
         raise DocumentError(path + ".pairings", "expected a list")
@@ -188,10 +191,10 @@ def _surface_from_json(doc: Any, path: str) -> _surfaces.FlatSurface:
                 _slot_from_json(pair[1], f"{path}.pairings[{k}][1]"),
             )
         )
-    return _surfaces.FlatSurface(pieces, pairings, d)
+    return _verify.FlatSurface(pieces, pairings, d)
 
 
-def _profile_to_json(profile: _surfaces.Profile) -> dict:
+def _profile_to_json(profile: _verify.Profile) -> dict:
     return {
         "genus": profile.genus,
         "zeros": list(profile.zero_orders),
@@ -201,7 +204,7 @@ def _profile_to_json(profile: _surfaces.Profile) -> dict:
     }
 
 
-def _profile_from_json(doc: Any, path: str) -> _surfaces.Profile:
+def _profile_from_json(doc: Any, path: str) -> _verify.Profile:
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a profile object")
     zeros = tuple(_int_list(doc.get("zeros", []), path + ".zeros"))
@@ -218,10 +221,10 @@ def _profile_from_json(doc: Any, path: str) -> _surfaces.Profile:
     genus = doc.get("genus")
     if not _is_int(genus):
         raise DocumentError(path + ".genus", "expected an integer")
-    return _surfaces.Profile(genus, zeros, tuple(poles))
+    return _verify.Profile(genus, zeros, tuple(poles))
 
 
-def _certificate_to_json(cert: _surfaces.ConstructionCertificate) -> dict:
+def _certificate_to_json(cert: _verify.ConstructionCertificate) -> dict:
     surgeries = [
         {"op": "blow_up_zero", "zero": sg.zero_index, "parts": list(sg.parts)}
         for sg in cert.surgeries
@@ -246,7 +249,7 @@ _CERTIFICATE_FIELDS = {
 }
 
 
-def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionCertificate:
+def _certificate_from_json(doc: Any, path: str = "$") -> _verify.ConstructionCertificate:
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a certificate object")
     extra = sorted(set(doc) - _CERTIFICATE_FIELDS)
@@ -267,12 +270,12 @@ def _certificate_from_json(doc: Any, path: str = "$") -> _surfaces.ConstructionC
         if not _is_int(sg.get("zero")):
             raise DocumentError(spath + ".zero", "expected an integer")
         parts = tuple(_int_list(sg.get("parts"), spath + ".parts"))
-        surgeries.append(_surfaces.BlowUpZero(sg["zero"], parts))
+        surgeries.append(_verify.BlowUpZero(sg["zero"], parts))
     claimed = _profile_from_json(doc.get("claimed_profile"), path + ".claimed_profile")
     rotation = doc.get("claimed_rotation")
     if rotation is not None and not _is_int(rotation):
         raise DocumentError(path + ".claimed_rotation", "expected an integer or null")
-    return _surfaces.ConstructionCertificate(surface, tuple(surgeries), claimed, rotation)
+    return _verify.ConstructionCertificate(surface, tuple(surgeries), claimed, rotation)
 
 
 def _verdict_document(sig: StratumSignature, verdict: _decide.Verdict, **extra) -> dict:
@@ -339,14 +342,14 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     doc_in = _read_document(args.input)
     sig, residues = _request_pair(doc_in)
-    rotation = doc_in.get("rotation") if isinstance(doc_in, dict) else None
+    rotation = doc_in.get("rotation")  # _request_pair takes only an object
     if rotation is not None and not _is_int(rotation):
         raise DocumentError("$.rotation", "expected an integer or null")
-    verdict = _decide.decide_realizable(sig, residues)
-    if not verdict.realizable:
+    cert = _surfaces.build_witness(sig, residues, rotation=rotation)
+    if cert is None:
+        verdict = _decide.decide_realizable(sig, residues)
         _write_document(_verdict_document(sig, verdict), args.output)
         return 1
-    cert = _surfaces._certificate_for(sig, residues, verdict, rotation)
     _write_document(_certificate_to_json(cert), args.output)
     if args.svg:
         _emit_svg(cert, args.svg)
@@ -356,8 +359,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cert = _certificate_from_json(_read_document(args.input))
     try:
-        profile = _surfaces.verify_certificate(cert)
-    except _surfaces.VerificationError as exc:
+        profile = _verify.verify_certificate(cert)
+    except _verify.VerificationError as exc:
         doc, code = {"kind": "violation", "violations": list(exc.violations)}, 1
     else:
         doc, code = {"kind": "profile", "profile": _profile_to_json(profile)}, 0
@@ -399,19 +402,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _oracle_cases(s_max: int, entry_bound: int):
+    # Nonzero entries summing to zero take both signs.
     values = [v for v in range(-entry_bound, entry_bound + 1) if v]
     for s in range(2, s_max + 1):
         for combo in itertools.combinations_with_replacement(values, s):
-            if sum(combo) != 0:
-                continue
-            g = 0
-            for m in combo:
-                g = gcd(g, abs(m))
-            if g != 1:
-                continue
-            if not any(m > 0 for m in combo) or not any(m < 0 for m in combo):
-                continue
-            yield combo
+            if sum(combo) == 0 and gcd(*combo) == 1:
+                yield combo
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -472,14 +468,14 @@ def _cmd_cylinders(args: argparse.Namespace) -> int:
 
 
 def _piece_drawing(
-    piece: _surfaces.Piece, unit: Fraction
+    piece: _verify.Piece, unit: Fraction
 ) -> tuple[list, tuple[float, float, float, float]]:
     """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box, with
     the integer pairs counted in ``unit``."""
-    if isinstance(piece, _surfaces.PolarPart):
+    if isinstance(piece, _verify.PolarPart):
         walks = ((piece.top, 0.0), (piece.bottom, -1.0))
     else:
-        walks = ((_surfaces._boundary(piece), 0.0),)
+        walks = ((_verify._boundary(piece), 0.0),)
     segs = []
     for chain, y in walks:
         x = 0.0
@@ -492,7 +488,7 @@ def _piece_drawing(
     return segs, (min(xs), min(ys), max(xs), max(ys))
 
 
-def _emit_svg(cert: _surfaces.ConstructionCertificate, path: str) -> None:
+def _emit_svg(cert: _verify.ConstructionCertificate, path: str) -> None:
     """Draw the pieces of the surface with shared labels on matched edges."""
     scale = 40.0
     pad = 30.0
@@ -503,13 +499,10 @@ def _emit_svg(cert: _surfaces.ConstructionCertificate, path: str) -> None:
     # Pairs are divided exactly by a quarter of the largest coordinate before
     # float(), so a drawing neither overflows nor vanishes at any magnitude.
     unit = Fraction(
-        max(abs(c) for piece in surface.pieces for v in _surfaces._boundary(piece) for c in v),
+        max(abs(c) for piece in surface.pieces for v in _verify._boundary(piece) for c in v),
         4,
     )
-    labels = {}
-    for num, (a, b) in enumerate(surface.pairings):
-        labels[a] = num
-        labels[b] = num
+    labels = {slot: num for num, pair in enumerate(surface.pairings) for slot in pair}
     for idx, piece in enumerate(surface.pieces):
         segs, (x0, y0, x1, y1) = _piece_drawing(piece, unit)
         w = max(x1 - x0, 1.0)

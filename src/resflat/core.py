@@ -40,9 +40,10 @@ class QQi:
 
     Instances are immutable and hashable; arithmetic is exact.  Fractions are
     kept reduced with positive denominators by the ``fractions`` module, so
-    equal values have equal integer parts, and the hash is taken over those
-    four integers rather than over the Fractions (whose hash computes a
-    modular inverse).
+    equal values have equal integer parts, and equality and the hash are
+    taken over those four integers rather than over the Fractions (whose
+    hash computes a modular inverse, and whose equality tests an abstract
+    base class).
     """
 
     re: Fraction
@@ -55,6 +56,17 @@ class QQi:
     def __hash__(self) -> int:
         re, im = self.re, self.im
         return hash((re.numerator, re.denominator, im.numerator, im.denominator))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return (
+            a.numerator == c.numerator
+            and a.denominator == c.denominator
+            and b.numerator == d.numerator
+            and b.denominator == d.denominator
+        )
 
     def __add__(self, other: "QQi") -> "QQi":
         return QQi(self.re + other.re, self.im + other.im)
@@ -161,6 +173,30 @@ def primitive_total_exceeds(integers: Sequence[int], bound: int) -> bool:
     holds for ``bound = s - 2``.
     """
     return sum(m for m in integers if m > 0) > bound * gcd(*integers)
+
+
+def _spanning_forest(k: int, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+    """Whether each pair joins two components of the pairs before it, on
+    vertices 0..k-1; the pairs that do form a spanning forest.  The graph
+    searches and the verifier share this union-find."""
+    parent = list(range(k))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joins = []
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        joins.append(ra != rb)
+    return joins
+
+
+def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
+    return sum(_spanning_forest(k, pairs)) == k - 1
 
 
 @dataclass(frozen=True)
@@ -315,13 +351,6 @@ class PrimitiveRay:
             raise ValueError("ray integers must sum to zero")
         if gcd(*ints) != 1:
             raise ValueError("ray integers must be coprime")
-
-    @property
-    def positive_sum(self) -> int:
-        return sum(m for m in self.integers if m > 0)
-
-    def entries(self) -> tuple[QQi, ...]:
-        return tuple([self.direction * m for m in self.integers])
 
 
 def collinear_normal_form(entries: Sequence[QQi]):

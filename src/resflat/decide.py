@@ -71,18 +71,14 @@ class Verdict:
             raise ValueError(f"reason {self.reason!r} contradicts realizable={self.realizable}")
 
 
-def _require_valid(sig: StratumSignature, residues: Sequence[QQi]) -> None:
-    bad = validate_residues(sig, residues)
-    if bad:
-        raise ValueError("; ".join(bad))
-
-
 def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict:
     """Decide whether a residue tuple is attained on the given stratum.
 
     Raises ValueError when (sig, residues) fails validation.
     """
-    _require_valid(sig, residues)
+    bad = validate_residues(sig, residues)
+    if bad:
+        raise ValueError("; ".join(bad))
     if sig.genus >= 1:
         return Verdict(True, REASON_GENUS_POSITIVE, "genus-reduction", every_component=True)
     nonzero = [r for r in residues if not r.is_zero()]

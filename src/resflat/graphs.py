@@ -22,10 +22,10 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
-    PrimitiveRay,
     QQi,
     Rat,
     StratumSignature,
+    _connected,
     line_integers,
     primitive_total_exceeds,
     scaled,
@@ -90,9 +90,6 @@ class ConnectionGraph:
             elif b == v:
                 out.append(a)
         return tuple(out)
-
-    def leaves(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.vertices if len(self.neighbors(v)) == 1)
 
     def is_tree(self) -> bool:
         index = {v: k for k, v in enumerate(self.vertices)}
@@ -191,13 +188,12 @@ def _rooted(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGraph | None:
+def find_connection_graph(entries: Sequence[Rat]) -> ConnectionGraph | None:
     """Exhaustively search for a connection graph with the given weights.
 
-    ``entries`` is a signed real tuple (or a primitive ray) summing to zero
-    with no zero entries; positive entries weight the plus side, negatives
-    the minus side.  This is the oracle; witnesses use
-    :func:`peel_connection_graph`.
+    ``entries`` is a signed real tuple summing to zero with no zero entries;
+    positive entries weight the plus side, negatives the minus side.  This
+    is the oracle; witnesses use :func:`peel_connection_graph`.
 
     The search removes leaves.  A state maps positions to signed weights.
     While more than two are left, each vertex v is tried as a leaf, removed
@@ -216,7 +212,7 @@ def find_connection_graph(entries: Sequence[Rat] | PrimitiveRay) -> ConnectionGr
     :func:`resflat.core.primitive_total_exceeds`, is never used: the oracle
     is independent of the theorem it checks.
     """
-    values = entries.integers if isinstance(entries, PrimitiveRay) else tuple(entries)
+    values = tuple(entries)
     if not values or any(v == 0 for v in values):
         raise ValueError("entries must be nonzero")
     if sum(values) != 0:
@@ -381,29 +377,6 @@ def _splits(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int
     for sub, left in _splits(items[run:]):
         for c in range(run + 1):
             yield items[:c] + sub, items[c:run] + left
-
-
-def _spanning_forest(k: int, pairs: Sequence[tuple[int, int]]) -> list[bool]:
-    """Whether each pair joins two components of the pairs before it, on
-    vertices 0..k-1; the pairs that do form a spanning forest."""
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    joins = []
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        parent[ra] = rb
-        joins.append(ra != rb)
-    return joins
-
-
-def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
-    return sum(_spanning_forest(k, pairs)) == k - 1
 
 
 def _require_cylinder_request(sig: StratumSignature, circumferences: Sequence[QQi]) -> None:

@@ -20,14 +20,8 @@ from resflat.decide import (
     search_cylinder_tuple,
 )
 from resflat.graphs import find_connection_graph
-from resflat.surfaces import (
-    BlowUpZero,
-    blow_up_zero,
-    build_witness,
-    profile_matches,
-    verify_certificate,
-    verify_surface,
-)
+from resflat.surfaces import blow_up_zero, build_witness
+from resflat.verify import BlowUpZero, profile_matches, verify_certificate, verify_surface
 
 SEED = 20260808
 

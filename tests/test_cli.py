@@ -30,7 +30,7 @@ from resflat import (
     verify_surface,
 )
 from resflat.cli import _certificate_to_json, main
-from resflat.surfaces import BlowUpZero
+from resflat.verify import BlowUpZero
 
 # Integer pairs (x, y): on a surface of denominator d, the vector (x + iy)/d.
 ZERO, ONE, I = (0, 0), (1, 0), (0, 1)

@@ -53,6 +53,15 @@ def test_canonical_representation():
     assert z.re.denominator > 0
 
 
+@given(qqis, qqis)
+def test_equality_is_equality_of_values(a, b):
+    # Equality reads the four reduced integers; it agrees with the
+    # Fractions', and with the hash.
+    assert (a == b) == (a.re == b.re and a.im == b.im)
+    assert a == QQi(a.re, a.im) and hash(a) == hash(QQi(a.re, a.im))
+    assert a != (a.re, a.im) and QQi(1) != 1
+
+
 nonzero_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any)
 
 
@@ -128,7 +137,7 @@ class TestCollinearNormalForm:
         assert isinstance(form, PrimitiveRay)
         assert form.direction == w
         assert form.integers == (2, 1, -3)
-        assert form.positive_sum == 3
+        assert sum(m for m in form.integers if m > 0) == 3
 
     def test_non_collinear(self):
         entries = residue_tuple([QQi(1), QQi(0, 1), QQi(-1, -1)])
@@ -160,7 +169,7 @@ class TestCollinearNormalForm:
         w = QQi(Fraction(2, 3), Fraction(-1, 6))
         entries = (w * 4, w * (-1), w * (-3))
         form = collinear_normal_form(entries)
-        assert form.entries() == entries
+        assert tuple([form.direction * m for m in form.integers]) == entries
 
 
 def _reference_ratio(a: QQi, b: QQi) -> Fraction | None:

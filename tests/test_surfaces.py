@@ -17,32 +17,34 @@ from resflat.core import (
     arg_cmp,
     cross,
     dot,
+    primitive_total_exceeds,
     residue_tuple,
     validate_residues,
 )
-from resflat.decide import _partitions, decide_realizable, primitive_total_exceeds
-from resflat.surfaces import (
-    BlowUpZero,
-    ConstructionCertificate,
-    FlatSurface,
-    PolarPart,
-    Polygon,
-    SimplePolePart,
-    VerificationError,
-    blow_up_zero,
-    build_witness,
-    profile_matches,
-    verify_certificate,
-    verify_surface,
-)
+from resflat.decide import _partitions, decide_realizable
 from resflat.surfaces import (
     _HANDLE,
     _SQUARE,
     _chain_surface,
     _choose_taus,
     _plumb,
-    _read_piece,
     _with_marked_points,
+    blow_up_zero,
+    build_witness,
+)
+from resflat.verify import (
+    BlowUpZero,
+    ConstructionCertificate,
+    FlatSurface,
+    PolarPart,
+    Polygon,
+    Profile,
+    SimplePolePart,
+    VerificationError,
+    _read_piece,
+    profile_matches,
+    verify_certificate,
+    verify_surface,
 )
 
 ONE = QQi(1)
@@ -121,7 +123,7 @@ def _is_simple_polygon(edges):
     return True
 
 
-# The reference for the one pass, :func:`resflat.surfaces._read_piece`: the
+# The reference for the one pass, :func:`resflat.verify._read_piece`: the
 # per-piece reading as it stood before the pass fused it, a check, the
 # canonical vectors, the boundary cycle with its corner turns and the
 # residue, each its own walk over the vectors, with every corner through
@@ -437,10 +439,8 @@ class TestVerifySurface:
             SimplePolePart(((-2, -2), LEFT, (3, 2), LEFT)),
         )
         pairings = (((0, 0), (3, 1)), ((1, 0), (3, 3)), ((2, 0), (3, 2)), ((2, 1), (3, 0)))
-        profile = resflat.surfaces.Profile(
-            0, (2, 0), tuple((-1, QQi(m)) for m in (1, 1, -1, -1))
-        )
-        cert = resflat.surfaces.ConstructionCertificate(FlatSurface(pieces, pairings), (), profile)
+        profile = Profile(0, (2, 0), tuple((-1, QQi(m)) for m in (1, 1, -1, -1)))
+        cert = ConstructionCertificate(FlatSurface(pieces, pairings), (), profile)
         with pytest.raises(VerificationError) as exc:
             verify_certificate(cert)
         assert exc.value.violations == tuple(
@@ -541,6 +541,19 @@ def test_poles_match_as_multisets():
         with pytest.raises(VerificationError, match="claimed poles differ"):
             verify_certificate(dataclasses.replace(cert, claimed=claimed))
         assert not profile_matches(claimed, sig, residues)
+
+
+def test_profile_matches_rejects_a_residue_tuple_of_the_wrong_length():
+    """A residue tuple longer or shorter than the stratum's poles matches no
+    profile, although its first entries are the profile's residues."""
+    sig = StratumSignature(0, (2,), (), 4)
+    profile = verify_certificate(build_witness(sig, residue_tuple([1, 2, -1, -2])))
+    assert profile_matches(profile, sig, residue_tuple([1, 2, -1, -2]))
+    long = residue_tuple([1, 2, -1, -2, 7])
+    assert validate_residues(sig, long) == ("residue tuple has length 5, expected 4",)
+    assert not profile_matches(profile, sig, long)
+    five = StratumSignature(0, (2,), (), 5)
+    assert not profile_matches(profile, five, residue_tuple([1, 2, -1, -2]))
 
 
 class TestBuildWitness:

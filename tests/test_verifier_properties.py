@@ -29,15 +29,14 @@ from resflat.cli import (
     _surface_from_json,
     _surface_to_json,
 )
-from resflat.surfaces import (
+from resflat.surfaces import _with_marked_points, build_witness
+from resflat.verify import (
     FlatSurface,
     PolarPart,
     Polygon,
     SimplePolePart,
     VerificationError,
     _read_piece,
-    _with_marked_points,
-    build_witness,
     verify_certificate,
     verify_surface,
 )
