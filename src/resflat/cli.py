@@ -123,7 +123,7 @@ def _residues_from_json(doc: Any, path: str) -> tuple[QQi, ...]:
 
 def _piece_to_json(piece: _verify.Piece, d: int) -> dict:
     chains = {
-        name: [_qqi_to_json(_verify._value(v, d)) for v in getattr(piece, name)]
+        name: [_qqi_to_json(QQi._of(*v, d)) for v in getattr(piece, name)]
         for name in _verify._CHAINS[type(piece)]
     }
     if isinstance(piece, _verify.PolarPart):

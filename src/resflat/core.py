@@ -13,12 +13,18 @@ and :func:`line_integers` answer on the pairs as on the Gaussian rationals;
 a sum of pairs divided back by m is the sum of the values.  Flat surfaces
 live on such a lattice: their pieces hold the pairs and the surface holds
 m, so the verifier never rescales them.
+
+A Gaussian rational is itself a point of a lattice: :class:`QQi` holds the
+reduced integers of (x + iy)/d, so its arithmetic, equality and hash are
+integer operations.  ``Fraction`` is left at the edges only: ``QQi(re, im)``
+accepts Fractions, and ``.re`` and ``.im`` return them, for the CLI codec,
+messages and callers that build inputs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
@@ -26,76 +32,105 @@ from typing import Iterable, Sequence, Union
 Rat = Union[int, Fraction]
 
 
-def _frac(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+def _rat(w: Rat) -> Rat:
+    if isinstance(w, (int, Fraction)):
+        return w
+    raise TypeError(f"expected an int or Fraction, got {type(w).__name__}")
 
 
-@dataclass(frozen=True)
 class QQi:
-    """A Gaussian rational a + b*i with exact rational parts.
+    """A Gaussian rational (x + iy)/d, held as three integers.
 
-    Instances are immutable and hashable; arithmetic is exact.  Fractions are
-    kept reduced with positive denominators by the ``fractions`` module, so
-    equal values have equal integer parts, and equality and the hash are
-    taken over those four integers rather than over the Fractions (whose
-    hash computes a modular inverse, and whose equality tests an abstract
-    base class).
+    The integers are reduced: d > 0 and gcd(x, y, d) = 1, so equal values
+    have equal integers, and equality, the hash and the arithmetic work on
+    them alone.  ``re`` and ``im`` read the parts off them as exact
+    Fractions, for the codecs and for messages.  Instances are immutable
+    and hashable; arithmetic is exact.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0) -> None:
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        x, p = _rat(re).as_integer_ratio()
+        y, q = _rat(im).as_integer_ratio()
+        if p != q:
+            # Over the lcm of two reduced denominators, x, y and d stay coprime.
+            g = gcd(p, q)
+            x, y, p = x * (q // g), y * (p // g), p // g * q
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_d(self, p)
+
+    @classmethod
+    def _of(cls, x: int, y: int, d: int) -> "QQi":
+        """(x + iy)/d for integers with d > 0, reduced by one gcd."""
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+        z = object.__new__(cls)
+        _set_x(z, x)
+        _set_y(z, y)
+        _set_d(z, d)
+        return z
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a QQi through __init__, not __setattr__.
+        return QQi, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
 
     def __hash__(self) -> int:
-        re, im = self.re, self.im
-        return hash((re.numerator, re.denominator, im.numerator, im.denominator))
+        return hash((self._x, self._y, self._d))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return (
-            a.numerator == c.numerator
-            and a.denominator == c.denominator
-            and b.numerator == d.numerator
-            and b.denominator == d.denominator
-        )
+        return self._x == other._x and self._y == other._y and self._d == other._d
 
     def __add__(self, other: "QQi") -> "QQi":
-        return QQi(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        if d == e:
+            return QQi._of(self._x + other._x, self._y + other._y, d)
+        return QQi._of(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
 
     def __sub__(self, other: "QQi") -> "QQi":
-        return QQi(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        return QQi._of(-self._x, -self._y, self._d)
 
     def __mul__(self, other: "QQi | Rat") -> "QQi":
+        x, y = self._x, self._y
         if isinstance(other, QQi):
-            return QQi(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        w = _frac(other)
-        return QQi(self.re * w, self.im * w)
+            u, v = other._x, other._y
+            return QQi._of(x * u - y * v, x * v + y * u, self._d * other._d)
+        n, m = _rat(other).as_integer_ratio()
+        return QQi._of(x * n, y * n, self._d * m)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Rat) -> "QQi":
-        w = _frac(other)
-        if w == 0:
+        n, m = _rat(other).as_integer_ratio()
+        if n == 0:
             raise ZeroDivisionError("division by zero")
-        return QQi(self.re / w, self.im / w)
+        if n < 0:
+            n, m = -n, -m
+        return QQi._of(self._x * m, self._y * m, self._d * n)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._x or self._y)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -112,6 +147,11 @@ class QQi:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
+# The slots are written through their descriptors, past the __setattr__
+# that keeps a QQi immutable.
+_set_x, _set_y, _set_d = QQi._x.__set__, QQi._y.__set__, QQi._d.__set__
+
+
 Pair = tuple[int, int]
 
 # Lists, not tuples built from generators: such a tuple is allocated at a
@@ -122,11 +162,8 @@ Pair = tuple[int, int]
 def scaled(values: Sequence[QQi]) -> tuple[int, list[Pair]]:
     """The lcm m of the values' denominators, and each value times m as an
     integer pair (re, im)."""
-    m = math.lcm(*[x.denominator for v in values for x in (v.re, v.im)])
-    return m, [
-        (v.re.numerator * (m // v.re.denominator), v.im.numerator * (m // v.im.denominator))
-        for v in values
-    ]
+    m = math.lcm(*[v._d for v in values])
+    return m, [(v._x * (k := m // v._d), v._y * k) for v in values]
 
 
 def cross(a: Pair, b: Pair) -> int:
@@ -311,7 +348,7 @@ def validate_residues(sig: StratumSignature, residues: Sequence[QQi]) -> tuple[s
     m, pairs = scaled(residues)
     re, im = sum(x for x, _ in pairs), sum(y for _, y in pairs)
     if re or im:
-        bad.append(f"residues sum to {QQi(Fraction(re, m), Fraction(im, m))}, expected 0")
+        bad.append(f"residues sum to {QQi._of(re, im, m)}, expected 0")
     for k in range(sig.p, sig.num_poles):
         if residues[k].is_zero():
             bad.append(f"zero residue at simple pole #{k - sig.p}")
@@ -364,7 +401,7 @@ def collinear_normal_form(entries: Sequence[QQi]):
     entries = tuple(entries)
     if not entries:
         raise ValueError("empty tuple has no normal form")
-    _, pairs = scaled(entries)
+    m, pairs = scaled(entries)
     if (0, 0) in pairs:
         raise ValueError("zero entry: the ray normal form is undefined")
     ints = line_integers(pairs)
@@ -378,5 +415,6 @@ def collinear_normal_form(entries: Sequence[QQi]):
     ), "normal form must reproduce the input exactly"
     if sum(ints) != 0:
         raise ValueError("collinear normal form requires entries summing to zero")
-    return PrimitiveRay(entries[0] / m0, tuple(ints))
+    # The first entry is (x0 + i*y0)/m, and m0 > 0 times the direction.
+    return PrimitiveRay(QQi._of(x0, y0, m * m0), tuple(ints))
 

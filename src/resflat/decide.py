@@ -111,9 +111,9 @@ def _partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         if total >= 1:
             yield (total,)
         return
-    for first in range(min(total - parts + 1, total), 0, -1):
+    for first in range(total - parts + 1, 0, -1):
         for rest in _partitions(total - first, parts - 1):
-            if rest and rest[0] > first:
+            if rest[0] > first:
                 continue
             yield (first,) + rest
 

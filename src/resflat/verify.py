@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import Pair, QQi, StratumSignature, _connected, _spanning_forest
@@ -144,6 +143,10 @@ def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pai
             raise ValueError("simple-pole part needs at least one vector")
         if (0, 0) in vs:
             raise ValueError("simple-pole chain contains a zero vector")
+        if len(vs) == 1:
+            # One vector v is its own residue, and v . v > 0: monotone.
+            vx, vy = vs[0]
+            return vs, [0], [vy > 0 or (vy == 0 and vx < 0)], (vx, vy)
         turns: list[int] = []
         rx = ry = 0
         ux, uy = vs[-1]
@@ -253,13 +256,6 @@ def _read_polar_part(piece: PolarPart) -> tuple[Sequence[Pair], list[int], list[
         turns = [*inner[1], b - 1 + (bottom[-1][1] <= 0)]
     canon = [*top, *[(-x, -y) for x, y in bottom]] if lp else top
     return canon, before, turns, (rx, ry)
-
-
-def _value(v: Pair, d: int) -> QQi:
-    """The Gaussian rational an integer pair stands for over the denominator d."""
-    if d == 1:
-        return QQi(Fraction(v[0]), Fraction(v[1]))
-    return QQi(Fraction(v[0], d), Fraction(v[1], d))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +393,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         if blocked:
             raise VerificationError(violations + blocked)
         fa, fb = ends
-        u, v = _value(flat[fa], d), _value(flat[fb], d)
+        u, v = QQi._of(*flat[fa], d), QQi._of(*flat[fb], d)
         violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
         partner[fa] = fb
         partner[fb] = fa
@@ -432,7 +428,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     for i, order, (rx, ry) in sums:
         if order == -1 and not (rx or ry):
             violations.append(f"piece {i}: zero residue at a simple pole")
-        poles.append((order, _value((rx, ry), d)))
+        poles.append((order, QQi._of(rx, ry, d)))
     if violations:
         raise VerificationError(violations)
 

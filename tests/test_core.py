@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -29,7 +31,13 @@ from resflat.decide import (
 small_fracs = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
-qqis = st.builds(QQi, small_fracs, small_fracs)
+# Parts at the magnitudes the benchmark uses, up to 10^±320 (1,000-bit
+# integers), as well as small ones.
+parts = st.one_of(
+    small_fracs,
+    st.builds(lambda f, e: f * Fraction(10) ** e, small_fracs, st.integers(-320, 320)),
+)
+qqis = st.builds(QQi, parts, parts)
 nonzero_qqis = qqis.filter(lambda z: not z.is_zero())
 
 
@@ -40,7 +48,7 @@ def test_field_arithmetic_is_exact(a, b, c):
     assert a * b == b * a
 
 
-@given(qqis, small_fracs.filter(bool))
+@given(qqis, parts.filter(bool))
 def test_division_roundtrip(a, w):
     assert (a / w) * w == a
     with pytest.raises(ZeroDivisionError):
@@ -55,11 +63,67 @@ def test_canonical_representation():
 
 @given(qqis, qqis)
 def test_equality_is_equality_of_values(a, b):
-    # Equality reads the four reduced integers; it agrees with the
+    # Equality reads the three reduced integers; it agrees with the
     # Fractions', and with the hash.
     assert (a == b) == (a.re == b.re and a.im == b.im)
     assert a == QQi(a.re, a.im) and hash(a) == hash(QQi(a.re, a.im))
     assert a != (a.re, a.im) and QQi(1) != 1
+
+
+def _reduced(z: QQi) -> bool:
+    return z._d > 0 and math.gcd(z._x, z._y, z._d) == 1
+
+
+@given(parts, parts, parts, parts, parts.filter(bool), st.integers(), st.integers(), st.integers(1))
+def test_integers_stay_reduced_and_read_as_fractions(a, b, c, e, w, x, y, d):
+    # Each QQi, however made, holds reduced integers, and its parts equal
+    # the same arithmetic done on Fractions.
+    z, u = QQi(a, b), QQi(c, e)
+    n, k = a.numerator, b.denominator
+    cases = [
+        (z, a, b),
+        (QQi(a), a, 0),
+        (QQi(n, k), n, k),
+        (QQi(n), n, 0),
+        (QQi._of(x, y, d), Fraction(x, d), Fraction(y, d)),
+        (z + u, a + c, b + e),
+        (z - u, a - c, b - e),
+        (-z, -a, -b),
+        (z * u, a * c - b * e, a * e + b * c),
+        (z * w, a * w, b * w),
+        (n * z, n * a, n * b),
+        (z / w, a / w, b / w),
+        (z / -k, a / -k, b / -k),
+    ]
+    for q, re, im in cases:
+        assert _reduced(q)
+        assert type(q.re) is Fraction and type(q.im) is Fraction
+        assert (q.re, q.im) == (re, im)
+
+
+def _reference_scaled(values):
+    """scaled on the Fraction parts, as it was computed before QQi held integers."""
+    m = math.lcm(*[x.denominator for v in values for x in (v.re, v.im)])
+    return m, [
+        (v.re.numerator * (m // v.re.denominator), v.im.numerator * (m // v.im.denominator))
+        for v in values
+    ]
+
+
+@given(st.lists(qqis, max_size=6))
+def test_scaled_agrees_with_fractions(values):
+    assert scaled(values) == _reference_scaled(values)
+
+
+def test_qqi_is_immutable():
+    z = QQi(Fraction(1, 2), 3)
+    for name in ("re", "im", "_x", "_y", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(z, name)
+    assert (z.re, z.im) == (Fraction(1, 2), 3)
+    assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
 
 
 nonzero_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any)
