@@ -8,6 +8,11 @@ validation error, an exhausted search budget or any other error.
 Only codecs and subcommands live here: ``witness`` calls
 :func:`resflat.surfaces.build_witness`, and ``verify`` calls
 :func:`resflat.verify.verify_certificate`, whose module defines the format.
+The module imports only :mod:`resflat.core` at the top; each codec and
+subcommand imports the modules it runs, so a process loads only what its
+subcommand needs.  ``verify`` loads core and verify, ``decide`` and
+``table`` load core and decide, and ``witness`` loads graphs only on the
+stable-assembly routes.
 
 Document formats (format_version "4").  Rationals are [numerator,
 denominator] pairs in lowest terms with positive denominators; a bare
@@ -35,13 +40,13 @@ import json
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .core import QQi, StratumSignature, residue_tuple, scaled
-from . import decide as _decide
-from . import graphs as _graphs
-from . import surfaces as _surfaces
-from . import verify as _verify
+from .core import QQi, SearchBudgetExceeded, StratumSignature, residue_tuple, scaled
+
+if TYPE_CHECKING:
+    from . import decide as _decide
+    from . import verify as _verify
 
 FORMAT_VERSION = "4"
 
@@ -122,6 +127,8 @@ def _residues_from_json(doc: Any, path: str) -> tuple[QQi, ...]:
 
 
 def _piece_to_json(piece: _verify.Piece, d: int) -> dict:
+    from . import verify as _verify
+
     chains = {
         name: [_qqi_to_json(QQi._of(*v, d)) for v in getattr(piece, name)]
         for name in _verify._CHAINS[type(piece)]
@@ -134,6 +141,8 @@ def _piece_to_json(piece: _verify.Piece, d: int) -> dict:
 
 def _piece_from_json(doc: Any, path: str) -> _verify.Piece:
     """A piece whose vectors are still Gaussian rationals, off the lattice."""
+    from . import verify as _verify
+
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError(path, "expected a piece object with a 'kind'")
     kind = doc["kind"]
@@ -168,6 +177,8 @@ def _surface_to_json(surface: _verify.FlatSurface) -> dict:
 
 
 def _surface_from_json(doc: Any, path: str) -> _verify.FlatSurface:
+    from . import verify as _verify
+
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a surface object")
     pieces_doc = doc.get("pieces")
@@ -205,6 +216,8 @@ def _profile_to_json(profile: _verify.Profile) -> dict:
 
 
 def _profile_from_json(doc: Any, path: str) -> _verify.Profile:
+    from . import verify as _verify
+
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a profile object")
     zeros = tuple(_int_list(doc.get("zeros", []), path + ".zeros"))
@@ -250,6 +263,8 @@ _CERTIFICATE_FIELDS = {
 
 
 def _certificate_from_json(doc: Any, path: str = "$") -> _verify.ConstructionCertificate:
+    from . import verify as _verify
+
     if not isinstance(doc, dict):
         raise DocumentError(path, "expected a certificate object")
     extra = sorted(set(doc) - _CERTIFICATE_FIELDS)
@@ -333,6 +348,8 @@ def _request_pair(doc: Any) -> tuple[StratumSignature, tuple[QQi, ...]]:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from . import decide as _decide
+
     sig, residues = _request_pair(_read_document(args.input))
     verdict = _decide.decide_realizable(sig, residues)
     _write_document(_verdict_document(sig, verdict), args.output)
@@ -340,6 +357,9 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from . import decide as _decide
+    from . import surfaces as _surfaces
+
     doc_in = _read_document(args.input)
     sig, residues = _request_pair(doc_in)
     rotation = doc_in.get("rotation")  # _request_pair takes only an object
@@ -357,6 +377,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify as _verify
+
     cert = _certificate_from_json(_read_document(args.input))
     try:
         profile = _verify.verify_certificate(cert)
@@ -369,6 +391,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from . import decide as _decide
+
     if args.input:
         doc = _read_document(args.input)
         if not isinstance(doc, dict):
@@ -411,6 +435,9 @@ def _oracle_cases(s_max: int, entry_bound: int):
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    from . import decide as _decide
+    from . import graphs as _graphs
+
     if args.input:
         doc = _read_document(args.input)
         if not isinstance(doc, dict):
@@ -451,6 +478,8 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cylinders(args: argparse.Namespace) -> int:
+    from . import decide as _decide
+
     doc = _read_document(args.input)
     if not isinstance(doc, dict):
         raise DocumentError("$", "expected an object")
@@ -472,6 +501,8 @@ def _piece_drawing(
 ) -> tuple[list, tuple[float, float, float, float]]:
     """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box, with
     the integer pairs counted in ``unit``."""
+    from . import verify as _verify
+
     if isinstance(piece, _verify.PolarPart):
         walks = ((piece.top, 0.0), (piece.bottom, -1.0))
     else:
@@ -490,6 +521,8 @@ def _piece_drawing(
 
 def _emit_svg(cert: _verify.ConstructionCertificate, path: str) -> None:
     """Draw the pieces of the surface with shared labels on matched edges."""
+    from . import verify as _verify
+
     scale = 40.0
     pad = 30.0
     elements = []
@@ -597,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DocumentError, ValueError, OSError, _graphs.SearchBudgetExceeded) as exc:
+    except (DocumentError, ValueError, OSError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 means "not realizable", never a crash

@@ -418,3 +418,21 @@ def collinear_normal_form(entries: Sequence[QQi]):
     # The first entry is (x0 + i*y0)/m, and m0 > 0 times the direction.
     return PrimitiveRay(QQi._of(x0, y0, m * m0), tuple(ints))
 
+
+class SearchBudgetExceeded(RuntimeError):
+    """A bounded search ran out of budget before concluding.
+
+    ``stage`` names the search (``"cylinder"``), ``spent`` counts the
+    cylinder ends it placed and ``budget`` is the limit it hit.  The
+    cylinder search spends one unit each time it puts a cylinder's two ends
+    on a pair of components (see :func:`resflat.graphs.find_cylinder_config`).
+    It is defined here, not with the search, so that the CLI names it
+    without loading :mod:`resflat.graphs`.
+    """
+
+    def __init__(self, stage: str, spent: int, budget: int) -> None:
+        super().__init__(
+            f"{stage} search exceeded its budget: {spent} of {budget} placements of "
+            "cylinder ends spent"
+        )
+        self.stage, self.spent, self.budget = stage, spent, budget

@@ -13,8 +13,11 @@ the obstructions are exactly
 Cylinder circumference tuples of holomorphic strata reduce to the simple-pole
 case; below the genus there is no obstruction.  Past the closed-form cases
 :func:`decide_cylinder_tuple` returns None, and :func:`search_cylinder_tuple`
-runs the bounded search of :mod:`resflat.graphs`, which this module imports
-after :mod:`resflat.core`, in the chain core, graphs, decide, surfaces, cli.
+runs the bounded search of :mod:`resflat.graphs`.  The module stands after
+core and graphs in the chain core, graphs, decide, surfaces, cli, but
+imports graphs only inside the two cylinder functions:
+:func:`decide_realizable` runs on :mod:`resflat.core` alone, and so does a
+``resflat decide`` process.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .core import (
     scaled,
     validate_residues,
 )
-from . import graphs
 
 REASON_GENUS_POSITIVE = "genus-positive-surjective"
 REASON_NON_COLLINEAR = "non-collinear"
@@ -161,6 +163,8 @@ def decide_cylinder_tuple(
     to the maximal count g + n - 1) have no closed form here: the answer is
     None, and :func:`search_cylinder_tuple` runs the cylinder search.
     """
+    from . import graphs
+
     graphs._require_cylinder_request(sig, circumferences)
     t = len(circumferences)
     g, n = sig.genus, sig.n
@@ -194,6 +198,8 @@ def search_cylinder_tuple(
     outcome = decide_cylinder_tuple(sig, circumferences)
     if outcome is not None:
         return outcome
+    from . import graphs
+
     kwargs = {} if budget is None else {"budget": budget}
     config = graphs.find_cylinder_config(sig, circumferences, **kwargs)
     if config is None:

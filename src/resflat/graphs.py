@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 from .core import (
     QQi,
     Rat,
+    SearchBudgetExceeded,
     StratumSignature,
     _connected,
     line_integers,
@@ -33,23 +34,6 @@ from .core import (
 )
 
 Vertex = tuple[str, int]  # ("+", k) or ("-", k), k an index within its side
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """A bounded search ran out of budget before concluding.
-
-    ``stage`` names the search (``"cylinder"``), ``spent`` counts the
-    cylinder ends it placed and ``budget`` is the limit it hit.  The
-    cylinder search spends one unit each time it puts a cylinder's two ends
-    on a pair of components (see :func:`find_cylinder_config`).
-    """
-
-    def __init__(self, stage: str, spent: int, budget: int) -> None:
-        super().__init__(
-            f"{stage} search exceeded its budget: {spent} of {budget} placements of "
-            "cylinder ends spent"
-        )
-        self.stage, self.spent, self.budget = stage, spent, budget
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,10 @@
 """Witness builders: surfaces of :mod:`resflat.verify`'s format, glued to
-order along the decider's route, each claim the kernel's own reading."""
+order along the decider's route, each claim the kernel's own reading.
+
+Only the stable-assembly routes (``connection-graph``,
+``blow-up-of-single-zero`` and ``stable-tree``) peel with
+:mod:`resflat.graphs`, so the module imports it inside
+:func:`_stable_assembly_cert` alone."""
 
 from __future__ import annotations
 
@@ -18,7 +23,6 @@ from .core import (
     scaled,
 )
 from . import decide as _decide
-from . import graphs as _graphs
 from .verify import (
     _CHAINS,
     BlowUpZero,
@@ -432,6 +436,8 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
     c.  The remainder's zero is then blown up into the zeros not peeled.
     With one zero, or when one zero carries every entry, there are no nodes.
     """
+    from . import graphs as _graphs
+
     found = _graphs.find_stable_config(ray.integers, _positive_parts(sig.zeros))
     if found is None:
         raise InternalBuildError("no stable configuration although the decider says realizable")

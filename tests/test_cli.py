@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resflat
 from resflat import (
     ConstructionCertificate,
     FlatSurface,
@@ -292,6 +294,44 @@ def test_cylinders_budget_exceeded_is_status_two(tmp_path, capsys):
         "error: cylinder search exceeded its budget: 1 of 1 placements of "
         "cylinder ends spent\n"
     )
+
+
+def _fresh_cli(args, stdin):
+    """``python -m resflat.cli`` in a new process, which has loaded nothing."""
+    env = {**os.environ, "PYTHONPATH": str(Path(resflat.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "resflat.cli", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "args, doc, err",
+    [
+        (
+            ["cylinders", "-", "--budget", "1"],
+            {
+                "stratum": {"genus": 4, "zeros": [4, 1, 1], "poles": [], "simple_poles": 0},
+                "circumferences": [1, 1, 1, 1],
+            },
+            "error: cylinder search exceeded its budget: 1 of 1 placements of "
+            "cylinder ends spent\n",
+        ),
+        (
+            ["decide", "-"],
+            {"stratum": {"genus": 0, "zeros": "2"}, "residues": []},
+            "error: $.stratum.zeros: expected a list of integers\n",
+        ),
+    ],
+    ids=["budget", "malformed-decide"],
+)
+def test_a_fresh_process_keeps_the_exit_contract(args, doc, err):
+    """main names the budget exception without the search module loaded."""
+    done = _fresh_cli(args, json.dumps(doc))
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
 
 
 def test_self_overlapping_polygon_is_a_violation(tmp_path):
@@ -748,3 +788,68 @@ def test_mutated_certificates_keep_the_exit_contract(data):
     code, err = _verify_in_process(doc)
     assert code in (0, 1, 2)
     assert "internal error" not in err
+
+
+# The same contract for request documents: a mutated decide request is
+# realizable (0), not realizable (1) or refused (2), never an internal error.
+DECIDE_FUZZ_BASES = [
+    {
+        "stratum": {"genus": 0, "zeros": [5], "poles": [], "simple_poles": 7},
+        "residues": [3, 1, 1, 1, -2, -2, -2],
+    },
+    {
+        "stratum": {"genus": 0, "zeros": [2, 2], "poles": [], "simple_poles": 6},
+        "residues": [[2, 3], [1, 3], [1, 3], [-1, 3], [-1, 3], [-2, 3]],
+    },
+    {
+        "stratum": {"genus": 0, "zeros": [1, 1], "poles": [], "simple_poles": 4},
+        "residues": [{"re": 1, "im": [1, 2]}, {"im": 1}, -1, {"re": [0, 1], "im": [-3, 2]}],
+    },
+    {
+        "stratum": {"genus": 0, "zeros": [4], "poles": [2, 2, 2], "simple_poles": 0},
+        "residues": [0, 0, 0],
+    },
+    {
+        "stratum": {"genus": 0, "zeros": [3], "poles": [3], "simple_poles": 2},
+        "residues": [{"re": 1, "im": [1, 2]}, {"im": 1}, {"re": -1, "im": [-3, 2]}],
+    },
+    {
+        "stratum": {"genus": 2, "zeros": [3, 3, 0], "poles": [2], "simple_poles": 2},
+        "residues": [[1, 2], 1, [-3, 2]],
+    },
+]
+
+
+def _decide_in_process(doc):
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["decide", "-"])
+    return code, err.getvalue()
+
+
+def test_decide_fuzz_bases_are_decided():
+    # Zeros of order 4 exceed what three double poles allow a zero tuple.
+    codes = [0, 0, 0, 1, 0, 0]
+    assert [_decide_in_process(doc) for doc in DECIDE_FUZZ_BASES] == [(c, "") for c in codes]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_decide_requests_keep_the_exit_contract(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(DECIDE_FUZZ_BASES))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        locations = list(_locations(doc))
+        if not locations:
+            break
+        *head, key = data.draw(st.sampled_from(locations))
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(ODD_VALUES))))
+    code, err = _decide_in_process(doc)
+    assert code in (0, 1, 2)
+    assert "internal error" not in err and "Traceback" not in err

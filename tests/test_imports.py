@@ -1,7 +1,14 @@
 """The package's modules form a chain, each importing only those before
-it, and the verifier, the trusted kernel, imports only core."""
+it, and the verifier, the trusted kernel, imports only core.  The package
+and the CLI load a module only when it runs: a process imports what its
+subcommand needs, and the public names stay what they were."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +45,158 @@ def package_imports(module: str) -> set[str]:
 def test_each_module_imports_only_those_before_it(module):
     assert package_imports(module) <= ALLOWED[module]
 
+
+
+# The package's public names, by the module that defines each.
+PUBLIC = {
+    "core": {
+        "NON_COLLINEAR",
+        "PrimitiveRay",
+        "QQi",
+        "SearchBudgetExceeded",
+        "StratumSignature",
+        "collinear_normal_form",
+        "residue_tuple",
+        "validate_residues",
+        "validate_stratum",
+    },
+    "decide": {
+        "Verdict",
+        "decide_cylinder_tuple",
+        "decide_realizable",
+        "enumerate_excluded_rays",
+        "search_cylinder_tuple",
+    },
+    "graphs": {
+        "ConnectionGraph",
+        "CylinderConfig",
+        "find_connection_graph",
+        "find_cylinder_config",
+        "find_stable_config",
+        "is_connection_graph",
+        "leaf_removal",
+    },
+    "surfaces": {"InternalBuildError", "blow_up_zero", "build_witness"},
+    "verify": {
+        "ConstructionCertificate",
+        "FlatSurface",
+        "Polygon",
+        "PolarPart",
+        "Profile",
+        "SimplePolePart",
+        "VerificationError",
+        "profile_matches",
+        "verify_certificate",
+        "verify_surface",
+    },
+}
+
+# A residual polygon, a stable tree on three zeros, and the witness's
+# certificate, which verify reads.
+POLYGON_REQUEST = {
+    "stratum": {"genus": 0, "zeros": [2], "poles": [], "simple_poles": 4},
+    "residues": [1, {"im": 1}, -1, {"im": -1}],
+}
+STABLE_TREE_REQUEST = {
+    "stratum": {"genus": 0, "zeros": [2, 2, 2], "poles": [], "simple_poles": 8},
+    "residues": [3, 1, 1, 1, -1, -1, -2, -2],
+}
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this checkout's resflat."""
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+
+
+def modules_after_main(argv: list[str]) -> tuple[int, set[str]]:
+    """The exit status of resflat.cli.main(argv) in a fresh interpreter, and
+    the package modules that interpreter loaded."""
+    done = fresh_python(
+        "import json, sys, resflat.cli\n"
+        "code = resflat.cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'resflat')\n"
+        "print(json.dumps([code, loaded]))",
+        *argv,
+    )
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout)
+    return code, set(loaded)
+
+
+def package(*modules: str) -> set[str]:
+    return {"resflat"} | {f"resflat.{m}" for m in modules}
+
+
+@pytest.fixture
+def documents(tmp_path):
+    paths = {}
+    for name, doc in (("polygon", POLYGON_REQUEST), ("stable", STABLE_TREE_REQUEST)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    paths["cert"] = tmp_path / "cert.json"
+    code, _ = modules_after_main(["witness", str(paths["polygon"]), "-o", str(paths["cert"])])
+    assert code == 0
+    paths["out"] = tmp_path / "out.json"
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules",
+    [
+        (["verify", "cert"], 0, package("core", "verify", "cli")),
+        (["decide", "polygon"], 0, package("core", "decide", "cli")),
+        (["table", "--s-max", "7"], 0, package("core", "decide", "cli")),
+        (["witness", "polygon"], 0, package("core", "decide", "verify", "surfaces", "cli")),
+        (["witness", "stable"], 0, package("core", "graphs", "decide", "verify", "surfaces", "cli")),
+    ],
+    ids=["verify", "decide", "table", "witness-polygon", "witness-stable-tree"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(documents, argv, code, modules):
+    argv = [str(documents.get(a, a)) for a in argv] + ["-o", str(documents["out"])]
+    assert modules_after_main(argv) == (code, modules)
+
+
+def test_a_bare_import_loads_no_submodule_and_each_resolves():
+    done = fresh_python(
+        "import sys, resflat\n"
+        "print(sorted(m for m in sys.modules if m.startswith('resflat')))\n"
+        "for name in ('core', 'decide', 'verify', 'graphs', 'surfaces', 'cli'):\n"
+        "    print(getattr(resflat, name).__name__)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == [
+        "['resflat']",
+        *(f"resflat.{m}" for m in ("core", "decide", "verify", "graphs", "surfaces", "cli")),
+        "",
+    ]
+
+
+def test_star_import_binds_the_same_public_names():
+    names = {}
+    exec("from resflat import *", names)
+    del names["__builtins__"]
+    assert set(names) == set().union(*PUBLIC.values())
+    assert len(names) == len(resflat.__all__) == 34
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_each_public_name_is_its_modules_own_object(module):
+    defining = importlib.import_module(f"resflat.{module}")
+    for name in PUBLIC[module]:
+        obj = getattr(resflat, name)
+        assert obj is getattr(defining, name)
+        assert obj.__module__ == defining.__name__
+        assert name in dir(resflat)
+
+
+def test_the_budget_exception_keeps_its_name_in_graphs():
+    assert resflat.graphs.SearchBudgetExceeded is resflat.SearchBudgetExceeded
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'decide_anything'"):
+        resflat.decide_anything
+    assert not hasattr(resflat, "Verdicts")
