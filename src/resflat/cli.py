@@ -5,31 +5,18 @@ Exit status 0 means realizable / verified / full agreement, 1 means not
 realizable / violation / disagreement, 2 means a malformed document, a
 validation error, an exhausted search budget or any other error.
 
-Only codecs and subcommands live here: ``witness`` calls
-:func:`resflat.surfaces.build_witness`, and ``verify`` calls
-:func:`resflat.verify.verify_certificate`, whose module defines the format.
-The module imports only :mod:`resflat.core` at the top; each codec and
-subcommand imports the modules it runs, so a process loads only what its
-subcommand needs.  ``verify`` loads core and verify, ``decide`` and
-``table`` load core and decide, and ``witness`` loads graphs only on the
-stable-assembly routes.
+Only subcommands and the request and report documents live here:
+``witness`` decides and builds through :mod:`resflat.surfaces`, ``verify``
+calls :func:`resflat.verify.verify_certificate`, and the kernel reads and
+writes its own certificate format.  The module imports only
+:mod:`resflat.core` at the top; each subcommand imports the modules it
+runs, so a process loads only what its subcommand needs.  ``verify`` loads
+core and verify, ``decide`` and ``table`` load core and decide, and
+``witness`` loads graphs only on the stable-assembly routes.
 
-Document formats (format_version "4").  Rationals are [numerator,
-denominator] pairs in lowest terms with positive denominators; a bare
-integer is accepted on input.  Gaussian rationals are {"re": rational,
-"im": rational}; bare integers and rationals are accepted and taken real.
-Strata are {"genus", "zeros", "poles", "simple_poles"} with positive pole
-orders.  A surface document lists pieces and pairings of edge slots; slot
-k of a polygon is its k-th edge, slots of a polar part list the top chain
-then the bottom chain, slots of a simple-pole part are its chain vectors.
-Matched slots carry equal vectors with the two pieces on opposite sides.
-A certificate holds one "surface", its "surgeries", the claimed
-profile and a claimed rotation number; a node of a stable tree and a
-handle are each a polygon, the finite cylinder that plumbing leaves.  The
-only surgery is "blow_up_zero".  A certificate field or surgery outside
-this format, such as the separate surfaces and node list of format "1",
-the "family" of format "2" or the handle sewing of format "3", is
-rejected.
+Documents are JSON on :mod:`resflat.core`'s scalars.  Strata are {"genus",
+"zeros", "poles", "simple_poles"} with positive pole orders; a request adds
+"residues".
 """
 
 from __future__ import annotations
@@ -42,54 +29,25 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Any
 
-from .core import QQi, SearchBudgetExceeded, StratumSignature, residue_tuple, scaled
+from .core import (
+    FORMAT_VERSION,
+    DocumentError,
+    QQi,
+    SearchBudgetExceeded,
+    StratumSignature,
+    _int_list,
+    _is_int,
+    _residues_from_json,
+    residue_tuple,
+)
 
 if TYPE_CHECKING:
     from . import decide as _decide
     from . import verify as _verify
 
-FORMAT_VERSION = "4"
-
-
-class DocumentError(Exception):
-    def __init__(self, path: str, message: str) -> None:
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
 
 # ---------------------------------------------------------------------------
 # JSON codecs
-
-
-def _is_int(doc: Any) -> bool:
-    return isinstance(doc, int) and not isinstance(doc, bool)
-
-
-def _frac_from_json(doc: Any, path: str) -> Fraction:
-    if isinstance(doc, bool):
-        raise DocumentError(path, "expected a rational, got a boolean")
-    if isinstance(doc, int):
-        return Fraction(doc)
-    if isinstance(doc, list) and len(doc) == 2 and all(_is_int(v) for v in doc):
-        if doc[1] == 0:
-            raise DocumentError(path, "zero denominator")
-        return Fraction(doc[0], doc[1])
-    raise DocumentError(path, "expected an integer or a [numerator, denominator] pair")
-
-
-def _qqi_to_json(z: QQi) -> dict:
-    return {"re": [z.re.numerator, z.re.denominator], "im": [z.im.numerator, z.im.denominator]}
-
-
-def _qqi_from_json(doc: Any, path: str) -> QQi:
-    if isinstance(doc, dict):
-        extra = set(doc) - {"re", "im"}
-        if extra:
-            raise DocumentError(path, f"unexpected fields {sorted(extra)}")
-        re = _frac_from_json(doc.get("re", 0), path + ".re")
-        im = _frac_from_json(doc.get("im", 0), path + ".im")
-        return QQi(re, im)
-    return QQi(_frac_from_json(doc, path))
 
 
 def _stratum_to_json(sig: StratumSignature) -> dict:
@@ -99,12 +57,6 @@ def _stratum_to_json(sig: StratumSignature) -> dict:
         "poles": list(sig.higher_poles),
         "simple_poles": sig.simple_poles,
     }
-
-
-def _int_list(doc: Any, path: str) -> list[int]:
-    if not isinstance(doc, list) or not all(_is_int(v) for v in doc):
-        raise DocumentError(path, "expected a list of integers")
-    return list(doc)
 
 
 def _stratum_from_json(doc: Any, path: str) -> StratumSignature:
@@ -118,179 +70,6 @@ def _stratum_from_json(doc: Any, path: str) -> StratumSignature:
     if not _is_int(simple):
         raise DocumentError(path + ".simple_poles", "expected an integer")
     return StratumSignature(doc["genus"], zeros, poles, simple)
-
-
-def _residues_from_json(doc: Any, path: str) -> tuple[QQi, ...]:
-    if not isinstance(doc, list):
-        raise DocumentError(path, "expected a list")
-    return tuple(_qqi_from_json(v, f"{path}[{k}]") for k, v in enumerate(doc))
-
-
-def _piece_to_json(piece: _verify.Piece, d: int) -> dict:
-    from . import verify as _verify
-
-    chains = {
-        name: [_qqi_to_json(QQi._of(*v, d)) for v in getattr(piece, name)]
-        for name in _verify._CHAINS[type(piece)]
-    }
-    if isinstance(piece, _verify.PolarPart):
-        return {"kind": "polar_part", "order": piece.order, "type": piece.pole_type, **chains}
-    kind = "polygon" if isinstance(piece, _verify.Polygon) else "simple_pole_part"
-    return {"kind": kind, **chains}
-
-
-def _piece_from_json(doc: Any, path: str) -> _verify.Piece:
-    """A piece whose vectors are still Gaussian rationals, off the lattice."""
-    from . import verify as _verify
-
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DocumentError(path, "expected a piece object with a 'kind'")
-    kind = doc["kind"]
-    if kind == "polygon":
-        return _verify.Polygon(_residues_from_json(doc.get("edges"), path + ".edges"))
-    if kind == "polar_part":
-        if not (_is_int(doc.get("order")) and _is_int(doc.get("type"))):
-            raise DocumentError(path, "polar parts need integer 'order' and 'type'")
-        return _verify.PolarPart(
-            doc["order"],
-            doc["type"],
-            _residues_from_json(doc.get("top", []), path + ".top"),
-            _residues_from_json(doc.get("bottom", []), path + ".bottom"),
-        )
-    if kind == "simple_pole_part":
-        return _verify.SimplePolePart(_residues_from_json(doc.get("vectors"), path + ".vectors"))
-    raise DocumentError(path + ".kind", f"unknown piece kind {kind!r}")
-
-
-def _slot_from_json(doc: Any, path: str) -> tuple[int, int]:
-    pair = _int_list(doc, path)
-    if len(pair) != 2:
-        raise DocumentError(path, "expected [piece, slot]")
-    return (pair[0], pair[1])
-
-
-def _surface_to_json(surface: _verify.FlatSurface) -> dict:
-    return {
-        "pieces": [_piece_to_json(p, surface.d) for p in surface.pieces],
-        "pairings": [[list(a), list(b)] for a, b in surface.pairings],
-    }
-
-
-def _surface_from_json(doc: Any, path: str) -> _verify.FlatSurface:
-    from . import verify as _verify
-
-    if not isinstance(doc, dict):
-        raise DocumentError(path, "expected a surface object")
-    pieces_doc = doc.get("pieces")
-    if not isinstance(pieces_doc, list):
-        raise DocumentError(path + ".pieces", "expected a list")
-    pieces = [_piece_from_json(p, f"{path}.pieces[{k}]") for k, p in enumerate(pieces_doc)]
-    # One lcm puts every piece on the surface's integer lattice.
-    d, pairs = scaled([v for pc in pieces for v in _verify._boundary(pc)])
-    at = iter(pairs)
-    pieces = [_verify._map_pairs(pc, lambda _: next(at)) for pc in pieces]
-    pairings_doc = doc.get("pairings", [])
-    if not isinstance(pairings_doc, list):
-        raise DocumentError(path + ".pairings", "expected a list")
-    pairings = []
-    for k, pair in enumerate(pairings_doc):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise DocumentError(f"{path}.pairings[{k}]", "expected [[piece, slot], [piece, slot]]")
-        pairings.append(
-            (
-                _slot_from_json(pair[0], f"{path}.pairings[{k}][0]"),
-                _slot_from_json(pair[1], f"{path}.pairings[{k}][1]"),
-            )
-        )
-    return _verify.FlatSurface(pieces, pairings, d)
-
-
-def _profile_to_json(profile: _verify.Profile) -> dict:
-    return {
-        "genus": profile.genus,
-        "zeros": list(profile.zero_orders),
-        "poles": [
-            {"order": o, "residue": _qqi_to_json(r)} for o, r in profile.poles
-        ],
-    }
-
-
-def _profile_from_json(doc: Any, path: str) -> _verify.Profile:
-    from . import verify as _verify
-
-    if not isinstance(doc, dict):
-        raise DocumentError(path, "expected a profile object")
-    zeros = tuple(_int_list(doc.get("zeros", []), path + ".zeros"))
-    poles_doc = doc.get("poles", [])
-    if not isinstance(poles_doc, list):
-        raise DocumentError(path + ".poles", "expected a list")
-    poles = []
-    for k, pd in enumerate(poles_doc):
-        if not isinstance(pd, dict) or not _is_int(pd.get("order")):
-            raise DocumentError(f"{path}.poles[{k}]", "expected an object with 'order'")
-        poles.append(
-            (pd["order"], _qqi_from_json(pd.get("residue", 0), f"{path}.poles[{k}].residue"))
-        )
-    genus = doc.get("genus")
-    if not _is_int(genus):
-        raise DocumentError(path + ".genus", "expected an integer")
-    return _verify.Profile(genus, zeros, tuple(poles))
-
-
-def _certificate_to_json(cert: _verify.ConstructionCertificate) -> dict:
-    surgeries = [
-        {"op": "blow_up_zero", "zero": sg.zero_index, "parts": list(sg.parts)}
-        for sg in cert.surgeries
-    ]
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "certificate",
-        "surface": _surface_to_json(cert.surface),
-        "surgeries": surgeries,
-        "claimed_profile": _profile_to_json(cert.claimed),
-        "claimed_rotation": cert.claimed_rotation,
-    }
-
-
-_CERTIFICATE_FIELDS = {
-    "format_version",
-    "kind",
-    "surface",
-    "surgeries",
-    "claimed_profile",
-    "claimed_rotation",
-}
-
-
-def _certificate_from_json(doc: Any, path: str = "$") -> _verify.ConstructionCertificate:
-    from . import verify as _verify
-
-    if not isinstance(doc, dict):
-        raise DocumentError(path, "expected a certificate object")
-    extra = sorted(set(doc) - _CERTIFICATE_FIELDS)
-    if extra:
-        raise DocumentError(
-            f"{path}.{extra[0]}", f"unexpected field in a format {FORMAT_VERSION} certificate"
-        )
-    surface = _surface_from_json(doc.get("surface"), path + ".surface")
-    if not isinstance(doc.get("surgeries", []), list):
-        raise DocumentError(path + ".surgeries", "expected a list")
-    surgeries = []
-    for k, sg in enumerate(doc.get("surgeries", [])):
-        spath = f"{path}.surgeries[{k}]"
-        if not isinstance(sg, dict) or "op" not in sg:
-            raise DocumentError(spath, "expected an object with an 'op'")
-        if sg["op"] != "blow_up_zero":
-            raise DocumentError(spath + ".op", f"unknown surgery {sg['op']!r}")
-        if not _is_int(sg.get("zero")):
-            raise DocumentError(spath + ".zero", "expected an integer")
-        parts = tuple(_int_list(sg.get("parts"), spath + ".parts"))
-        surgeries.append(_verify.BlowUpZero(sg["zero"], parts))
-    claimed = _profile_from_json(doc.get("claimed_profile"), path + ".claimed_profile")
-    rotation = doc.get("claimed_rotation")
-    if rotation is not None and not _is_int(rotation):
-        raise DocumentError(path + ".claimed_rotation", "expected an integer or null")
-    return _verify.ConstructionCertificate(surface, tuple(surgeries), claimed, rotation)
 
 
 def _verdict_document(sig: StratumSignature, verdict: _decide.Verdict, **extra) -> dict:
@@ -321,9 +100,7 @@ def _read_document(source: str) -> Any:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(
-            f"line {exc.lineno} column {exc.colno}", exc.msg
-        ) from None
+        raise DocumentError(f"line {exc.lineno} column {exc.colno}", exc.msg) from None
 
 
 def _write_document(doc: Any, out: str | None) -> None:
@@ -359,18 +136,19 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     from . import decide as _decide
     from . import surfaces as _surfaces
+    from . import verify as _verify
 
     doc_in = _read_document(args.input)
     sig, residues = _request_pair(doc_in)
     rotation = doc_in.get("rotation")  # _request_pair takes only an object
     if rotation is not None and not _is_int(rotation):
         raise DocumentError("$.rotation", "expected an integer or null")
-    cert = _surfaces.build_witness(sig, residues, rotation=rotation)
-    if cert is None:
-        verdict = _decide.decide_realizable(sig, residues)
+    verdict = _decide.decide_realizable(sig, residues)
+    if not verdict.realizable:
         _write_document(_verdict_document(sig, verdict), args.output)
         return 1
-    _write_document(_certificate_to_json(cert), args.output)
+    cert = _surfaces._build_on_route(sig, residues, verdict, rotation)
+    _write_document(_verify._certificate_to_json(cert), args.output)
     if args.svg:
         _emit_svg(cert, args.svg)
     return 0
@@ -379,13 +157,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify as _verify
 
-    cert = _certificate_from_json(_read_document(args.input))
+    cert = _verify._certificate_from_json(_read_document(args.input))
     try:
         profile = _verify.verify_certificate(cert)
     except _verify.VerificationError as exc:
         doc, code = {"kind": "violation", "violations": list(exc.violations)}, 1
     else:
-        doc, code = {"kind": "profile", "profile": _profile_to_json(profile)}, 0
+        doc, code = {"kind": "profile", "profile": _verify._profile_to_json(profile)}, 0
     _write_document({"format_version": FORMAT_VERSION, **doc}, args.output)
     return code
 
@@ -496,19 +274,22 @@ def _cmd_cylinders(args: argparse.Namespace) -> int:
 # SVG emission (informational only, never parsed back)
 
 
+def _walks(piece: _verify.Piece) -> tuple:
+    """Each boundary chain of a piece and the height its drawing starts at."""
+    from . import verify as _verify
+
+    if isinstance(piece, _verify.PolarPart):
+        return ((piece.top, 0.0), (piece.bottom, -1.0))
+    return ((piece.edges if isinstance(piece, _verify.Polygon) else piece.vectors, 0.0),)
+
+
 def _piece_drawing(
     piece: _verify.Piece, unit: Fraction
 ) -> tuple[list, tuple[float, float, float, float]]:
     """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box, with
     the integer pairs counted in ``unit``."""
-    from . import verify as _verify
-
-    if isinstance(piece, _verify.PolarPart):
-        walks = ((piece.top, 0.0), (piece.bottom, -1.0))
-    else:
-        walks = ((_verify._boundary(piece), 0.0),)
     segs = []
-    for chain, y in walks:
+    for chain, y in _walks(piece):
         x = 0.0
         for vx, vy in chain:
             nx, ny = x + float(vx / unit), y + float(vy / unit)
@@ -521,8 +302,6 @@ def _piece_drawing(
 
 def _emit_svg(cert: _verify.ConstructionCertificate, path: str) -> None:
     """Draw the pieces of the surface with shared labels on matched edges."""
-    from . import verify as _verify
-
     scale = 40.0
     pad = 30.0
     elements = []
@@ -532,7 +311,7 @@ def _emit_svg(cert: _verify.ConstructionCertificate, path: str) -> None:
     # Pairs are divided exactly by a quarter of the largest coordinate before
     # float(), so a drawing neither overflows nor vanishes at any magnitude.
     unit = Fraction(
-        max(abs(c) for piece in surface.pieces for v in _verify._boundary(piece) for c in v),
+        max(abs(c) for piece in surface.pieces for vs, _ in _walks(piece) for v in vs for c in v),
         4,
     )
     labels = {slot: num for num, pair in enumerate(surface.pairings) for slot in pair}

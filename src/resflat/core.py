@@ -17,8 +17,8 @@ m, so the verifier never rescales them.
 A Gaussian rational is itself a point of a lattice: :class:`QQi` holds the
 reduced integers of (x + iy)/d, so its arithmetic, equality and hash are
 integer operations.  ``Fraction`` is left at the edges only: ``QQi(re, im)``
-accepts Fractions, and ``.re`` and ``.im`` return them, for the CLI codec,
-messages and callers that build inputs.
+accepts Fractions, and ``.re`` and ``.im`` return them, for messages and
+callers that build inputs.
 """
 
 from __future__ import annotations
@@ -436,3 +436,67 @@ class SearchBudgetExceeded(RuntimeError):
             "cylinder ends spent"
         )
         self.stage, self.spent, self.budget = stage, spent, budget
+
+
+# ---------------------------------------------------------------------------
+# JSON scalars, which the certificate codec of :mod:`resflat.verify` and the
+# CLI's request codec share; a process that decides never loads the kernel.
+# Rationals are [numerator, denominator] pairs in lowest terms with positive
+# denominators; a bare integer is accepted on input.  Gaussian rationals are
+# {"re": rational, "im": rational}; bare integers and rationals are taken real.
+
+FORMAT_VERSION = "4"
+
+
+class DocumentError(Exception):
+    def __init__(self, path: str, message: str) -> None:
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+def _is_int(doc: object) -> bool:
+    return isinstance(doc, int) and not isinstance(doc, bool)
+
+
+def _int_list(doc: object, path: str) -> list[int]:
+    if not isinstance(doc, list) or not all(_is_int(v) for v in doc):
+        raise DocumentError(path, "expected a list of integers")
+    return list(doc)
+
+
+def _frac_from_json(doc: object, path: str) -> Fraction:
+    if isinstance(doc, bool):
+        raise DocumentError(path, "expected a rational, got a boolean")
+    if isinstance(doc, int):
+        return Fraction(doc)
+    if isinstance(doc, list) and len(doc) == 2 and all(_is_int(v) for v in doc):
+        if doc[1] == 0:
+            raise DocumentError(path, "zero denominator")
+        return Fraction(doc[0], doc[1])
+    raise DocumentError(path, "expected an integer or a [numerator, denominator] pair")
+
+
+def _pair_to_json(v: Pair, d: int) -> dict:
+    """The vector (x + iy)/d of a pair (x, y) and a denominator d > 0."""
+    g, h = gcd(v[0], d), gcd(v[1], d)
+    return {"re": [v[0] // g, d // g], "im": [v[1] // h, d // h]}
+
+
+def _qqi_to_json(z: QQi) -> dict:
+    return _pair_to_json((z._x, z._y), z._d)
+
+
+def _qqi_from_json(doc: object, path: str) -> QQi:
+    if isinstance(doc, dict):
+        if extra := set(doc) - {"re", "im"}:
+            raise DocumentError(path, f"unexpected fields {sorted(extra)}")
+        re = _frac_from_json(doc.get("re", 0), path + ".re")
+        im = _frac_from_json(doc.get("im", 0), path + ".im")
+        return QQi(re, im)
+    return QQi(_frac_from_json(doc, path))
+
+
+def _residues_from_json(doc: object, path: str) -> tuple[QQi, ...]:
+    if not isinstance(doc, list):
+        raise DocumentError(path, "expected a list")
+    return tuple(_qqi_from_json(v, f"{path}[{k}]") for k, v in enumerate(doc))

@@ -34,9 +34,7 @@ from .verify import (
     SimplePolePart,
     Slot,
     _apply_surgery,
-    _boundary,
     _check_rotation,
-    _map_pairs,
     _read_piece,
     _read_surface,
     profile_matches,
@@ -53,6 +51,11 @@ class InternalBuildError(RuntimeError):
 
 def _neg(v: Pair) -> Pair:
     return (-v[0], -v[1])
+
+
+def _map_pairs(piece: Piece, f) -> Piece:
+    """The piece with ``f`` applied to every boundary vector, in slot order."""
+    return replace(piece, **{k: [f(v) for v in getattr(piece, k)] for k in _CHAINS[type(piece)]})
 
 
 def blow_up_zero(
@@ -383,7 +386,8 @@ def _with_marked_points(
     if not missing:
         return cert
     (a, b), *rest = cert.surface.pairings
-    x, y = _boundary(cert.surface.pieces[a[0]])[a[1]]
+    piece = cert.surface.pieces[a[0]]
+    x, y = [v for k in _CHAINS[type(piece)] for v in getattr(piece, k)][a[1]]
     t = (missing + 1) // math.gcd(missing + 1, x, y)
     pieces = [_map_pairs(pc, lambda v: (v[0] * t, v[1] * t)) for pc in cert.surface.pieces]
 
@@ -555,6 +559,13 @@ def build_witness(
     verdict = _decide.decide_realizable(sig, residues)
     if not verdict.realizable:
         return None
+    return _build_on_route(sig, residues, verdict, rotation)
+
+
+def _build_on_route(
+    sig: StratumSignature, residues: tuple[QQi, ...], verdict: _decide.Verdict, rotation: int | None
+) -> ConstructionCertificate:
+    """:func:`build_witness` on a request that the decider's ``verdict`` calls realizable."""
     if rotation is not None and not (
         sig.genus == 1
         and sig.p > 0

@@ -21,16 +21,29 @@ horizontal gluing rays.  A surface lives on one integer lattice: it holds
 a positive denominator d, and its pieces hold integer pairs (x, y), each
 the vector (x + iy)/d, which the builders compute and the verifier reads
 as stored.
+
+Certificate documents (format_version "4", on :mod:`resflat.core`'s JSON
+scalars) hold one "surface", its "surgeries", the claimed profile and a
+claimed rotation.  A surface lists pieces, their chains in slot order and
+each vector in lowest terms, and pairings of edge slots; the reader puts
+them on one lattice, the lcm of their denominators.  Nodes of a stable tree
+and handles are polygons, the finite cylinders that plumbing leaves.  The
+only surgery is "blow_up_zero"; any other field or surgery, such as the
+node list of format "1", the "family" of format "2" or the handle sewing of
+format "3", is rejected.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Iterable, Sequence
 
-from .core import Pair, QQi, StratumSignature, _connected, _spanning_forest
+from .core import FORMAT_VERSION, DocumentError, Pair, QQi, StratumSignature, scaled
+from .core import _connected, _int_list, _is_int, _pair_to_json, _qqi_from_json, _qqi_to_json
+from .core import _residues_from_json, _spanning_forest
 
 
 class VerificationError(Exception):
@@ -85,17 +98,8 @@ class SimplePolePart:
 
 Piece = Polygon | PolarPart | SimplePolePart
 
+# Each kind's boundary chains in slot order, also its fields in a document.
 _CHAINS = {Polygon: ("edges",), PolarPart: ("top", "bottom"), SimplePolePart: ("vectors",)}
-
-
-def _boundary(piece: Piece) -> tuple[Pair, ...]:
-    """Boundary vectors in slot order; a polar part's bottom chain runs reversed."""
-    return tuple([v for k in _CHAINS[type(piece)] for v in getattr(piece, k)])
-
-
-def _map_pairs(piece: Piece, f) -> Piece:
-    """The piece with ``f`` applied to every boundary vector, in slot order."""
-    return replace(piece, **{k: [f(v) for v in getattr(piece, k)] for k in _CHAINS[type(piece)]})
 
 
 # Angles are counted in whole turns.  With arguments in (-pi, pi], an angle
@@ -588,7 +592,6 @@ def _apply_surgery(profile: Profile, surgery: BlowUpZero) -> Profile:
     return Profile(profile.genus, tuple(sorted(zeros, reverse=True)), profile.poles)
 
 
-
 def verify_certificate(cert: ConstructionCertificate) -> Profile:
     """Re-derive a certificate's profile and check it against the claim.
 
@@ -638,3 +641,145 @@ def _check_rotation(cert: ConstructionCertificate, profile: Profile, tables: tup
     measured = math.gcd(g0, *_loop_indices(tables))
     if measured != rot:
         raise VerificationError((f"the surface has rotation number {measured}, claimed {rot}",))
+
+
+# ---------------------------------------------------------------------------
+# Certificate documents
+
+_KINDS = {Polygon: "polygon", PolarPart: "polar_part", SimplePolePart: "simple_pole_part"}
+
+
+def _piece_to_json(piece: Piece, d: int) -> dict:
+    doc = {k: [_pair_to_json(v, d) for v in getattr(piece, k)] for k in _CHAINS[type(piece)]}
+    doc["kind"] = _KINDS[type(piece)]
+    if isinstance(piece, PolarPart):
+        doc.update(order=piece.order, type=piece.pole_type)
+    return doc
+
+
+def _piece_from_json(doc: Any, path: str) -> tuple[type, tuple, list[tuple[QQi, ...]]]:
+    """A piece's class, its integer fields and its chains of Gaussian
+    rationals, in slot order."""
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise DocumentError(path, "expected a piece object with a 'kind'")
+    kind = next((k for k, name in _KINDS.items() if doc["kind"] == name), None)
+    if kind is None:
+        raise DocumentError(path + ".kind", f"unknown piece kind {doc['kind']!r}")
+    head = ()
+    if kind is PolarPart:
+        if not (_is_int(doc.get("order")) and _is_int(doc.get("type"))):
+            raise DocumentError(path, "polar parts need integer 'order' and 'type'")
+        head = (doc["order"], doc["type"])
+    missing = [] if kind is PolarPart else None  # a polar part may leave out a chain
+    chains = [_residues_from_json(doc.get(k, missing), f"{path}.{k}") for k in _CHAINS[kind]]
+    return kind, head, chains
+
+
+def _surface_to_json(surface: FlatSurface) -> dict:
+    return {
+        "pieces": [_piece_to_json(p, surface.d) for p in surface.pieces],
+        "pairings": [[list(a), list(b)] for a, b in surface.pairings],
+    }
+
+
+def _surface_from_json(doc: Any, path: str) -> FlatSurface:
+    if not isinstance(doc, dict):
+        raise DocumentError(path, "expected a surface object")
+    pieces_doc = doc.get("pieces")
+    if not isinstance(pieces_doc, list):
+        raise DocumentError(path + ".pieces", "expected a list")
+    read = [_piece_from_json(p, f"{path}.pieces[{k}]") for k, p in enumerate(pieces_doc)]
+    # One lcm puts every piece on the surface's integer lattice.
+    d, pairs = scaled([v for _, _, chains in read for chain in chains for v in chain])
+    at = iter(pairs)
+    pieces = [
+        kind(*head, *[tuple(islice(at, len(chain))) for chain in chains])
+        for kind, head, chains in read
+    ]
+    pairings_doc = doc.get("pairings", [])
+    if not isinstance(pairings_doc, list):
+        raise DocumentError(path + ".pairings", "expected a list")
+    pairings = []
+    for k, pair in enumerate(pairings_doc):
+        where = f"{path}.pairings[{k}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise DocumentError(where, "expected [[piece, slot], [piece, slot]]")
+        for j, slot in enumerate(pair):
+            if len(_int_list(slot, f"{where}[{j}]")) != 2:
+                raise DocumentError(f"{where}[{j}]", "expected [piece, slot]")
+        pairings.append(pair)
+    return FlatSurface(pieces, pairings, d)
+
+
+def _profile_to_json(profile: Profile) -> dict:
+    return {
+        "genus": profile.genus,
+        "zeros": list(profile.zero_orders),
+        "poles": [{"order": o, "residue": _qqi_to_json(r)} for o, r in profile.poles],
+    }
+
+
+def _profile_from_json(doc: Any, path: str) -> Profile:
+    if not isinstance(doc, dict):
+        raise DocumentError(path, "expected a profile object")
+    zeros = tuple(_int_list(doc.get("zeros", []), path + ".zeros"))
+    poles_doc = doc.get("poles", [])
+    if not isinstance(poles_doc, list):
+        raise DocumentError(path + ".poles", "expected a list")
+    poles = []
+    for k, pd in enumerate(poles_doc):
+        if not isinstance(pd, dict) or not _is_int(pd.get("order")):
+            raise DocumentError(f"{path}.poles[{k}]", "expected an object with 'order'")
+        residue = _qqi_from_json(pd.get("residue", 0), f"{path}.poles[{k}].residue")
+        poles.append((pd["order"], residue))
+    genus = doc.get("genus")
+    if not _is_int(genus):
+        raise DocumentError(path + ".genus", "expected an integer")
+    return Profile(genus, zeros, tuple(poles))
+
+
+def _certificate_to_json(cert: ConstructionCertificate) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "certificate",
+        "surface": _surface_to_json(cert.surface),
+        "surgeries": [
+            {"op": "blow_up_zero", "zero": sg.zero_index, "parts": list(sg.parts)}
+            for sg in cert.surgeries
+        ],
+        "claimed_profile": _profile_to_json(cert.claimed),
+        "claimed_rotation": cert.claimed_rotation,
+    }
+
+
+_CERTIFICATE_FIELDS = {
+    "format_version", "kind", "surface", "surgeries", "claimed_profile", "claimed_rotation"
+}
+
+
+def _certificate_from_json(doc: Any, path: str = "$") -> ConstructionCertificate:
+    if not isinstance(doc, dict):
+        raise DocumentError(path, "expected a certificate object")
+    if extra := sorted(set(doc) - _CERTIFICATE_FIELDS):
+        raise DocumentError(
+            f"{path}.{extra[0]}", f"unexpected field in a format {FORMAT_VERSION} certificate"
+        )
+    surface = _surface_from_json(doc.get("surface"), path + ".surface")
+    if not isinstance(doc.get("surgeries", []), list):
+        raise DocumentError(path + ".surgeries", "expected a list")
+    surgeries = []
+    for k, sg in enumerate(doc.get("surgeries", [])):
+        spath = f"{path}.surgeries[{k}]"
+        if not isinstance(sg, dict) or "op" not in sg:
+            raise DocumentError(spath, "expected an object with an 'op'")
+        if sg["op"] != "blow_up_zero":
+            raise DocumentError(spath + ".op", f"unknown surgery {sg['op']!r}")
+        if not _is_int(sg.get("zero")):
+            raise DocumentError(spath + ".zero", "expected an integer")
+        parts = tuple(_int_list(sg.get("parts"), spath + ".parts"))
+        surgeries.append(BlowUpZero(sg["zero"], parts))
+    claimed = _profile_from_json(doc.get("claimed_profile"), path + ".claimed_profile")
+    rotation = doc.get("claimed_rotation")
+    if rotation is not None and not _is_int(rotation):
+        raise DocumentError(path + ".claimed_rotation", "expected an integer or null")
+    return ConstructionCertificate(surface, tuple(surgeries), claimed, rotation)

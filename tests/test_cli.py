@@ -31,8 +31,8 @@ from resflat import (
     verify_certificate,
     verify_surface,
 )
-from resflat.cli import _certificate_to_json, main
-from resflat.verify import BlowUpZero
+from resflat.cli import main
+from resflat.verify import BlowUpZero, _certificate_to_json
 
 # Integer pairs (x, y): on a surface of denominator d, the vector (x + iy)/d.
 ZERO, ONE, I = (0, 0), (1, 0), (0, 1)
@@ -567,86 +567,194 @@ def _certificate_with(part, **changes):
 
 
 @pytest.mark.parametrize(
-    "command, make_doc, where",
+    "command, make_doc, line",
     [
-        (["verify"], lambda tmp: _certificate_doc(tmp, node_pairings=[]), "$.node_pairings"),
-        (["verify"], lambda tmp: _certificate_doc(tmp, bases=[]), "$.bases"),
-        (["verify"], lambda tmp: _certificate_doc(tmp, family=None), "$.family"),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, node_pairings=[]),
+            "$.node_pairings: unexpected field in a format 4 certificate",
+        ),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, bases=[]),
+            "$.bases: unexpected field in a format 4 certificate",
+        ),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, family=None),
+            "$.family: unexpected field in a format 4 certificate",
+        ),
         (
             ["verify"],
             lambda tmp: _certificate_doc(
                 tmp, family={"name": "zero-residue-chain", "pole_orders": [2, 2], "taus": [1, 1]}
             ),
-            "$.family",
+            "$.family: unexpected field in a format 4 certificate",
         ),
-        (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=7), "$.surgeries"),
-        (["verify"], _boolean_pole_type, "$.surface.pieces[0]"),
-        (["verify"], _boolean_surgery_zero, "$.surgeries[0].zero"),
-        (["verify"], _boolean_claimed_pole_order, "$.claimed_profile.poles[0]"),
-        (["table"], lambda tmp: {"s_max": 4, "max_zero": "x"}, "$.max_zero"),
-        (["table"], lambda tmp: {"s_max": 3, "max_zero": True}, "$.max_zero"),
-        (["oracle-check"], lambda tmp: {"s_max": "x"}, "$.s_max"),
-        (["oracle-check"], lambda tmp: {"s_max": True}, "$.s_max"),
-        (["oracle-check"], lambda tmp: {"entry_bound": [1]}, "$.entry_bound"),
-        (["oracle-check"], lambda tmp: {"s_max": 1}, "$.s_max"),
-        (["oracle-check"], lambda tmp: {"entry_bound": 0}, "$.entry_bound"),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, surgeries=7),
+            "$.surgeries: expected a list",
+        ),
+        (
+            ["verify"],
+            _boolean_pole_type,
+            "$.surface.pieces[0]: polar parts need integer 'order' and 'type'",
+        ),
+        (["verify"], _boolean_surgery_zero, "$.surgeries[0].zero: expected an integer"),
+        (
+            ["verify"],
+            _boolean_claimed_pole_order,
+            "$.claimed_profile.poles[0]: expected an object with 'order'",
+        ),
+        (
+            ["table"],
+            lambda tmp: {"s_max": 4, "max_zero": "x"},
+            "$.max_zero: expected an integer or null",
+        ),
+        (
+            ["table"],
+            lambda tmp: {"s_max": 3, "max_zero": True},
+            "$.max_zero: expected an integer or null",
+        ),
+        (
+            ["oracle-check"],
+            lambda tmp: {"s_max": "x"},
+            "$.s_max: expected an integer of at least 2",
+        ),
+        (
+            ["oracle-check"],
+            lambda tmp: {"s_max": True},
+            "$.s_max: expected an integer of at least 2",
+        ),
+        (
+            ["oracle-check"],
+            lambda tmp: {"entry_bound": [1]},
+            "$.entry_bound: expected a positive integer",
+        ),
+        (["oracle-check"], lambda tmp: {"s_max": 1}, "$.s_max: expected an integer of at least 2"),
+        (
+            ["oracle-check"],
+            lambda tmp: {"entry_bound": 0},
+            "$.entry_bound: expected a positive integer",
+        ),
         (
             ["decide"],
             lambda tmp: {
                 "stratum": {"genus": 0, "zeros": [0], "poles": [], "simple_poles": 2},
                 "residues": [[True, 1], -1],
             },
-            "$.residues[0]",
+            "$.residues[0]: expected an integer or a [numerator, denominator] pair",
         ),
-        (["decide"], lambda tmp: _request([True, -1]), "$.residues[0]"),
-        (["decide"], lambda tmp: _request([[1, 0], -1]), "$.residues[0]"),
-        (["decide"], lambda tmp: _request([{"re": 1, "x": 2}, -1]), "$.residues[0]"),
-        (["decide"], lambda tmp: _request(7), "$.residues"),
-        (["decide"], lambda tmp: _request(genus="0"), "$.stratum.genus"),
-        (["decide"], lambda tmp: _request(simple_poles=[2]), "$.stratum.simple_poles"),
-        (["decide"], lambda tmp: _request(zeros=0), "$.stratum.zeros"),
-        (["decide"], lambda tmp: [_request()], "$"),
-        (["witness"], lambda tmp: {**_request(), "rotation": "1"}, "$.rotation"),
-        (["verify"], lambda tmp: [], "$"),
-        (["verify"], lambda tmp: _certificate_doc(tmp, surface=[]), "$.surface"),
-        (["verify"], _certificate_with("surface", pieces={}), "$.surface.pieces"),
-        (["verify"], _certificate_with("surface", pieces=[{"edges": []}]), "$.surface.pieces[0]"),
+        (
+            ["decide"],
+            lambda tmp: _request([True, -1]),
+            "$.residues[0]: expected a rational, got a boolean",
+        ),
+        (["decide"], lambda tmp: _request([[1, 0], -1]), "$.residues[0]: zero denominator"),
+        (
+            ["decide"],
+            lambda tmp: _request([{"re": 1, "x": 2}, -1]),
+            "$.residues[0]: unexpected fields ['x']",
+        ),
+        (["decide"], lambda tmp: _request(7), "$.residues: expected a list"),
+        (["decide"], lambda tmp: _request(genus="0"), "$.stratum.genus: expected an integer"),
+        (
+            ["decide"],
+            lambda tmp: _request(simple_poles=[2]),
+            "$.stratum.simple_poles: expected an integer",
+        ),
+        (["decide"], lambda tmp: _request(zeros=0), "$.stratum.zeros: expected a list of integers"),
+        (
+            ["decide"],
+            lambda tmp: [_request()],
+            "$: expected an object with 'stratum' and 'residues'",
+        ),
+        (
+            ["witness"],
+            lambda tmp: {**_request(), "rotation": "1"},
+            "$.rotation: expected an integer or null",
+        ),
+        (["verify"], lambda tmp: [], "$: expected a certificate object"),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, surface=[]),
+            "$.surface: expected a surface object",
+        ),
+        (["verify"], _certificate_with("surface", pieces={}), "$.surface.pieces: expected a list"),
+        (
+            ["verify"],
+            _certificate_with("surface", pieces=[{"edges": []}]),
+            "$.surface.pieces[0]: expected a piece object with a 'kind'",
+        ),
         (
             ["verify"],
             _certificate_with("surface", pieces=[{"kind": "disk"}]),
-            "$.surface.pieces[0].kind",
+            "$.surface.pieces[0].kind: unknown piece kind 'disk'",
         ),
-        (["verify"], _certificate_with("surface", pairings={}), "$.surface.pairings"),
-        (["verify"], _certificate_with("surface", pairings=[[1]]), "$.surface.pairings[0]"),
+        (
+            ["verify"],
+            _certificate_with("surface", pairings={}),
+            "$.surface.pairings: expected a list",
+        ),
+        (
+            ["verify"],
+            _certificate_with("surface", pairings=[[1]]),
+            "$.surface.pairings[0]: expected [[piece, slot], [piece, slot]]",
+        ),
         (
             ["verify"],
             _certificate_with("surface", pairings=[[[0, 0, 1], [0, 1]]]),
-            "$.surface.pairings[0][0]",
+            "$.surface.pairings[0][0]: expected [piece, slot]",
         ),
-        (["verify"], lambda tmp: _certificate_doc(tmp, claimed_profile=[]), "$.claimed_profile"),
-        (["verify"], _certificate_with("claimed_profile", poles={}), "$.claimed_profile.poles"),
-        (["verify"], _certificate_with("claimed_profile", genus="0"), "$.claimed_profile.genus"),
-        (["verify"], lambda tmp: _certificate_doc(tmp, surgeries=[{"zero": 0}]), "$.surgeries[0]"),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, claimed_profile=[]),
+            "$.claimed_profile: expected a profile object",
+        ),
+        (
+            ["verify"],
+            _certificate_with("claimed_profile", poles={}),
+            "$.claimed_profile.poles: expected a list",
+        ),
+        (
+            ["verify"],
+            _certificate_with("claimed_profile", genus="0"),
+            "$.claimed_profile.genus: expected an integer",
+        ),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, surgeries=[{"zero": 0}]),
+            "$.surgeries[0]: expected an object with an 'op'",
+        ),
         (
             ["verify"],
             lambda tmp: _certificate_doc(tmp, surgeries=[{"op": "twist", "zero": 0}]),
-            "$.surgeries[0].op",
+            "$.surgeries[0].op: unknown surgery 'twist'",
         ),
         (
             ["verify"],
             lambda tmp: _certificate_doc(tmp, surgeries=[{"op": "sew_handle", "zero": 0}]),
-            "$.surgeries[0].op",
+            "$.surgeries[0].op: unknown surgery 'sew_handle'",
         ),
         (
             ["verify"],
             lambda tmp: _certificate_doc(tmp, surgeries=[{"op": "sew_handle"}]),
-            "$.surgeries[0].op",
+            "$.surgeries[0].op: unknown surgery 'sew_handle'",
         ),
-        (["verify"], lambda tmp: _certificate_doc(tmp, claimed_rotation="1"), "$.claimed_rotation"),
-        (["table"], lambda tmp: [4], "$"),
-        (["oracle-check"], lambda tmp: [4], "$"),
-        (["table"], lambda tmp: {"s_min": 5, "s_max": 4}, "$.s_min/s_max"),
-        (["cylinders"], lambda tmp: [], "$"),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, claimed_rotation="1"),
+            "$.claimed_rotation: expected an integer or null",
+        ),
+        (["table"], lambda tmp: [4], "$: expected an object"),
+        (["oracle-check"], lambda tmp: [4], "$: expected an object"),
+        (
+            ["table"],
+            lambda tmp: {"s_min": 5, "s_max": 4},
+            "$.s_min/s_max: expected integers with s_min <= s_max",
+        ),
+        (["cylinders"], lambda tmp: [], "$: expected an object"),
     ],
     ids=[
         "format-1-node-pairings",
@@ -697,7 +805,7 @@ def _certificate_with(part, **changes):
     ],
 )
 def test_every_failure_is_status_two_with_one_error_line(
-    tmp_path, capsys, command, make_doc, where
+    tmp_path, capsys, command, make_doc, line
 ):
     doc = make_doc(tmp_path)
     capsys.readouterr()
@@ -705,7 +813,31 @@ def test_every_failure_is_status_two_with_one_error_line(
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
-    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+    assert err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "residues, code",
+    [([1, {"im": 1}, -1, {"im": -1}], 0), ([1, 1, -1, -1], 1)],
+    ids=["realizable", "excluded-ray"],
+)
+def test_witness_decides_once(residues, code):
+    """``witness`` runs the decider once on H_0(2, -1^4), and on a "no"
+    writes the very document ``decide`` writes."""
+    stratum = {"genus": 0, "zeros": [2], "poles": [], "simple_poles": 4}
+    doc = {"stratum": stratum, "residues": residues}
+    outputs = []
+    for command in ("witness", "decide"):
+        out = io.StringIO()
+        wrapped = mock.patch(
+            "resflat.decide.decide_realizable", wraps=resflat.decide.decide_realizable
+        )
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), wrapped as decide:
+            with contextlib.redirect_stdout(out):
+                assert main([command, "-"]) == code
+        assert decide.call_count == 1
+        outputs.append(out.getvalue())
+    assert (outputs[0] == outputs[1]) == (code == 1)
 
 
 def test_huge_residues_round_trip(tmp_path):

@@ -159,6 +159,40 @@ def test_each_subcommand_loads_only_the_modules_it_runs(documents, argv, code, m
     assert modules_after_main(argv) == (code, modules)
 
 
+ROTATION_REQUEST = {
+    "stratum": {"genus": 1, "zeros": [4], "poles": [2, 2], "simple_poles": 0},
+    "residues": [0, 0],
+    "rotation": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "request_doc",
+    [POLYGON_REQUEST, STABLE_TREE_REQUEST, ROTATION_REQUEST],
+    ids=["polygon", "stable-tree", "rotation"],
+)
+def test_the_kernel_reads_its_own_format_without_the_cli(tmp_path, request_doc):
+    """With only resflat.verify imported, a witness certificate document
+    decodes, verifies and encodes again to the same bytes."""
+    request, cert = tmp_path / "request.json", tmp_path / "cert.json"
+    request.write_text(json.dumps(request_doc))
+    assert modules_after_main(["witness", str(request), "-o", str(cert)])[0] == 0
+    done = fresh_python(
+        "import json, sys\n"
+        "import resflat.verify as kernel\n"
+        "text = open(sys.argv[1]).read()\n"
+        "cert = kernel._certificate_from_json(json.loads(text))\n"
+        "kernel.verify_certificate(cert)\n"
+        "doc = kernel._certificate_to_json(cert)\n"
+        "again = json.dumps(doc, sort_keys=True, indent=2) + '\\n'\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'resflat')\n"
+        "print(json.dumps([again == text, loaded]))",
+        str(cert),
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [True, ["resflat", "resflat.core", "resflat.verify"]]
+
+
 def test_a_bare_import_loads_no_submodule_and_each_resolves():
     done = fresh_python(
         "import sys, resflat\n"

@@ -23,12 +23,6 @@ from hypothesis import strategies as st
 
 from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.decide import decide_realizable
-from resflat.cli import (
-    _certificate_from_json,
-    _certificate_to_json,
-    _surface_from_json,
-    _surface_to_json,
-)
 from resflat.surfaces import _with_marked_points, build_witness
 from resflat.verify import (
     FlatSurface,
@@ -36,7 +30,11 @@ from resflat.verify import (
     Polygon,
     SimplePolePart,
     VerificationError,
+    _certificate_from_json,
+    _certificate_to_json,
     _read_piece,
+    _surface_from_json,
+    _surface_to_json,
     verify_certificate,
     verify_surface,
 )
