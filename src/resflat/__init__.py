@@ -33,13 +33,11 @@ _PUBLIC = {
         "search_cylinder_tuple",
     ),
     "graphs": (
-        "ConnectionGraph",
         "CylinderConfig",
         "find_connection_graph",
         "find_cylinder_config",
         "find_stable_config",
         "is_connection_graph",
-        "leaf_removal",
     ),
     "surfaces": ("InternalBuildError", "blow_up_zero", "build_witness"),
     "verify": (

@@ -234,8 +234,10 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         cases += 1
         sig = StratumSignature(0, (len(combo) - 2,), (), len(combo))
         closed = _decide.decide_realizable(sig, residue_tuple(combo)).realizable
-        brute = _graphs.find_connection_graph(combo) is not None
-        if closed != brute:
+        # A "yes" counts only with a schedule the replay accepts; a rejected one disagrees.
+        steps = _graphs.find_connection_graph(combo)
+        brute = steps is not None and _graphs.is_connection_graph(combo, steps)
+        if closed != brute or brute != (steps is not None):
             disagreements.append(
                 {"tuple": list(combo), "closed_form": closed, "brute_force": brute}
             )

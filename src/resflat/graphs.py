@@ -4,9 +4,11 @@ Connection graphs are weighted bipartite trees encoding genus-zero flat
 surfaces with one cone point and only half-infinite cylinders.  Witnesses
 for collinear residue tuples peel one leaf at a time under the closed form;
 the brute-force oracle the closed-form decider is checked against tries
-every sequence of leaf removals instead, without the closed form.  With
-several zeros the peel first takes leaf components, each a single-zero
-star joined to the rest at a node, until one zero can carry what is left.
+every sequence of leaf removals instead, without the closed form.  Both
+give the graph as a schedule of integer leaf removals, which
+:func:`is_connection_graph` replays.  With several zeros the peel first
+takes leaf components, each a single-zero star joined to the rest at a
+node, until one zero can carry what is left.
 Stable configurations with arbitrary component genera and multigraphs
 answer disjoint-cylinder questions on holomorphic strata by a bounded
 search, which generates each multiset of zero-order blocks once.  This
@@ -18,201 +20,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
     QQi,
-    Rat,
     SearchBudgetExceeded,
     StratumSignature,
-    _connected,
     line_integers,
     primitive_total_exceeds,
     scaled,
     validate_stratum,
 )
 
-Vertex = tuple[str, int]  # ("+", k) or ("-", k), k an index within its side
 
+def find_connection_graph(entries: Sequence[int]) -> tuple[tuple[int, int, int], ...] | None:
+    """Exhaustively search for a connection graph on the given weights.
 
-@dataclass(frozen=True)
-class ConnectionGraph:
-    """A weighted bipartite tree with positive weights on both sides.
-
-    Edges join plus-side to minus-side vertices.  Vertices keep stable
-    identities across leaf removals, so weights are stored per vertex id.
-    """
-
-    vertices: tuple[Vertex, ...]
-    weights: tuple[Fraction, ...]
-    edges: tuple[tuple[Vertex, Vertex], ...]
-
-    @classmethod
-    def from_sides(
-        cls,
-        plus: Sequence[Rat],
-        minus: Sequence[Rat],
-        edge_pairs: Sequence[tuple[int, int]],
-    ) -> "ConnectionGraph":
-        """Build from plus/minus weight lists and (plus index, minus index) edges."""
-        vertices = tuple(("+", i) for i in range(len(plus))) + tuple(
-            ("-", j) for j in range(len(minus))
-        )
-        weights = tuple(Fraction(w) for w in plus) + tuple(Fraction(w) for w in minus)
-        edges = tuple((("+", i), ("-", j)) for i, j in edge_pairs)
-        return cls(vertices, weights, edges)
-
-    def weight(self, v: Vertex) -> Fraction:
-        return self.weights[self.vertices.index(v)]
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(out)
-
-    def is_tree(self) -> bool:
-        index = {v: k for k, v in enumerate(self.vertices)}
-        if len(self.edges) != len(index) - 1 or not all(v in index for e in self.edges for v in e):
-            return False
-        return _connected(len(index), [(index[a], index[b]) for a, b in self.edges])
-
-    def is_bipartite(self) -> bool:
-        return all(a[0] == "+" and b[0] == "-" for a, b in self.edges)
-
-
-def leaf_removal(graph: ConnectionGraph, leaf: Vertex) -> ConnectionGraph:
-    """Remove a leaf and subtract its weight from its unique neighbor.
-
-    The resulting weight may be zero or negative; it is the connection-graph
-    test, not this operation, that demands positivity.
-    """
-    nbs = graph.neighbors(leaf)
-    if len(nbs) != 1:
-        raise ValueError(f"{leaf} is not a leaf (degree {len(nbs)})")
-    nb = nbs[0]
-    w_leaf = graph.weight(leaf)
-    vertices = []
-    weights = []
-    for v, w in zip(graph.vertices, graph.weights):
-        if v == leaf:
-            continue
-        vertices.append(v)
-        weights.append(w - w_leaf if v == nb else w)
-    edges = tuple(e for e in graph.edges if leaf not in e)
-    return ConnectionGraph(tuple(vertices), tuple(weights), edges)
-
-
-def is_connection_graph(graph: ConnectionGraph) -> bool:
-    """Test the leaf-removal condition.
-
-    A valid graph keeps all weights strictly positive through every sequence
-    of leaf removals.  After any removals a vertex weighs the sum of the flows
-    on its remaining edges, so this holds exactly when the side totals
-    balance and every edge flow is positive (see :func:`_flows_positive`).
-    Raises ValueError for inputs that are not bipartite trees.
-    """
-    if not graph.is_tree():
-        raise ValueError("connection graphs must be trees")
-    if not graph.is_bipartite():
-        raise ValueError("edges must join the plus side to the minus side")
-    position: dict[Vertex, int] = {}
-    plus: list[Fraction] = []
-    minus: list[Fraction] = []
-    for v, w in zip(graph.vertices, graph.weights):
-        side = plus if v[0] == "+" else minus
-        position[v] = len(side)
-        side.append(w)
-    pairs = [(position[a], position[b]) for a, b in graph.edges]
-    return _flows_positive(plus, minus, pairs)
-
-
-def _flows_positive(
-    plus: Sequence[Rat], minus: Sequence[Rat], pairs: Sequence[tuple[int, int]]
-) -> bool:
-    """Balanced side totals and a positive flow on every edge of the tree.
-
-    ``pairs`` are the (plus index, minus index) edges of a spanning tree.
-    The flow across an edge is the plus-side total minus the minus-side
-    total of the part of the tree on its plus end: the weight a leaf carries
-    when it is removed across that edge, and the gluing length of that edge.
-    """
-    offset = len(plus)
-    net = list(plus) + [-w for w in minus]
-    adjacency: list[list[int]] = [[] for _ in net]
-    for i, j in pairs:
-        adjacency[i].append(offset + j)
-        adjacency[offset + j].append(i)
-    order, parent = _rooted(adjacency)
-    for v in reversed(order[1:]):
-        # The part below v has signed total net[v] and, with balanced sides,
-        # the part above it -net[v]; an unbalanced tree fails either way.
-        if (net[v] if v < offset else -net[v]) <= 0:
-            return False
-        net[parent[v]] += net[v]
-    return bool(pairs) and net[0] == 0
-
-
-def _rooted(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """A tree's vertices in breadth-first order from vertex 0, and their parents.
-
-    Summing each vertex into its parent in reverse order gives subtree totals.
-    """
-    parent = [-1] * len(adjacency)
-    order = [0]
-    for v in order:
-        for u in adjacency[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    return order, parent
-
-
-def find_connection_graph(entries: Sequence[Rat]) -> ConnectionGraph | None:
-    """Exhaustively search for a connection graph with the given weights.
-
-    ``entries`` is a signed real tuple summing to zero with no zero entries;
-    positive entries weight the plus side, negatives the minus side.  This
-    is the oracle; witnesses use :func:`peel_connection_graph`.
+    ``entries`` are nonzero integers summing to zero; positive entries
+    weight the plus side, negatives the minus side.  Returns a schedule in
+    the form of :func:`peel_connection_graph`, or None.  This is the
+    oracle; witnesses use the peel.
 
     The search removes leaves.  A state maps positions to signed weights.
     While more than two are left, each vertex v is tried as a leaf, removed
     into each vertex u on the other side with |w(u)| > |w(v)|, whose weight
     becomes w(u) + w(v); the two vertices left at the end are equal and
     opposite, as the weights sum to zero.  The removals, read as (leaf,
-    neighbour) edges, are the tree returned.
+    neighbour) edges, are the tree found.
 
     This is exact.  Every connection graph has a leaf, and removing it
     leaves a connection graph, by the definition.  Conversely, attaching a
     leaf of size w to an opposite vertex of size above w changes no other
     edge flow, and the new edge carries flow w > 0, so a connection graph
-    stays one (see :func:`_flows_positive`).  Whether a state succeeds
-    depends only on its multiset of weights, so the failed multisets are
-    remembered for the length of one call.  The closed form,
-    :func:`resflat.core.primitive_total_exceeds`, is never used: the oracle
-    is independent of the theorem it checks.
+    stays one.  Whether a state succeeds depends only on its multiset of
+    weights, so the failed multisets are remembered for the length of one
+    call.  The closed form, :func:`resflat.core.primitive_total_exceeds`,
+    is never used: the oracle is independent of the theorem it checks.
     """
-    values = tuple(entries)
-    if not values or any(v == 0 for v in values):
+    weight = dict(enumerate(entries))
+    if not weight or 0 in weight.values():
         raise ValueError("entries must be nonzero")
-    if sum(values) != 0:
+    if sum(weight.values()) != 0:
         raise ValueError("entries must sum to zero")
-    plus: list[Rat] = []
-    minus: list[Rat] = []
-    rank = []  # each position's index within its side
-    for v in values:
-        side = plus if v > 0 else minus
-        rank.append(len(side))
-        side.append(abs(v))
-    failed: set[tuple[Rat, ...]] = set()
+    failed: set[tuple[int, ...]] = set()
 
-    def search(weight: dict[int, Rat]) -> list[tuple[int, int]] | None:
+    def search(weight: dict[int, int]) -> tuple[tuple[int, int, int], ...] | None:
         if len(weight) == 2:
-            return [tuple(weight)]
+            (a, wa), (b, _) = weight.items()
+            return ((a, b, abs(wa)),)
         key = tuple(sorted(weight.values()))
         if key not in failed:
             for v, wv in weight.items():
@@ -221,16 +76,39 @@ def find_connection_graph(entries: Sequence[Rat]) -> ConnectionGraph | None:
                         rest = {k: w + wv if k == u else w for k, w in weight.items() if k != v}
                         found = search(rest)
                         if found is not None:
-                            return [(v, u)] + found
+                            return ((v, u, abs(wv)),) + found
             failed.add(key)
         return None
 
-    edges = search(dict(enumerate(values)))
-    if edges is None:
-        return None
-    return ConnectionGraph.from_sides(
-        plus, minus, [(rank[a], rank[b]) if values[a] > 0 else (rank[b], rank[a]) for a, b in edges]
-    )
+    return search(weight)
+
+
+def is_connection_graph(entries: Sequence[int], steps: Sequence[tuple[int, int, int]]) -> bool:
+    """Whether ``steps`` is a schedule of a connection graph on ``entries``.
+
+    ``steps`` has the form :func:`peel_connection_graph` and
+    :func:`find_connection_graph` return.  Replayed in order, every step
+    but the last must remove a current leaf into a strictly heavier vertex
+    on the other side, across an edge whose length is the leaf's weight;
+    the last joins the two vertices left, which must be equal, opposite and
+    nonzero.  Any other schedule, malformed ones included, gives False.
+
+    This is exact.  A connection graph keeps every weight positive through
+    every sequence of leaf removals, so each of its schedules passes.  Read
+    backwards, each step attaches a leaf of weight w to a vertex heavier
+    than w, which changes no other edge flow and puts flow w > 0 on the new
+    edge, so the tree of a schedule that passes is a connection graph.
+    """
+    if not steps:
+        return False
+    weight = dict(enumerate(entries))
+    for v, u, length in steps[:-1]:
+        wv, wu = weight.get(v, 0), weight.get(u, 0)  # a missing position fails as a zero
+        if not (wu * wv < 0 and abs(wu) > abs(wv) == length):
+            return False
+        weight[u] += weight.pop(v)
+    a, b, length = steps[-1]
+    return weight.keys() == {a, b} and weight[a] == -weight[b] != 0 and abs(weight[a]) == length
 
 
 def peel_connection_graph(integers: Sequence[int]) -> tuple[tuple[int, int, int], ...] | None:

@@ -262,6 +262,26 @@ def test_oracle_check_small(tmp_path):
     assert out["cases"] > 0 and out["disagreements"] == []
 
 
+def test_oracle_check_counts_only_schedules_the_replay_accepts(tmp_path, monkeypatch):
+    # An oracle whose schedules the replay rejects agrees on no case.
+    find = resflat.graphs.find_connection_graph
+
+    def forged(entries):
+        steps = find(entries)
+        if steps is None:
+            return ((0, 1, 1),)
+        (a, b, length) = steps[-1]
+        return steps[:-1] + ((a, b, length + 1),)
+
+    monkeypatch.setattr(resflat.graphs, "find_connection_graph", forged)
+    code, out = run_cli(["oracle-check", "--s-max", "5", "--entry-bound", "3"], tmp_path)
+    assert code == 1 and out["agreement"] == "0.0000%"
+    assert len(out["disagreements"]) == out["cases"] > 0
+    assert not any(d["brute_force"] for d in out["disagreements"])
+    assert any(d["closed_form"] for d in out["disagreements"])
+    assert not all(d["closed_form"] for d in out["disagreements"])
+
+
 def test_cylinders_closed_form(tmp_path):
     doc = {
         "stratum": {"genus": 4, "zeros": [6], "poles": [], "simple_poles": 0},

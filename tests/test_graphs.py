@@ -12,20 +12,21 @@ from hypothesis import strategies as st
 from resflat import decide, graphs
 from resflat.cli import _oracle_cases, main
 from resflat.core import QQi, StratumSignature, _connected, residue_tuple
-from resflat.decide import search_cylinder_tuple
+from resflat.decide import enumerate_excluded_rays, search_cylinder_tuple
 from resflat.graphs import (
-    ConnectionGraph,
     SearchBudgetExceeded,
     _admits,
-    _flows_positive,
     _zero_shapes,
     find_connection_graph,
     find_cylinder_config,
     find_stable_config,
     is_connection_graph,
-    leaf_removal,
     peel_connection_graph,
 )
+
+# Every tuple of `oracle-check --s-max 7 --entry-bound 5` and the length-8
+# tuples with entries <= 4.
+SWEEP = list(_oracle_cases(7, 5)) + [c for c in _oracle_cases(8, 4) if len(c) == 8]
 
 
 def _bipartite_trees(s1: int, s2: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -61,125 +62,265 @@ def _reaches_root(parent: Sequence[int]) -> bool:
     return True
 
 
-def star(center, leaves):
-    return ConnectionGraph.from_sides([center], leaves, [(0, j) for j in range(len(leaves))])
+def _flows_positive(
+    plus: Sequence[int], minus: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> bool:
+    """Balanced side totals and a positive flow on every edge of the tree.
+
+    ``pairs`` are the (plus index, minus index) edges of a spanning tree.
+    The flow across an edge is the plus-side total minus the minus-side
+    total of the part of the tree on its plus end: the weight a leaf carries
+    when it is removed across that edge.  After any leaf removals a vertex
+    weighs the sum of the flows on its remaining edges, so a tree is a
+    connection graph exactly when this holds.
+    """
+    offset = len(plus)
+    net = list(plus) + [-w for w in minus]
+    adjacency: list[list[int]] = [[] for _ in net]
+    for i, j in pairs:
+        adjacency[i].append(offset + j)
+        adjacency[offset + j].append(i)
+    order, parent = _rooted(adjacency)
+    for v in reversed(order[1:]):
+        # The part below v has signed total net[v] and, with balanced sides,
+        # the part above it -net[v]; an unbalanced tree fails either way.
+        if (net[v] if v < offset else -net[v]) <= 0:
+            return False
+        net[parent[v]] += net[v]
+    return bool(pairs) and net[0] == 0
+
+
+def _rooted(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """A tree's vertices in breadth-first order from vertex 0, and their parents.
+
+    Summing each vertex into its parent in reverse order gives subtree totals.
+    """
+    parent = [-1] * len(adjacency)
+    order = [0]
+    for v in order:
+        for u in adjacency[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    return order, parent
+
+
+def _remove_leaf(weight, edges, leaf):
+    """The weights and edges left by removing a leaf into its neighbour."""
+    ((a, b),) = [e for e in edges if leaf in e]
+    nb = a + b - leaf
+    weight = {k: w + weight[leaf] if k == nb else w for k, w in weight.items() if k != leaf}
+    return weight, [e for e in edges if leaf not in e]
+
+
+def _without_leaf(entries, sides, edges, leaf):
+    """The tree left by removing a leaf, on positions 0.. again."""
+    weight, rest = _remove_leaf(dict(enumerate(entries)), edges, leaf)
+    at = {k: n for n, k in enumerate(weight)}
+    return [*weight.values()], [sides[k] for k in weight], [(at[a], at[b]) for a, b in rest]
+
+
+def _smallest_leaf(positions, edges):
+    return min(k for k in positions if sum(k in e for e in edges) == 1)
+
+
+def _schedule(entries, edges):
+    """A tree on the positions of ``entries`` as a schedule: the smallest
+    current leaf goes first, across its one edge, its current size the length."""
+    weight, steps = dict(enumerate(entries)), []
+    while edges:
+        v = _smallest_leaf(weight, edges)
+        ((a, b),) = [e for e in edges if v in e]
+        steps.append((v, a + b - v, abs(weight[v])))
+        weight, edges = _remove_leaf(weight, edges, v)
+    return tuple(steps)
+
+
+def every_removal_keeps_weights_positive(entries, sides, edges):
+    """Brute-force reference: balanced sides, and every weight stays positive
+    along every sequence of leaf removals down to a single edge.  Position k
+    weighs ``entries[k]`` on side ``sides[k]``, +1 or -1."""
+    if sum(entries) != 0:
+        return False
+
+    def walk(weight, edges):
+        if any(w * sides[k] <= 0 for k, w in weight.items()):
+            return False
+        leaves = [k for k in weight if sum(k in e for e in edges) == 1]
+        return len(weight) <= 2 or all(walk(*_remove_leaf(weight, edges, v)) for v in leaves)
+
+    return walk(dict(enumerate(entries)), edges)
+
+
+def assert_schedule_on(combo, steps):
+    """A schedule the replay accepts, whose tree carries positive flows."""
+    assert is_connection_graph(combo, steps), combo
+    rank = {}
+    plus, minus = [], []
+    for k, m in enumerate(combo):
+        side = plus if m > 0 else minus
+        rank[k] = len(side)
+        side.append(abs(m))
+    pairs = [(rank[a], rank[b]) if combo[a] > 0 else (rank[b], rank[a]) for a, b, _ in steps]
+    assert _flows_positive(plus, minus, pairs), combo
+
+
+STAR = [3, -1, -1, -1]
+STAR_STEPS = ((1, 0, 1), (2, 0, 1), (3, 0, 1))
 
 
 class TestLeafRemoval:
+    # Each step of the replay removes a current leaf and subtracts its
+    # weight from its neighbour.
     def test_star(self):
-        g = star(3, [1, 1, 1])
-        h = leaf_removal(g, ("-", 0))
-        assert h.weights == (Fraction(2), Fraction(1), Fraction(1))
-        assert len(h.edges) == 2
+        assert is_connection_graph(STAR, STAR_STEPS)
+        # Unsubtracted, the centre would still weigh 3 at the last step.
+        assert not is_connection_graph(STAR, STAR_STEPS[:2] + ((3, 0, 3),))
 
     def test_path_exposes_zero(self):
         # Path + - + - with unit weights; removing an end exposes weight 0.
-        g = ConnectionGraph.from_sides([1, 1], [1, 1], [(0, 0), (1, 0), (1, 1)])
-        h = leaf_removal(g, ("+", 0))
-        assert Fraction(0) in h.weights
+        path = [1, -1, 1, -1]
+        assert not is_connection_graph(path, ((0, 1, 1), (1, 2, 0), (2, 3, 1)))
+        assert not is_connection_graph(path, ((0, 1, 1), (3, 2, 1), (1, 2, 0)))
 
     def test_two_vertices(self):
-        g = ConnectionGraph.from_sides([2], [2], [(0, 0)])
-        h = leaf_removal(g, ("-", 0))
-        assert h.weights == (Fraction(0),)
+        assert is_connection_graph([2, -2], ((0, 1, 2),))
+        assert is_connection_graph([2, -2], ((1, 0, 2),))
 
     def test_non_leaf_rejected(self):
-        g = star(3, [1, 1, 1])
-        with pytest.raises(ValueError):
-            leaf_removal(g, ("+", 0))
+        # The centre first: its leaves then hang off a removed vertex.
+        assert not is_connection_graph(STAR, ((0, 1, 3), (2, 1, 1), (3, 1, 1)))
 
 
 class TestIsConnectionGraph:
     def test_star_is_valid(self):
-        assert is_connection_graph(star(3, [1, 1, 1]))
+        assert is_connection_graph(STAR, STAR_STEPS)
 
     def test_k22_spanning_trees_all_fail(self):
         trees = list(_bipartite_trees(2, 2))
         assert len(trees) == 4
         for pairs in trees:
-            g = ConnectionGraph.from_sides([1, 1], [1, 1], pairs)
-            assert not is_connection_graph(g)
+            steps = _schedule([1, 1, -1, -1], [(i, 2 + j) for i, j in pairs])
+            assert not is_connection_graph([1, 1, -1, -1], steps), steps
 
     def test_seven_pole_example(self):
-        g = ConnectionGraph.from_sides(
-            [3, 1, 1, 1], [2, 2, 2], [(0, 0), (0, 1), (0, 2), (1, 0), (2, 1), (3, 2)]
-        )
-        assert is_connection_graph(g)
+        combo = [3, 1, 1, 1, -2, -2, -2]
+        steps = ((1, 4, 1), (2, 5, 1), (3, 6, 1), (4, 0, 1), (5, 0, 1), (0, 6, 1))
+        assert is_connection_graph(combo, steps)
 
     def test_unbalanced_fails(self):
-        assert not is_connection_graph(star(4, [1, 1, 1]))
+        assert not is_connection_graph([4, -1, -1, -1], STAR_STEPS)
+        assert not is_connection_graph([4, -1, -1, -1], STAR_STEPS[:2] + ((3, 0, 2),))
 
-    def test_non_tree_raises(self):
-        g = ConnectionGraph.from_sides([1, 1], [1, 1], [(0, 0), (0, 1), (1, 0), (1, 1)])
-        with pytest.raises(ValueError):
-            is_connection_graph(g)
+    @pytest.mark.parametrize(
+        "entries, steps",
+        [
+            (STAR, ()),
+            (STAR, STAR_STEPS[:2]),
+            (STAR, STAR_STEPS + ((0, 3, 1),)),
+            ([], ()),
+            (STAR, ((4, 0, 1),) + STAR_STEPS[1:]),
+            (STAR, ((1, -1, 1),) + STAR_STEPS[1:]),
+            (STAR, ((1, 0, 1), (1, 0, 1), (3, 0, 1))),
+            (STAR, STAR_STEPS[:2] + ((2, 0, 1),)),
+            (STAR, ((1, 1, 1),) + STAR_STEPS[1:]),
+            ([1, -1], ((0, 0, 1),)),
+            ([2, 1, -3], ((1, 0, 1), (0, 2, 3))),
+            ([2, 1, -1], ((2, 0, 1), (0, 1, 1))),
+            (STAR, ((1, 0, 2),) + STAR_STEPS[1:]),
+            ([1, -1], ((0, 1, 2),)),
+            ([0, 0], ((0, 1, 0),)),
+            ([1, 0, -1], ((1, 0, 0), (0, 2, 1))),
+            (STAR, ((1, 0, 0),) + STAR_STEPS[1:]),
+        ],
+        ids=[
+            "no-steps",
+            "too-few-steps",
+            "too-many-steps",
+            "no-entries",
+            "position-out-of-range",
+            "negative-position",
+            "position-already-removed",
+            "last-step-on-a-removed-position",
+            "step-to-itself",
+            "last-step-to-itself",
+            "same-side-step",
+            "same-side-last-step",
+            "wrong-length",
+            "wrong-last-length",
+            "zero-entries",
+            "zero-entry-as-a-leaf",
+            "zero-length",
+        ],
+    )
+    def test_malformed_schedules_fail(self, entries, steps):
+        assert is_connection_graph(entries, steps) is False
 
     def test_flows_match_every_removal_sequence(self):
         # Every spanning tree of K_{s1,s2} with s1 + s2 <= 6, under seeded
-        # random weights, balanced and not, and the graph left by removing
-        # its smallest leaf (whose vertex ids are no longer contiguous).
+        # random weights, balanced and not, and the tree left by removing
+        # its smallest leaf, whose neighbour may weigh zero or have crossed
+        # to the other sign.
         rng = random.Random(2021)
         checked = accepted = 0
         for s1 in range(1, 6):
             for s2 in range(1, 7 - s1):
+                sides = [1] * s1 + [-1] * s2
                 for pairs in _bipartite_trees(s1, s2):
+                    edges = [(i, s1 + j) for i, j in pairs]
                     for trial in range(8):
-                        plus = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(s1)]
-                        minus = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(s2)]
+                        entries = [side * rng.randint(1, 9) for side in sides]
                         if trial % 2:
-                            gap = sum(plus) - sum(minus)
-                            if gap > 0:
-                                minus[rng.randrange(s2)] += gap
-                            else:
-                                plus[rng.randrange(s1)] -= gap
-                        g = ConnectionGraph.from_sides(plus, minus, pairs)
-                        leaf = min(v for v in g.vertices if len(g.neighbors(v)) == 1)
-                        for graph in (g, leaf_removal(g, leaf)):
-                            expected = every_removal_keeps_weights_positive(graph)
-                            assert is_connection_graph(graph) == expected, graph
+                            gap = sum(entries)
+                            k = rng.randrange(s1, s1 + s2) if gap > 0 else rng.randrange(s1)
+                            entries[k] -= gap
+                        tree = (entries, sides, edges)
+                        leaf = _smallest_leaf(range(s1 + s2), edges)
+                        for weights, signs, links in tree, _without_leaf(*tree, leaf):
+                            expected = every_removal_keeps_weights_positive(weights, signs, links)
+                            steps = _schedule(weights, links)
+                            assert is_connection_graph(weights, steps) == expected, (weights, steps)
                             checked += 1
                             accepted += expected
         assert checked == 2912 and accepted > 100
 
 
-def every_removal_keeps_weights_positive(graph):
-    """Brute-force reference: balanced sides, and every weight stays positive
-    along every sequence of leaf removals down to a single edge."""
-    side = {"+": Fraction(0), "-": Fraction(0)}
-    for v, w in zip(graph.vertices, graph.weights):
-        side[v[0]] += w
-    if side["+"] != side["-"]:
-        return False
-
-    def walk(g):
-        if any(w <= 0 for w in g.weights):
-            return False
-        leaves = [v for v in g.vertices if len(g.neighbors(v)) == 1]
-        return len(g.vertices) <= 2 or all(walk(leaf_removal(g, leaf)) for leaf in leaves)
-
-    return walk(graph)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_schedule_fails(data):
+    # Changing any one number of a valid schedule, from the oracle or the
+    # peel, to any other value leaves one the replay rejects.
+    combo = data.draw(st.sampled_from(SWEEP))
+    steps = data.draw(st.sampled_from([find_connection_graph, peel_connection_graph]))(combo)
+    assume(steps is not None)
+    assert is_connection_graph(combo, steps)
+    i = data.draw(st.integers(0, len(steps) - 1))
+    j = data.draw(st.integers(0, 2))
+    value = data.draw(st.integers(-2, max(len(combo), *map(abs, combo)) + 2))
+    assume(value != steps[i][j])
+    step = steps[i][:j] + (value,) + steps[i][j + 1 :]
+    assert not is_connection_graph(combo, steps[:i] + (step,) + steps[i + 1 :])
 
 
 class TestFindConnectionGraph:
     def test_seven_pole_found(self):
-        g = find_connection_graph([3, 1, 1, 1, -2, -2, -2])
-        assert g is not None
-        assert is_connection_graph(g)
+        combo = [3, 1, 1, 1, -2, -2, -2]
+        steps = find_connection_graph(combo)
+        assert steps is not None
+        assert_schedule_on(combo, steps)
 
     def test_excluded_tuple_none(self):
         assert find_connection_graph([1, 1, -1, -1]) is None
 
     def test_one_sided_star(self):
-        g = find_connection_graph([2, 1, -3])
-        assert g is not None
-        (minus,) = [v for v in g.vertices if v[0] == "-"]
-        assert g.weight(minus) == 3 and len(g.neighbors(minus)) == 2
+        # Both plus entries hang off the one minus entry.
+        assert find_connection_graph([2, 1, -3]) == ((0, 2, 2), (1, 2, 1))
 
     def test_found_graphs_are_valid(self):
         for combo in ([5, 1, -2, -2, -2], [3, 2, -1, -4], [2, 2, 1, -2, -3]):
-            g = find_connection_graph(combo)
-            if g is not None:
-                assert is_connection_graph(g)
+            steps = find_connection_graph(combo)
+            if steps is not None:
+                assert_schedule_on(combo, steps)
 
     def test_invariance_under_permutation_and_sign(self):
         # Shuffled and negated: a realizable ray with s = 7, and a realizable
@@ -193,41 +334,39 @@ class TestFindConnectionGraph:
             for trial in range(6):
                 combo = [m if trial % 2 else -m for m in base]
                 rng.shuffle(combo)
-                g = find_connection_graph(combo)
-                assert (g is not None) == found, combo
-                if g is not None:
-                    assert_graph_on(combo, g)
-
-    def test_rational_entries(self):
-        half = Fraction(1, 2)
-        combo = [3 * half, half, -2]
-        g = find_connection_graph(combo)
-        assert g is not None
-        assert_graph_on(combo, g)
-        assert find_connection_graph([half, half, -half, -half]) is None
+                steps = find_connection_graph(combo)
+                assert (steps is not None) == found, combo
+                if steps is not None:
+                    assert_schedule_on(combo, steps)
 
     def test_matches_the_spanning_tree_walk(self):
-        # The sweep below, as in the peel test: a graph is returned exactly
-        # when some spanning tree of K_{s1,s2} carries positive flows.
-        sweep = list(_oracle_cases(7, 5)) + [c for c in _oracle_cases(8, 4) if len(c) == 8]
-        assert len(sweep) == 704 + 227
+        # A schedule is returned exactly when some spanning tree of
+        # K_{s1,s2} carries positive flows.
+        assert len(SWEEP) == 704 + 227
         found = 0
-        for combo in sweep:
+        for combo in SWEEP:
             plus = [m for m in combo if m > 0]
             minus = [-m for m in combo if m < 0]
             trees = _bipartite_trees(len(plus), len(minus))
             walked = any(_flows_positive(plus, minus, pairs) for pairs in trees)
-            g = find_connection_graph(combo)
-            assert (g is not None) == walked, combo
-            if g is not None:
-                assert_graph_on(combo, g)
+            steps = find_connection_graph(combo)
+            assert (steps is not None) == walked, combo
+            if steps is not None:
+                assert_schedule_on(combo, steps)
                 found += 1
-        assert 0 < found < len(sweep)
+        assert 0 < found < len(SWEEP)
 
     def test_excluded_six_plus_six_ray(self):
         # K_{6,6} has 6^5 * 6^5 = 60,466,176 spanning trees; the leaf-removal
         # search answers without walking them.
         assert find_connection_graph((-1, -1, 4, -3, 1, 1, 1, -1, 2, 1, -2, -2)) is None
+
+    def test_refutes_every_excluded_ray(self):
+        # The oracle never uses the closed form, yet finds no graph on any
+        # ray the closed form excludes, up to s = 13.
+        rays = [ray.integers for s in range(4, 14) for ray in enumerate_excluded_rays(s, s - 2)]
+        assert len(rays) == 424
+        assert all(find_connection_graph(ints) is None for ints in rays)
 
     def test_spanning_tree_counts(self):
         # Scoins: K_{s1,s2} has s1^(s2-1) * s2^(s1-1) spanning trees.
@@ -235,37 +374,23 @@ class TestFindConnectionGraph:
             trees = set(_bipartite_trees(s1, s2))
             assert len(trees) == s1 ** (s2 - 1) * s2 ** (s1 - 1)
             assert all(
-                ConnectionGraph.from_sides([1] * s1, [1] * s2, pairs).is_tree() for pairs in trees
+                len(pairs) == s1 + s2 - 1 and _connected(s1 + s2, [(i, s1 + j) for i, j in pairs])
+                for pairs in trees
             )
-
-
-def assert_graph_on(combo, g):
-    """A connection graph whose sides carry the entries' sizes, in order."""
-    assert is_connection_graph(g), combo
-    plus = [Fraction(m) for m in combo if m > 0]
-    minus = [Fraction(-m) for m in combo if m < 0]
-    assert g.weights == tuple(plus + minus), combo
-    assert g.vertices == tuple(("+", i) for i in range(len(plus))) + tuple(
-        ("-", j) for j in range(len(minus))
-    )
 
 
 class TestPeelConnectionGraph:
     def test_peel_matches_the_oracle(self):
-        # Every tuple of `oracle-check --s-max 7 --entry-bound 5` and of the
-        # length-8 sweep with entries <= 4, both directions: the peel finds a
-        # graph exactly when the exhaustive search does, and its steps are a
-        # leaf-removal sequence of a connection graph.
-        sweep = list(_oracle_cases(7, 5)) + [c for c in _oracle_cases(8, 4) if len(c) == 8]
-        assert len(sweep) == 704 + 227
+        # Both directions: the peel finds a graph exactly when the
+        # exhaustive search does, and both schedules replay.
         peeled = 0
-        for combo in sweep:
+        for combo in SWEEP:
             steps = peel_connection_graph(combo)
             assert (steps is not None) == (find_connection_graph(combo) is not None), combo
             if steps is not None:
-                assert_leaf_removal_sequence(combo, steps)
+                assert_schedule_on(combo, steps)
                 peeled += 1
-        assert 0 < peeled < len(sweep)
+        assert 0 < peeled < len(SWEEP)
 
     def test_schedule(self):
         assert peel_connection_graph([3, 1, 1, 1, -2, -2, -2]) == (
@@ -273,28 +398,6 @@ class TestPeelConnectionGraph:
         )
         assert peel_connection_graph([1, -1]) == ((0, 1, 1),)
         assert peel_connection_graph([1, 1, -1, -1]) is None
-
-
-def assert_leaf_removal_sequence(combo, steps):
-    """The steps, as edges, form a connection graph, and removing their
-    leaves in order carries each step's length across its edge."""
-    vertex = {}
-    plus, minus = [], []
-    for k, m in enumerate(combo):
-        side = plus if m > 0 else minus
-        vertex[k] = ("+" if m > 0 else "-", len(side))
-        side.append(abs(m))
-    pairs = [
-        (vertex[a][1], vertex[b][1]) if combo[a] > 0 else (vertex[b][1], vertex[a][1])
-        for a, b, _ in steps
-    ]
-    g = ConnectionGraph.from_sides(plus, minus, pairs)
-    assert is_connection_graph(g), combo
-    for leaf, nb, length in steps[:-1]:
-        assert g.neighbors(vertex[leaf]) == (vertex[nb],) and g.weight(vertex[leaf]) == length
-        g = leaf_removal(g, vertex[leaf])
-    (a, b, length) = steps[-1]
-    assert set(g.vertices) == {vertex[a], vertex[b]} and g.weights == (length, length)
 
 
 class TestFindStableConfig:
