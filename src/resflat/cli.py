@@ -25,7 +25,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Any
 
@@ -286,15 +285,16 @@ def _walks(piece: _verify.Piece) -> tuple:
 
 
 def _piece_drawing(
-    piece: _verify.Piece, unit: Fraction
+    piece: _verify.Piece, top: int
 ) -> tuple[list, tuple[float, float, float, float]]:
     """Line segments [(x1, y1, x2, y2, slot_id)] and a bounding box, with
-    the integer pairs counted in ``unit``."""
+    the integer pairs counted in quarters of ``top``."""
     segs = []
     for chain, y in _walks(piece):
         x = 0.0
         for vx, vy in chain:
-            nx, ny = x + float(vx / unit), y + float(vy / unit)
+            # int / int rounds the exact quotient once, as float(Fraction) does.
+            nx, ny = x + 4 * vx / top, y + 4 * vy / top
             segs.append((x, y, nx, ny, len(segs)))
             x, y = nx, ny
     xs = [c for s in segs for c in (s[0], s[2])] or [0.0]
@@ -311,14 +311,11 @@ def _emit_svg(cert: _verify.ConstructionCertificate, path: str) -> None:
     max_y = 0.0
     surface = cert.surface
     # Pairs are divided exactly by a quarter of the largest coordinate before
-    # float(), so a drawing neither overflows nor vanishes at any magnitude.
-    unit = Fraction(
-        max(abs(c) for piece in surface.pieces for vs, _ in _walks(piece) for v in vs for c in v),
-        4,
-    )
+    # rounding, so a drawing neither overflows nor vanishes at any magnitude.
+    top = max(abs(c) for piece in surface.pieces for vs, _ in _walks(piece) for v in vs for c in v)
     labels = {slot: num for num, pair in enumerate(surface.pairings) for slot in pair}
     for idx, piece in enumerate(surface.pieces):
-        segs, (x0, y0, x1, y1) = _piece_drawing(piece, unit)
+        segs, (x0, y0, x1, y1) = _piece_drawing(piece, top)
         w = max(x1 - x0, 1.0)
         h = (y1 - y0) * scale
         for sx, sy, ex, ey, slot in segs:

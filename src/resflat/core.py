@@ -18,33 +18,109 @@ A Gaussian rational is itself a point of a lattice: :class:`QQi` holds the
 reduced integers of (x + iy)/d, so its arithmetic, equality and hash are
 integer operations.  ``Fraction`` is left at the edges only: ``QQi(re, im)``
 accepts Fractions, and ``.re`` and ``.im`` return them, for messages and
-callers that build inputs.
+callers that build inputs.  The JSON codecs read and write integers, so
+:mod:`fractions` is loaded only when a Fraction is made or passed in.
+
+Records.  The vocabulary types of the package (signatures, rays, verdicts,
+pieces, surfaces, certificates) are immutable records on ``__slots__`` that
+derive from :class:`Frozen`; :func:`replace` rebuilds one with some fields
+changed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
+import sys
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-Rat = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Rat = Union[int, "Fraction"]
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator); the first call imports the class
+    and rebinds this name to it."""
+    global _fraction
+    from fractions import Fraction
+
+    _fraction = Fraction
+    return Fraction(numerator, denominator)
 
 
 def _rat(w: Rat) -> Rat:
-    if isinstance(w, (int, Fraction)):
+    if isinstance(w, int) or w.__class__ is _fraction:
+        return w
+    # A Fraction exists only once its module is loaded.
+    fractions = sys.modules.get("fractions")
+    if fractions and isinstance(w, fractions.Fraction):
         return w
     raise TypeError(f"expected an int or Fraction, got {type(w).__name__}")
 
 
-class QQi:
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, a field of an immutable record."""
+
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """An immutable record on ``__slots__``.
+
+    A subclass names its fields in ``__slots__``, in the order of the
+    parameters of its ``__init__``, which sets them through ``_set``, past
+    the ``__setattr__`` that keeps the record immutable.  Records of one
+    class are equal when their ``_key`` tuples, all fields by default, are;
+    the hash reads the same tuple.  ``copy``, ``deepcopy``, ``pickle`` and
+    :func:`replace` rebuild a record through its ``__init__``, so its checks
+    run again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    _key = _fields
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+def replace(record: Frozen, /, **changes: object) -> Frozen:
+    """A copy of ``record`` with the given fields changed, built through
+    its class's ``__init__``."""
+    return record.__class__(**dict(zip(record.__slots__, record._fields()), **changes))
+
+
+class QQi(Frozen):
     """A Gaussian rational (x + iy)/d, held as three integers.
 
     The integers are reduced: d > 0 and gcd(x, y, d) = 1, so equal values
     have equal integers, and equality, the hash and the arithmetic work on
     them alone.  ``re`` and ``im`` read the parts off them as exact
-    Fractions, for the codecs and for messages.  Instances are immutable
+    Fractions, for messages and callers.  Instances are immutable
     and hashable; arithmetic is exact.
     """
 
@@ -73,23 +149,16 @@ class QQi:
         _set_d(z, d)
         return z
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
-        # copy and pickle rebuild a QQi through __init__, not __setattr__.
         return QQi, (self.re, self.im)
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._x, self._d)
+        return _fraction(self._x, self._d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._y, self._d)
+        return _fraction(self._y, self._d)
 
     def __hash__(self) -> int:
         return hash((self._x, self._y, self._d))
@@ -236,18 +305,14 @@ def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
     return sum(_spanning_forest(k, pairs)) == k - 1
 
 
-@dataclass(frozen=True)
-class StratumSignature:
+class StratumSignature(Frozen):
     """Genus, zero orders, higher pole orders and simple pole count.
 
     Pole orders are stored positive: ``higher_poles=(3, 4)`` means two poles
     of orders -3 and -4.  A zero order 0 is a marked regular point.
     """
 
-    genus: int
-    zeros: tuple[int, ...]
-    higher_poles: tuple[int, ...] = ()
-    simple_poles: int = 0
+    __slots__ = ("genus", "zeros", "higher_poles", "simple_poles")
 
     def __init__(
         self,
@@ -256,10 +321,10 @@ class StratumSignature:
         higher_poles: Iterable[int] = (),
         simple_poles: int = 0,
     ) -> None:
-        object.__setattr__(self, "genus", int(genus))
-        object.__setattr__(self, "zeros", tuple([int(a) for a in zeros]))
-        object.__setattr__(self, "higher_poles", tuple([int(b) for b in higher_poles]))
-        object.__setattr__(self, "simple_poles", int(simple_poles))
+        _set(self, "genus", int(genus))
+        _set(self, "zeros", tuple([int(a) for a in zeros]))
+        _set(self, "higher_poles", tuple([int(b) for b in higher_poles]))
+        _set(self, "simple_poles", int(simple_poles))
 
     @property
     def n(self) -> int:
@@ -367,27 +432,27 @@ class _Marker:
 NON_COLLINEAR = _Marker("NON_COLLINEAR")
 
 
-@dataclass(frozen=True)
-class PrimitiveRay:
+class PrimitiveRay(Frozen):
     """A collinear tuple in normal form: direction times a primitive integer vector.
 
     The integers sum to zero, are jointly coprime, and the first entry is
     positive; the original tuple is ``direction * integers[k]`` entrywise.
     """
 
-    direction: QQi
-    integers: tuple[int, ...]
+    __slots__ = ("direction", "integers")
 
-    def __post_init__(self) -> None:
-        if self.direction.is_zero():
+    def __init__(self, direction: QQi, integers: tuple[int, ...]) -> None:
+        if direction.is_zero():
             raise ValueError("ray direction must be nonzero")
-        ints = self.integers
+        ints = integers
         if not ints or any(m == 0 for m in ints):
             raise ValueError("ray integers must be nonzero")
         if sum(ints) != 0:
             raise ValueError("ray integers must sum to zero")
         if gcd(*ints) != 1:
             raise ValueError("ray integers must be coprime")
+        _set(self, "direction", direction)
+        _set(self, "integers", integers)
 
 
 def collinear_normal_form(entries: Sequence[QQi]):
@@ -464,15 +529,17 @@ def _int_list(doc: object, path: str) -> list[int]:
     return list(doc)
 
 
-def _frac_from_json(doc: object, path: str) -> Fraction:
+def _frac_from_json(doc: object, path: str) -> tuple[int, int]:
+    """A rational as its numerator and positive denominator."""
     if isinstance(doc, bool):
         raise DocumentError(path, "expected a rational, got a boolean")
     if isinstance(doc, int):
-        return Fraction(doc)
+        return doc, 1
     if isinstance(doc, list) and len(doc) == 2 and all(_is_int(v) for v in doc):
-        if doc[1] == 0:
+        n, d = doc
+        if d == 0:
             raise DocumentError(path, "zero denominator")
-        return Fraction(doc[0], doc[1])
+        return (n, d) if d > 0 else (-n, -d)
     raise DocumentError(path, "expected an integer or a [numerator, denominator] pair")
 
 
@@ -490,10 +557,11 @@ def _qqi_from_json(doc: object, path: str) -> QQi:
     if isinstance(doc, dict):
         if extra := set(doc) - {"re", "im"}:
             raise DocumentError(path, f"unexpected fields {sorted(extra)}")
-        re = _frac_from_json(doc.get("re", 0), path + ".re")
-        im = _frac_from_json(doc.get("im", 0), path + ".im")
-        return QQi(re, im)
-    return QQi(_frac_from_json(doc, path))
+        x, p = _frac_from_json(doc.get("re", 0), path + ".re")
+        y, q = _frac_from_json(doc.get("im", 0), path + ".im")
+        return QQi._of(x * q, y * p, p * q)
+    x, p = _frac_from_json(doc, path)
+    return QQi._of(x, 0, p)
 
 
 def _residues_from_json(doc: object, path: str) -> tuple[QQi, ...]:

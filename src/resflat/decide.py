@@ -22,12 +22,12 @@ imports graphs only inside the two cylinder functions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterator, Sequence
 
 from .core import (
     NON_COLLINEAR,
+    Frozen,
     PrimitiveRay,
     QQi,
     StratumSignature,
@@ -36,6 +36,7 @@ from .core import (
     primitive_total_exceeds,
     scaled,
     validate_residues,
+    _set,
 )
 
 REASON_GENUS_POSITIVE = "genus-positive-surjective"
@@ -52,25 +53,36 @@ REASON_SEARCH_NONE = "search-not-realizable"
 _NEGATIVE_REASONS = {REASON_ZERO_EXCLUDED, REASON_EXCLUDED_RAY, REASON_SEARCH_NONE}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """A realizability answer and the reason it was reached.
 
     On a realizable residue tuple ``certificate_hint`` names the
     construction route :func:`resflat.surfaces.build_witness` follows, and
     on collinear residues ``ray`` is the normal form of the nonzero ones,
-    which the builders read rather than recompute.
+    which the builders read rather than recompute; equality and the hash
+    leave ``ray`` out.
     """
 
-    realizable: bool
-    reason: str
-    certificate_hint: str | None = None
-    every_component: bool = False
-    ray: PrimitiveRay | None = field(default=None, compare=False)
+    __slots__ = ("realizable", "reason", "certificate_hint", "every_component", "ray")
 
-    def __post_init__(self) -> None:
-        if self.realizable == (self.reason in _NEGATIVE_REASONS):
-            raise ValueError(f"reason {self.reason!r} contradicts realizable={self.realizable}")
+    def __init__(
+        self,
+        realizable: bool,
+        reason: str,
+        certificate_hint: str | None = None,
+        every_component: bool = False,
+        ray: PrimitiveRay | None = None,
+    ) -> None:
+        if realizable == (reason in _NEGATIVE_REASONS):
+            raise ValueError(f"reason {reason!r} contradicts realizable={realizable}")
+        _set(self, "realizable", realizable)
+        _set(self, "reason", reason)
+        _set(self, "certificate_hint", certificate_hint)
+        _set(self, "every_component", every_component)
+        _set(self, "ray", ray)
+
+    def _key(self) -> tuple:
+        return self.realizable, self.reason, self.certificate_hint, self.every_component
 
 
 def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict:

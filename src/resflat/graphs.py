@@ -19,10 +19,10 @@ surfaces, cli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
+    Frozen,
     QQi,
     SearchBudgetExceeded,
     StratumSignature,
@@ -30,6 +30,7 @@ from .core import (
     primitive_total_exceeds,
     scaled,
     validate_stratum,
+    _set,
 )
 
 
@@ -197,17 +198,25 @@ def find_stable_config(
 # Stable configurations for disjoint cylinders on holomorphic strata.
 
 
-@dataclass(frozen=True)
-class CylinderComponent:
-    genus: int
-    zero_indices: tuple[int, ...]
+class CylinderComponent(Frozen):
+    __slots__ = ("genus", "zero_indices")
+
+    def __init__(self, genus: int, zero_indices: tuple[int, ...]) -> None:
+        _set(self, "genus", genus)
+        _set(self, "zero_indices", zero_indices)
 
 
-@dataclass(frozen=True)
-class CylinderConfig:
-    components: tuple[CylinderComponent, ...]
-    #: (component a, component b, residue entering a); a == b encodes a loop.
-    edges: tuple[tuple[int, int, QQi], ...]
+class CylinderConfig(Frozen):
+    """Components, and edges (component a, component b, residue entering a);
+    a == b encodes a loop."""
+
+    __slots__ = ("components", "edges")
+
+    def __init__(
+        self, components: tuple[CylinderComponent, ...], edges: tuple[tuple[int, int, QQi], ...]
+    ) -> None:
+        _set(self, "components", components)
+        _set(self, "edges", edges)
 
 
 def _zero_shapes(

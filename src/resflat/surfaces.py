@@ -9,7 +9,6 @@ Only the stable-assembly routes (``connection-graph``,
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import cmp_to_key
 from typing import Sequence
 
@@ -19,6 +18,7 @@ from .core import (
     QQi,
     StratumSignature,
     arg_cmp,
+    replace,
     residue_tuple,
     scaled,
 )

@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Iterable, Sequence
 
-from .core import FORMAT_VERSION, DocumentError, Pair, QQi, StratumSignature, scaled
+from .core import FORMAT_VERSION, DocumentError, Frozen, Pair, QQi, StratumSignature, scaled
 from .core import _connected, _int_list, _is_int, _pair_to_json, _qqi_from_json, _qqi_to_json
-from .core import _residues_from_json, _spanning_forest
+from .core import _residues_from_json, _set, _spanning_forest
 
 
 class VerificationError(Exception):
@@ -58,42 +57,36 @@ class VerificationError(Exception):
 # Pieces
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Frozen):
     """A flat disk bounded by a closed edge chain, counterclockwise."""
 
-    edges: tuple[Pair, ...]
+    __slots__ = ("edges",)
 
     def __init__(self, edges: Iterable[Pair]) -> None:
-        object.__setattr__(self, "edges", tuple([*edges]))
+        _set(self, "edges", tuple([*edges]))
 
 
-@dataclass(frozen=True)
-class PolarPart:
+class PolarPart(Frozen):
     """Neighborhood of a pole of order >= 2, with two boundary chains."""
 
-    order: int
-    pole_type: int
-    top: tuple[Pair, ...]
-    bottom: tuple[Pair, ...]
+    __slots__ = ("order", "pole_type", "top", "bottom")
 
     def __init__(
         self, order: int, pole_type: int, top: Iterable[Pair], bottom: Iterable[Pair]
     ) -> None:
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "pole_type", int(pole_type))
-        object.__setattr__(self, "top", tuple([*top]))
-        object.__setattr__(self, "bottom", tuple([*bottom]))
+        _set(self, "order", int(order))
+        _set(self, "pole_type", int(pole_type))
+        _set(self, "top", tuple([*top]))
+        _set(self, "bottom", tuple([*bottom]))
 
 
-@dataclass(frozen=True)
-class SimplePolePart:
+class SimplePolePart(Frozen):
     """A half-infinite cylinder over a boundary chain; simple pole at the end."""
 
-    vectors: tuple[Pair, ...]
+    __slots__ = ("vectors",)
 
     def __init__(self, vectors: Iterable[Pair]) -> None:
-        object.__setattr__(self, "vectors", tuple([*vectors]))
+        _set(self, "vectors", tuple([*vectors]))
 
 
 Piece = Polygon | PolarPart | SimplePolePart
@@ -269,13 +262,10 @@ def _read_polar_part(piece: PolarPart) -> tuple[Sequence[Pair], list[int], list[
 Slot = tuple[int, int]  # (piece index, slot index)
 
 
-@dataclass(frozen=True)
-class FlatSurface:
+class FlatSurface(Frozen):
     """Pieces glued along pairings of edge slots; a pair (x, y) is (x + iy)/d."""
 
-    pieces: tuple[Piece, ...]
-    pairings: tuple[tuple[Slot, Slot], ...]
-    d: int = 1
+    __slots__ = ("pieces", "pairings", "d")
 
     def __init__(
         self,
@@ -283,15 +273,12 @@ class FlatSurface:
         pairings: Iterable[tuple[Slot, Slot]] = (),
         d: int = 1,
     ) -> None:
-        object.__setattr__(self, "pieces", tuple([*pieces]))
-        object.__setattr__(
-            self, "pairings", tuple([(tuple(a), tuple(b)) for a, b in pairings])
-        )
-        object.__setattr__(self, "d", d)
+        _set(self, "pieces", tuple([*pieces]))
+        _set(self, "pairings", tuple([(tuple(a), tuple(b)) for a, b in pairings]))
+        _set(self, "d", d)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """Invariants read off a closed surface: genus, cone orders, poles.
 
     ``zero_orders`` is sorted descending and includes order-0 entries for
@@ -299,9 +286,14 @@ class Profile:
     -b or -1, in piece order for verified surfaces.
     """
 
-    genus: int
-    zero_orders: tuple[int, ...]
-    poles: tuple[tuple[int, QQi], ...]
+    __slots__ = ("genus", "zero_orders", "poles")
+
+    def __init__(
+        self, genus: int, zero_orders: tuple[int, ...], poles: tuple[tuple[int, QQi], ...]
+    ) -> None:
+        _set(self, "genus", genus)
+        _set(self, "zero_orders", zero_orders)
+        _set(self, "poles", poles)
 
 
 def verify_surface(surface: FlatSurface) -> Profile:
@@ -554,14 +546,15 @@ def _loop_indices(tables: tuple) -> list[int]:
 # Certificates
 
 
-@dataclass(frozen=True)
-class BlowUpZero:
-    zero_index: int
-    parts: tuple[int, ...]
+class BlowUpZero(Frozen):
+    __slots__ = ("zero_index", "parts")
+
+    def __init__(self, zero_index: int, parts: tuple[int, ...]) -> None:
+        _set(self, "zero_index", zero_index)
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class ConstructionCertificate:
+class ConstructionCertificate(Frozen):
     """One glued surface, blow-ups and the claimed invariants.
 
     A blow-up acts on the surface's verified profile by bookkeeping: it
@@ -569,10 +562,19 @@ class ConstructionCertificate:
     to the current zero tuple, sorted descending, at each step.
     """
 
-    surface: FlatSurface
-    surgeries: tuple[BlowUpZero, ...]
-    claimed: Profile
-    claimed_rotation: int | None = None
+    __slots__ = ("surface", "surgeries", "claimed", "claimed_rotation")
+
+    def __init__(
+        self,
+        surface: FlatSurface,
+        surgeries: tuple[BlowUpZero, ...],
+        claimed: Profile,
+        claimed_rotation: int | None = None,
+    ) -> None:
+        _set(self, "surface", surface)
+        _set(self, "surgeries", surgeries)
+        _set(self, "claimed", claimed)
+        _set(self, "claimed_rotation", claimed_rotation)
 
 
 def _apply_surgery(profile: Profile, surgery: BlowUpZero) -> Profile:

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -32,6 +31,7 @@ from resflat import (
     verify_surface,
 )
 from resflat.cli import main
+from resflat.core import replace
 from resflat.verify import BlowUpZero, _certificate_to_json
 
 # Integer pairs (x, y): on a surface of denominator d, the vector (x + iy)/d.
@@ -431,33 +431,33 @@ BLOWN_UP = build_witness(StratumSignature(1, (3, 1), (2, 2)), residue_tuple([0, 
     "cert, violation, through_cli",
     [
         (
-            dataclasses.replace(GENUS_0, claimed=dataclasses.replace(GENUS_0.claimed, genus=1)),
+            replace(GENUS_0, claimed=replace(GENUS_0.claimed, genus=1)),
             "claimed genus 1, derived 0",
             True,
         ),
         (
-            dataclasses.replace(GENUS_0, surgeries=(BlowUpZero(0, (0,)),)),
+            replace(GENUS_0, surgeries=(BlowUpZero(0, (0,)),)),
             "surgery 0: blow-up parts must be positive",
             True,
         ),
         (
-            dataclasses.replace(GENUS_0, surgeries=(BlowUpZero(5, (1,)),)),
+            replace(GENUS_0, surgeries=(BlowUpZero(5, (1,)),)),
             "surgery 0: zero index out of range",
             True,
         ),
         (
-            dataclasses.replace(GENUS_0, surgeries=("twist",)),
+            replace(GENUS_0, surgeries=("twist",)),
             "surgery 0: unknown operation 'twist'",
             False,  # the codec reads no such operation
         ),
         (
-            dataclasses.replace(GENUS_0, claimed_rotation=1),
+            replace(GENUS_0, claimed_rotation=1),
             "rotation numbers apply to genus-1 certificates",
             True,
         ),
-        (dataclasses.replace(GENUS_1, claimed_rotation=0), "invalid rotation number 0", True),
+        (replace(GENUS_1, claimed_rotation=0), "invalid rotation number 0", True),
         (
-            dataclasses.replace(BLOWN_UP, claimed_rotation=1),
+            replace(BLOWN_UP, claimed_rotation=1),
             "rotation claims require a surface without surgeries",
             True,
         ),
@@ -916,20 +916,24 @@ def _locations(doc, path=()):
         yield from _locations(value, path + (key,))
 
 
-def _verify_in_process(doc):
+def _in_process(command, doc):
+    """The exit status and the stderr of ``resflat <command> -`` on a document."""
     err = io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["verify", "-"])
+            code = main([command, "-"])
     return code, err.getvalue()
 
 
-@given(st.data())
-@settings(max_examples=300, deadline=None)
-def test_mutated_certificates_keep_the_exit_contract(data):
-    doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+def _mutated(data, bases):
+    """One of the documents, with one to three locations deleted or set to
+    an odd value."""
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(bases))))
     for _ in range(data.draw(st.integers(1, 3))):
-        *head, key = data.draw(st.sampled_from(list(_locations(doc))))
+        locations = list(_locations(doc))
+        if not locations:
+            break
+        *head, key = data.draw(st.sampled_from(locations))
         parent = doc
         for step in head:
             parent = parent[step]
@@ -937,7 +941,13 @@ def test_mutated_certificates_keep_the_exit_contract(data):
             del parent[key]
         else:
             parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(ODD_VALUES))))
-    code, err = _verify_in_process(doc)
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_certificates_keep_the_exit_contract(data):
+    code, err = _in_process("verify", _mutated(data, FUZZ_BASES))
     assert code in (0, 1, 2)
     assert "internal error" not in err
 
@@ -972,36 +982,30 @@ DECIDE_FUZZ_BASES = [
 ]
 
 
-def _decide_in_process(doc):
-    err = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["decide", "-"])
-    return code, err.getvalue()
+# Zeros of order 4 exceed what three double poles allow a zero tuple.
+REQUEST_FUZZ_CODES = [(c, "") for c in (0, 0, 0, 1, 0, 0)]
 
 
 def test_decide_fuzz_bases_are_decided():
-    # Zeros of order 4 exceed what three double poles allow a zero tuple.
-    codes = [0, 0, 0, 1, 0, 0]
-    assert [_decide_in_process(doc) for doc in DECIDE_FUZZ_BASES] == [(c, "") for c in codes]
+    assert [_in_process("decide", doc) for doc in DECIDE_FUZZ_BASES] == REQUEST_FUZZ_CODES
+
+
+def test_witness_fuzz_bases_are_built():
+    assert [_in_process("witness", doc) for doc in DECIDE_FUZZ_BASES] == REQUEST_FUZZ_CODES
 
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_mutated_decide_requests_keep_the_exit_contract(data):
-    doc = json.loads(json.dumps(data.draw(st.sampled_from(DECIDE_FUZZ_BASES))))
-    for _ in range(data.draw(st.integers(1, 3))):
-        locations = list(_locations(doc))
-        if not locations:
-            break
-        *head, key = data.draw(st.sampled_from(locations))
-        parent = doc
-        for step in head:
-            parent = parent[step]
-        if data.draw(st.booleans()):
-            del parent[key]
-        else:
-            parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(ODD_VALUES))))
-    code, err = _decide_in_process(doc)
+    code, err = _in_process("decide", _mutated(data, DECIDE_FUZZ_BASES))
+    assert code in (0, 1, 2)
+    assert "internal error" not in err and "Traceback" not in err
+
+
+# witness decodes the same requests and then builds with the records.
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_witness_requests_keep_the_exit_contract(data):
+    code, err = _in_process("witness", _mutated(data, DECIDE_FUZZ_BASES))
     assert code in (0, 1, 2)
     assert "internal error" not in err and "Traceback" not in err

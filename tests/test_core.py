@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from resflat.core import (
     NON_COLLINEAR,
+    DocumentError,
     PrimitiveRay,
     QQi,
     StratumSignature,
@@ -20,6 +21,7 @@ from resflat.core import (
     scaled,
     validate_residues,
     validate_stratum,
+    _qqi_from_json,
 )
 from resflat.decide import (
     REASON_COLLINEAR_OK,
@@ -124,6 +126,44 @@ def test_qqi_is_immutable():
             delattr(z, name)
     assert (z.re, z.im) == (Fraction(1, 2), 3)
     assert copy.deepcopy(z) == z and pickle.loads(pickle.dumps(z)) == z
+
+
+# JSON rationals: bare ints and [n, d] pairs, unreduced, with either sign of
+# d, at magnitudes up to 10^±320.
+big_ints = st.builds(lambda m, e: m * 10**e, st.integers(-999, 999), st.integers(0, 320))
+rational_docs = st.one_of(big_ints, st.tuples(big_ints, big_ints.filter(bool)).map(list))
+
+
+def _old_fraction(doc) -> Fraction:
+    """A JSON rational read as the decoder read it before it kept integers."""
+    return Fraction(doc) if isinstance(doc, int) else Fraction(doc[0], doc[1])
+
+
+@given(rational_docs, rational_docs, st.sampled_from(["both", "re", "im", "bare"]))
+def test_rational_decoder_agrees_with_fractions(re, im, form):
+    doc = {"both": {"re": re, "im": im}, "re": {"re": re}, "im": {"im": im}, "bare": re}[form]
+    want = QQi(
+        _old_fraction(re) if form != "im" else 0,
+        _old_fraction(im) if form in ("both", "im") else 0,
+    )
+    assert _qqi_from_json(doc, "$") == want
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ([1, 0], "$: zero denominator"),
+        (True, "$: expected a rational, got a boolean"),
+        ([1.5, 2], "$: expected an integer or a [numerator, denominator] pair"),
+        ({"im": [1, 0]}, "$.im: zero denominator"),
+        ({"re": True}, "$.re: expected a rational, got a boolean"),
+        ({"re": [1.5, 2]}, "$.re: expected an integer or a [numerator, denominator] pair"),
+    ],
+)
+def test_rational_decoder_keeps_its_error_lines(doc, line):
+    with pytest.raises(DocumentError) as info:
+        _qqi_from_json(doc, "$")
+    assert str(info.value) == line
 
 
 nonzero_pairs = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any)

@@ -1,7 +1,8 @@
 """The package's modules form a chain, each importing only those before
 it, and the verifier, the trusted kernel, imports only core.  The package
 and the CLI load a module only when it runs: a process imports what its
-subcommand needs, and the public names stay what they were."""
+subcommand needs, no subcommand loads ``dataclasses`` or ``fractions``, and
+the public names stay what they were."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -109,13 +111,19 @@ def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
+# Standard-library modules that no subcommand needs: the records are
+# slotted classes, and the codecs read rationals as integers.
+UNNEEDED = ("dataclasses", "fractions")
+
+
 def modules_after_main(argv: list[str]) -> tuple[int, set[str]]:
     """The exit status of resflat.cli.main(argv) in a fresh interpreter, and
-    the package modules that interpreter loaded."""
+    the package modules and the UNNEEDED ones that interpreter loaded."""
     done = fresh_python(
         "import json, sys, resflat.cli\n"
         "code = resflat.cli.main(sys.argv[1:])\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'resflat')\n"
+        f"watched = ('resflat', *{UNNEEDED!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in watched)\n"
         "print(json.dumps([code, loaded]))",
         *argv,
     )
@@ -155,6 +163,13 @@ def documents(tmp_path):
 def test_each_subcommand_loads_only_the_modules_it_runs(documents, argv, code, modules):
     argv = [str(documents.get(a, a)) for a in argv] + ["-o", str(documents["out"])]
     assert modules_after_main(argv) == (code, modules)
+
+
+def test_a_drawing_loads_no_more_modules(documents):
+    drawing = documents["out"].with_name("drawing.svg")
+    argv = ["witness", str(documents["polygon"]), "-o", str(documents["out"]), "--svg", str(drawing)]
+    assert modules_after_main(argv) == (0, package("core", "decide", "verify", "surfaces", "cli"))
+    assert ET.parse(drawing).getroot().tag.endswith("svg")
 
 
 ROTATION_REQUEST = {

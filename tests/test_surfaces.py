@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -18,6 +17,7 @@ from resflat.core import (
     cross,
     dot,
     primitive_total_exceeds,
+    replace,
     residue_tuple,
     validate_residues,
 )
@@ -530,16 +530,16 @@ def test_poles_match_as_multisets():
     poles = cert.claimed.poles
     for permuted in (poles[1:] + poles[:1], poles[::-1]):
         assert permuted != poles
-        claimed = dataclasses.replace(cert.claimed, poles=permuted)
-        assert verify_certificate(dataclasses.replace(cert, claimed=claimed)).poles == poles
+        claimed = replace(cert.claimed, poles=permuted)
+        assert verify_certificate(replace(cert, claimed=claimed)).poles == poles
         assert profile_matches(claimed, sig, residues)
     step = QQi(Fraction(1, cert.surface.d))
     for k in range(len(poles)):
         order, r = poles[k]
         off = (*poles[:k], (order, r + step), *poles[k + 1 :])
-        claimed = dataclasses.replace(cert.claimed, poles=off)
+        claimed = replace(cert.claimed, poles=off)
         with pytest.raises(VerificationError, match="claimed poles differ"):
-            verify_certificate(dataclasses.replace(cert, claimed=claimed))
+            verify_certificate(replace(cert, claimed=claimed))
         assert not profile_matches(claimed, sig, residues)
 
 
@@ -944,7 +944,7 @@ class TestRotationBookkeeping:
         cert = build_witness(
             StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0]), rotation=3
         )
-        bad = dataclasses.replace(cert, claimed_rotation=5)
+        bad = replace(cert, claimed_rotation=5)
         with pytest.raises(VerificationError, match="divide"):
             verify_certificate(bad)
 
@@ -953,7 +953,7 @@ class TestRotationBookkeeping:
         as the rotation 1 of the other double-pole base."""
         sig = StratumSignature(1, (6,), (2, 2, 2))
         cert = build_witness(sig, residue_tuple([0, 0, 0]), rotation=2)
-        bad = dataclasses.replace(cert, claimed_rotation=1)
+        bad = replace(cert, claimed_rotation=1)
         with pytest.raises(VerificationError, match="rotation number 2, claimed 1"):
             verify_certificate(bad)
 
@@ -961,9 +961,9 @@ class TestRotationBookkeeping:
         cert = build_witness(
             StratumSignature(0, (3,), (2,), 3), residue_tuple([0, 2, -1, -1])
         )
-        flipped = dataclasses.replace(
+        flipped = replace(
             cert,
-            claimed=dataclasses.replace(
+            claimed=replace(
                 cert.claimed, poles=tuple((o, -r) for o, r in cert.claimed.poles)
             ),
         )
@@ -973,14 +973,14 @@ class TestRotationBookkeeping:
     def test_family_of_another_base_violation(self):
         """The rotation-3 chain on H_1(6, -3^2) claimed as rotation 1."""
         sig, zero = StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0])
-        forged = dataclasses.replace(build_witness(sig, zero, rotation=3), claimed_rotation=1)
+        forged = replace(build_witness(sig, zero, rotation=3), claimed_rotation=1)
         with pytest.raises(VerificationError, match="rotation number 3, claimed 1"):
             verify_certificate(forged)
 
     def test_family_with_extra_types_violation(self):
         """The rotation-1 chain on H_1(6, -3^2) claimed as rotation 3."""
         sig, zero = StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0])
-        forged = dataclasses.replace(build_witness(sig, zero, rotation=1), claimed_rotation=3)
+        forged = replace(build_witness(sig, zero, rotation=1), claimed_rotation=3)
         with pytest.raises(VerificationError, match="rotation number 1, claimed 3"):
             verify_certificate(forged)
 

@@ -12,7 +12,6 @@ simple-pole parts that the verifier accepts reads as a profile the decider
 calls realizable.
 """
 
-import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -21,7 +20,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resflat.core import QQi, StratumSignature, residue_tuple
+from resflat.core import QQi, StratumSignature, replace, residue_tuple
 from resflat.decide import decide_realizable
 from resflat.surfaces import _with_marked_points, build_witness
 from resflat.verify import (
@@ -143,7 +142,7 @@ def _nudged_piece(piece, d, data):
     v = list(vectors[k])
     part = data.draw(st.integers(0, 1))
     v[part] = _nudged(v[part], d, data)
-    return dataclasses.replace(piece, **{field: vectors[:k] + (tuple(v),) + vectors[k + 1 :]})
+    return replace(piece, **{field: vectors[:k] + (tuple(v),) + vectors[k + 1 :]})
 
 
 @given(st.sampled_from(WITNESSES), st.data())
@@ -172,8 +171,8 @@ def test_single_field_change_is_rejected_or_rederives_the_claim(cert, data):
         i = data.draw(st.sampled_from(polar))
         old = pieces[i].pole_type
         tau = data.draw(st.integers(-1, pieces[i].order + 1).filter(lambda t: t != old))
-        pieces[i] = dataclasses.replace(pieces[i], pole_type=tau)
-    mutated = dataclasses.replace(cert, surface=FlatSurface(pieces, pairings, d))
+        pieces[i] = replace(pieces[i], pole_type=tau)
+    mutated = replace(cert, surface=FlatSurface(pieces, pairings, d))
     try:
         profile = verify_certificate(mutated)
     except VerificationError:
