@@ -774,6 +774,11 @@ def _certificate_with(part, **changes):
             lambda tmp: {"s_min": 5, "s_max": 4},
             "$.s_min/s_max: expected integers with s_min <= s_max",
         ),
+        (
+            ["table"],
+            lambda tmp: {"s_min": 0, "s_max": 3},
+            "$.s_min: expected an integer of at least 2",
+        ),
         (["cylinders"], lambda tmp: [], "$: expected an object"),
     ],
     ids=[
@@ -821,6 +826,7 @@ def _certificate_with(part, **changes):
         "table-not-an-object",
         "oracle-check-not-an-object",
         "table-empty-range",
+        "table-s-min-below-two",
         "cylinders-not-an-object",
     ],
 )

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resflat import decide, graphs
-from resflat.cli import _oracle_cases, main
+from resflat.cli import main
+from resflat.reports import oracle_cases
 from resflat.core import QQi, StratumSignature, _connected, residue_tuple
 from resflat.decide import enumerate_excluded_rays, search_cylinder_tuple
 from resflat.graphs import (
@@ -26,7 +27,7 @@ from resflat.graphs import (
 
 # Every tuple of `oracle-check --s-max 7 --entry-bound 5` and the length-8
 # tuples with entries <= 4.
-SWEEP = list(_oracle_cases(7, 5)) + [c for c in _oracle_cases(8, 4) if len(c) == 8]
+SWEEP = list(oracle_cases(7, 5)) + [c for c in oracle_cases(8, 4) if len(c) == 8]
 
 
 def _bipartite_trees(s1: int, s2: int) -> Iterator[tuple[tuple[int, int], ...]]:

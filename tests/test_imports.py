@@ -1,8 +1,10 @@
 """The package's modules form a chain, each importing only those before
 it, and the verifier, the trusted kernel, imports only core.  The package
 and the CLI load a module only when it runs: a process imports what its
-subcommand needs, no subcommand loads ``dataclasses`` or ``fractions``, and
-the public names stay what they were."""
+subcommand needs, no subcommand loads ``dataclasses``, ``fractions``,
+``argparse``, ``gettext`` or ``locale``, a ``python -m resflat.cli``
+process compiles ``cli.py`` once, and the public names stay what they
+were."""
 
 import ast
 import importlib
@@ -20,14 +22,16 @@ import resflat
 SOURCE = Path(resflat.__file__).parent
 
 # core <- graphs <- decide <- surfaces <- cli, and the kernel, verify, on
-# core alone: every module may import those before it.
+# core alone: every module may import those before it.  reports, the cold
+# subcommands' bodies, sits before cli and never imports it.
 ALLOWED = {
     "core": set(),
     "verify": {"core"},
     "graphs": {"core"},
     "decide": {"core", "graphs"},
     "surfaces": {"core", "graphs", "decide", "verify"},
-    "cli": {"core", "verify", "graphs", "decide", "surfaces"},
+    "reports": {"core", "graphs", "decide", "verify"},
+    "cli": {"core", "verify", "graphs", "decide", "surfaces", "reports"},
 }
 
 
@@ -112,8 +116,10 @@ def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 # Standard-library modules that no subcommand needs: the records are
-# slotted classes, and the codecs read rationals as integers.
-UNNEEDED = ("dataclasses", "fractions")
+# slotted classes, the codecs read rationals as integers, and the command
+# line is read from one table, without argparse and the gettext and locale
+# that argparse loads.
+UNNEEDED = ("dataclasses", "fractions", "argparse", "gettext", "locale")
 
 
 def modules_after_main(argv: list[str]) -> tuple[int, set[str]]:
@@ -154,11 +160,16 @@ def documents(tmp_path):
     [
         (["verify", "cert"], 0, package("core", "verify", "cli")),
         (["decide", "polygon"], 0, package("core", "decide", "cli")),
-        (["table", "--s-max", "7"], 0, package("core", "decide", "cli")),
+        (["table", "--s-max", "7"], 0, package("core", "decide", "reports", "cli")),
+        (
+            ["oracle-check", "--s-max", "5", "--entry-bound", "3"],
+            0,
+            package("core", "graphs", "decide", "reports", "cli"),
+        ),
         (["witness", "polygon"], 0, package("core", "decide", "verify", "surfaces", "cli")),
         (["witness", "stable"], 0, package("core", "graphs", "decide", "verify", "surfaces", "cli")),
     ],
-    ids=["verify", "decide", "table", "witness-polygon", "witness-stable-tree"],
+    ids=["verify", "decide", "table", "oracle-check", "witness-polygon", "witness-stable-tree"],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(documents, argv, code, modules):
     argv = [str(documents.get(a, a)) for a in argv] + ["-o", str(documents["out"])]
@@ -168,8 +179,41 @@ def test_each_subcommand_loads_only_the_modules_it_runs(documents, argv, code, m
 def test_a_drawing_loads_no_more_modules(documents):
     drawing = documents["out"].with_name("drawing.svg")
     argv = ["witness", str(documents["polygon"]), "-o", str(documents["out"]), "--svg", str(drawing)]
-    assert modules_after_main(argv) == (0, package("core", "decide", "verify", "surfaces", "cli"))
+    modules = package("core", "decide", "verify", "surfaces", "reports", "cli")
+    assert modules_after_main(argv) == (0, modules)
     assert ET.parse(drawing).getroot().tag.endswith("svg")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["decide", "polygon"], package("core", "decide")),
+        (["witness", "polygon"], package("core", "decide", "verify", "surfaces")),
+        (["verify", "cert"], package("core", "verify")),
+        (["table", "--s-max", "4"], package("core", "decide", "reports")),
+    ],
+    ids=["decide", "witness", "verify", "table"],
+)
+def test_a_module_run_compiles_the_cli_once(documents, argv, loaded):
+    """Under ``python -m resflat.cli`` the running module is ``__main__``, so
+    a process that also imported ``resflat.cli`` by name would compile and
+    run it twice; ``-X importtime`` logs every import by name."""
+    argv = [str(documents.get(a, a)) for a in argv] + ["-o", str(documents["out"])]
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "resflat.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {m for m in imported if m.split(".")[0] == "resflat"} == loaded
+    assert not imported & set(UNNEEDED)
 
 
 ROTATION_REQUEST = {
