@@ -27,7 +27,6 @@ _PUBLIC = {
     ),
     "decide": (
         "Verdict",
-        "decide_cylinder_tuple",
         "decide_realizable",
         "enumerate_excluded_rays",
         "search_cylinder_tuple",

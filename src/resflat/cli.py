@@ -36,6 +36,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from .core import (
+    CYLINDER_BUDGET,
     FORMAT_VERSION,
     DocumentError,
     QQi,
@@ -193,6 +194,8 @@ def _cmd_table(args: SimpleNamespace) -> int:
         raise DocumentError("$.s_min", "expected an integer of at least 2")
     if max_zero is not None and not _is_int(max_zero):
         raise DocumentError("$.max_zero", "expected an integer or null")
+    if max_zero is not None and max_zero < 0:
+        raise DocumentError("$.max_zero", "expected a nonnegative integer or null")
     _write_document(_reports.table_document(s_min, s_max, max_zero), args.output)
     return 0
 
@@ -256,7 +259,7 @@ _SUBCOMMANDS = {
         False,
         {"--s-max": ("s_max", int, 7), "--entry-bound": ("entry_bound", int, 5)},
     ),
-    "cylinders": (_cmd_cylinders, True, {"--budget": ("budget", int, None)}),
+    "cylinders": (_cmd_cylinders, True, {"--budget": ("budget", int, CYLINDER_BUDGET)}),
 }
 _OUTPUT = ("output", str, None)
 _HELP = ("-h", "--help")

@@ -25,6 +25,10 @@ Records.  The vocabulary types of the package (signatures, rays, verdicts,
 pieces, surfaces, certificates) are immutable records on ``__slots__`` that
 derive from :class:`Frozen`; :func:`replace` rebuilds one with some fields
 changed.
+
+Cylinder requests.  The check of a request and its budget, the default
+budget and the exception of a spent one live here, so a closed-form cylinder
+answer and the CLI never load the search of :mod:`resflat.graphs`.
 """
 
 from __future__ import annotations
@@ -491,8 +495,6 @@ class SearchBudgetExceeded(RuntimeError):
     cylinder ends it placed and ``budget`` is the limit it hit.  The
     cylinder search spends one unit each time it puts a cylinder's two ends
     on a pair of components (see :func:`resflat.graphs.find_cylinder_config`).
-    It is defined here, not with the search, so that the CLI names it
-    without loading :mod:`resflat.graphs`.
     """
 
     def __init__(self, stage: str, spent: int, budget: int) -> None:
@@ -501,6 +503,27 @@ class SearchBudgetExceeded(RuntimeError):
             "cylinder ends spent"
         )
         self.stage, self.spent, self.budget = stage, spent, budget
+
+
+#: The cylinder search's default budget, in placements of cylinder ends.
+CYLINDER_BUDGET = 2_000_000
+
+
+def check_cylinder_request(
+    sig: StratumSignature, circumferences: Sequence[QQi], budget: int
+) -> None:
+    """Raise ValueError unless ``budget`` is nonnegative, ``sig`` a valid
+    holomorphic stratum and ``circumferences`` a nonempty tuple of nonzero
+    values, checked in that order."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    bad = validate_stratum(sig)
+    if bad:
+        raise ValueError("; ".join(bad))
+    if sig.p != 0 or sig.s != 0:
+        raise ValueError("disjoint cylinders require a holomorphic stratum")
+    if not circumferences or any(c.is_zero() for c in circumferences):
+        raise ValueError("circumferences must be a nonempty tuple of nonzero values")
 
 
 # ---------------------------------------------------------------------------

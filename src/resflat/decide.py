@@ -11,13 +11,13 @@ the obstructions are exactly
   largest zero order.
 
 Cylinder circumference tuples of holomorphic strata reduce to the simple-pole
-case; below the genus there is no obstruction.  Past the closed-form cases
-:func:`decide_cylinder_tuple` returns None, and :func:`search_cylinder_tuple`
-runs the bounded search of :mod:`resflat.graphs`.  The module stands after
-core and graphs in the chain core, graphs, decide, surfaces, cli, but
-imports graphs only inside the two cylinder functions:
-:func:`decide_realizable` runs on :mod:`resflat.core` alone, and so does a
-``resflat decide`` process.
+case; below the genus there is no obstruction.  :func:`search_cylinder_tuple`
+checks the request, answers the closed-form cases, and past them runs the
+bounded search of :mod:`resflat.graphs`.  The module stands after core and
+graphs in the chain core, graphs, decide, surfaces, cli, but imports graphs
+only for that search: :func:`decide_realizable` and every closed-form
+cylinder answer run on :mod:`resflat.core` alone, as a ``resflat decide``
+process and a closed-form ``resflat cylinders`` process do.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .core import (
+    CYLINDER_BUDGET,
     NON_COLLINEAR,
     Frozen,
     PrimitiveRay,
     QQi,
     StratumSignature,
+    check_cylinder_request,
     collinear_normal_form,
     line_integers,
     primitive_total_exceeds,
@@ -163,21 +165,23 @@ def enumerate_excluded_rays(s: int, max_zero: int) -> tuple[PrimitiveRay, ...]:
     )
 
 
-def decide_cylinder_tuple(
-    sig: StratumSignature, circumferences: Sequence[QQi]
-) -> Verdict | None:
+def search_cylinder_tuple(
+    sig: StratumSignature,
+    circumferences: Sequence[QQi],
+    budget: int = CYLINDER_BUDGET,
+) -> Verdict:
     """Decide whether a holomorphic stratum carries disjoint cylinders with
     the given circumference tuple (each entry taken up to sign).
 
     Below the genus every tuple works.  At the genus, on the single-zero
     stratum, the obstruction is the primitive integer profile with total at
     most 2g-2.  The remaining cases (t = g with several zeros, or t > g up
-    to the maximal count g + n - 1) have no closed form here: the answer is
-    None, and :func:`search_cylinder_tuple` runs the cylinder search.
+    to the maximal count g + n - 1) have no closed form here: the bounded
+    search of :mod:`resflat.graphs` answers them within ``budget``
+    placements of cylinder ends.  A negative ``budget`` raises ValueError
+    even when no search runs.
     """
-    from . import graphs
-
-    graphs._require_cylinder_request(sig, circumferences)
+    check_cylinder_request(sig, circumferences, budget)
     t = len(circumferences)
     g, n = sig.genus, sig.n
     if t > g + n - 1:
@@ -193,27 +197,8 @@ def decide_cylinder_tuple(
         if not primitive_total_exceeds([abs(m) for m in ints], 2 * g - 2):
             return Verdict(False, REASON_EXCLUDED_RAY)
         return Verdict(True, REASON_COLLINEAR_OK)
-    return None
-
-
-def search_cylinder_tuple(
-    sig: StratumSignature,
-    circumferences: Sequence[QQi],
-    budget: int | None = None,
-) -> Verdict:
-    """Resolve a cylinder tuple, running the bounded search when needed.
-
-    A negative ``budget`` raises ValueError even when no search is needed.
-    """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
-    outcome = decide_cylinder_tuple(sig, circumferences)
-    if outcome is not None:
-        return outcome
     from . import graphs
 
-    kwargs = {} if budget is None else {"budget": budget}
-    config = graphs.find_cylinder_config(sig, circumferences, **kwargs)
-    if config is None:
+    if graphs.find_cylinder_config(sig, circumferences, budget=budget) is None:
         return Verdict(False, REASON_SEARCH_NONE)
     return Verdict(True, REASON_SEARCH_REALIZABLE, "stable-tree")

@@ -11,9 +11,11 @@ takes leaf components, each a single-zero star joined to the rest at a
 node, until one zero can carry what is left.
 Stable configurations with arbitrary component genera and multigraphs
 answer disjoint-cylinder questions on holomorphic strata by a bounded
-search, which generates each multiset of zero-order blocks once.  This
-module imports only :mod:`resflat.core`, in the chain core, graphs, decide,
-surfaces, cli.
+search, which generates each multiset of zero-order blocks once; the
+request check and the default budget live in :mod:`resflat.core`, and
+:func:`resflat.decide.search_cylinder_tuple` imports this module only when
+no closed form answers.  This module imports only :mod:`resflat.core`, in
+the chain core, graphs, decide, surfaces, cli.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ import math
 from typing import Iterator, Sequence
 
 from .core import (
+    CYLINDER_BUDGET,
     Frozen,
     QQi,
     SearchBudgetExceeded,
     StratumSignature,
+    check_cylinder_request,
     line_integers,
     primitive_total_exceeds,
     scaled,
-    validate_stratum,
     _set,
 )
 
@@ -250,23 +253,11 @@ def _splits(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int
             yield items[:c] + sub, items[c:run] + left
 
 
-def _require_cylinder_request(sig: StratumSignature, circumferences: Sequence[QQi]) -> None:
-    """Raise ValueError unless ``sig`` is a valid holomorphic stratum and
-    ``circumferences`` a nonempty tuple of nonzero values."""
-    bad = validate_stratum(sig)
-    if bad:
-        raise ValueError("; ".join(bad))
-    if sig.p != 0 or sig.s != 0:
-        raise ValueError("disjoint cylinders require a holomorphic stratum")
-    if not circumferences or any(c.is_zero() for c in circumferences):
-        raise ValueError("circumferences must be a nonempty tuple of nonzero values")
-
-
 def find_cylinder_config(
     sig: StratumSignature,
     circumferences: Sequence[QQi],
     *,
-    budget: int = 2_000_000,
+    budget: int = CYLINDER_BUDGET,
 ) -> CylinderConfig | None:
     """Search for a stable configuration carrying the given disjoint cylinders.
 
@@ -295,13 +286,11 @@ def find_cylinder_config(
     once a component reaches its cap with an odd sum.  A complete
     assignment is kept when every sum is even and every genus whole; then
     :func:`_cylinder_signs` finds the signs.  ``budget`` counts the ends
-    placed, one unit per cylinder put on a pair of components; it must be
-    nonnegative.
+    placed, one unit per cylinder put on a pair of components;
+    :func:`resflat.core.check_cylinder_request` checks it with the request.
     """
     lam = tuple(circumferences)
-    _require_cylinder_request(sig, lam)
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    check_cylinder_request(sig, lam, budget)
     gauss = scaled(lam)[1]  # Gaussian integers
     unit = math.gcd(*(v for x in gauss for v in x))  # divided out, or every residue could be even
     groups: dict[tuple[int, int], list[int]] = {}

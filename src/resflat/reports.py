@@ -91,9 +91,8 @@ def _walks(piece: _verify.Piece) -> tuple:
     """Each boundary chain of a piece and the height its drawing starts at."""
     from . import verify as _verify
 
-    if isinstance(piece, _verify.PolarPart):
-        return ((piece.top, 0.0), (piece.bottom, -1.0))
-    return ((piece.edges if isinstance(piece, _verify.Polygon) else piece.vectors, 0.0),)
+    chains = _verify._CHAINS[type(piece)]
+    return tuple([(getattr(piece, name), float(-k)) for k, name in enumerate(chains)])
 
 
 def _piece_drawing(

@@ -14,7 +14,6 @@ from math import gcd
 
 from resflat.core import QQi, StratumSignature, residue_tuple, validate_residues
 from resflat.decide import (
-    decide_cylinder_tuple,
     decide_realizable,
     enumerate_excluded_rays,
     search_cylinder_tuple,
@@ -419,21 +418,20 @@ def test_genus1_rotation_families():
 
 def test_cylinders():
     """Minimal-stratum exclusion, below-genus freedom and the searched case."""
-    not_ok = decide_cylinder_tuple(
+    not_ok = search_cylinder_tuple(
         StratumSignature(4, (6,), ()), residue_tuple([1, 1, 1, 1])
     )
     assert not not_ok.realizable
 
-    below = decide_cylinder_tuple(
+    below = search_cylinder_tuple(
         StratumSignature(4, (6,), ()), residue_tuple([1, QQi(1, 1), 2])
     )
     assert below.realizable
 
     sig = StratumSignature(4, (4, 1, 1), ())
     lam = residue_tuple([1, 1, 1, 1])
-    assert decide_cylinder_tuple(sig, lam) is None
     found = search_cylinder_tuple(sig, lam)
-    assert found.realizable
+    assert found.realizable and found.reason == "search-realizable"
     print(
         "\n[ACCEPTANCE] cylinders: PASS "
         "((1,1,1,1) excluded at the minimal stratum, any 3-tuple below genus, "

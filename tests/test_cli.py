@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -186,6 +187,29 @@ def test_svg_emission(tmp_path):
     root = ET.parse(svg_path).getroot()
     assert root.tag.endswith("svg")
     assert len(list(root.iter())) > 5
+
+
+def test_svg_emission_of_polar_parts(tmp_path):
+    """Three polar parts on H_0(2, 2, -2, -2, -2), glued top to bottom in a
+    cycle: each pairing's number labels its two edges."""
+    doc = {
+        "stratum": {"genus": 0, "zeros": [2, 2], "poles": [2, 2, 2], "simple_poles": 0},
+        "residues": [0, 0, 0],
+    }
+    req = tmp_path / "req.json"
+    req.write_text(json.dumps(doc))
+    svg_path = tmp_path / "drawing.svg"
+    code = main(
+        ["witness", str(req), "-o", str(tmp_path / "c.json"), "--svg", str(svg_path)]
+    )
+    assert code == 0
+    surface = json.loads((tmp_path / "c.json").read_text())["surface"]
+    assert [piece["kind"] for piece in surface["pieces"]] == ["polar_part"] * 3
+    assert len(surface["pairings"]) == 3
+    root = ET.parse(svg_path).getroot()
+    assert root.tag.endswith("svg")
+    labels = Counter(e.text for e in root.iter() if e.get("fill") == "crimson")
+    assert labels == {"0": 2, "1": 2, "2": 2}
 
 
 @pytest.mark.parametrize("exponent", [320, -320])
@@ -575,6 +599,11 @@ def _request(residues=(1, -1), **stratum):
     }
 
 
+def _cylinders(genus, zeros, circumferences, simple_poles=0):
+    stratum = {"genus": genus, "zeros": zeros, "poles": [], "simple_poles": simple_poles}
+    return lambda tmp: {"stratum": stratum, "circumferences": circumferences}
+
+
 def _certificate_with(part, **changes):
     """A maker of a certificate document with fields of its ``part`` replaced."""
 
@@ -780,6 +809,36 @@ def _certificate_with(part, **changes):
             "$.s_min: expected an integer of at least 2",
         ),
         (["cylinders"], lambda tmp: [], "$: expected an object"),
+        (
+            ["table", "--max-zero", "-1", "--s-max", "3"],
+            lambda tmp: None,
+            "$.max_zero: expected a nonnegative integer or null",
+        ),
+        (
+            ["table"],
+            lambda tmp: {"s_max": 3, "max_zero": -1},
+            "$.max_zero: expected a nonnegative integer or null",
+        ),
+        (
+            ["cylinders"],
+            _cylinders(0, [2], [1], simple_poles=4),
+            "disjoint cylinders require a holomorphic stratum",
+        ),
+        (
+            ["cylinders"],
+            _cylinders(3, [3], [1]),
+            "degree identity violated: sum of orders is 3, expected 4",
+        ),
+        (
+            ["cylinders"],
+            _cylinders(2, [2], [1, 1, 1, 1]),
+            "4 disjoint cylinders exceed the maximal count 2",
+        ),
+        (
+            ["cylinders"],
+            _cylinders(2, [2], [1, 0]),
+            "circumferences must be a nonempty tuple of nonzero values",
+        ),
     ],
     ids=[
         "format-1-node-pairings",
@@ -828,6 +887,12 @@ def _certificate_with(part, **changes):
         "table-empty-range",
         "table-s-min-below-two",
         "cylinders-not-an-object",
+        "table-negative-max-zero-option",
+        "table-negative-max-zero",
+        "cylinders-meromorphic-stratum",
+        "cylinders-invalid-stratum",
+        "cylinders-past-the-maximal-count",
+        "cylinders-zero-circumference",
     ],
 )
 def test_every_failure_is_status_two_with_one_error_line(

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import resflat
 from resflat.cli import _SUBCOMMANDS, _parse_command_line, _usage, main
+from resflat.core import CYLINDER_BUDGET
 
 
 def reference_parser() -> argparse.ArgumentParser:
@@ -53,7 +54,8 @@ def reference_parser() -> argparse.ArgumentParser:
     o = add("oracle-check", needs_input=False)
     o.add_argument("--s-max", type=int, default=7)
     o.add_argument("--entry-bound", type=int, default=5)
-    add("cylinders").add_argument("--budget", type=int, default=None)
+    # Its None meant the search's own default budget, which the table now names.
+    add("cylinders").add_argument("--budget", type=int, default=CYLINDER_BUDGET)
     return parser
 
 

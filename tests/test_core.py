@@ -27,7 +27,7 @@ from resflat.decide import (
     REASON_COLLINEAR_OK,
     REASON_EXCLUDED_RAY,
     REASON_NON_COLLINEAR,
-    decide_cylinder_tuple,
+    search_cylinder_tuple,
 )
 
 small_fracs = st.fractions(
@@ -351,12 +351,12 @@ def test_cylinder_tuple_on_gaussian_rationals():
     sig = StratumSignature(3, (4,))
     w = QQi(0, Fraction(5, 3))
     # Primitive profile (3, 2, 1): total 6 exceeds 2g - 2 = 4.
-    assert decide_cylinder_tuple(sig, (w * 2, -w * 4, w * 6)).reason == REASON_COLLINEAR_OK
+    assert search_cylinder_tuple(sig, (w * 2, -w * 4, w * 6)).reason == REASON_COLLINEAR_OK
     # Primitive profile (2, 1, 1): total 4 does not.
     third = QQi(0, Fraction(1, 3))
-    verdict = decide_cylinder_tuple(sig, (third, third, third * -2))
+    verdict = search_cylinder_tuple(sig, (third, third, third * -2))
     assert (verdict.realizable, verdict.reason) == (False, REASON_EXCLUDED_RAY)
-    verdict = decide_cylinder_tuple(sig, residue_tuple([1, QQi(1, 1), 1]))
+    verdict = search_cylinder_tuple(sig, residue_tuple([1, QQi(1, 1), 1]))
     assert (verdict.realizable, verdict.reason) == (True, REASON_NON_COLLINEAR)
 
 

@@ -13,10 +13,10 @@ from resflat.decide import (
     REASON_GENUS_POSITIVE,
     REASON_MIXED,
     REASON_NON_COLLINEAR,
+    REASON_SEARCH_REALIZABLE,
     REASON_ZERO_EXCLUDED,
     REASON_ZERO_OK,
     Verdict,
-    decide_cylinder_tuple,
     decide_realizable,
     enumerate_excluded_rays,
     search_cylinder_tuple,
@@ -167,12 +167,12 @@ class TestOracleAgreementSmall:
 
 class TestCylinders:
     def test_minimal_excluded(self):
-        v = decide_cylinder_tuple(StratumSignature(4, (6,), ()), residue_tuple([1, 1, 1, 1]))
+        v = search_cylinder_tuple(StratumSignature(4, (6,), ()), residue_tuple([1, 1, 1, 1]))
         assert isinstance(v, Verdict) and not v.realizable
         assert v.reason == REASON_EXCLUDED_RAY
 
     def test_below_genus(self):
-        v = decide_cylinder_tuple(
+        v = search_cylinder_tuple(
             StratumSignature(4, (6,), ()), residue_tuple([1, QQi(1, 1), 2])
         )
         assert v.realizable and v.reason == REASON_BELOW_GENUS
@@ -180,21 +180,21 @@ class TestCylinders:
     def test_needs_search_then_found(self):
         sig = StratumSignature(4, (4, 1, 1), ())
         lam = residue_tuple([1, 1, 1, 1])
-        assert decide_cylinder_tuple(sig, lam) is None
-        assert search_cylinder_tuple(sig, lam).realizable
+        v = search_cylinder_tuple(sig, lam)
+        assert v.realizable and v.reason == REASON_SEARCH_REALIZABLE
 
     def test_minimal_large_sum_realizable(self):
-        v = decide_cylinder_tuple(StratumSignature(2, (2,), ()), residue_tuple([3, 1]))
+        v = search_cylinder_tuple(StratumSignature(2, (2,), ()), residue_tuple([3, 1]))
         assert v.realizable and v.reason == REASON_COLLINEAR_OK
 
     def test_naveh_bound(self):
         with pytest.raises(ValueError):
-            decide_cylinder_tuple(
+            search_cylinder_tuple(
                 StratumSignature(2, (2,), ()), residue_tuple([1, 1, 1, 1])
             )
 
     def test_sign_insensitive(self):
         sig = StratumSignature(3, (4,), ())
-        a = decide_cylinder_tuple(sig, residue_tuple([1, -1, 2]))
-        b = decide_cylinder_tuple(sig, residue_tuple([1, 1, 2]))
+        a = search_cylinder_tuple(sig, residue_tuple([1, -1, 2]))
+        b = search_cylinder_tuple(sig, residue_tuple([1, 1, 2]))
         assert a == b

@@ -68,7 +68,6 @@ PUBLIC = {
     },
     "decide": {
         "Verdict",
-        "decide_cylinder_tuple",
         "decide_realizable",
         "enumerate_excluded_rays",
         "search_cylinder_tuple",
@@ -104,6 +103,16 @@ POLYGON_REQUEST = {
 STABLE_TREE_REQUEST = {
     "stratum": {"genus": 0, "zeros": [2, 2, 2], "poles": [], "simple_poles": 8},
     "residues": [3, 1, 1, 1, -1, -1, -2, -2],
+}
+# Four unit cylinders: an excluded ray at the genus on H_4(6), closed form;
+# found by the search on H_4(4, 1, 1).
+CLOSED_FORM_CYLINDERS = {
+    "stratum": {"genus": 4, "zeros": [6], "poles": [], "simple_poles": 0},
+    "circumferences": [1, 1, 1, 1],
+}
+SEARCHED_CYLINDERS = {
+    "stratum": {"genus": 4, "zeros": [4, 1, 1], "poles": [], "simple_poles": 0},
+    "circumferences": [1, 1, 1, 1],
 }
 
 
@@ -145,7 +154,12 @@ def package(*modules: str) -> set[str]:
 @pytest.fixture
 def documents(tmp_path):
     paths = {}
-    for name, doc in (("polygon", POLYGON_REQUEST), ("stable", STABLE_TREE_REQUEST)):
+    for name, doc in (
+        ("polygon", POLYGON_REQUEST),
+        ("stable", STABLE_TREE_REQUEST),
+        ("closed-form", CLOSED_FORM_CYLINDERS),
+        ("searched", SEARCHED_CYLINDERS),
+    ):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     paths["cert"] = tmp_path / "cert.json"
@@ -168,8 +182,19 @@ def documents(tmp_path):
         ),
         (["witness", "polygon"], 0, package("core", "decide", "verify", "surfaces", "cli")),
         (["witness", "stable"], 0, package("core", "graphs", "decide", "verify", "surfaces", "cli")),
+        (["cylinders", "closed-form"], 1, package("core", "decide", "cli")),
+        (["cylinders", "searched"], 0, package("core", "graphs", "decide", "cli")),
     ],
-    ids=["verify", "decide", "table", "oracle-check", "witness-polygon", "witness-stable-tree"],
+    ids=[
+        "verify",
+        "decide",
+        "table",
+        "oracle-check",
+        "witness-polygon",
+        "witness-stable-tree",
+        "cylinders-closed-form",
+        "cylinders-search",
+    ],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(documents, argv, code, modules):
     argv = [str(documents.get(a, a)) for a in argv] + ["-o", str(documents["out"])]
@@ -270,7 +295,7 @@ def test_star_import_binds_the_same_public_names():
     exec("from resflat import *", names)
     del names["__builtins__"]
     assert set(names) == set().union(*PUBLIC.values())
-    assert len(names) == len(resflat.__all__) == 32
+    assert len(names) == len(resflat.__all__) == 31
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
