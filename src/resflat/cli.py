@@ -86,7 +86,6 @@ def _verdict_document(sig: StratumSignature, verdict: _decide.Verdict, **extra) 
             "realizable": verdict.realizable,
             "reason": verdict.reason,
             "certificate_hint": verdict.certificate_hint,
-            "every_component": verdict.every_component,
         },
         **extra,
     }

@@ -1,8 +1,8 @@
 """Closed-form realizability verdicts and excluded-ray enumeration.
 
 The decision procedure: on genus at least one every admissible residue tuple
-is realizable (in every connected component of the stratum).  On genus zero
-the obstructions are exactly
+is realizable; one surface is built and only its genus-1 rotation is read.
+On genus zero the obstructions are exactly
 
 * the zero tuple, when some zero order exceeds (sum of higher pole orders)
   minus (number of higher poles + 1), in strata without simple poles;
@@ -52,11 +52,13 @@ REASON_BELOW_GENUS = "below-genus-bound"
 REASON_SEARCH_REALIZABLE = "search-realizable"
 REASON_SEARCH_NONE = "search-not-realizable"
 
-_NEGATIVE_REASONS = {REASON_ZERO_EXCLUDED, REASON_EXCLUDED_RAY, REASON_SEARCH_NONE}
+_NEGATIVE_REASONS = (REASON_ZERO_EXCLUDED, REASON_EXCLUDED_RAY, REASON_SEARCH_NONE)
+_REASONS = _NEGATIVE_REASONS + (REASON_GENUS_POSITIVE, REASON_NON_COLLINEAR, REASON_MIXED,
+    REASON_ZERO_OK, REASON_COLLINEAR_OK, REASON_BELOW_GENUS, REASON_SEARCH_REALIZABLE)
 
 
 class Verdict(Frozen):
-    """A realizability answer and the reason it was reached.
+    """A realizability answer: the decider's reason, from which ``realizable`` follows.
 
     On a realizable residue tuple ``certificate_hint`` names the
     construction route :func:`resflat.surfaces.build_witness` follows, and
@@ -65,26 +67,23 @@ class Verdict(Frozen):
     leave ``ray`` out.
     """
 
-    __slots__ = ("realizable", "reason", "certificate_hint", "every_component", "ray")
+    __slots__ = ("reason", "certificate_hint", "ray")
 
     def __init__(
-        self,
-        realizable: bool,
-        reason: str,
-        certificate_hint: str | None = None,
-        every_component: bool = False,
-        ray: PrimitiveRay | None = None,
+        self, reason: str, certificate_hint: str | None = None, ray: PrimitiveRay | None = None
     ) -> None:
-        if realizable == (reason in _NEGATIVE_REASONS):
-            raise ValueError(f"reason {reason!r} contradicts realizable={realizable}")
-        _set(self, "realizable", realizable)
+        if reason not in _REASONS:
+            raise ValueError(f"unknown verdict reason {reason!r}")
         _set(self, "reason", reason)
         _set(self, "certificate_hint", certificate_hint)
-        _set(self, "every_component", every_component)
         _set(self, "ray", ray)
 
+    @property
+    def realizable(self) -> bool:
+        return self.reason not in _NEGATIVE_REASONS
+
     def _key(self) -> tuple:
-        return self.realizable, self.reason, self.certificate_hint, self.every_component
+        return self.reason, self.certificate_hint
 
 
 def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict:
@@ -96,29 +95,29 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
     if bad:
         raise ValueError("; ".join(bad))
     if sig.genus >= 1:
-        return Verdict(True, REASON_GENUS_POSITIVE, "genus-reduction", every_component=True)
+        return Verdict(REASON_GENUS_POSITIVE, "genus-reduction")
     nonzero = [r for r in residues if not r.is_zero()]
     if not nonzero:
         # All residues vanish; only higher poles present.
         bound = sig.pole_degree - (sig.p + 1)
         if sig.max_zero() <= bound:
-            return Verdict(True, REASON_ZERO_OK, "zero-residue-chain")
-        return Verdict(False, REASON_ZERO_EXCLUDED)
+            return Verdict(REASON_ZERO_OK, "zero-residue-chain")
+        return Verdict(REASON_ZERO_EXCLUDED)
 
     form = collinear_normal_form(tuple(nonzero))
     if form is NON_COLLINEAR:
-        return Verdict(True, REASON_NON_COLLINEAR, "residual-polygon")
+        return Verdict(REASON_NON_COLLINEAR, "residual-polygon")
     if sig.p >= 1:
-        return Verdict(True, REASON_MIXED, "collinear-anchor-chain", ray=form)
+        return Verdict(REASON_MIXED, "collinear-anchor-chain", ray=form)
 
     # Only simple poles.
     if not primitive_total_exceeds(form.integers, sig.max_zero()):
-        return Verdict(False, REASON_EXCLUDED_RAY)
+        return Verdict(REASON_EXCLUDED_RAY)
     one_zero = primitive_total_exceeds(form.integers, sig.s - 2)
     hint = "connection-graph" if sig.n == 1 else (
         "blow-up-of-single-zero" if one_zero else "stable-tree"
     )
-    return Verdict(True, REASON_COLLINEAR_OK, hint, ray=form)
+    return Verdict(REASON_COLLINEAR_OK, hint, ray=form)
 
 
 def _partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -175,30 +174,31 @@ def search_cylinder_tuple(
 
     Below the genus every tuple works.  At the genus, on the single-zero
     stratum, the obstruction is the primitive integer profile with total at
-    most 2g-2.  The remaining cases (t = g with several zeros, or t > g up
-    to the maximal count g + n - 1) have no closed form here: the bounded
-    search of :mod:`resflat.graphs` answers them within ``budget``
-    placements of cylinder ends.  A negative ``budget`` raises ValueError
-    even when no search runs.
+    most 2g-2; the plain torus H_1() counts as H_1(0), one cylinder.  The
+    remaining cases (t = g with several zeros, or t > g up to the maximal
+    count g + n - 1) have no closed form here: the bounded search of
+    :mod:`resflat.graphs` answers them within ``budget`` placements of
+    cylinder ends.  A negative ``budget`` raises ValueError even when no
+    search runs.
     """
     check_cylinder_request(sig, circumferences, budget)
     t = len(circumferences)
-    g, n = sig.genus, sig.n
+    g, n = sig.genus, max(sig.n, 1)
     if t > g + n - 1:
         raise ValueError(
             f"{t} disjoint cylinders exceed the maximal count {g + n - 1}"
         )
     if t < g:
-        return Verdict(True, REASON_BELOW_GENUS)
+        return Verdict(REASON_BELOW_GENUS)
     if t == g and n == 1:
         ints = line_integers(scaled(circumferences)[1])
         if ints is None:
-            return Verdict(True, REASON_NON_COLLINEAR)
+            return Verdict(REASON_NON_COLLINEAR)
         if not primitive_total_exceeds([abs(m) for m in ints], 2 * g - 2):
-            return Verdict(False, REASON_EXCLUDED_RAY)
-        return Verdict(True, REASON_COLLINEAR_OK)
+            return Verdict(REASON_EXCLUDED_RAY)
+        return Verdict(REASON_COLLINEAR_OK)
     from . import graphs
 
     if graphs.find_cylinder_config(sig, circumferences, budget=budget) is None:
-        return Verdict(False, REASON_SEARCH_NONE)
-    return Verdict(True, REASON_SEARCH_REALIZABLE, "stable-tree")
+        return Verdict(REASON_SEARCH_NONE)
+    return Verdict(REASON_SEARCH_REALIZABLE)

@@ -74,7 +74,25 @@ def test_decide_realizable_exit_zero(tmp_path):
     }
     code, out = run_cli(["decide"], tmp_path, doc)
     assert code == 0
-    assert out["verdict"]["every_component"] is True
+    assert sorted(out["verdict"]) == ["certificate_hint", "realizable", "reason"]
+
+
+def test_a_genus_one_verdict_claims_no_component(tmp_path, capsys):
+    """On H_1(4, -2, -2) with residues (1, -1) one surface is built, and
+    no rotation can be asked of it: the verdict claims no component."""
+    stratum = {"genus": 1, "zeros": [4], "poles": [2, 2], "simple_poles": 0}
+    code, out = run_cli(["decide"], tmp_path, {"stratum": stratum, "residues": [1, -1]})
+    assert code == 0
+    assert out["verdict"] == {
+        "realizable": True, "reason": "genus-positive-surjective", "certificate_hint": "genus-reduction"
+    }
+    doc = {"stratum": stratum, "residues": [1, -1], "rotation": 1}
+    (tmp_path / "witness").mkdir()
+    assert run_cli(["witness"], tmp_path / "witness", doc) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: rotation numbers apply to genus-1 strata with higher poles, "
+        "zero residues and at most one zero\n"
+    )
 
 
 def test_table_counts(tmp_path):
@@ -322,6 +340,17 @@ def test_cylinders_search(tmp_path):
     }
     code, out = run_cli(["cylinders"], tmp_path, doc)
     assert code == 0 and out["via"] == "search"
+
+
+def test_cylinders_on_the_plain_torus(tmp_path):
+    """H_1() answers one cylinder as H_1(0) does."""
+    torus = {"genus": 1, "zeros": [], "poles": [], "simple_poles": 0}
+    marked = {**torus, "zeros": [0]}
+    code, out = run_cli(["cylinders"], tmp_path, {"stratum": torus, "circumferences": [1]})
+    assert (code, out["via"]) == (0, "closed-form")
+    assert out["verdict"] == run_cli(
+        ["cylinders"], tmp_path, {"stratum": marked, "circumferences": [1]}
+    )[1]["verdict"]
 
 
 def test_cylinders_budget_exceeded_is_status_two(tmp_path, capsys):
@@ -836,6 +865,11 @@ def _certificate_with(part, **changes):
         ),
         (
             ["cylinders"],
+            _cylinders(1, [], [1, 1]),
+            "2 disjoint cylinders exceed the maximal count 1",
+        ),
+        (
+            ["cylinders"],
             _cylinders(2, [2], [1, 0]),
             "circumferences must be a nonempty tuple of nonzero values",
         ),
@@ -892,6 +926,7 @@ def _certificate_with(part, **changes):
         "cylinders-meromorphic-stratum",
         "cylinders-invalid-stratum",
         "cylinders-past-the-maximal-count",
+        "cylinders-plain-torus-past-one",
         "cylinders-zero-circumference",
     ],
 )

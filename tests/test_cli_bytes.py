@@ -153,35 +153,35 @@ CASES = [
         ["witness"],
         {"stratum": _stratum(0, [2], [2, 2]), "residues": [0, 0]},
         1,
-        "dd896d2211166da4ef79ea830a815008b488048019085cef7bdb96edee145eaa",
+        "78e712adfffcaf7219560436a71ff791486b8b38d0d1ac0fc96b809c2335fb8c",
     ),
     (
         "decide-excluded-ray",
         ["decide"],
         {"stratum": _stratum(0, [2], [], 4), "residues": [1, 1, -1, -1]},
         1,
-        "05df9e743ac5f1be66aac22aedad1c598545329d232bd37460ac1b38ea3c6d03",
+        "dcf37069c57e0c59324476b12dff61d95d5676a3890bcd1f657648c4d81fbb8d",
     ),
     (
         "decide-stable-tree",
         ["decide"],
         {"stratum": _stratum(0, [2, 2], [], 6), "residues": [2, 1, 1, -1, -1, -2]},
         0,
-        "43d7e595d047863da8a48ee8c327948edf6af7088cdfe348163be75aa1e14c19",
+        "4d9e6a2f48b5e733f70f6f7ff1ac8dec7faad185e62110951e397425786c5c61",
     ),
     (
         "cylinders-closed-form",
         ["cylinders"],
         {"stratum": _stratum(4, [6]), "circumferences": [1, 1, 1, 1]},
         1,
-        "1b6d48bd3a0a39d436f91e2693b77f15ab263d24a3183e0e15ab4131ff749398",
+        "6e0e9bf75bd737fd51788695eeac61287a690e0651b355b734fb92f3e567b83c",
     ),
     (
         "cylinders-search",
         ["cylinders"],
         {"stratum": _stratum(4, [4, 1, 1]), "circumferences": [1, 1, 1, 1]},
         0,
-        "4c9c606775a3e3770fbd4436e8d4cfb780ae37122536f9efe3e5c7ac47e8fb04",
+        "0fac44e68e541a1fb14799d1320822563f078135734cae69d11abed8546b8f9a",
     ),
 ]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resflat import decide
 from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.decide import (
     REASON_BELOW_GENUS,
@@ -13,6 +14,7 @@ from resflat.decide import (
     REASON_GENUS_POSITIVE,
     REASON_MIXED,
     REASON_NON_COLLINEAR,
+    REASON_SEARCH_NONE,
     REASON_SEARCH_REALIZABLE,
     REASON_ZERO_EXCLUDED,
     REASON_ZERO_OK,
@@ -46,7 +48,6 @@ class TestDecideRealizable:
     def test_positive_genus(self):
         v = decide_realizable(StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0]))
         assert v.realizable and v.reason == REASON_GENUS_POSITIVE
-        assert v.every_component
 
     def test_non_collinear(self):
         v = decide_realizable(
@@ -66,8 +67,15 @@ class TestDecideRealizable:
             decide_realizable(StratumSignature(0, (2,), (), 4), residue_tuple([1, -1]))
 
     def test_verdict_reason_consistency(self):
-        with pytest.raises(ValueError):
-            Verdict(True, REASON_EXCLUDED_RAY)
+        reasons = [v for k, v in vars(decide).items() if k.startswith("REASON_")]
+        assert len(set(reasons)) == 10
+        negative = {REASON_ZERO_EXCLUDED, REASON_EXCLUDED_RAY, REASON_SEARCH_NONE}
+        for reason in reasons:
+            assert Verdict(reason).realizable is (reason not in negative)
+        # A boolean or None in the reason's place is no reason.
+        for bogus in ("bogus", True, None):
+            with pytest.raises(ValueError, match="unknown verdict reason"):
+                Verdict(bogus, "residual-polygon")
 
     @given(
         st.lists(st.integers(-4, 4).filter(bool), min_size=2, max_size=5),
@@ -186,6 +194,15 @@ class TestCylinders:
     def test_minimal_large_sum_realizable(self):
         v = search_cylinder_tuple(StratumSignature(2, (2,), ()), residue_tuple([3, 1]))
         assert v.realizable and v.reason == REASON_COLLINEAR_OK
+
+    def test_plain_torus_is_one_cylinder(self):
+        torus, marked = StratumSignature(1, ()), StratumSignature(1, (0,))
+        for lam in (residue_tuple([1]), residue_tuple([QQi(2, 3)])):
+            v = search_cylinder_tuple(torus, lam)
+            assert v.realizable and v.reason == REASON_COLLINEAR_OK
+            assert v == search_cylinder_tuple(marked, lam)
+        with pytest.raises(ValueError, match="2 disjoint cylinders exceed the maximal count 1"):
+            search_cylinder_tuple(torus, residue_tuple([1, 1]))
 
     def test_naveh_bound(self):
         with pytest.raises(ValueError):

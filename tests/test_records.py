@@ -40,8 +40,8 @@ RECORDS = {
     ),
     PrimitiveRay: (lambda: PrimitiveRay(QQi(1, 2), (2, -1, -1)), ("direction", "integers")),
     Verdict: (
-        lambda: Verdict(True, "non-collinear", "residual-polygon"),
-        ("realizable", "reason", "certificate_hint", "every_component", "ray"),
+        lambda: Verdict("non-collinear", "residual-polygon"),
+        ("reason", "certificate_hint", "ray"),
     ),
     CylinderComponent: (lambda: CylinderComponent(1, (0, 2)), ("genus", "zero_indices")),
     CylinderConfig: (
@@ -94,10 +94,10 @@ def test_records_of_different_classes_are_unequal():
 
 def test_verdict_equality_ignores_the_ray():
     ray = PrimitiveRay(QQi(0, 1), (1, -1))
-    with_ray = Verdict(True, REASON_MIXED, "collinear-anchor-chain", ray=ray)
-    without = Verdict(True, REASON_MIXED, "collinear-anchor-chain")
+    with_ray = Verdict(REASON_MIXED, "collinear-anchor-chain", ray=ray)
+    without = Verdict(REASON_MIXED, "collinear-anchor-chain")
     assert with_ray == without and hash(with_ray) == hash(without)
-    assert with_ray != Verdict(True, REASON_MIXED, "collinear-anchor-chain", every_component=True)
+    assert with_ray != Verdict(REASON_MIXED)
 
 
 @CLASSES
@@ -109,9 +109,8 @@ def test_repr_names_each_field(cls):
 
 def test_repr_keeps_the_dataclass_form():
     assert repr(BlowUpZero(0, (1, 1))) == "BlowUpZero(zero_index=0, parts=(1, 1))"
-    assert repr(Verdict(False, "excluded-primitive-ray")) == (
-        "Verdict(realizable=False, reason='excluded-primitive-ray', "
-        "certificate_hint=None, every_component=False, ray=None)"
+    assert repr(Verdict("excluded-primitive-ray")) == (
+        "Verdict(reason='excluded-primitive-ray', certificate_hint=None, ray=None)"
     )
     assert repr(PrimitiveRay(QQi(1, 2), (1, -1))) == (
         "PrimitiveRay(direction=QQi(1, 2), integers=(1, -1))"
@@ -144,5 +143,5 @@ def test_replace_runs_the_constructor_checks():
     ray = PrimitiveRay(QQi(1), (2, -1, -1))
     with pytest.raises(ValueError, match="ray integers must sum to zero"):
         replace(ray, integers=(2, -1, 1))
-    with pytest.raises(ValueError, match="contradicts"):
-        replace(Verdict(True, "non-collinear"), realizable=False)
+    with pytest.raises(ValueError, match="unknown verdict reason 'bogus'"):
+        replace(Verdict("non-collinear"), reason="bogus")
