@@ -3,8 +3,8 @@
 Connection graphs are weighted bipartite trees encoding genus-zero flat
 surfaces with one cone point and only half-infinite cylinders.  Witnesses
 for collinear residue tuples peel one leaf at a time under the closed form;
-the brute-force oracle the closed-form decider is checked against tries
-every sequence of leaf removals instead, without the closed form.  Both
+the brute-force oracle the closed-form decider is checked against searches
+the leaf removals, once per pair of weight values, without the closed form.  Both
 give the graph as a schedule of integer leaf removals, which
 :func:`is_connection_graph` replays.  With several zeros the peel first
 takes leaf components, each a single-zero star joined to the rest at a
@@ -42,49 +42,49 @@ def find_connection_graph(entries: Sequence[int]) -> tuple[tuple[int, int, int],
 
     ``entries`` are nonzero integers summing to zero; positive entries
     weight the plus side, negatives the minus side.  Returns a schedule in
-    the form of :func:`peel_connection_graph`, or None.  This is the
-    oracle; witnesses use the peel.
+    the form of :func:`peel_connection_graph`, or None; witnesses use the
+    peel.  A state holds the positions left, in entry order, and their
+    signed weights.  While more than two are left, a leaf v is removed into
+    a vertex u on the other side with |w(u)| > |w(v)|, whose weight becomes
+    w(u) + w(v).  The two left at the end are equal and opposite, and the
+    removals, read as (leaf, neighbour) edges, are the tree found.
 
-    The search removes leaves.  A state maps positions to signed weights.
-    While more than two are left, each vertex v is tried as a leaf, removed
-    into each vertex u on the other side with |w(u)| > |w(v)|, whose weight
-    becomes w(u) + w(v); the two vertices left at the end are equal and
-    opposite, as the weights sum to zero.  The removals, read as (leaf,
-    neighbour) edges, are the tree found.
-
-    This is exact.  Every connection graph has a leaf, and removing it
-    leaves a connection graph, by the definition.  Conversely, attaching a
-    leaf of size w to an opposite vertex of size above w changes no other
-    edge flow, and the new edge carries flow w > 0, so a connection graph
-    stays one.  Whether a state succeeds depends only on its multiset of
-    weights, so the failed multisets are remembered for the length of one
-    call.  The closed form, :func:`resflat.core.primitive_total_exceeds`,
-    is never used: the oracle is independent of the theorem it checks.
+    This is exact.  Every connection graph has a leaf whose removal leaves
+    one, by the definition; conversely, attaching a leaf of size w to an
+    opposite vertex of size above w changes no other edge flow and puts
+    flow w > 0 on the new edge.  So a state's success depends only on its
+    multiset of weights, and removals with equal (leaf, neighbour) values
+    give equal children: each pair of values is tried once, at the first
+    positions holding them, values in entry order, and failed multisets are
+    remembered for one call.  The oracle never calls the closed form
+    :func:`resflat.core.primitive_total_exceeds`, the theorem it checks.
     """
-    weight = dict(enumerate(entries))
-    if not weight or 0 in weight.values():
+    weights = tuple(entries)
+    if not weights or 0 in weights:
         raise ValueError("entries must be nonzero")
-    if sum(weight.values()) != 0:
+    if sum(weights) != 0:
         raise ValueError("entries must sum to zero")
     failed: set[tuple[int, ...]] = set()
 
-    def search(weight: dict[int, int]) -> tuple[tuple[int, int, int], ...] | None:
-        if len(weight) == 2:
-            (a, wa), (b, _) = weight.items()
-            return ((a, b, abs(wa)),)
-        key = tuple(sorted(weight.values()))
+    def search(positions: tuple[int, ...], weights: tuple[int, ...]):
+        if len(weights) == 2:
+            return ((positions[0], positions[1], abs(weights[0])),)
+        key = tuple(sorted(weights))
         if key not in failed:
-            for v, wv in weight.items():
-                for u, wu in weight.items():
+            firsts = [(weights.index(w), w) for w in dict.fromkeys(weights)]
+            for v, wv in firsts:
+                for u, wu in firsts:
                     if wu * wv < 0 and abs(wu) > abs(wv):
-                        rest = {k: w + wv if k == u else w for k, w in weight.items() if k != v}
-                        found = search(rest)
+                        rest = list(weights)
+                        rest[u] += wv
+                        del rest[v]
+                        found = search(positions[:v] + positions[v + 1 :], tuple(rest))
                         if found is not None:
-                            return ((v, u, abs(wv)),) + found
+                            return ((positions[v], positions[u], abs(wv)),) + found
             failed.add(key)
         return None
 
-    return search(weight)
+    return search(tuple(range(len(weights))), weights)
 
 
 def is_connection_graph(entries: Sequence[int], steps: Sequence[tuple[int, int, int]]) -> bool:

@@ -565,7 +565,12 @@ def build_witness(
 def _build_on_route(
     sig: StratumSignature, residues: tuple[QQi, ...], verdict: _decide.Verdict, rotation: int | None
 ) -> ConstructionCertificate:
-    """:func:`build_witness` on a request that the decider's ``verdict`` calls realizable."""
+    """:func:`build_witness` on a request that the decider's ``verdict`` calls realizable.
+
+    Raises ValueError on a verdict that is not realizable or names no route.
+    """
+    if not verdict.realizable:
+        raise ValueError(f"verdict {verdict.reason!r} is not realizable")
     if rotation is not None and not (
         sig.genus == 1
         and sig.p > 0
@@ -583,9 +588,11 @@ def _build_on_route(
         cert = _stable_assembly_cert(sig, verdict.ray)
     elif route == "genus-reduction":
         cert = _positive_genus_cert(sig, residues, rotation)
-    else:
+    elif route in ("residual-polygon", "collinear-anchor-chain"):
         cert = _cert_of(_single_zero_surface(sig, *scaled(residues), verdict.ray))
         cert = _blow_to_target(cert, sig.zeros)
+    else:
+        raise ValueError(f"verdict {verdict.reason!r} names no construction route: {route!r}")
     cert = _with_marked_points(cert, sig.zeros)
     if not profile_matches(cert.claimed, sig, residues):
         raise InternalBuildError(

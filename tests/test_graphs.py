@@ -166,6 +166,36 @@ def assert_schedule_on(combo, steps):
     assert _flows_positive(plus, minus, pairs), combo
 
 
+def find_connection_graph_by_positions(entries):
+    """Reference for :func:`find_connection_graph`: the same search, but
+    branching on every pair of positions (a leaf and a heavier neighbour on
+    the other side) at each state, with a new dict per child."""
+    weight = dict(enumerate(entries))
+    if not weight or 0 in weight.values():
+        raise ValueError("entries must be nonzero")
+    if sum(weight.values()) != 0:
+        raise ValueError("entries must sum to zero")
+    failed: set[tuple[int, ...]] = set()
+
+    def search(weight: dict[int, int]) -> tuple[tuple[int, int, int], ...] | None:
+        if len(weight) == 2:
+            (a, wa), (b, _) = weight.items()
+            return ((a, b, abs(wa)),)
+        key = tuple(sorted(weight.values()))
+        if key not in failed:
+            for v, wv in weight.items():
+                for u, wu in weight.items():
+                    if wu * wv < 0 and abs(wu) > abs(wv):
+                        rest = {k: w + wv if k == u else w for k, w in weight.items() if k != v}
+                        found = search(rest)
+                        if found is not None:
+                            return ((v, u, abs(wv)),) + found
+            failed.add(key)
+        return None
+
+    return search(weight)
+
+
 STAR = [3, -1, -1, -1]
 STAR_STEPS = ((1, 0, 1), (2, 0, 1), (3, 0, 1))
 
@@ -362,11 +392,27 @@ class TestFindConnectionGraph:
         # search answers without walking them.
         assert find_connection_graph((-1, -1, 4, -3, 1, 1, 1, -1, 2, 1, -2, -2)) is None
 
+    def test_matches_the_search_over_positions(self):
+        # Branching once per pair of weight values skips only children whose
+        # multiset an earlier pair of the same state already failed on, so
+        # the verdict, and the schedule itself, are the position-level
+        # search's.
+        cases = list(oracle_cases(10, 5))
+        assert len(cases) == 5383
+        found = 0
+        for combo in cases:
+            steps = find_connection_graph(combo)
+            assert steps == find_connection_graph_by_positions(combo), combo
+            if steps is not None:
+                assert is_connection_graph(combo, steps), combo
+                found += 1
+        assert 0 < found < len(cases)
+
     def test_refutes_every_excluded_ray(self):
         # The oracle never uses the closed form, yet finds no graph on any
-        # ray the closed form excludes, up to s = 13.
-        rays = [ray.integers for s in range(4, 14) for ray in enumerate_excluded_rays(s, s - 2)]
-        assert len(rays) == 424
+        # ray the closed form excludes, up to s = 16.
+        rays = [ray.integers for s in range(4, 17) for ray in enumerate_excluded_rays(s, s - 2)]
+        assert len(rays) == 1906
         assert all(find_connection_graph(ints) is None for ints in rays)
 
     def test_spanning_tree_counts(self):

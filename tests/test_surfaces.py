@@ -570,6 +570,22 @@ class TestBuildWitness:
         kinds = {type(p).__name__ for p in cert.surface.pieces}
         assert kinds == {"Polygon", "SimplePolePart"}
 
+    def test_a_verdict_with_no_route_is_not_built(self):
+        # H_0(2, -1^4) with (1, i, -1, -i) builds on the residual-polygon
+        # route; a verdict that is no "yes", or names no route, builds nothing.
+        sig = StratumSignature(0, (2,), (), 4)
+        r = residue_tuple([ONE, I, -ONE, -I])
+        Verdict = resflat.decide.Verdict
+        assert resflat.surfaces._build_on_route(sig, r, decide_realizable(sig, r), None)
+        for verdict, message in (
+            (Verdict("excluded-primitive-ray", "no-such-route"), "is not realizable"),
+            (Verdict("excluded-primitive-ray", "residual-polygon"), "is not realizable"),
+            (Verdict("non-collinear", "no-such-route"), "names no construction route"),
+            (Verdict("non-collinear"), "names no construction route"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                resflat.surfaces._build_on_route(sig, r, verdict, None)
+
     def test_triangle_family_witness(self):
         self.check(StratumSignature(0, (3, 3, 3), (2, 2, 2, 2, 3)), [0] * 5)
 
