@@ -15,7 +15,6 @@ from types import ModuleType
 # Each submodule's public names.
 _PUBLIC = {
     "core": (
-        "NON_COLLINEAR",
         "PrimitiveRay",
         "QQi",
         "SearchBudgetExceeded",

@@ -124,6 +124,17 @@ def _request_pair(doc: Any) -> tuple[StratumSignature, tuple[QQi, ...]]:
     return sig, residues
 
 
+def _sweep_options(args: SimpleNamespace, *names: str) -> list:
+    """The named options, each overridden by the input document's field of
+    the same name when the command line gives a document."""
+    if not args.input:
+        return [getattr(args, name) for name in names]
+    doc = _read_document(args.input)
+    if not isinstance(doc, dict):
+        raise DocumentError("$", "expected an object")
+    return [doc.get(name, getattr(args, name)) for name in names]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -178,15 +189,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 def _cmd_table(args: SimpleNamespace) -> int:
     from . import reports as _reports
 
-    if args.input:
-        doc = _read_document(args.input)
-        if not isinstance(doc, dict):
-            raise DocumentError("$", "expected an object")
-        s_min = doc.get("s_min", 2)
-        s_max = doc.get("s_max")
-        max_zero = doc.get("max_zero")
-    else:
-        s_min, s_max, max_zero = args.s_min, args.s_max, args.max_zero
+    s_min, s_max, max_zero = _sweep_options(args, "s_min", "s_max", "max_zero")
     if not (_is_int(s_min) and _is_int(s_max)) or s_max < s_min:
         raise DocumentError("$.s_min/s_max", "expected integers with s_min <= s_max")
     if s_min < 2:
@@ -202,14 +205,7 @@ def _cmd_table(args: SimpleNamespace) -> int:
 def _cmd_oracle_check(args: SimpleNamespace) -> int:
     from . import reports as _reports
 
-    if args.input:
-        doc = _read_document(args.input)
-        if not isinstance(doc, dict):
-            raise DocumentError("$", "expected an object")
-        s_max = doc.get("s_max", args.s_max)
-        entry_bound = doc.get("entry_bound", args.entry_bound)
-    else:
-        s_max, entry_bound = args.s_max, args.entry_bound
+    s_max, entry_bound = _sweep_options(args, "s_max", "entry_bound")
     if not _is_int(s_max) or s_max < 2:
         raise DocumentError("$.s_max", "expected an integer of at least 2")
     if not _is_int(entry_bound) or entry_bound < 1:

@@ -424,18 +424,6 @@ def validate_residues(sig: StratumSignature, residues: Sequence[QQi]) -> tuple[s
     return tuple(bad)
 
 
-class _Marker:
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-#: Returned by :func:`collinear_normal_form` when two entries span the plane.
-NON_COLLINEAR = _Marker("NON_COLLINEAR")
-
-
 class PrimitiveRay(Frozen):
     """A collinear tuple in normal form: direction times a primitive integer vector.
 
@@ -459,13 +447,14 @@ class PrimitiveRay(Frozen):
         _set(self, "integers", integers)
 
 
-def collinear_normal_form(entries: Sequence[QQi]):
+def collinear_normal_form(entries: Sequence[QQi]) -> PrimitiveRay | None:
     """Normal form of a tuple of nonzero Gaussian rationals on a real line.
 
-    Returns a :data:`PrimitiveRay` when all entries lie on one real line
-    through the origin, :data:`NON_COLLINEAR` otherwise.  The normal form is
-    invariant under scaling every entry by a common nonzero Gaussian
-    rational.  Zero entries are rejected (the caller filters them out).
+    Returns a :class:`PrimitiveRay` when all entries lie on one real line
+    through the origin, None when two of them span the plane.  The normal
+    form is invariant under scaling every entry by a common nonzero
+    Gaussian rational.  Zero entries are rejected (the caller filters them
+    out).
     """
     entries = tuple(entries)
     if not entries:
@@ -475,7 +464,7 @@ def collinear_normal_form(entries: Sequence[QQi]):
         raise ValueError("zero entry: the ray normal form is undefined")
     ints = line_integers(pairs)
     if ints is None:
-        return NON_COLLINEAR
+        return None
     g = gcd(*ints)
     ints = [m // g for m in ints]
     (x0, y0), m0 = pairs[0], ints[0]

@@ -27,7 +27,6 @@ from typing import Iterator, Sequence
 
 from .core import (
     CYLINDER_BUDGET,
-    NON_COLLINEAR,
     Frozen,
     PrimitiveRay,
     QQi,
@@ -105,7 +104,7 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
         return Verdict(REASON_ZERO_EXCLUDED)
 
     form = collinear_normal_form(tuple(nonzero))
-    if form is NON_COLLINEAR:
+    if form is None:
         return Verdict(REASON_NON_COLLINEAR, "residual-polygon")
     if sig.p >= 1:
         return Verdict(REASON_MIXED, "collinear-anchor-chain", ray=form)

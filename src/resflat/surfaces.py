@@ -4,7 +4,7 @@ order along the decider's route, each claim the kernel's own reading.
 Only the stable-assembly routes (``connection-graph``,
 ``blow-up-of-single-zero`` and ``stable-tree``) peel with
 :mod:`resflat.graphs`, so the module imports it inside
-:func:`_stable_assembly_cert` alone."""
+:func:`_stable_assembly_base` alone."""
 
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from .verify import (
     _read_piece,
     _read_surface,
     profile_matches,
-    verify_surface,
 )
 
 _ONE = (1, 0)
@@ -78,10 +77,6 @@ def blow_up_zero(
 
 # ---------------------------------------------------------------------------
 # Elementary builders
-
-
-def _cert_of(surface: FlatSurface) -> ConstructionCertificate:
-    return ConstructionCertificate(surface, (), verify_surface(surface))
 
 
 def _write_chain(
@@ -339,22 +334,6 @@ def _triangle_surface(zeros: Sequence[int], orders: Sequence[int]) -> FlatSurfac
 # Witness dispatch
 
 
-def _positive_parts(zeros: Sequence[int]) -> tuple[int, ...]:
-    return tuple([a for a in zeros if a > 0])
-
-
-def _blow_to_target(
-    cert: ConstructionCertificate, zeros: Sequence[int]
-) -> ConstructionCertificate:
-    """Blow the certificate's largest zero into the prescribed positive orders."""
-    parts = _positive_parts(zeros)
-    if len(parts) <= 1:
-        return cert
-    total = sum(parts)
-    idx = cert.claimed.zero_orders.index(total)
-    return blow_up_zero(cert, idx, parts)
-
-
 def _cut_slot(piece: Piece, slot: int, parts: int) -> tuple[Piece, list[int]]:
     """Cut slot ``slot`` into ``parts`` equal parts, at ``slot`` onwards; ``parts`` divides it.
 
@@ -406,26 +385,30 @@ def _with_marked_points(
     return replace(cert, surface=surface, claimed=claimed)
 
 
-def _zero_residue_cert(sig: StratumSignature) -> ConstructionCertificate:
+# A route builder returns a base surface and the zero splits to apply to it,
+# in order; each split is a tuple of orders, of which the positive ones are
+# the parts of the base zero of their sum.
+_Base = tuple[FlatSurface, list]
+
+
+def _zero_residue_base(sig: StratumSignature) -> _Base:
     orders = sig.higher_poles
-    zeros = sorted(_positive_parts(sig.zeros), reverse=True)
+    zeros = sorted([a for a in sig.zeros if a > 0], reverse=True)
     if len(zeros) <= 1:
         # The decider admits at most one zero only with a single pole, which
         # a self-glued chain carries; profile_matches rejects anything else.
-        return _cert_of(_chain_surface((orders[0],), (1,)))
+        return _chain_surface((orders[0],), (1,)), []
     if len(zeros) == 2:
-        return _cert_of(_chain_surface(orders, _choose_taus(orders, zeros[0] + 1)))
+        return _chain_surface(orders, _choose_taus(orders, zeros[0] + 1)), []
     lo1, lo2 = sorted(zeros)[:2]
     if len(zeros) == 3 and lo1 + lo2 > sig.pole_degree - sig.p - 1:
-        return _cert_of(_triangle_surface(sorted(zeros), orders))
+        return _triangle_surface(sorted(zeros), orders), []
     rest = sorted(zeros)[2:]
-    sub = StratumSignature(0, tuple(rest + [lo1 + lo2]), orders)
-    cert = _zero_residue_cert(sub)
-    idx = cert.claimed.zero_orders.index(lo1 + lo2)
-    return blow_up_zero(cert, idx, (lo1, lo2))
+    surface, splits = _zero_residue_base(StratumSignature(0, tuple(rest + [lo1 + lo2]), orders))
+    return surface, splits + [(lo1, lo2)]
 
 
-def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> ConstructionCertificate:
+def _stable_assembly_base(sig: StratumSignature, ray: PrimitiveRay) -> _Base:
     """Collinear residues at simple poles only: one surface of single-zero
     components plumbed at nodes.
 
@@ -437,12 +420,12 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
     length, the next on each part's chain.  Entry k < s is the simple-pole
     piece k; leaf c's node half is piece s + 2c and entry s + c, the leaf's
     sum, piece s + 2c + 1, so :func:`_plumb` turns each such pair into node
-    c.  The remainder's zero is then blown up into the zeros not peeled.
+    c.  The remainder's zero is then split into the zeros not peeled.
     With one zero, or when one zero carries every entry, there are no nodes.
     """
     from . import graphs as _graphs
 
-    found = _graphs.find_stable_config(ray.integers, _positive_parts(sig.zeros))
+    found = _graphs.find_stable_config(ray.integers, [a for a in sig.zeros if a > 0])
     if found is None:
         raise InternalBuildError("no stable configuration although the decider says realizable")
     components, left = found
@@ -472,21 +455,18 @@ def _stable_assembly_cert(sig: StratumSignature, ray: PrimitiveRay) -> Construct
                 chain.append((x * m, y * m))
             glued.append(ends)
     pieces = [SimplePolePart(chain) for chain in chains]
-    return _blow_to_target(_cert_of(_plumb(pieces, glued, nodes, d)), left)
+    return _plumb(pieces, glued, nodes, d), [left]
 
 
-def _genus1_zero_residue_cert(
-    orders: Sequence[int], rotation: int | None
-) -> ConstructionCertificate:
+def _genus1_zero_residue_surface(orders: Sequence[int], rot: int | None) -> FlatSurface:
     """A genus-1 zero-residue base, of the rotation number given if any: a
     chain closed by the square whose types sum to a total of that gcd with
     the orders, or for double poles only, where no total has it, a handle
     over that many of the poles."""
     orders = tuple(orders)
     p = len(orders)
-    if rotation is None:
-        return _cert_of(_chain_surface(orders, (1,) * p, _SQUARE))
-    rot = int(rotation)
+    if rot is None:
+        return _chain_surface(orders, (1,) * p, _SQUARE)
     if rot < 1:
         raise ValueError(f"rotation number must be at least 1, got {rot}")
     g0 = math.gcd(*orders)
@@ -496,19 +476,14 @@ def _genus1_zero_residue_cert(
         raise ValueError("the rotation number of this family is a strict divisor")
     total = next((t for t in range(p, sum(orders) - p + 1) if math.gcd(g0, t) == rot), None)
     if total is None:  # only double poles leave no total, and rot is 1 or 2
-        surface = _chain_surface((2,) * (p - rot), (1,) * (p - rot), _HANDLE, rot - 1)
-    else:
-        surface = _chain_surface(orders, _choose_taus(orders, total), _SQUARE)
-    claimed, tables = _read_surface(surface)
-    cert = ConstructionCertificate(surface, (), claimed, rot)
-    _check_rotation(cert, claimed, tables)
-    return cert
+        return _chain_surface((2,) * (p - rot), (1,) * (p - rot), _HANDLE, rot - 1)
+    return _chain_surface(orders, _choose_taus(orders, total), _SQUARE)
 
 
-def _positive_genus_cert(
+def _positive_genus_base(
     sig: StratumSignature, residues: Sequence[QQi], rotation: int | None
-) -> ConstructionCertificate:
-    """g plumbed handles on a single-zero genus-0 base, then the blow-ups.
+) -> _Base:
+    """g plumbed handles on a single-zero genus-0 base, then the splits.
 
     The base adds simple poles of residues c_j = (j + i) * r_0 and -c_j for
     j < g, r_0 the first nonzero residue or 1, and :func:`_plumb` joins
@@ -518,7 +493,7 @@ def _positive_genus_cert(
     g = sig.genus
     if g == 1 and all(r.is_zero() for r in residues):
         # With no poles at all this is the bare square.
-        return _blow_to_target(_genus1_zero_residue_cert(sig.higher_poles, rotation), sig.zeros)
+        return _genus1_zero_residue_surface(sig.higher_poles, rotation), [sig.zeros]
     d, pairs = scaled(residues)
     x, y = next((r for r in pairs if r != (0, 0)), _ONE)
     handles = []
@@ -529,7 +504,7 @@ def _positive_genus_cert(
         0, (sig.pole_degree + sig.s + 2 * g - 2,), sig.higher_poles, sig.s + 2 * g
     )
     base = _single_zero_surface(base_sig, d, [*pairs, *handles], None)
-    return _blow_to_target(_cert_of(_plumb(base.pieces, base.pairings, g, d)), sig.zeros)
+    return _plumb(base.pieces, base.pairings, g, d), [sig.zeros]
 
 
 def build_witness(
@@ -546,14 +521,9 @@ def build_witness(
     :func:`verify_certificate` and reproduces the prescribed invariants, and
     a claim that misses the request raises InternalBuildError.  For genus-1
     zero-residue strata a ``rotation`` number may be prescribed, selecting a
-    connected component.
-
-    Every claim is :func:`verify_surface`'s reading of the surface, folded
-    through :func:`_apply_surgery`, plus one order-0 zero per point
-    :func:`_with_marked_points` marks.  That is what
-    :func:`verify_certificate` re-derives, so only the request is checked
-    here.  A claimed rotation is checked where its base is built, against
-    the rotation read off it; marking regular points does not change it.
+    connected component.  The route's builder returns a base surface and
+    its zero splits, and :func:`_build_on_route` finishes every witness the
+    same way.
     """
     residues = residue_tuple(residues)
     verdict = _decide.decide_realizable(sig, residues)
@@ -567,32 +537,49 @@ def _build_on_route(
 ) -> ConstructionCertificate:
     """:func:`build_witness` on a request that the decider's ``verdict`` calls realizable.
 
+    The one finishing step of every route.  The claim starts as the
+    kernel's reading of the base, the one read of a build, against which a
+    requested rotation is checked.  Each split is then folded in by
+    :func:`blow_up_zero`, at the first zero of the parts' total order, and
+    :func:`_with_marked_points` adds one order-0 zero per point it marks,
+    which changes no rotation.  That is what :func:`verify_certificate`
+    re-derives, so only the request is checked last.
+
     Raises ValueError on a verdict that is not realizable or names no route.
     """
     if not verdict.realizable:
         raise ValueError(f"verdict {verdict.reason!r} is not realizable")
-    if rotation is not None and not (
-        sig.genus == 1
-        and sig.p > 0
-        and all(r.is_zero() for r in residues)
-        and len(_positive_parts(sig.zeros)) <= 1
-    ):
-        raise ValueError(
-            "rotation numbers apply to genus-1 strata with higher poles, "
-            "zero residues and at most one zero"
-        )
+    if rotation is not None:
+        if not (
+            sig.genus == 1
+            and sig.p > 0
+            and all(r.is_zero() for r in residues)
+            and sum(a > 0 for a in sig.zeros) <= 1
+        ):
+            raise ValueError(
+                "rotation numbers apply to genus-1 strata with higher poles, "
+                "zero residues and at most one zero"
+            )
+        rotation = int(rotation)
     route = verdict.certificate_hint
     if route == "zero-residue-chain":
-        cert = _zero_residue_cert(sig)
+        surface, splits = _zero_residue_base(sig)
     elif route in ("connection-graph", "blow-up-of-single-zero", "stable-tree"):
-        cert = _stable_assembly_cert(sig, verdict.ray)
+        surface, splits = _stable_assembly_base(sig, verdict.ray)
     elif route == "genus-reduction":
-        cert = _positive_genus_cert(sig, residues, rotation)
+        surface, splits = _positive_genus_base(sig, residues, rotation)
     elif route in ("residual-polygon", "collinear-anchor-chain"):
-        cert = _cert_of(_single_zero_surface(sig, *scaled(residues), verdict.ray))
-        cert = _blow_to_target(cert, sig.zeros)
+        surface, splits = _single_zero_surface(sig, *scaled(residues), verdict.ray), [sig.zeros]
     else:
         raise ValueError(f"verdict {verdict.reason!r} names no construction route: {route!r}")
+    claimed, tables = _read_surface(surface)
+    cert = ConstructionCertificate(surface, (), claimed, rotation)
+    if rotation is not None:
+        _check_rotation(cert, claimed, tables)
+    for split in splits:
+        parts = [a for a in split if a > 0]
+        if len(parts) > 1:
+            cert = blow_up_zero(cert, cert.claimed.zero_orders.index(sum(parts)), parts)
     cert = _with_marked_points(cert, sig.zeros)
     if not profile_matches(cert.claimed, sig, residues):
         raise InternalBuildError(

@@ -101,6 +101,31 @@ def test_table_counts(tmp_path):
     assert [row["count"] for row in out["rows"]] == [0, 0, 1, 1, 4]
 
 
+def test_table_document_fields_override_options(tmp_path):
+    # s_max comes from the document, s_min from its option.
+    code, out = run_cli(["table", "--s-min", "3", "--s-max", "6"], tmp_path, {"s_max": 4})
+    assert code == 0
+    assert [row["s"] for row in out["rows"]] == [3, 4]
+    # An empty document keeps every option.
+    code, out = run_cli(["table", "--s-max", "3"], tmp_path, {})
+    assert code == 0
+    assert [row["s"] for row in out["rows"]] == [2, 3]
+
+
+def test_oracle_check_document_fields_override_options(tmp_path):
+    flags = ["oracle-check", "--s-max", "5", "--entry-bound", "2"]
+    code, out = run_cli(flags, tmp_path)
+    assert code == 0
+    # entry_bound comes from the document, s_max from its option.
+    code, overridden = run_cli(flags, tmp_path, {"entry_bound": 3})
+    assert code == 0
+    wider = ["oracle-check", "--s-max", "5", "--entry-bound", "3"]
+    assert overridden == run_cli(wider, tmp_path)[1]
+    assert overridden["cases"] > out["cases"]
+    # An empty document keeps every option.
+    assert run_cli(flags, tmp_path, {}) == (0, out)
+
+
 def test_witness_then_verify_same_process(tmp_path):
     doc = {
         "stratum": {"genus": 0, "zeros": [5], "poles": [], "simple_poles": 7},

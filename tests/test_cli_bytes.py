@@ -149,6 +149,15 @@ CASES = [
         "022d7239b1974fcea665aae2e29aa95656488e8345a3512b6680d9f99840d5ce",
     ),
     (
+        # Two nested blow-ups, [1, 2] then [1, 1], both at zero 0: the bytes
+        # depend on the order in which the splits are applied.
+        "witness-zero-residue-nested-blow-ups",
+        ["witness"],
+        {"stratum": _stratum(0, [2, 1, 1, 1], [2, 2, 3]), "residues": [0, 0, 0]},
+        0,
+        "8d5a3af9b13e652e57917474761bfc85c02b8bfdf829df68e7a5e48b6986e912",
+    ),
+    (
         "witness-not-realizable",
         ["witness"],
         {"stratum": _stratum(0, [2], [2, 2]), "residues": [0, 0]},

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resflat.core import (
-    NON_COLLINEAR,
     DocumentError,
     PrimitiveRay,
     QQi,
@@ -245,7 +244,7 @@ class TestCollinearNormalForm:
 
     def test_non_collinear(self):
         entries = residue_tuple([QQi(1), QQi(0, 1), QQi(-1, -1)])
-        assert collinear_normal_form(entries) is NON_COLLINEAR
+        assert collinear_normal_form(entries) is None
 
     def test_two_opposite(self):
         form = collinear_normal_form(
@@ -295,7 +294,7 @@ def _reference_normal_form(entries: tuple[QQi, ...]):
     """collinear_normal_form on Fractions, as it was computed before integer pairs."""
     ratios = [_reference_ratio(e, entries[0]) for e in entries]
     if None in ratios:
-        return NON_COLLINEAR
+        return None
     ints, unit = _reference_primitive(ratios)
     sign = 1 if ints[0] > 0 else -1
     direction = entries[0] * (sign * unit)
@@ -335,8 +334,8 @@ def balanced_tuples(draw):
 def test_integer_pairs_agree_with_fractions(entries):
     form = collinear_normal_form(entries)
     want = _reference_normal_form(entries)
-    if want is NON_COLLINEAR:
-        assert form is NON_COLLINEAR
+    if want is None:
+        assert form is None
     else:
         assert (form.direction, form.integers) == (want.direction, want.integers)
     ints = line_integers(scaled(entries)[1])

@@ -56,7 +56,6 @@ def test_each_module_imports_only_those_before_it(module):
 # The package's public names, by the module that defines each.
 PUBLIC = {
     "core": {
-        "NON_COLLINEAR",
         "PrimitiveRay",
         "QQi",
         "SearchBudgetExceeded",
@@ -295,7 +294,7 @@ def test_star_import_binds_the_same_public_names():
     exec("from resflat import *", names)
     del names["__builtins__"]
     assert set(names) == set().union(*PUBLIC.values())
-    assert len(names) == len(resflat.__all__) == 31
+    assert len(names) == len(resflat.__all__) == 30
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))

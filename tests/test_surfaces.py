@@ -736,47 +736,63 @@ class TestBuildWitness:
             self.check(sig, values)
 
     @pytest.mark.parametrize(
-        "sig, values, route",
+        "sig, values, route, rotation",
         [
-            (StratumSignature(0, (1, 1), (2, 2)), [0, 0], "zero-residue-chain"),
-            (StratumSignature(0, (1, 1), (), 4), [ONE, I, -ONE, -I], "residual-polygon"),
-            (StratumSignature(0, (1, 1), (2,), 2), [1, 2, -3], "collinear-anchor-chain"),
-            (StratumSignature(0, (5,), (), 7), [3, 1, 1, 1, -2, -2, -2], "connection-graph"),
-            (StratumSignature(0, (1, 1), (), 4), [3, -1, -1, -1], "blow-up-of-single-zero"),
-            (StratumSignature(0, (2, 2), (), 6), [2, 1, 1, -1, -1, -2], "stable-tree"),
+            (StratumSignature(0, (1, 1), (2, 2)), [0, 0], "zero-residue-chain", None),
+            (StratumSignature(0, (1, 1), (), 4), [ONE, I, -ONE, -I], "residual-polygon", None),
+            (StratumSignature(0, (1, 1), (2,), 2), [1, 2, -3], "collinear-anchor-chain", None),
+            (StratumSignature(0, (5,), (), 7), [3, 1, 1, 1, -2, -2, -2], "connection-graph", None),
+            (StratumSignature(0, (1, 1), (), 4), [3, -1, -1, -1], "blow-up-of-single-zero", None),
+            (StratumSignature(0, (2, 2), (), 6), [2, 1, 1, -1, -1, -2], "stable-tree", None),
             (
                 StratumSignature(1, (3,), (2,), 1),
                 [Fraction(1, 2), Fraction(-1, 2)],
                 "genus-reduction",
+                None,
+            ),
+            (StratumSignature(1, (4,), (2, 2)), [0, 0], "genus-reduction", 2),
+            (
+                StratumSignature(0, (2, 0), (), 4),
+                [Fraction(1, 3), I / 7, Fraction(-1, 3), -I / 7],
+                "residual-polygon",
+                None,
             ),
         ],
     )
     def test_one_decision_and_one_verification_per_base(
-        self, monkeypatch, sig, values, route
+        self, monkeypatch, sig, values, route, rotation
     ):
-        verdicts, verified, validated = [], [], []
-        decide, verify = resflat.decide.decide_realizable, resflat.surfaces.verify_surface
+        # The kernel reads each base once, in _build_on_route: a rotation is
+        # checked against that reading, and marked points are added after it.
+        verdicts, read, validated = [], [], []
+        decide, read_surface = resflat.decide.decide_realizable, resflat.surfaces._read_surface
         validate = resflat.decide.validate_residues
 
         def counting_decide(*args):
             verdicts.append(decide(*args))
             return verdicts[-1]
 
-        def counting_verify(surface):
-            verified.append(surface)
-            return verify(surface)
+        def counting_read(surface):
+            read.append(surface)
+            return read_surface(surface)
 
         def counting_validate(*args):
             validated.append(args)
             return validate(*args)
 
         monkeypatch.setattr(resflat.decide, "decide_realizable", counting_decide)
-        monkeypatch.setattr(resflat.surfaces, "verify_surface", counting_verify)
+        monkeypatch.setattr(resflat.surfaces, "_read_surface", counting_read)
         monkeypatch.setattr(resflat.decide, "validate_residues", counting_validate)
-        cert = build_witness(sig, residue_tuple(values))
+        cert = build_witness(sig, residue_tuple(values), rotation=rotation)
         assert [v.certificate_hint for v in verdicts] == [route]
         assert len(validated) == 1
-        assert verified == [cert.surface]
+        assert cert.claimed_rotation == rotation
+        assert len(read) == 1
+        if 0 in sig.zeros:  # the marked points cut the base into a new surface
+            assert cert.claimed.zero_orders.count(0) == sig.zeros.count(0)
+            assert read[0] is not cert.surface
+        else:
+            assert read == [cert.surface]
 
     @pytest.mark.parametrize(
         "sig, values, route",
