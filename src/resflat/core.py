@@ -501,9 +501,11 @@ CYLINDER_BUDGET = 2_000_000
 def check_cylinder_request(
     sig: StratumSignature, circumferences: Sequence[QQi], budget: int
 ) -> None:
-    """Raise ValueError unless ``budget`` is nonnegative, ``sig`` a valid
-    holomorphic stratum and ``circumferences`` a nonempty tuple of nonzero
-    values, checked in that order."""
+    """Raise ValueError unless ``budget`` is a nonnegative int (a bool is
+    not one), ``sig`` a valid holomorphic stratum and ``circumferences`` a
+    nonempty tuple of nonzero values, checked in that order."""
+    if not _is_int(budget):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     bad = validate_stratum(sig)

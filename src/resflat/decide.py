@@ -144,7 +144,7 @@ def enumerate_excluded_rays(s: int, max_zero: int) -> tuple[PrimitiveRay, ...]:
     if s < 2:
         raise ValueError("a ray needs at least two entries")
     found: set[tuple[int, ...]] = set()
-    for total in range(1, max(max_zero, 0) + 1):
+    for total in range(1, max_zero + 1):
         for s1 in range(1, s):
             s2 = s - s1
             if total < s1 or total < s2:

@@ -21,6 +21,7 @@ from .core import (
     replace,
     residue_tuple,
     scaled,
+    _is_int,
 )
 from . import decide as _decide
 from .verify import (
@@ -63,10 +64,16 @@ def blow_up_zero(
     """Split a zero of the claimed profile into parts of the same total order.
 
     Pole orders, residues and genus are unchanged.  Raises ValueError when
-    the index names no zero, or the parts are not positive or do not sum
-    to the chosen zero's order.
+    the index or a part is not an int (a bool is not one), the index names
+    no zero, or the parts are not positive or do not sum to the chosen
+    zero's order.
     """
-    step = BlowUpZero(zero_index, tuple([int(x) for x in parts]))
+    parts = tuple(parts)
+    if not (_is_int(zero_index) and all(_is_int(x) for x in parts)):
+        raise ValueError(
+            f"zero index and parts must be integers, got {zero_index!r} and {parts!r}"
+        )
+    step = BlowUpZero(zero_index, parts)
     return replace(
         cert,
         surgeries=cert.surgeries + (step,),
@@ -550,6 +557,8 @@ def _build_on_route(
     if not verdict.realizable:
         raise ValueError(f"verdict {verdict.reason!r} is not realizable")
     if rotation is not None:
+        if not _is_int(rotation):
+            raise ValueError(f"rotation must be an integer, got {rotation!r}")
         if not (
             sig.genus == 1
             and sig.p > 0
@@ -560,7 +569,6 @@ def _build_on_route(
                 "rotation numbers apply to genus-1 strata with higher poles, "
                 "zero residues and at most one zero"
             )
-        rotation = int(rotation)
     route = verdict.certificate_hint
     if route == "zero-residue-chain":
         surface, splits = _zero_residue_base(sig)

@@ -134,7 +134,8 @@ def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pai
     """
     if isinstance(piece, PolarPart):
         return _read_polar_part(piece)
-    if isinstance(piece, SimplePolePart):
+    pole = isinstance(piece, SimplePolePart)
+    if pole:
         vs = piece.vectors
         if not vs:
             raise ValueError("simple-pole part needs at least one vector")
@@ -144,56 +145,52 @@ def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pai
             # One vector v is its own residue, and v . v > 0: monotone.
             vx, vy = vs[0]
             return vs, [0], [vy > 0 or (vy == 0 and vx < 0)], (vx, vy)
-        turns: list[int] = []
-        rx = ry = 0
-        ux, uy = vs[-1]
-        uu = uy > 0 or (uy == 0 and ux < 0)
-        for vx, vy in vs:
-            uv = vy > 0 or (vy == 0 and vx < 0)
-            turns.append(uu if uu == uv else ux * vy - uy * vx <= 0)
-            rx += vx
-            ry += vy
-            ux, uy, uu = vx, vy, uv
-        if rx or ry:
-            for x, y in vs:
-                if x * rx + y * ry <= 0:
-                    raise ValueError("simple-pole chain is not monotone along its residue")
-        return vs, [len(vs) - 1, *range(len(vs) - 1)], turns, (rx, ry)
-    if not isinstance(piece, Polygon):
+    elif isinstance(piece, Polygon):
+        vs = piece.edges
+        if len(vs) < 3:
+            raise ValueError("polygon needs at least three edges")
+        if (0, 0) in vs:
+            raise ValueError("polygon edge is zero")
+    else:
         raise ValueError(f"unknown piece type {type(piece).__name__}")
-    vs = piece.edges
-    if len(vs) < 3:
-        raise ValueError("polygon needs at least three edges")
-    if (0, 0) in vs:
-        raise ValueError("polygon edge is zero")
-    turns = []
+    # One walk gives each corner's turn, the winding, the convexity and the
+    # sum.  Parallel u and v point the same way exactly when up alike, so a
+    # corner goes straight on when up alike with cross(u, v) == 0.  A
+    # chain's convexity is never asked, so its cross products are skipped.
+    turns: list[int] = []
     rx = ry = wind = 0
-    convex = True
+    convex = not pole
     ux, uy = vs[-1]
     uu = uy > 0 or (uy == 0 and ux < 0)
     for vx, vy in vs:
         uv = vy > 0 or (vy == 0 and vx < 0)
-        c = ux * vy - uy * vx
         if uu == uv:
             turns.append(uu)
-        elif c > 0:
+            convex = convex and ux * vy >= uy * vx
+        elif ux * vy > uy * vx:
             turns.append(False)
             wind += uu
         else:
             turns.append(True)
             wind -= uv
-        if c < 0 or (c == 0 and ux * vx + uy * vy < 0):
             convex = False
         rx += vx
         ry += vy
         ux, uy, uu = vx, vy, uv
+    before = [len(vs) - 1, *range(len(vs) - 1)]
+    if pole:
+        if rx or ry:
+            for x, y in vs:
+                if x * rx + y * ry <= 0:
+                    raise ValueError("simple-pole chain is not monotone along its residue")
+        return vs, before, turns, (rx, ry)
     if rx or ry:
         raise ValueError("polygon edges do not close up")
     if wind != 1:
         raise ValueError("polygon boundary does not wind once counterclockwise")
     if not convex:
         raise ValueError("polygon is not convex: it turns right or back at a corner")
-    return vs, [len(vs) - 1, *range(len(vs) - 1)], turns, None
+    return vs, before, turns, None
 
 
 def _read_polar_part(piece: PolarPart) -> tuple[Sequence[Pair], list[int], list[int], Pair]:

@@ -191,6 +191,14 @@ class TestCylinders:
         v = search_cylinder_tuple(sig, lam)
         assert v.realizable and v.reason == REASON_SEARCH_REALIZABLE
 
+    @pytest.mark.parametrize("budget", [0.5, True])
+    def test_budget_that_is_not_an_int_is_rejected(self, budget):
+        """The search stops when its count of placements equals the budget,
+        which 1000.5 never does; such a budget is refused before any work."""
+        sig = StratumSignature(4, (4, 1, 1), ())
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            search_cylinder_tuple(sig, residue_tuple([1, 1, 1, 1]), budget=budget)
+
     def test_minimal_large_sum_realizable(self):
         v = search_cylinder_tuple(StratumSignature(2, (2,), ()), residue_tuple([3, 1]))
         assert v.realizable and v.reason == REASON_COLLINEAR_OK

@@ -3,13 +3,14 @@ it, and the verifier, the trusted kernel, imports only core.  The package
 and the CLI load a module only when it runs: a process imports what its
 subcommand needs, no subcommand loads ``dataclasses``, ``fractions``,
 ``argparse``, ``gettext`` or ``locale``, a ``python -m resflat.cli``
-process compiles ``cli.py`` once, and the public names stay what they
-were."""
+process compiles ``cli.py`` once, the public names stay what they
+were, and README counts the kernel's lines right."""
 
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -50,6 +51,19 @@ def package_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_each_module_imports_only_those_before_it(module):
     assert package_imports(module) <= ALLOWED[module]
+
+
+def test_the_readme_counts_the_kernels_lines():
+    """README's sentence on the trusted base names each file's line count."""
+    readme = " ".join((SOURCE.parents[1] / "README.md").read_text().split())
+    sentence = re.search(
+        r"trusts exactly two files, `src/resflat/verify\.py` \((\d+) lines\) "
+        r"and `src/resflat/core\.py` \((\d+) lines\)",
+        readme,
+    )
+    assert sentence, "README no longer states the kernel's line counts"
+    counts = [len((SOURCE / name).read_text().splitlines()) for name in ("verify.py", "core.py")]
+    assert [int(n) for n in sentence.groups()] == counts
 
 
 

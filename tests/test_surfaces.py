@@ -290,20 +290,28 @@ _pieces = st.one_of(
 )
 
 
-@given(_pieces)
+# Polygons and simple-pole chains share one walk, so each drawn edge list
+# is also read as a chain: both kinds' acceptance runs on the same vectors.
+_readings = _pieces.map(
+    lambda piece: (piece, SimplePolePart(piece.edges)) if isinstance(piece, Polygon) else (piece,)
+)
+
+
+@given(_readings)
 @settings(max_examples=800, deadline=None)
-def test_one_pass_matches_the_reference_reading(piece):
+def test_one_pass_matches_the_reference_reading(pieces):
     """_read_piece raises the reference's first message, or returns its
     canonical vectors, cycle, turns and residue sums."""
-    try:
-        want = _ref_read_piece(piece)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            _read_piece(piece)
-        assert str(got.value) == str(exc)
-        return
-    canon, before, turns, residue = _read_piece(piece)
-    assert (list(canon), before, turns, residue) == want
+    for piece in pieces:
+        try:
+            want = _ref_read_piece(piece)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _read_piece(piece)
+            assert str(got.value) == str(exc)
+            continue
+        canon, before, turns, residue = _read_piece(piece)
+        assert (list(canon), before, turns, residue) == want
 
 
 def test_one_pass_reference_strategies_reach_valid_pieces():
@@ -930,6 +938,17 @@ class TestSurgeries:
         with pytest.raises(ValueError, match="sum"):
             blow_up_zero(self.base_cert(), 0, (3, 2))
 
+    @pytest.mark.parametrize("index", [0.0, True])
+    def test_blow_up_rejects_a_zero_index_that_is_not_an_int(self, index):
+        with pytest.raises(ValueError, match="must be integers"):
+            blow_up_zero(self.base_cert(), index, (2, 2))
+
+    @pytest.mark.parametrize("parts", [(1.9, 1.2), (2.0, 2), (True, 3)])
+    def test_blow_up_rejects_parts_that_are_not_ints(self, parts):
+        """Truncated, (1.9, 1.2) would record a (1, 1) split, which verifies."""
+        with pytest.raises(ValueError, match="must be integers"):
+            blow_up_zero(self.base_cert(), 0, parts)
+
 
 # The genus-1 bases in closed form, and the indices of two loops that span
 # H_1 of each surface: the square closes a chain with indices 0 and the
@@ -971,6 +990,13 @@ class TestRotationBookkeeping:
             )
             assert cert.claimed_rotation == rot
             verify_certificate(cert)
+
+    @pytest.mark.parametrize("rotation", [2.9, True])
+    def test_rotation_that_is_not_an_int_is_rejected(self, rotation):
+        """Truncated, 2.9 and True would claim rotations 2 and 1."""
+        sig = StratumSignature(1, (4,), (2, 2))
+        with pytest.raises(ValueError, match="rotation must be an integer"):
+            build_witness(sig, residue_tuple([0, 0]), rotation=rotation)
 
     def test_rot_five_violation(self):
         cert = build_witness(
