@@ -10,9 +10,13 @@ denominators, as the pairs m * v.  A positive rational scale keeps every
 argument order, every sign of a cross or dot product, every zero test and
 the negative-real-axis test, so :func:`cross`, :func:`dot`, :func:`arg_cmp`
 and :func:`line_integers` answer on the pairs as on the Gaussian rationals;
-a sum of pairs divided back by m is the sum of the values.  Flat surfaces
-live on such a lattice: their pieces hold the pairs and the surface holds
-m, so the verifier never rescales them.
+a sum of pairs divided back by m is the sum of the values.  :func:`lattice`
+goes on to the coarsest such lattice: it divides the pairs by their gcd n,
+so a value is its pair times n/m, and a common positive scale of the values
+changes n/m alone, never the pairs.  Flat surfaces live on that lattice:
+their pieces hold the pairs and the surface holds n and m as its numerator
+and denominator, so the verifier never rescales them, and a surface's
+integers do not grow with a common scale of its residues.
 
 A Gaussian rational is itself a point of a lattice: :class:`QQi` holds the
 reduced integers of (x + iy)/d, so its arithmetic, equality and hash are
@@ -143,9 +147,9 @@ class QQi(Frozen):
 
     @classmethod
     def _of(cls, x: int, y: int, d: int) -> "QQi":
-        """(x + iy)/d for integers with d > 0, reduced by one gcd."""
-        g = gcd(x, y, d)
-        if g != 1:
+        """(x + iy)/d for integers with d > 0, reduced by one gcd, which a
+        denominator of 1 makes unneeded whatever the size of x and y."""
+        if d != 1 and (g := gcd(x, y, d)) != 1:
             x, y, d = x // g, y // g, d // g
         z = object.__new__(cls)
         _set_x(z, x)
@@ -237,6 +241,25 @@ def scaled(values: Sequence[QQi]) -> tuple[int, list[Pair]]:
     integer pair (re, im)."""
     m = math.lcm(*[v._d for v in values])
     return m, [(v._x * (k := m // v._d), v._y * k) for v in values]
+
+
+def lattice(values: Sequence[QQi]) -> tuple[int, int, list[Pair]]:
+    """The values on their coarsest lattice: positive integers d and n, and
+    integer pairs whose coordinates have gcd 1, each value its pair times n/d.
+
+    d is the lcm of the denominators, as in :func:`scaled`, and n the gcd of
+    the scaled pairs' coordinates, which is prime to d.  All-zero values
+    keep n = 1.
+    """
+    d, pairs = scaled(values)
+    n = 0
+    for x, y in pairs:
+        n = gcd(n, x, y)
+        if n == 1:
+            return d, 1, pairs
+    if n:
+        pairs = [(x // n, y // n) for x, y in pairs]
+    return d, n or 1, pairs
 
 
 def cross(a: Pair, b: Pair) -> int:
@@ -459,7 +482,7 @@ def collinear_normal_form(entries: Sequence[QQi]) -> PrimitiveRay | None:
     entries = tuple(entries)
     if not entries:
         raise ValueError("empty tuple has no normal form")
-    m, pairs = scaled(entries)
+    d, n, pairs = lattice(entries)
     if (0, 0) in pairs:
         raise ValueError("zero entry: the ray normal form is undefined")
     ints = line_integers(pairs)
@@ -473,8 +496,8 @@ def collinear_normal_form(entries: Sequence[QQi]) -> PrimitiveRay | None:
     ), "normal form must reproduce the input exactly"
     if sum(ints) != 0:
         raise ValueError("collinear normal form requires entries summing to zero")
-    # The first entry is (x0 + i*y0)/m, and m0 > 0 times the direction.
-    return PrimitiveRay(QQi._of(x0, y0, m * m0), tuple(ints))
+    # The first entry is (x0 + i*y0) * n/d, and m0 > 0 times the direction.
+    return PrimitiveRay(QQi._of(x0 * n, y0 * n, d * m0), tuple(ints))
 
 
 class SearchBudgetExceeded(RuntimeError):

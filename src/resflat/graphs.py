@@ -20,7 +20,6 @@ the chain core, graphs, decide, surfaces, cli.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 from .core import (
@@ -30,9 +29,9 @@ from .core import (
     SearchBudgetExceeded,
     StratumSignature,
     check_cylinder_request,
+    lattice,
     line_integers,
     primitive_total_exceeds,
-    scaled,
     _set,
 )
 
@@ -291,13 +290,12 @@ def find_cylinder_config(
     """
     lam = tuple(circumferences)
     check_cylinder_request(sig, lam, budget)
-    gauss = scaled(lam)[1]  # Gaussian integers
-    unit = math.gcd(*(v for x in gauss for v in x))  # divided out, or every residue could be even
+    gauss = lattice(lam)[2]  # Gaussian integers of gcd 1, or every residue could be even
     groups: dict[tuple[int, int], list[int]] = {}
     for j, (x, y) in enumerate(gauss):
         groups.setdefault(max((x, y), (-x, -y)), []).append(j)
     order = [j for js in groups.values() for j in js]  # input position of each enumerated end
-    gauss = [(gauss[j][0] // unit, gauss[j][1] // unit) for j in order]  # in enumeration order
+    gauss = [gauss[j] for j in order]  # in enumeration order
     bits = [x & 1 | (y & 1) << 1 for x, y in gauss]  # mod 2, where signs vanish
     t = len(order)
     fresh = [j == js[0] for js in groups.values() for j in js]  # its ends start over at pair 0

@@ -18,9 +18,9 @@ from .core import (
     QQi,
     StratumSignature,
     arg_cmp,
+    lattice,
     replace,
     residue_tuple,
-    scaled,
     _is_int,
 )
 from . import decide as _decide
@@ -164,40 +164,44 @@ def _choose_taus(orders: Sequence[int], total: int) -> tuple[int, ...]:
 
 
 def _plumb(
-    pieces: Sequence[Piece], pairings: Sequence[tuple[Slot, Slot]], nodes: int, d: int
+    pieces: Sequence[Piece],
+    pairings: Sequence[tuple[Slot, Slot]],
+    nodes: int,
+    d: int,
+    n: int,
 ) -> FlatSurface:
     """Plumb the last ``2 * nodes`` pieces, simple-pole parts in pairs
     (lower, upper) of opposite residues, into finite cylinders.
 
     Plumbing two simple poles of residues c and -c leaves a finite cylinder
-    of circumference c.  The first n pieces keep their places, and pair c
+    of circumference c.  The first pieces keep their places, and pair c
     becomes the polygon lower + [h] + upper + [-h], h = i * sum(lower),
-    at piece n + c, with h glued to -h, on a surface of denominator d.  A
+    after them, with h glued to -h, on a surface of scale n/d.  A
     pair on two components is a node; a pair on one component is a handle.
     Slot k of lower stays slot k and slot k of upper becomes slot
     len(lower) + 1 + k; ``pairings`` keep their order with their slots
     renumbered, and the gluings of h follow them, in node order.
     """
-    n = len(pieces) - 2 * nodes
-    out = list(pieces[:n])
+    kept = len(pieces) - 2 * nodes
+    out = list(pieces[:kept])
     shift = []
     ends = []
     for c in range(nodes):
-        lower, upper = pieces[n + 2 * c].vectors, pieces[n + 2 * c + 1].vectors
+        lower, upper = pieces[kept + 2 * c].vectors, pieces[kept + 2 * c + 1].vectors
         h = (-sum(y for _, y in lower), sum(x for x, _ in lower))
         out.append(Polygon(lower + (h,) + upper + (_neg(h),)))
         shift += [0, len(lower) + 1]
-        ends.append(((n + c, len(lower)), (n + c, len(lower) + len(upper) + 1)))
+        ends.append(((kept + c, len(lower)), (kept + c, len(lower) + len(upper) + 1)))
 
     def moved(slot: Slot) -> Slot:
         i, k = slot
-        return slot if i < n else (n + (i - n) // 2, k + shift[i - n])
+        return slot if i < kept else (kept + (i - kept) // 2, k + shift[i - kept])
 
-    return FlatSurface(out, [(moved(a), moved(b)) for a, b in pairings] + ends, d)
+    return FlatSurface(out, [(moved(a), moved(b)) for a, b in pairings] + ends, d, n)
 
 
 def _single_zero_surface(
-    sig: StratumSignature, d: int, residues: Sequence[Pair], ray: PrimitiveRay | None
+    sig: StratumSignature, d: int, n: int, residues: Sequence[Pair], ray: PrimitiveRay | None
 ) -> FlatSurface:
     """Single zero, some residue nonzero: a centre piece and one chain per pole.
 
@@ -209,7 +213,8 @@ def _single_zero_surface(
     of the nonzero residues and the centre is the first higher pole, its top
     chain the negated residues that point down and its bottom chain those
     that point up; pole k >= 1 is piece k.  Only the poles of ``sig`` are
-    read; the zero carries their whole degree.  Residues are pairs over d.
+    read; the zero carries their whole degree.  Residues are pairs times
+    n/d, and every vector built is one of them or its negative.
     """
     nonzero = [k for k, r in enumerate(residues) if r != (0, 0)]
     if ray is None:
@@ -253,7 +258,7 @@ def _single_zero_surface(
     for t, k in enumerate(order):
         chain = trivials if k == host else ()
         _write_chain(pairings, ((1 + k - first, 0), residues[k]), chain, (0, t))
-    return FlatSurface(pieces, pairings, d)
+    return FlatSurface(pieces, pairings, d, n)
 
 
 def _triangle_distribution(
@@ -366,7 +371,8 @@ def _with_marked_points(
     The k points cut the first glued edge pair into k + 1 equal parts each.
     Glued edges run in opposite directions, so the parts are glued
     crosswise, and every cut point has angle pi on either side.  The least
-    rescaling that makes the parts integral keeps d the least denominator.
+    rescaling t that makes the parts integral keeps the pairs' gcd 1, and
+    n/(d * t) is reduced, so the surface stays on its coarsest lattice.
     """
     missing = max(0, zeros.count(0) - cert.claimed.zero_orders.count(0))
     if not missing:
@@ -387,7 +393,8 @@ def _with_marked_points(
         ends.append([(i, moved((i, k))[1] + j) for j in offsets])
     later, earlier = ends
     glued = [*zip(later, earlier[::-1]), *[(moved(x), moved(y)) for x, y in rest]]
-    surface = FlatSurface(pieces, glued, cert.surface.d * t)
+    g = math.gcd(cert.surface.n, t)
+    surface = FlatSurface(pieces, glued, cert.surface.d * t // g, cert.surface.n // g)
     claimed = replace(cert.claimed, zero_orders=cert.claimed.zero_orders + (0,) * missing)
     return replace(cert, surface=surface, claimed=claimed)
 
@@ -439,7 +446,7 @@ def _stable_assembly_base(sig: StratumSignature, ray: PrimitiveRay) -> _Base:
     s = len(ray.integers)
     nodes = len(components) - 1
     ints = list(ray.integers)
-    d, [(x, y)] = scaled([ray.direction])
+    d, n, [(x, y)] = lattice([ray.direction])
     chains: list[list[Pair]] = [[] for _ in range(s + 2 * nodes)]
     glued = []
     for c, comp in enumerate(components):
@@ -462,7 +469,7 @@ def _stable_assembly_base(sig: StratumSignature, ray: PrimitiveRay) -> _Base:
                 chain.append((x * m, y * m))
             glued.append(ends)
     pieces = [SimplePolePart(chain) for chain in chains]
-    return _plumb(pieces, glued, nodes, d), [left]
+    return _plumb(pieces, glued, nodes, d, n), [left]
 
 
 def _genus1_zero_residue_surface(orders: Sequence[int], rot: int | None) -> FlatSurface:
@@ -501,7 +508,7 @@ def _positive_genus_base(
     if g == 1 and all(r.is_zero() for r in residues):
         # With no poles at all this is the bare square.
         return _genus1_zero_residue_surface(sig.higher_poles, rotation), [sig.zeros]
-    d, pairs = scaled(residues)
+    d, n, pairs = lattice(residues)
     x, y = next((r for r in pairs if r != (0, 0)), _ONE)
     handles = []
     for j in range(g):
@@ -510,8 +517,8 @@ def _positive_genus_base(
     base_sig = StratumSignature(
         0, (sig.pole_degree + sig.s + 2 * g - 2,), sig.higher_poles, sig.s + 2 * g
     )
-    base = _single_zero_surface(base_sig, d, [*pairs, *handles], None)
-    return _plumb(base.pieces, base.pairings, g, d), [sig.zeros]
+    base = _single_zero_surface(base_sig, d, n, [*pairs, *handles], None)
+    return _plumb(base.pieces, base.pairings, g, d, n), [sig.zeros]
 
 
 def build_witness(
@@ -577,7 +584,7 @@ def _build_on_route(
     elif route == "genus-reduction":
         surface, splits = _positive_genus_base(sig, residues, rotation)
     elif route in ("residual-polygon", "collinear-anchor-chain"):
-        surface, splits = _single_zero_surface(sig, *scaled(residues), verdict.ray), [sig.zeros]
+        surface, splits = _single_zero_surface(sig, *lattice(residues), verdict.ray), [sig.zeros]
     else:
         raise ValueError(f"verdict {verdict.reason!r} names no construction route: {route!r}")
     claimed, tables = _read_surface(surface)

@@ -18,15 +18,16 @@ wrap corners acquire whole turns from the sheets, so cone angles are counted
 in whole turns without materializing anything infinite.  Chain vectors must
 not point along the negative real axis, where they would run back over the
 horizontal gluing rays.  A surface lives on one integer lattice: it holds
-a positive denominator d, and its pieces hold integer pairs (x, y), each
-the vector (x + iy)/d, which the builders compute and the verifier reads
-as stored.
+a positive denominator d and a positive numerator n, and its pieces hold
+integer pairs (x, y), each the vector (x + iy) * n/d, which the builders
+compute on the coarsest lattice (:func:`resflat.core.lattice`) and the
+verifier reads as stored.
 
 Certificate documents (format_version "4", on :mod:`resflat.core`'s JSON
 scalars) hold one "surface", its "surgeries", the claimed profile and a
 claimed rotation.  A surface lists pieces, their chains in slot order and
 each vector in lowest terms, and pairings of edge slots; the reader puts
-them on one lattice, the lcm of their denominators.  Nodes of a stable tree
+them on their coarsest lattice.  Nodes of a stable tree
 and handles are polygons, the finite cylinders that plumbing leaves.  The
 only surgery is "blow_up_zero"; any other field or surgery, such as the
 node list of format "1", the "family" of format "2" or the handle sewing of
@@ -40,7 +41,7 @@ from collections import Counter
 from itertools import islice
 from typing import Any, Iterable, Sequence
 
-from .core import FORMAT_VERSION, DocumentError, Frozen, Pair, QQi, StratumSignature, scaled
+from .core import FORMAT_VERSION, DocumentError, Frozen, Pair, QQi, StratumSignature, lattice
 from .core import _connected, _int_list, _is_int, _pair_to_json, _qqi_from_json, _qqi_to_json
 from .core import _residues_from_json, _set, _spanning_forest
 
@@ -74,8 +75,8 @@ class PolarPart(Frozen):
     def __init__(
         self, order: int, pole_type: int, top: Iterable[Pair], bottom: Iterable[Pair]
     ) -> None:
-        _set(self, "order", int(order))
-        _set(self, "pole_type", int(pole_type))
+        _set(self, "order", order)
+        _set(self, "pole_type", pole_type)
         _set(self, "top", tuple([*top]))
         _set(self, "bottom", tuple([*bottom]))
 
@@ -201,6 +202,8 @@ def _read_polar_part(piece: PolarPart) -> tuple[Sequence[Pair], list[int], list[
     The wrap corners add the half-plane sheets, tau and order - tau turns
     (order - 1 and a half with one chain)."""
     b, tau, top, bottom = piece.order, piece.pole_type, piece.top, piece.bottom
+    if type(b) is not int or type(tau) is not int:
+        raise ValueError("polar part order and type must be integers")
     if b < 2:
         raise ValueError("polar part order must be at least 2")
     if not (1 <= tau <= b - 1):
@@ -260,19 +263,21 @@ Slot = tuple[int, int]  # (piece index, slot index)
 
 
 class FlatSurface(Frozen):
-    """Pieces glued along pairings of edge slots; a pair (x, y) is (x + iy)/d."""
+    """Pieces glued along pairings of edge slots; a pair (x, y) is (x + iy) * n/d."""
 
-    __slots__ = ("pieces", "pairings", "d")
+    __slots__ = ("pieces", "pairings", "d", "n")
 
     def __init__(
         self,
         pieces: Iterable[Piece],
         pairings: Iterable[tuple[Slot, Slot]] = (),
         d: int = 1,
+        n: int = 1,
     ) -> None:
         _set(self, "pieces", tuple([*pieces]))
         _set(self, "pairings", tuple([(tuple(a), tuple(b)) for a, b in pairings]))
         _set(self, "d", d)
+        _set(self, "n", n)
 
 
 class Profile(Frozen):
@@ -296,17 +301,17 @@ class Profile(Frozen):
 def verify_surface(surface: FlatSurface) -> Profile:
     """Check a glued surface and return its invariants.
 
-    Verifies: a positive denominator, local piece validity, exact vector
-    equality across the matching (canonical vectors of matched slots are
-    opposite), completeness of the matching, connectivity, and the degree
-    identity.  Cone angles are counted exactly in whole turns, and genus
-    comes from the Euler characteristic of the induced cell complex.
-    Raises VerificationError.
+    Verifies: a positive integer denominator and numerator, local piece
+    validity, exact vector equality across the matching (canonical vectors
+    of matched slots are opposite), completeness of the matching,
+    connectivity, and the degree identity.  Cone angles are counted exactly
+    in whole turns, and genus comes from the Euler characteristic of the
+    induced cell complex.  Raises VerificationError.
 
-    Dividing by the positive denominator d changes no piece check, winding
+    Multiplying by the positive scale n/d changes no piece check, winding
     or corner turn, so they are read on the pairs as stored; glued vectors
     are compared as opposite integer pairs, and each residue is its piece's
-    integer sum over d.
+    integer sum times n/d.
     """
     return _read_surface(surface)[0]
 
@@ -322,9 +327,14 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     pieces = surface.pieces
     if not pieces:
         raise VerificationError(("surface has no pieces",))
-    d = surface.d
-    if d < 1:
-        raise VerificationError((f"surface denominator {d} is not positive",))
+    d, n = surface.d, surface.n
+    if not (type(d) is type(n) is int and d > 0 and n > 0):
+        # Read again, scalar by scalar, only to word the rejection.
+        for name, value in (("denominator", d), ("numerator", n)):
+            if type(value) is not int:
+                raise VerificationError((f"surface {name} {value!r} is not an integer",))
+            if value < 1:
+                raise VerificationError((f"surface {name} {value} is not positive",))
     flat: list[Pair] = []
     before: list[int] = []
     turns: list[int] = []
@@ -350,13 +360,13 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
 
     partner = [-1] * len(flat)
     glued: list[tuple[int, int]] = []
-    n = len(sizes)
+    count = len(sizes)
     for num, (a, b) in enumerate(surface.pairings):
         # Two free slots in range with opposite integer vectors are glued
         # at once; glued vectors are nonzero, so the slots differ.
         try:
             (i, k), (j, m) = a, b
-            if 0 <= i < n and 0 <= k < sizes[i] and 0 <= j < n and 0 <= m < sizes[j]:
+            if 0 <= i < count and 0 <= k < sizes[i] and 0 <= j < count and 0 <= m < sizes[j]:
                 fa, fb = offsets[i] + k, offsets[j] + m
                 (ux, uy), (vx, vy) = flat[fa], flat[fb]
                 if ux == -vx and uy == -vy and partner[fa] < 0 and partner[fb] < 0:
@@ -373,7 +383,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         for end in (a, b):
             try:
                 i, k = end
-                inside = 0 <= i < n and 0 <= k < sizes[i]
+                inside = 0 <= i < count and 0 <= k < sizes[i]
                 ends.append(offsets[i] + k if inside else -1)
             except (TypeError, ValueError):
                 ends.append(-1)
@@ -386,7 +396,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         if blocked:
             raise VerificationError(violations + blocked)
         fa, fb = ends
-        u, v = QQi._of(*flat[fa], d), QQi._of(*flat[fb], d)
+        u, v = [QQi._of(x * n, y * n, d) for x, y in (flat[fa], flat[fb])]
         violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
         partner[fa] = fb
         partner[fb] = fa
@@ -421,7 +431,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     for i, order, (rx, ry) in sums:
         if order == -1 and not (rx or ry):
             violations.append(f"piece {i}: zero residue at a simple pole")
-        poles.append((order, QQi._of(rx, ry, d)))
+        poles.append((order, QQi._of(rx * n, ry * n, d)))
     if violations:
         raise VerificationError(violations)
 
@@ -648,8 +658,11 @@ def _check_rotation(cert: ConstructionCertificate, profile: Profile, tables: tup
 _KINDS = {Polygon: "polygon", PolarPart: "polar_part", SimplePolePart: "simple_pole_part"}
 
 
-def _piece_to_json(piece: Piece, d: int) -> dict:
-    doc = {k: [_pair_to_json(v, d) for v in getattr(piece, k)] for k in _CHAINS[type(piece)]}
+def _piece_to_json(piece: Piece, d: int, n: int) -> dict:
+    doc = {
+        k: [_pair_to_json((x * n, y * n), d) for x, y in getattr(piece, k)]
+        for k in _CHAINS[type(piece)]
+    }
     doc["kind"] = _KINDS[type(piece)]
     if isinstance(piece, PolarPart):
         doc.update(order=piece.order, type=piece.pole_type)
@@ -676,7 +689,7 @@ def _piece_from_json(doc: Any, path: str) -> tuple[type, tuple, list[tuple[QQi, 
 
 def _surface_to_json(surface: FlatSurface) -> dict:
     return {
-        "pieces": [_piece_to_json(p, surface.d) for p in surface.pieces],
+        "pieces": [_piece_to_json(p, surface.d, surface.n) for p in surface.pieces],
         "pairings": [[list(a), list(b)] for a, b in surface.pairings],
     }
 
@@ -688,8 +701,8 @@ def _surface_from_json(doc: Any, path: str) -> FlatSurface:
     if not isinstance(pieces_doc, list):
         raise DocumentError(path + ".pieces", "expected a list")
     read = [_piece_from_json(p, f"{path}.pieces[{k}]") for k, p in enumerate(pieces_doc)]
-    # One lcm puts every piece on the surface's integer lattice.
-    d, pairs = scaled([v for _, _, chains in read for chain in chains for v in chain])
+    # One lattice holds every piece of the surface.
+    d, n, pairs = lattice([v for _, _, chains in read for chain in chains for v in chain])
     at = iter(pairs)
     pieces = [
         kind(*head, *[tuple(islice(at, len(chain))) for chain in chains])
@@ -707,7 +720,7 @@ def _surface_from_json(doc: Any, path: str) -> FlatSurface:
             if len(_int_list(slot, f"{where}[{j}]")) != 2:
                 raise DocumentError(f"{where}[{j}]", "expected [piece, slot]")
         pairings.append(pair)
-    return FlatSurface(pieces, pairings, d)
+    return FlatSurface(pieces, pairings, d, n)
 
 
 def _profile_to_json(profile: Profile) -> dict:

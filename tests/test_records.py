@@ -25,7 +25,7 @@ CHAIN = [(1, 0), (0, 1), (-1, -1)]
 
 
 def _surface():
-    return FlatSurface([Polygon([(1, 0), (-1, 0)])], [((0, 0), (0, 1))], 2)
+    return FlatSurface([Polygon([(1, 0), (-1, 0)])], [((0, 0), (0, 1))], 2, 3)
 
 
 def _profile():
@@ -54,7 +54,7 @@ RECORDS = {
         ("order", "pole_type", "top", "bottom"),
     ),
     SimplePolePart: (lambda: SimplePolePart(CHAIN), ("vectors",)),
-    FlatSurface: (_surface, ("pieces", "pairings", "d")),
+    FlatSurface: (_surface, ("pieces", "pairings", "d", "n")),
     Profile: (_profile, ("genus", "zero_orders", "poles")),
     BlowUpZero: (lambda: BlowUpZero(0, (1, 1)), ("zero_index", "parts")),
     ConstructionCertificate: (

@@ -49,8 +49,8 @@ from resflat.verify import (
 
 ONE = QQi(1)
 I = QQi(0, 1)
-# Pieces hold integer pairs (x, y): on a surface of denominator d, the
-# vector (x + iy)/d.
+# Pieces hold integer pairs (x, y): on a surface of numerator n and
+# denominator d, the vector (x + iy) * n/d.
 RIGHT, UP, LEFT, DOWN = (1, 0), (0, 1), (-1, 0), (0, -1)
 SQUARE = (RIGHT, UP, LEFT, DOWN)
 
@@ -175,6 +175,8 @@ def _ref_validate_piece(piece):
             if c < 0 or (c == 0 and dot(u, v) < 0):
                 raise ValueError("polygon is not convex: it turns right or back at a corner")
     elif isinstance(piece, PolarPart):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (piece.order, piece.pole_type)):
+            raise ValueError("polar part order and type must be integers")
         if piece.order < 2:
             raise ValueError("polar part order must be at least 2")
         if not (1 <= piece.pole_type <= piece.order - 1):
@@ -247,38 +249,53 @@ def _polygons(draw):
     """Raw edge lists; closed ones, drawn edges and the edge that closes
     them, which wind any number of times; or centrally symmetric polygons
     (each drawn edge with its reverse, sorted by argument: convex unless all
-    are parallel), started at any edge, one in four with one edge redrawn."""
-    kind = draw(st.sampled_from(("raw", "closed", "symmetric", "symmetric")))
+    are parallel), started at any edge, one in four with one edge redrawn;
+    or, convex by construction, symmetric ones whose first two drawn edges
+    span the plane, none redrawn."""
+    kind = draw(st.sampled_from(("raw", "closed", "symmetric", "convex")))
     if kind == "raw":
         return Polygon(draw(st.lists(_vectors, max_size=6)))
     if kind == "closed":
         edges = draw(st.lists(_nonzero, min_size=2, max_size=6))
         return Polygon([*edges, (-sum(x for x, _ in edges), -sum(y for _, y in edges))])
-    half = draw(st.lists(_nonzero, min_size=1, max_size=4))
+    if kind == "symmetric":
+        half = draw(st.lists(_nonzero, min_size=1, max_size=4))
+    else:
+        u = draw(_nonzero)
+        half = [u, draw(_nonzero.filter(lambda v: cross(u, v))), *draw(st.lists(_nonzero, max_size=2))]
     edges = sorted([*half, *[(-x, -y) for x, y in half]], key=_by_arg)
     shift = draw(st.integers(0, len(edges) - 1))
     edges = edges[shift:] + edges[:shift]
-    if not draw(st.integers(0, 3)):
+    if kind == "symmetric" and not draw(st.integers(0, 3)):
         edges[draw(st.integers(0, len(edges) - 1))] = draw(_vectors)
     return Polygon(edges)
 
 
 _off_the_negative_axis = _nonzero.filter(lambda v: v[1] or v[0] > 0)
+_right_half = _nonzero.filter(lambda v: v[0] >= 0)
 
 
 @st.composite
 def _polar_parts(draw):
-    """Polar parts with raw fields, or with an order and type in range and
+    """Polar parts with raw fields; with an order and type in range and
     chains off the negative real axis, sorted the way a valid part orders
-    them."""
-    if draw(st.booleans()):
+    them; or, valid by construction, the same with at least one vector, all
+    in the closed right half-plane, so that each chain's sum has a
+    nonnegative real part."""
+    kind = draw(st.sampled_from(("raw", "sorted", "valid")))
+    if kind == "raw":
         order, pole_type = draw(st.integers(1, 5)), draw(st.integers(0, 5))
         top, bottom = draw(st.lists(_vectors, max_size=4)), draw(st.lists(_vectors, max_size=4))
         return PolarPart(order, pole_type, top, bottom)
     order = draw(st.integers(2, 5))
     pole_type = draw(st.integers(1, order - 1))
-    chains = st.lists(_off_the_negative_axis, max_size=4)
-    top, bottom = draw(chains), draw(chains)
+    if kind == "sorted":
+        chains = st.lists(_off_the_negative_axis, max_size=4)
+        top, bottom = draw(chains), draw(chains)
+    else:
+        vectors = draw(st.lists(_right_half, min_size=1, max_size=6))
+        cut = draw(st.integers(0, len(vectors)))
+        top, bottom = vectors[:cut], vectors[cut:]
     top, bottom = sorted(top, key=_by_arg, reverse=True), sorted(bottom, key=_by_arg)
     return PolarPart(order, pole_type, top, bottom)
 
@@ -362,7 +379,7 @@ class TestVerifySurface:
         # The simplest handle: the cylinder of two simple poles of residues
         # 1 and -1, glued to each other and then plumbed.
         parts = [SimplePolePart((RIGHT,)), SimplePolePart((LEFT,))]
-        assert _plumb(parts, [((0, 0), (1, 0))], 1, 1) == _chain_surface((), (), _SQUARE)
+        assert _plumb(parts, [((0, 0), (1, 0))], 1, 1, 1) == _chain_surface((), (), _SQUARE)
 
     def test_simple_polygon_helper(self):
         assert _is_simple_polygon(SQUARE)
@@ -518,6 +535,36 @@ class TestVerifySurface:
             surface = FlatSurface((Polygon(SQUARE),), (((0, 0), (0, 2)), ((0, 1), (0, 3))), d)
             with pytest.raises(VerificationError, match=f"surface denominator {d} is not positive"):
                 verify_surface(surface)
+
+    def test_numerator_must_be_positive(self):
+        for n in (0, -1):
+            surface = FlatSurface((Polygon(SQUARE),), (((0, 0), (0, 2)), ((0, 1), (0, 3))), 1, n)
+            with pytest.raises(VerificationError, match=f"surface numerator {n} is not positive"):
+                verify_surface(surface)
+
+    @pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("field", ["denominator", "numerator"])
+    def test_scale_must_be_an_integer(self, field, value):
+        """On a surface with poles, where a float d reached gcd and raised
+        TypeError, and True read as 1."""
+        scale = {"d": value} if field == "denominator" else {"n": value}
+        pieces = (SimplePolePart((RIGHT,)), SimplePolePart((LEFT,)))
+        surface = FlatSurface(pieces, (((0, 0), (1, 0)),), **scale)
+        with pytest.raises(VerificationError) as caught:
+            verify_surface(surface)
+        assert caught.value.violations == (f"surface {field} {value!r} is not an integer",)
+
+    @pytest.mark.parametrize(
+        "order, pole_type", [(2.9, True), (2, True), (2.0, 1), (3, 1.5)], ids=str
+    )
+    def test_polar_part_order_and_type_must_be_integers(self, order, pole_type):
+        """A polar part keeps its fields as given, so (2.9, True) no longer
+        reads as a double pole of type 1."""
+        part = PolarPart(order, pole_type, [RIGHT], [RIGHT])
+        assert (part.order, part.pole_type) == (order, pole_type)
+        with pytest.raises(VerificationError) as caught:
+            verify_surface(FlatSurface((part,), (((0, 0), (0, 1)),)))
+        assert caught.value.violations == ("piece 0: polar part order and type must be integers",)
 
     @pytest.mark.parametrize(
         "edges", [(RIGHT, DOWN, LEFT, UP), SQUARE * 2], ids=["clockwise", "twice-around"]

@@ -1,9 +1,11 @@
 """Properties of the surface verifier on witnesses from every route.
 
-Pieces hold integer pairs over one surface denominator d, and the verifier
+Pieces hold integer pairs times one surface scale n/d, and the verifier
 reads them as stored, so scaling a whole surface by a positive rational,
 through d and the pairs, must change nothing but the residues, which scale
-with it.  A single-field change
+with it.  The builders put a surface on its coarsest lattice, so a common
+scale of the residues changes only n and d, never a piece or a pairing.  A
+single-field change
 to a valid surface must either be rejected or re-derive exactly the claim, and
 nothing but VerificationError may escape.  A simple-pole chain the verifier
 accepts must lift to a simple periodic polyline.  The JSON codec puts a
@@ -14,9 +16,11 @@ calls realizable.
 
 import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +28,7 @@ from resflat.core import QQi, StratumSignature, replace, residue_tuple
 from resflat.decide import decide_realizable
 from resflat.surfaces import _with_marked_points, build_witness
 from resflat.verify import (
+    _CHAINS,
     FlatSurface,
     PolarPart,
     Polygon,
@@ -62,6 +67,12 @@ REQUESTS = [
 ]
 ROUTES = [decide_realizable(sig, residue_tuple(r)).certificate_hint for sig, r, _ in REQUESTS]
 WITNESSES = [build_witness(sig, residue_tuple(r), rotation=rot) for sig, r, rot in REQUESTS]
+# The same requests with every residue times 10^320 and 10^-320.
+SCALED_WITNESSES = [
+    build_witness(sig, [v * scale for v in residue_tuple(r)], rotation=rot)
+    for scale in (10**320, QQi(1) / 10**320)
+    for sig, r, rot in REQUESTS
+]
 
 
 def test_every_route_is_covered():
@@ -98,7 +109,8 @@ scales = st.builds(
 @given(st.sampled_from(WITNESSES), scales)
 @settings(max_examples=150, deadline=None)
 def test_scaling_changes_nothing_but_the_residues(cert, t):
-    # The pairs are multiplied by t's numerator and d by its denominator.
+    # The pairs are multiplied by t's numerator and d by its denominator;
+    # n stays.
     surface = cert.surface
     before = verify_surface(surface)
     after = verify_surface(
@@ -106,6 +118,7 @@ def test_scaling_changes_nothing_but_the_residues(cert, t):
             (_scaled_piece(pc, t.numerator) for pc in surface.pieces),
             surface.pairings,
             surface.d * t.denominator,
+            surface.n,
         )
     )
     assert after.genus == before.genus
@@ -149,9 +162,9 @@ def _nudged_piece(piece, d, data):
 @settings(max_examples=300, deadline=None)
 def test_single_field_change_is_rejected_or_rederives_the_claim(cert, data):
     pieces, pairings = list(cert.surface.pieces), list(cert.surface.pairings)
-    d = cert.surface.d
+    d, n = cert.surface.d, cert.surface.n
     polar = [i for i, pc in enumerate(pieces) if isinstance(pc, PolarPart)]
-    kinds = ["vector", "denominator"] + (["pairing"] if pairings else [])
+    kinds = ["vector", "denominator", "numerator"] + (["pairing"] if pairings else [])
     kinds += ["pole_type"] if polar else []
     kind = data.draw(st.sampled_from(kinds))
     if kind == "vector":
@@ -159,6 +172,8 @@ def test_single_field_change_is_rejected_or_rederives_the_claim(cert, data):
         pieces[i] = _nudged_piece(pieces[i], d, data)
     elif kind == "denominator":
         d = _nudged(d, d, data)
+    elif kind == "numerator":
+        n = _nudged(n, n, data)
     elif kind == "pairing":
         num = data.draw(st.integers(0, len(pairings) - 1))
         end = data.draw(st.integers(0, 1))
@@ -172,7 +187,7 @@ def test_single_field_change_is_rejected_or_rederives_the_claim(cert, data):
         old = pieces[i].pole_type
         tau = data.draw(st.integers(-1, pieces[i].order + 1).filter(lambda t: t != old))
         pieces[i] = replace(pieces[i], pole_type=tau)
-    mutated = replace(cert, surface=FlatSurface(pieces, pairings, d))
+    mutated = replace(cert, surface=FlatSurface(pieces, pairings, d, n))
     try:
         profile = verify_certificate(mutated)
     except VerificationError:
@@ -257,14 +272,52 @@ def test_accepted_simple_pole_chains_lift_to_simple_polylines(chain):
     assert _lift_is_simple(chain)
 
 
-@given(st.sampled_from(WITNESSES), st.integers(0, 3))
+def _reduced(n, d):
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+# The first request of each route.
+ONE_PER_ROUTE = {route: request for route, request in reversed([*zip(ROUTES, REQUESTS)])}
+
+
+@pytest.mark.parametrize("k", [30, 320, 4000])
+@pytest.mark.parametrize("route", sorted(ONE_PER_ROUTE))
+def test_a_common_scale_moves_only_n_and_d(route, k):
+    """At 10^k times the residues the builders glue the same pieces, and n
+    takes the factor; at 10^-k d does.  The builders compute on the pairs
+    alone, so their cost does not grow with k."""
+    sig, r, rot = ONE_PER_ROUTE[route]
+    residues = residue_tuple(r)
+    base = build_witness(sig, residues, rotation=rot).surface
+    up = build_witness(sig, [v * 10**k for v in residues], rotation=rot).surface
+    down = build_witness(sig, [v / 10**k for v in residues], rotation=rot).surface
+    if all(v.is_zero() for v in residues):
+        # No scale reaches zero residues.
+        assert up == down == base
+        return
+    assert (up.pieces, up.pairings, (up.n, up.d)) == (
+        base.pieces, base.pairings, _reduced(base.n * 10**k, base.d)
+    )
+    assert (down.pieces, down.pairings, (down.n, down.d)) == (
+        base.pieces, base.pairings, _reduced(base.n, base.d * 10**k)
+    )
+
+
+@given(st.sampled_from(WITNESSES + SCALED_WITNESSES), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
 def test_codec_round_trip_on_the_lattice(cert, marked):
     # Marked points cut a glued pair into equal parts, which may rescale d.
     cert = _with_marked_points(cert, cert.claimed.zero_orders + (0,) * marked)
-    # The builders emit the least common denominator, the one lcm the codec
-    # takes, so reading a written surface gives it back exactly.
-    assert _surface_from_json(_surface_to_json(cert.surface), "$") == cert.surface
+    # The builders emit the coarsest lattice, coordinates of gcd 1 and a
+    # reduced n/d, the one lattice the codec reads, so reading a written
+    # surface gives it back exactly.
+    surface = cert.surface
+    coordinates = [
+        c for pc in surface.pieces for k in _CHAINS[type(pc)] for v in getattr(pc, k) for c in v
+    ]
+    assert math.gcd(*coordinates) == 1 and math.gcd(surface.n, surface.d) == 1
+    assert _surface_from_json(_surface_to_json(surface), "$") == surface
     text = json.dumps(_certificate_to_json(cert), sort_keys=True)
     again = _certificate_to_json(_certificate_from_json(json.loads(text)))
     assert json.dumps(again, sort_keys=True) == text
