@@ -336,7 +336,9 @@ class StratumSignature(Frozen):
     """Genus, zero orders, higher pole orders and simple pole count.
 
     Pole orders are stored positive: ``higher_poles=(3, 4)`` means two poles
-    of orders -3 and -4.  A zero order 0 is a marked regular point.
+    of orders -3 and -4.  A zero order 0 is a marked regular point.  The
+    genus, every order and the count must be ints, not bools; anything else
+    raises ValueError.
     """
 
     __slots__ = ("genus", "zeros", "higher_poles", "simple_poles")
@@ -348,10 +350,14 @@ class StratumSignature(Frozen):
         higher_poles: Iterable[int] = (),
         simple_poles: int = 0,
     ) -> None:
-        _set(self, "genus", int(genus))
-        _set(self, "zeros", tuple([int(a) for a in zeros]))
-        _set(self, "higher_poles", tuple([int(b) for b in higher_poles]))
-        _set(self, "simple_poles", int(simple_poles))
+        zeros, higher_poles = tuple(zeros), tuple(higher_poles)
+        for value in (genus, *zeros, *higher_poles, simple_poles):
+            if type(value) is not int:
+                raise ValueError(f"stratum entries must be integers, got {value!r}")
+        _set(self, "genus", genus)
+        _set(self, "zeros", zeros)
+        _set(self, "higher_poles", higher_poles)
+        _set(self, "simple_poles", simple_poles)
 
     @property
     def n(self) -> int:

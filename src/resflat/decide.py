@@ -94,7 +94,8 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
     if bad:
         raise ValueError("; ".join(bad))
     if sig.genus >= 1:
-        return Verdict(REASON_GENUS_POSITIVE, "genus-reduction")
+        chain = sig.genus == 1 and all(r.is_zero() for r in residues)
+        return Verdict(REASON_GENUS_POSITIVE, "zero-residue-chain" if chain else "genus-reduction")
     nonzero = [r for r in residues if not r.is_zero()]
     if not nonzero:
         # All residues vanish; only higher poles present.

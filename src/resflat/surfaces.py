@@ -405,8 +405,14 @@ def _with_marked_points(
 _Base = tuple[FlatSurface, list]
 
 
-def _zero_residue_base(sig: StratumSignature) -> _Base:
+def _zero_residue_base(sig: StratumSignature, rotation: int | None) -> _Base:
+    """Every residue zero: one cycle of polar parts (1; 1), closed on
+    itself or around a triangle on genus 0, and on genus 1 by the square or
+    a double-pole handle, of the ``rotation`` number given if any."""
     orders = sig.higher_poles
+    if sig.genus:
+        # With no poles at all this is the bare square.
+        return _genus1_zero_residue_surface(orders, rotation), [sig.zeros]
     zeros = sorted([a for a in sig.zeros if a > 0], reverse=True)
     if len(zeros) <= 1:
         # The decider admits at most one zero only with a single pole, which
@@ -418,7 +424,7 @@ def _zero_residue_base(sig: StratumSignature) -> _Base:
     if len(zeros) == 3 and lo1 + lo2 > sig.pole_degree - sig.p - 1:
         return _triangle_surface(sorted(zeros), orders), []
     rest = sorted(zeros)[2:]
-    surface, splits = _zero_residue_base(StratumSignature(0, tuple(rest + [lo1 + lo2]), orders))
+    surface, splits = _zero_residue_base(StratumSignature(0, (*rest, lo1 + lo2), orders), None)
     return surface, splits + [(lo1, lo2)]
 
 
@@ -494,20 +500,15 @@ def _genus1_zero_residue_surface(orders: Sequence[int], rot: int | None) -> Flat
     return _chain_surface(orders, _choose_taus(orders, total), _SQUARE)
 
 
-def _positive_genus_base(
-    sig: StratumSignature, residues: Sequence[QQi], rotation: int | None
-) -> _Base:
+def _positive_genus_base(sig: StratumSignature, residues: Sequence[QQi]) -> _Base:
     """g plumbed handles on a single-zero genus-0 base, then the splits.
 
     The base adds simple poles of residues c_j = (j + i) * r_0 and -c_j for
     j < g, r_0 the first nonzero residue or 1, and :func:`_plumb` joins
     each pair into a handle.  c_0 is off the real line of r_0, so the
-    residues span the plane.  A genus-1 zero-residue base is built apart.
+    residues span the plane.
     """
     g = sig.genus
-    if g == 1 and all(r.is_zero() for r in residues):
-        # With no poles at all this is the bare square.
-        return _genus1_zero_residue_surface(sig.higher_poles, rotation), [sig.zeros]
     d, n, pairs = lattice(residues)
     x, y = next((r for r in pairs if r != (0, 0)), _ONE)
     handles = []
@@ -563,26 +564,26 @@ def _build_on_route(
     """
     if not verdict.realizable:
         raise ValueError(f"verdict {verdict.reason!r} is not realizable")
+    route = verdict.certificate_hint
     if rotation is not None:
         if not _is_int(rotation):
             raise ValueError(f"rotation must be an integer, got {rotation!r}")
         if not (
-            sig.genus == 1
+            route == "zero-residue-chain"
+            and sig.genus == 1
             and sig.p > 0
-            and all(r.is_zero() for r in residues)
             and sum(a > 0 for a in sig.zeros) <= 1
         ):
             raise ValueError(
                 "rotation numbers apply to genus-1 strata with higher poles, "
                 "zero residues and at most one zero"
             )
-    route = verdict.certificate_hint
     if route == "zero-residue-chain":
-        surface, splits = _zero_residue_base(sig)
+        surface, splits = _zero_residue_base(sig, rotation)
     elif route in ("connection-graph", "blow-up-of-single-zero", "stable-tree"):
         surface, splits = _stable_assembly_base(sig, verdict.ray)
     elif route == "genus-reduction":
-        surface, splits = _positive_genus_base(sig, residues, rotation)
+        surface, splits = _positive_genus_base(sig, residues)
     elif route in ("residual-polygon", "collinear-anchor-chain"):
         surface, splits = _single_zero_surface(sig, *lattice(residues), verdict.ray), [sig.zeros]
     else:

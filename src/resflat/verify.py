@@ -117,7 +117,8 @@ def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pai
     of the piece's pole as the integer sum of its canonical vectors (None
     for a polygon).  Raises ValueError with the first violated condition.
     Dividing the pairs by the surface's positive denominator changes no
-    check or turn, so all are read as stored.
+    check or turn, so all are read as stored.  Coordinates must be integers,
+    a bool reading as 0 or 1: a float or Fraction one makes its sum one.
 
     A polygon must turn once in all, and be convex: at every corner, from
     edge u to edge v, it turns left (cross(u, v) > 0) or goes straight on
@@ -142,8 +143,8 @@ def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pai
             raise ValueError("simple-pole part needs at least one vector")
         if (0, 0) in vs:
             raise ValueError("simple-pole chain contains a zero vector")
-        if len(vs) == 1:
-            # One vector v is its own residue, and v . v > 0: monotone.
+        if len(vs) == 1 and type(sum(vs[0])) is int:
+            # One integer vector v is its own residue, and v . v > 0: monotone.
             vx, vy = vs[0]
             return vs, [0], [vy > 0 or (vy == 0 and vx < 0)], (vx, vy)
     elif isinstance(piece, Polygon):
@@ -178,6 +179,8 @@ def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pai
         rx += vx
         ry += vy
         ux, uy, uu = vx, vy, uv
+    if not type(rx) is type(ry) is int:
+        raise ValueError("coordinates must be integers")
     before = [len(vs) - 1, *range(len(vs) - 1)]
     if pole:
         if rx or ry:
@@ -232,6 +235,8 @@ def _read_polar_part(piece: PolarPart) -> tuple[Sequence[Pair], list[int], list[
             sx += x
             sy += y
             px, py, pu = x, y, u
+        if not type(sx) is type(sy) is int:
+            raise ValueError("coordinates must be integers")
         if not ordered:
             trend = "decreasing" if down else "increasing"
             raise ValueError(f"{label} chain arguments must be weakly {trend}")
@@ -301,12 +306,12 @@ class Profile(Frozen):
 def verify_surface(surface: FlatSurface) -> Profile:
     """Check a glued surface and return its invariants.
 
-    Verifies: a positive integer denominator and numerator, local piece
-    validity, exact vector equality across the matching (canonical vectors
-    of matched slots are opposite), completeness of the matching,
-    connectivity, and the degree identity.  Cone angles are counted exactly
-    in whole turns, and genus comes from the Euler characteristic of the
-    induced cell complex.  Raises VerificationError.
+    Verifies: a positive integer denominator and numerator, integer
+    coordinates and local piece validity, exact vector equality across the
+    matching (canonical vectors of matched slots are opposite), its
+    completeness, connectivity, and the degree identity.  Cone angles are
+    counted exactly in whole turns, and genus comes from the Euler
+    characteristic of the induced cell complex.  Raises VerificationError.
 
     Multiplying by the positive scale n/d changes no piece check, winding
     or corner turn, so they are read on the pairs as stored; glued vectors
@@ -328,13 +333,11 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     if not pieces:
         raise VerificationError(("surface has no pieces",))
     d, n = surface.d, surface.n
-    if not (type(d) is type(n) is int and d > 0 and n > 0):
-        # Read again, scalar by scalar, only to word the rejection.
-        for name, value in (("denominator", d), ("numerator", n)):
-            if type(value) is not int:
-                raise VerificationError((f"surface {name} {value!r} is not an integer",))
-            if value < 1:
-                raise VerificationError((f"surface {name} {value} is not positive",))
+    for name, value in (("denominator", d), ("numerator", n)):
+        if type(value) is not int:
+            raise VerificationError((f"surface {name} {value!r} is not an integer",))
+        if value < 1:
+            raise VerificationError((f"surface {name} {value} is not positive",))
     flat: list[Pair] = []
     before: list[int] = []
     turns: list[int] = []
@@ -362,45 +365,23 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     glued: list[tuple[int, int]] = []
     count = len(sizes)
     for num, (a, b) in enumerate(surface.pairings):
-        # Two free slots in range with opposite integer vectors are glued
-        # at once; glued vectors are nonzero, so the slots differ.
+        # Two free, distinct slots in range are matched, and a vector
+        # mismatch reported; any other pairing ends the matching.
         try:
             (i, k), (j, m) = a, b
             if 0 <= i < count and 0 <= k < sizes[i] and 0 <= j < count and 0 <= m < sizes[j]:
                 fa, fb = offsets[i] + k, offsets[j] + m
-                (ux, uy), (vx, vy) = flat[fa], flat[fb]
-                if ux == -vx and uy == -vy and partner[fa] < 0 and partner[fb] < 0:
+                if fa != fb and partner[fa] < 0 and partner[fb] < 0:
+                    (ux, uy), (vx, vy) = flat[fa], flat[fb]
+                    if ux != -vx or uy != -vy:
+                        u, v = QQi._of(ux * n, uy * n, d), QQi._of(vx * n, vy * n, d)
+                        violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
                     partner[fa], partner[fb] = fb, fa
                     glued.append((fa, fb))
                     continue
         except (TypeError, ValueError):
             pass
-        # Any other pairing is read end by end, to word its rejection.  One
-        # that cannot be indexed, or meets a matched slot, ends the matching;
-        # any other has a vector mismatch, which does not, so every
-        # mismatched pairing is reported.
-        blocked, ends = [], []
-        for end in (a, b):
-            try:
-                i, k = end
-                inside = 0 <= i < count and 0 <= k < sizes[i]
-                ends.append(offsets[i] + k if inside else -1)
-            except (TypeError, ValueError):
-                ends.append(-1)
-            if ends[-1] < 0:
-                blocked.append(f"pairing {num}: no such edge slot {end}")
-            elif partner[ends[-1]] >= 0:
-                blocked.append(f"pairing {num}: slot {end} is matched twice")
-        if not blocked and a == b:
-            blocked.append(f"pairing {num}: slot {a} glued to itself")
-        if blocked:
-            raise VerificationError(violations + blocked)
-        fa, fb = ends
-        u, v = [QQi._of(x * n, y * n, d) for x, y in (flat[fa], flat[fb])]
-        violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
-        partner[fa] = fb
-        partner[fb] = fa
-        glued.append((fa, fb))
+        raise VerificationError(violations + _unmatchable(num, (a, b), offsets, sizes, partner))
     if -1 in partner:
         slots = [(i, k) for i, size in enumerate(sizes) for k in range(size)]
         unmatched = [slots[f] for f, g in enumerate(partner) if g < 0]
@@ -447,6 +428,24 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
         )
     profile = Profile(genus, tuple(sorted(orders, reverse=True)), tuple(poles))
     return profile, (sizes, flat, glued, before, turns, vertex)
+
+
+def _unmatchable(num: int, pairing: tuple, offsets: list, sizes: list, partner: list) -> list[str]:
+    """Why pairing ``num`` cannot be matched: each end that names no slot
+    or a matched one, or else its slot glued to itself."""
+    words = []
+    for end in pairing:
+        try:
+            i, k = end
+            f = offsets[i] + k if 0 <= i < len(sizes) and 0 <= k < sizes[i] else -1
+            matched = f >= 0 and partner[f] >= 0
+        except (TypeError, ValueError):
+            f = -1
+        if f < 0:
+            words.append(f"pairing {num}: no such edge slot {end}")
+        elif matched:
+            words.append(f"pairing {num}: slot {end} is matched twice")
+    return words or [f"pairing {num}: slot {pairing[0]} glued to itself"]
 
 
 def profile_matches(

@@ -443,6 +443,18 @@ def test_self_overlapping_polygon_is_a_violation(tmp_path):
     ]
 
 
+def test_blocked_pairings_are_violations_in_order(tmp_path):
+    """On a square, a mismatched pairing is reported and kept; the next
+    pairing meets its slot again and ends the matching."""
+    cert = json.loads(Path(__file__).with_name("blocked_pairings.json").read_text())
+    code, out = run_cli(["verify"], tmp_path, cert)
+    assert code == 1
+    assert out["violations"] == [
+        "pairing 0: vector mismatch, 1 against 1i",
+        "pairing 1: slot (0, 1) is matched twice",
+    ]
+
+
 @pytest.mark.parametrize("zeros", [[2, 2, 2], [6]], ids=["search", "closed-form"])
 def test_cylinders_negative_budget_is_status_two(tmp_path, capsys, zeros):
     # Both used to exit 1: the search ran unbounded, the closed form ignored it.

@@ -183,6 +183,17 @@ def test_scaled_to_integer_pairs():
     assert scaled([QQi(Fraction(1, 2), Fraction(-1, 3)), QQi(2)]) == (6, [(3, -2), (12, 0)])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(0, (True, 2.7), (2.5,), 1.9), (1.0,), (0, (2,), (2.0,)), (0, (2,), (), True), ("1",)],
+    ids=str,
+)
+def test_stratum_entries_must_be_ints(args):
+    """A float, bool or string entry raises instead of being truncated."""
+    with pytest.raises(ValueError, match="stratum entries must be integers"):
+        StratumSignature(*args)
+
+
 class TestValidateStratum:
     def test_two_pole_example(self):
         assert validate_stratum(StratumSignature(0, (4, 1), (3, 4), 0)) == ()

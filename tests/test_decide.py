@@ -49,6 +49,18 @@ class TestDecideRealizable:
         v = decide_realizable(StratumSignature(1, (6,), (3, 3)), residue_tuple([0, 0]))
         assert v.realizable and v.reason == REASON_GENUS_POSITIVE
 
+    def test_genus_one_zero_residues_take_the_chain_route(self):
+        """A genus-1 request with every residue zero names the chain builder;
+        nonzero residues, or genus 2, name genus-reduction."""
+        for sig, values, route in (
+            (StratumSignature(1, (4,), (2, 2)), [0, 0], "zero-residue-chain"),
+            (StratumSignature(1, (0,)), [], "zero-residue-chain"),
+            (StratumSignature(1, (4,), (2, 2)), [1, -1], "genus-reduction"),
+            (StratumSignature(2, (6,), (2, 2)), [0, 0], "genus-reduction"),
+        ):
+            v = decide_realizable(sig, residue_tuple(values))
+            assert (v.reason, v.certificate_hint) == (REASON_GENUS_POSITIVE, route)
+
     def test_non_collinear(self):
         v = decide_realizable(
             StratumSignature(0, (2,), (), 4),

@@ -53,6 +53,8 @@ I = QQi(0, 1)
 # denominator d, the vector (x + iy) * n/d.
 RIGHT, UP, LEFT, DOWN = (1, 0), (0, 1), (-1, 0), (0, -1)
 SQUARE = (RIGHT, UP, LEFT, DOWN)
+# Half of a float torus: a triangle with a float edge.
+TORUS_HALF = ((1.5, 0), (0, 1), (-1.5, -1))
 
 
 def _positive_genus_requests(count=640, seed=19):
@@ -567,6 +569,77 @@ class TestVerifySurface:
         assert caught.value.violations == ("piece 0: polar part order and type must be integers",)
 
     @pytest.mark.parametrize(
+        "pieces, pairings",
+        [
+            (
+                (Polygon(TORUS_HALF), Polygon([(-x, -y) for x, y in TORUS_HALF])),
+                [((0, k), (1, k)) for k in range(3)],
+            ),
+            ((SimplePolePart([(0.5, 0)]), SimplePolePart([(-0.5, 0)])), [((0, 0), (1, 0))]),
+            (
+                (SimplePolePart([(Fraction(1, 2), 0), UP]), SimplePolePart([DOWN, (-0.5, 0)])),
+                [((0, 0), (1, 1)), ((0, 1), (1, 0))],
+            ),
+            ((PolarPart(2, 1, [(Fraction(1, 2), 0)], [(Fraction(1, 2), 0)]),), [((0, 0), (0, 1))]),
+            ((PolarPart(2, 1, [RIGHT], [(1, 0.0)]),), [((0, 0), (0, 1))]),
+        ],
+        ids=[
+            "float-torus",
+            "float-simple-pole",
+            "fraction-chain",
+            "fraction-polar-part",
+            "float-bottom-chain",
+        ],
+    )
+    def test_coordinates_must_be_integers(self, pieces, pairings):
+        """Two float triangles glued edge to edge read as a genus-1 surface,
+        a float simple pole reached gcd and raised TypeError, and a Fraction
+        polar part was read as well."""
+        with pytest.raises(VerificationError) as caught:
+            verify_surface(FlatSurface(pieces, pairings))
+        assert caught.value.violations[0] == "piece 0: coordinates must be integers"
+
+    def test_bool_coordinates_read_as_integers(self):
+        """A bool coordinate reads as 0 or 1 on every kind of piece: the
+        one-vector chain, a walked chain, a polygon and a polar part."""
+        t, f = True, False
+        cases = [
+            (
+                (SimplePolePart([RIGHT]), SimplePolePart([LEFT])),
+                (SimplePolePart([(t, f)]), SimplePolePart([(-1, f)])),
+                [((0, 0), (1, 0))],
+            ),
+            (
+                (SimplePolePart([RIGHT, UP]), SimplePolePart([DOWN, LEFT])),
+                (SimplePolePart([(t, f), (f, t)]), SimplePolePart([DOWN, LEFT])),
+                [((0, 0), (1, 1)), ((0, 1), (1, 0))],
+            ),
+            (
+                (Polygon(SQUARE),),
+                (Polygon([(t, f), (f, t), LEFT, DOWN]),),
+                [((0, 0), (0, 2)), ((0, 1), (0, 3))],
+            ),
+            (
+                (PolarPart(2, 1, [RIGHT], [RIGHT]),),
+                (PolarPart(2, 1, [(t, f)], [(t, 0)]),),
+                [((0, 0), (0, 1))],
+            ),
+        ]
+        for ints, bools, pairings in cases:
+            profile = verify_surface(FlatSurface(ints, pairings))
+            assert verify_surface(FlatSurface(bools, pairings)) == profile
+
+    def test_a_slot_index_that_is_not_an_int_names_no_slot(self):
+        """A float slot index reached list indexing and raised TypeError."""
+        for pairings, violation in (
+            ([((0, 0), (0, 2.0)), ((0, 1), (0, 3))], "pairing 0: no such edge slot (0, 2.0)"),
+            ([((0, 0), (0, 2)), ((0, 1.0), (0, 3))], "pairing 1: no such edge slot (0, 1.0)"),
+        ):
+            with pytest.raises(VerificationError) as caught:
+                verify_surface(FlatSurface((Polygon(SQUARE),), pairings))
+            assert caught.value.violations == (violation,)
+
+    @pytest.mark.parametrize(
         "edges", [(RIGHT, DOWN, LEFT, UP), SQUARE * 2], ids=["clockwise", "twice-around"]
     )
     def test_bad_winding_detected(self, edges):
@@ -805,7 +878,7 @@ class TestBuildWitness:
                 "genus-reduction",
                 None,
             ),
-            (StratumSignature(1, (4,), (2, 2)), [0, 0], "genus-reduction", 2),
+            (StratumSignature(1, (4,), (2, 2)), [0, 0], "zero-residue-chain", 2),
             (
                 StratumSignature(0, (2, 0), (), 4),
                 [Fraction(1, 3), I / 7, Fraction(-1, 3), -I / 7],
