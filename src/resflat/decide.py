@@ -32,10 +32,10 @@ from .core import (
     QQi,
     StratumSignature,
     check_cylinder_request,
-    collinear_normal_form,
+    collinear_normal_form,  # not called here; bench/test_bench.py traces it in this namespace
+    lattice,
     line_integers,
     primitive_total_exceeds,
-    scaled,
     validate_residues,
     _set,
 )
@@ -60,29 +60,20 @@ class Verdict(Frozen):
     """A realizability answer: the decider's reason, from which ``realizable`` follows.
 
     On a realizable residue tuple ``certificate_hint`` names the
-    construction route :func:`resflat.surfaces.build_witness` follows, and
-    on collinear residues ``ray`` is the normal form of the nonzero ones,
-    which the builders read rather than recompute; equality and the hash
-    leave ``ray`` out.
+    construction route :func:`resflat.surfaces.build_witness` follows.
     """
 
-    __slots__ = ("reason", "certificate_hint", "ray")
+    __slots__ = ("reason", "certificate_hint")
 
-    def __init__(
-        self, reason: str, certificate_hint: str | None = None, ray: PrimitiveRay | None = None
-    ) -> None:
+    def __init__(self, reason: str, certificate_hint: str | None = None) -> None:
         if reason not in _REASONS:
             raise ValueError(f"unknown verdict reason {reason!r}")
         _set(self, "reason", reason)
         _set(self, "certificate_hint", certificate_hint)
-        _set(self, "ray", ray)
 
     @property
     def realizable(self) -> bool:
         return self.reason not in _NEGATIVE_REASONS
-
-    def _key(self) -> tuple:
-        return self.reason, self.certificate_hint
 
 
 def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict:
@@ -104,20 +95,20 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
             return Verdict(REASON_ZERO_OK, "zero-residue-chain")
         return Verdict(REASON_ZERO_EXCLUDED)
 
-    form = collinear_normal_form(tuple(nonzero))
-    if form is None:
+    ints = line_integers(lattice(nonzero)[2])
+    if ints is None:
         return Verdict(REASON_NON_COLLINEAR, "residual-polygon")
     if sig.p >= 1:
-        return Verdict(REASON_MIXED, "collinear-anchor-chain", ray=form)
+        return Verdict(REASON_MIXED, "collinear-anchor-chain")
 
     # Only simple poles.
-    if not primitive_total_exceeds(form.integers, sig.max_zero()):
+    if not primitive_total_exceeds(ints, sig.max_zero()):
         return Verdict(REASON_EXCLUDED_RAY)
-    one_zero = primitive_total_exceeds(form.integers, sig.s - 2)
+    one_zero = primitive_total_exceeds(ints, sig.s - 2)
     hint = "connection-graph" if sig.n == 1 else (
         "blow-up-of-single-zero" if one_zero else "stable-tree"
     )
-    return Verdict(REASON_COLLINEAR_OK, hint, ray=form)
+    return Verdict(REASON_COLLINEAR_OK, hint)
 
 
 def _partitions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -191,7 +182,7 @@ def search_cylinder_tuple(
     if t < g:
         return Verdict(REASON_BELOW_GENUS)
     if t == g and n == 1:
-        ints = line_integers(scaled(circumferences)[1])
+        ints = line_integers(lattice(circumferences)[2])
         if ints is None:
             return Verdict(REASON_NON_COLLINEAR)
         if not primitive_total_exceeds([abs(m) for m in ints], 2 * g - 2):

@@ -14,10 +14,10 @@ from typing import Sequence
 
 from .core import (
     Pair,
-    PrimitiveRay,
     QQi,
     StratumSignature,
     arg_cmp,
+    dot,
     lattice,
     replace,
     residue_tuple,
@@ -201,23 +201,23 @@ def _plumb(
 
 
 def _single_zero_surface(
-    sig: StratumSignature, d: int, n: int, residues: Sequence[Pair], ray: PrimitiveRay | None
+    sig: StratumSignature, d: int, n: int, residues: Sequence[Pair], collinear: bool
 ) -> FlatSurface:
     """Single zero, some residue nonzero: a centre piece and one chain per pole.
 
     Slot t of the centre, piece 0, is glued to the chain of pole order[t]:
     the pole's piece, one segment of its full residue, with the zero-residue
-    higher poles spliced into the host's chain as trivial parts.  With
-    ``ray`` None the residues span the plane, the centre is their residual
-    polygon and pole k is piece 1 + k.  Otherwise ``ray`` is the normal form
-    of the nonzero residues and the centre is the first higher pole, its top
+    higher poles spliced into the host's chain as trivial parts.  Unless
+    ``collinear``, the residues span the plane, the centre is their residual
+    polygon and pole k is piece 1 + k.  Otherwise the nonzero residues lie
+    on one real line and the centre is the first higher pole, its top
     chain the negated residues that point down and its bottom chain those
     that point up; pole k >= 1 is piece k.  Only the poles of ``sig`` are
     read; the zero carries their whole degree.  Residues are pairs times
     n/d, and every vector built is one of them or its negative.
     """
     nonzero = [k for k, r in enumerate(residues) if r != (0, 0)]
-    if ray is None:
+    if not collinear:
         first = 0
         # By ascending argument of -residues[k] in (-pi, pi], ties by index.
         by_arg = cmp_to_key(lambda j, k: arg_cmp(_neg(residues[j]), _neg(residues[k])))
@@ -428,9 +428,15 @@ def _zero_residue_base(sig: StratumSignature, rotation: int | None) -> _Base:
     return surface, splits + [(lo1, lo2)]
 
 
-def _stable_assembly_base(sig: StratumSignature, ray: PrimitiveRay) -> _Base:
+def _stable_assembly_base(sig: StratumSignature, d: int, n: int, pairs: Sequence[Pair]) -> _Base:
     """Collinear residues at simple poles only: one surface of single-zero
     components plumbed at nodes.
+
+    The ray is read off the pairs: (x, y), the first pair over the gcd m0
+    of its coordinates, is primitive, so pair k is (x, y) times the integer
+    dot(pair k, (x, y)) / (x^2 + y^2).  These are coprime, as the pairs'
+    coordinates are, and the first is m0 > 0, so they are the integers of
+    :func:`resflat.core.collinear_normal_form`, direction (x + iy) * n/d.
 
     Each component is a connection graph on its entries of the peel
     (:func:`resflat.graphs.find_stable_config`); leaf c has one more part,
@@ -445,14 +451,15 @@ def _stable_assembly_base(sig: StratumSignature, ray: PrimitiveRay) -> _Base:
     """
     from . import graphs as _graphs
 
-    found = _graphs.find_stable_config(ray.integers, [a for a in sig.zeros if a > 0])
+    m0 = math.gcd(*pairs[0])
+    x, y = pairs[0][0] // m0, pairs[0][1] // m0
+    ints = [dot(p, (x, y)) // (x * x + y * y) for p in pairs]
+    found = _graphs.find_stable_config(ints, [a for a in sig.zeros if a > 0])
     if found is None:
         raise InternalBuildError("no stable configuration although the decider says realizable")
     components, left = found
-    s = len(ray.integers)
+    s = len(ints)
     nodes = len(components) - 1
-    ints = list(ray.integers)
-    d, n, [(x, y)] = lattice([ray.direction])
     chains: list[list[Pair]] = [[] for _ in range(s + 2 * nodes)]
     glued = []
     for c, comp in enumerate(components):
@@ -500,7 +507,7 @@ def _genus1_zero_residue_surface(orders: Sequence[int], rot: int | None) -> Flat
     return _chain_surface(orders, _choose_taus(orders, total), _SQUARE)
 
 
-def _positive_genus_base(sig: StratumSignature, residues: Sequence[QQi]) -> _Base:
+def _positive_genus_base(sig: StratumSignature, d: int, n: int, pairs: Sequence[Pair]) -> _Base:
     """g plumbed handles on a single-zero genus-0 base, then the splits.
 
     The base adds simple poles of residues c_j = (j + i) * r_0 and -c_j for
@@ -509,7 +516,6 @@ def _positive_genus_base(sig: StratumSignature, residues: Sequence[QQi]) -> _Bas
     residues span the plane.
     """
     g = sig.genus
-    d, n, pairs = lattice(residues)
     x, y = next((r for r in pairs if r != (0, 0)), _ONE)
     handles = []
     for j in range(g):
@@ -518,7 +524,7 @@ def _positive_genus_base(sig: StratumSignature, residues: Sequence[QQi]) -> _Bas
     base_sig = StratumSignature(
         0, (sig.pole_degree + sig.s + 2 * g - 2,), sig.higher_poles, sig.s + 2 * g
     )
-    base = _single_zero_surface(base_sig, d, n, [*pairs, *handles], None)
+    base = _single_zero_surface(base_sig, d, n, [*pairs, *handles], False)
     return _plumb(base.pieces, base.pairings, g, d, n), [sig.zeros]
 
 
@@ -578,14 +584,16 @@ def _build_on_route(
                 "rotation numbers apply to genus-1 strata with higher poles, "
                 "zero residues and at most one zero"
             )
+    d, n, pairs = lattice(residues)
     if route == "zero-residue-chain":
         surface, splits = _zero_residue_base(sig, rotation)
     elif route in ("connection-graph", "blow-up-of-single-zero", "stable-tree"):
-        surface, splits = _stable_assembly_base(sig, verdict.ray)
+        surface, splits = _stable_assembly_base(sig, d, n, pairs)
     elif route == "genus-reduction":
-        surface, splits = _positive_genus_base(sig, residues)
+        surface, splits = _positive_genus_base(sig, d, n, pairs)
     elif route in ("residual-polygon", "collinear-anchor-chain"):
-        surface, splits = _single_zero_surface(sig, *lattice(residues), verdict.ray), [sig.zeros]
+        collinear = route == "collinear-anchor-chain"
+        surface, splits = _single_zero_surface(sig, d, n, pairs, collinear), [sig.zeros]
     else:
         raise ValueError(f"verdict {verdict.reason!r} names no construction route: {route!r}")
     claimed, tables = _read_surface(surface)

@@ -118,7 +118,9 @@ def _read_piece(piece: Piece) -> tuple[Sequence[Pair], list[int], list[int], Pai
     for a polygon).  Raises ValueError with the first violated condition.
     Dividing the pairs by the surface's positive denominator changes no
     check or turn, so all are read as stored.  Coordinates must be integers,
-    a bool reading as 0 or 1: a float or Fraction one makes its sum one.
+    a bool reading as 0 or 1: a float or Fraction one makes its sum one,
+    and one that is not a number raises TypeError, which
+    :func:`verify_surface` reports in the same words.
 
     A polygon must turn once in all, and be convex: at every corner, from
     edge u to edge v, it turns left (cross(u, v) > 0) or goes straight on
@@ -219,7 +221,7 @@ def _read_polar_part(piece: PolarPart) -> tuple[Sequence[Pair], list[int], list[
         sx = sy = 0
         pu = ordered = True
         for k, (x, y) in enumerate(chain):
-            if not (x or y):
+            if (x, y) == (0, 0):
                 raise ValueError(f"{label} chain contains a zero vector")
             if y == 0 and x < 0:
                 raise ValueError(f"{label} chain vector points along the negative real axis")
@@ -349,6 +351,9 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
             canon, prev, into, res = _read_piece(pc)
         except ValueError as exc:
             violations.append(f"piece {idx}: {exc}")
+            continue
+        except TypeError:  # a coordinate that is not a number
+            violations.append(f"piece {idx}: coordinates must be integers")
             continue
         offset = len(flat)
         offsets.append(offset)
@@ -775,6 +780,10 @@ def _certificate_from_json(doc: Any, path: str = "$") -> ConstructionCertificate
         raise DocumentError(
             f"{path}.{extra[0]}", f"unexpected field in a format {FORMAT_VERSION} certificate"
         )
+    # An absent version or kind reads as this format's.
+    for field, want in (("format_version", FORMAT_VERSION), ("kind", "certificate")):
+        if doc.get(field, want) != want:
+            raise DocumentError(f"{path}.{field}", f"expected {want!r}, got {doc[field]!r}")
     surface = _surface_from_json(doc.get("surface"), path + ".surface")
     if not isinstance(doc.get("surgeries", []), list):
         raise DocumentError(path + ".surgeries", "expected a list")

@@ -708,6 +708,21 @@ def _certificate_with(part, **changes):
         ),
         (
             ["verify"],
+            lambda tmp: _certificate_doc(tmp, format_version="99"),
+            "$.format_version: expected '4', got '99'",
+        ),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, format_version=4),
+            "$.format_version: expected '4', got 4",
+        ),
+        (
+            ["verify"],
+            lambda tmp: _certificate_doc(tmp, kind="verdict"),
+            "$.kind: expected 'certificate', got 'verdict'",
+        ),
+        (
+            ["verify"],
             lambda tmp: _certificate_doc(tmp, surgeries=7),
             "$.surgeries: expected a list",
         ),
@@ -916,6 +931,9 @@ def _certificate_with(part, **changes):
         "format-1-bases",
         "format-2-null-family",
         "format-2-family",
+        "format-99",
+        "integer-format-version",
+        "verdict-kind",
         "surgeries-not-a-list",
         "boolean-type",
         "boolean-surgery-zero",
@@ -977,6 +995,13 @@ def test_every_failure_is_status_two_with_one_error_line(
     assert code == 2
     assert "Traceback" not in err
     assert err == f"error: {line}\n"
+
+
+def test_a_certificate_without_version_or_kind_reads_as_format_4(tmp_path):
+    cert = _certificate_doc(tmp_path)
+    code, out = run_cli(["verify"], tmp_path, cert)
+    del cert["format_version"], cert["kind"]
+    assert run_cli(["verify"], tmp_path, cert) == (code, out) and code == 0
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,22 @@
 import itertools
+from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resflat import decide
-from resflat.core import QQi, StratumSignature, residue_tuple
+from resflat import core, decide, graphs, surfaces
+from resflat.core import (
+    QQi,
+    StratumSignature,
+    collinear_normal_form,
+    lattice,
+    primitive_total_exceeds,
+    residue_tuple,
+    validate_residues,
+)
 from resflat.decide import (
     REASON_BELOW_GENUS,
     REASON_COLLINEAR_OK,
@@ -235,3 +245,133 @@ class TestCylinders:
         a = search_cylinder_tuple(sig, residue_tuple([1, -1, 2]))
         b = search_cylinder_tuple(sig, residue_tuple([1, 1, 2]))
         assert a == b
+
+
+def _decide_genus_zero_by_ray(sig, residues):
+    """The genus-0 branch of :func:`decide_realizable` as it ran through
+    :func:`collinear_normal_form`, kept as a reference: the verdict's
+    (reason, certificate_hint)."""
+    nonzero = [r for r in residues if not r.is_zero()]
+    if not nonzero:
+        bound = sig.pole_degree - (sig.p + 1)
+        if sig.max_zero() <= bound:
+            return REASON_ZERO_OK, "zero-residue-chain"
+        return REASON_ZERO_EXCLUDED, None
+    form = collinear_normal_form(tuple(nonzero))
+    if form is None:
+        return REASON_NON_COLLINEAR, "residual-polygon"
+    if sig.p >= 1:
+        return REASON_MIXED, "collinear-anchor-chain"
+    if not primitive_total_exceeds(form.integers, sig.max_zero()):
+        return REASON_EXCLUDED_RAY, None
+    one_zero = primitive_total_exceeds(form.integers, sig.s - 2)
+    hint = "connection-graph" if sig.n == 1 else (
+        "blow-up-of-single-zero" if one_zero else "stable-tree"
+    )
+    return REASON_COLLINEAR_OK, hint
+
+
+SCALES = (QQi(1), QQi(10**320), QQi(Fraction(1, 10**320)))
+_STABLE_ROUTES = ("connection-graph", "blow-up-of-single-zero", "stable-tree")
+
+
+@st.composite
+def _genus_zero_requests(draw):
+    """A valid genus-0 request: residues on no line, on one line with a
+    higher pole, or on one line at simple poles only; times a drawn
+    direction and a scale of 1, 10^320 or 10^-320; zeros of the right total."""
+    kind = draw(st.sampled_from(["non-collinear", "mixed-collinear", "simple-collinear"]))
+    least = 1 if kind == "mixed-collinear" else 0
+    most = 0 if kind == "simple-collinear" else 3
+    orders = tuple(draw(st.lists(st.integers(2, 4), min_size=least, max_size=most)))
+    s = draw(st.integers(2 if kind == "simple-collinear" else 0, 7))
+    assume(len(orders) + s >= (3 if kind == "non-collinear" else 2))
+    bound = draw(st.integers(1, 4))
+    small = st.integers(-bound, bound)
+    if kind == "non-collinear":
+        entries = [QQi(draw(small), draw(small)) for _ in range(len(orders) + s - 1)]
+    else:
+        entries = [QQi(draw(small)) for _ in range(len(orders) + s - 1)]
+    entries.append(-sum(entries, QQi(0)))
+    assume(not any(e.is_zero() for e in entries[len(orders):]))
+    if kind == "non-collinear":
+        nonzero = [e for e in entries if not e.is_zero()]
+        assume(nonzero and collinear_normal_form(nonzero) is None)
+    direction = QQi(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) / draw(st.integers(1, 3))
+    assume(not direction.is_zero())
+    scale = draw(st.sampled_from(SCALES))
+    residues = tuple(e * direction * scale for e in entries)
+    left = sum(orders) + s - 2
+    zeros = []
+    for _ in range(draw(st.integers(0, 2))):
+        zeros.append(draw(st.integers(0, left)))
+        left -= zeros[-1]
+    sig = StratumSignature(0, sorted([*zeros, left], reverse=True), orders, s)
+    assert not validate_residues(sig, residues)
+    return sig, residues
+
+
+@given(_genus_zero_requests())
+@settings(max_examples=400, deadline=None)
+def test_the_decider_agrees_with_the_ray_reference(request):
+    """The decider reads the line through the residues' integer pairs and
+    gives the reason and route that the normal form gave; on a stable route
+    the builder reads off the pairs the normal form's integers, and its
+    direction's lattice (x, y, d, n)."""
+    sig, residues = request
+    verdict = decide_realizable(sig, residues)
+    assert (verdict.reason, verdict.certificate_hint) == _decide_genus_zero_by_ray(sig, residues)
+    if verdict.certificate_hint not in _STABLE_ROUTES:
+        return
+    form = collinear_normal_form(residues)
+    d, n, [(x, y)] = lattice([form.direction])
+    read, original = [], graphs.find_stable_config
+
+    def find_stable_config(integers, zeros):
+        read.append(tuple(integers))  # the builder extends its list afterwards
+        return original(integers, zeros)
+
+    with (
+        mock.patch("resflat.graphs.find_stable_config", find_stable_config),
+        mock.patch("resflat.surfaces.dot", wraps=core.dot) as dot,
+        mock.patch("resflat.surfaces._plumb", wraps=surfaces._plumb) as plumb,
+    ):
+        surfaces._stable_assembly_base(sig, *lattice(residues))
+    assert read == [form.integers]
+    assert {call.args[1] for call in dot.call_args_list} == {(x, y)}
+    assert plumb.call_args.args[3:] == (d, n)
+
+
+@pytest.mark.parametrize("scale", SCALES, ids=["1", "10^320", "10^-320"])
+def test_every_short_excluded_ray_agrees_with_the_ray_reference(scale):
+    """Each excluded ray of s <= 7 entries, on the one-zero stratum and on
+    every two-zero split of it: the boundary between the excluded rays, the
+    stable trees and the blow-ups, which random draws seldom reach."""
+    direction = QQi(Fraction(2, 3), -1) * scale
+    for s in range(3, 8):
+        for ray in enumerate_excluded_rays(s, s - 2):
+            residues = tuple(direction * m for m in ray.integers)
+            for a in range(s - 2, (s - 3) // 2, -1):
+                sig = StratumSignature(0, (a, s - 2 - a) if a < s - 2 else (a,), (), s)
+                verdict = decide_realizable(sig, residues)
+                want = _decide_genus_zero_by_ray(sig, residues)
+                assert (verdict.reason, verdict.certificate_hint) == want
+
+
+@pytest.mark.parametrize("k", [320, 3000])
+def test_the_deciders_integers_do_not_grow_with_a_common_scale(k):
+    """The closed form reads the residues on their coarsest lattice, so a
+    common scale 10^k or 10^-k hands it the integers of scale 1, not
+    k-digit ones whose products grow with the scale."""
+    sig = StratumSignature(0, (3,), (), 5)
+    read = []
+
+    def spy(integers, bound):
+        read.append(tuple(integers))
+        return primitive_total_exceeds(integers, bound)
+
+    for scale in (QQi(1), QQi(10**k), QQi(Fraction(1, 10**k))):
+        residues = tuple(QQi(m) * scale for m in (3, 1, -1, -1, -2))
+        with mock.patch("resflat.decide.primitive_total_exceeds", spy):
+            assert decide_realizable(sig, residues).reason == REASON_COLLINEAR_OK
+    assert len(read) == 6 and set(read) == {read[0]}

@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from resflat.core import FrozenInstanceError, PrimitiveRay, QQi, StratumSignature, replace
-from resflat.decide import REASON_MIXED, Verdict
+from resflat.decide import Verdict
 from resflat.graphs import CylinderComponent, CylinderConfig
 from resflat.verify import (
     BlowUpZero,
@@ -41,7 +41,7 @@ RECORDS = {
     PrimitiveRay: (lambda: PrimitiveRay(QQi(1, 2), (2, -1, -1)), ("direction", "integers")),
     Verdict: (
         lambda: Verdict("non-collinear", "residual-polygon"),
-        ("reason", "certificate_hint", "ray"),
+        ("reason", "certificate_hint"),
     ),
     CylinderComponent: (lambda: CylinderComponent(1, (0, 2)), ("genus", "zero_indices")),
     CylinderConfig: (
@@ -92,14 +92,6 @@ def test_records_of_different_classes_are_unequal():
     assert PrimitiveRay(QQi(1), (1, -1)) != PrimitiveRay(QQi(2), (1, -1))
 
 
-def test_verdict_equality_ignores_the_ray():
-    ray = PrimitiveRay(QQi(0, 1), (1, -1))
-    with_ray = Verdict(REASON_MIXED, "collinear-anchor-chain", ray=ray)
-    without = Verdict(REASON_MIXED, "collinear-anchor-chain")
-    assert with_ray == without and hash(with_ray) == hash(without)
-    assert with_ray != Verdict(REASON_MIXED)
-
-
 @CLASSES
 def test_repr_names_each_field(cls):
     record = RECORDS[cls][0]()
@@ -110,7 +102,7 @@ def test_repr_names_each_field(cls):
 def test_repr_keeps_the_dataclass_form():
     assert repr(BlowUpZero(0, (1, 1))) == "BlowUpZero(zero_index=0, parts=(1, 1))"
     assert repr(Verdict("excluded-primitive-ray")) == (
-        "Verdict(reason='excluded-primitive-ray', certificate_hint=None, ray=None)"
+        "Verdict(reason='excluded-primitive-ray', certificate_hint=None)"
     )
     assert repr(PrimitiveRay(QQi(1, 2), (1, -1))) == (
         "PrimitiveRay(direction=QQi(1, 2), integers=(1, -1))"

@@ -582,6 +582,7 @@ class TestVerifySurface:
             ),
             ((PolarPart(2, 1, [(Fraction(1, 2), 0)], [(Fraction(1, 2), 0)]),), [((0, 0), (0, 1))]),
             ((PolarPart(2, 1, [RIGHT], [(1, 0.0)]),), [((0, 0), (0, 1))]),
+            ((SimplePolePart([("a", 0)]), SimplePolePart([LEFT])), [((0, 0), (1, 0))]),
         ],
         ids=[
             "float-torus",
@@ -589,15 +590,38 @@ class TestVerifySurface:
             "fraction-chain",
             "fraction-polar-part",
             "float-bottom-chain",
+            "string-simple-pole",
         ],
     )
     def test_coordinates_must_be_integers(self, pieces, pairings):
         """Two float triangles glued edge to edge read as a genus-1 surface,
-        a float simple pole reached gcd and raised TypeError, and a Fraction
-        polar part was read as well."""
+        a float simple pole reached gcd and raised TypeError, a Fraction
+        polar part was read as well, and a string coordinate raised
+        TypeError from the sum."""
         with pytest.raises(VerificationError) as caught:
             verify_surface(FlatSurface(pieces, pairings))
         assert caught.value.violations[0] == "piece 0: coordinates must be integers"
+
+    @pytest.mark.parametrize("bad", ["a", None, 1j], ids=repr)
+    @pytest.mark.parametrize(
+        "piece",
+        [
+            lambda v: SimplePolePart([v]),
+            lambda v: SimplePolePart([UP, v]),
+            lambda v: Polygon([v, LEFT, DOWN]),
+            lambda v: PolarPart(2, 1, [v], [RIGHT]),
+        ],
+        ids=["simple-pole", "simple-pole-chain", "polygon", "polar-part"],
+    )
+    def test_a_coordinate_that_is_not_a_number_is_a_violation(self, piece, bad):
+        """A str, None or complex coordinate fails an operation of the walk
+        with TypeError, which the kernel reports in the words it uses for
+        floats, in either coordinate, beside a 0 or not, and on every kind
+        of piece."""
+        for v in ((bad, 1), (1, bad), (bad, 0), (0, bad)):
+            with pytest.raises(VerificationError) as caught:
+                verify_surface(FlatSurface([piece(v), SimplePolePart([LEFT])], [((0, 0), (1, 0))]))
+            assert caught.value.violations == ("piece 0: coordinates must be integers",)
 
     def test_bool_coordinates_read_as_integers(self):
         """A bool coordinate reads as 0 or 1 on every kind of piece: the
