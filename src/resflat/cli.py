@@ -158,11 +158,11 @@ def _cmd_witness(args: SimpleNamespace) -> int:
     rotation = doc_in.get("rotation")  # _request_pair takes only an object
     if rotation is not None and not _is_int(rotation):
         raise DocumentError("$.rotation", "expected an integer or null")
-    verdict = _decide.decide_realizable(sig, residues)
+    verdict, residues, on_lattice = _decide._decision(sig, residues)
     if not verdict.realizable:
         _write_document(_verdict_document(sig, verdict), args.output)
         return 1
-    cert = _surfaces._build_on_route(sig, residues, verdict, rotation)
+    cert = _surfaces._build_on_route(sig, residues, on_lattice, verdict, rotation)
     _write_document(_verify._certificate_to_json(cert), args.output)
     if args.svg:
         from . import reports as _reports

@@ -308,28 +308,18 @@ def primitive_total_exceeds(integers: Sequence[int], bound: int) -> bool:
     return sum(m for m in integers if m > 0) > bound * gcd(*integers)
 
 
-def _spanning_forest(k: int, pairs: Sequence[tuple[int, int]]) -> list[bool]:
-    """Whether each pair joins two components of the pairs before it, on
-    vertices 0..k-1; the pairs that do form a spanning forest.  The graph
-    searches and the verifier share this union-find."""
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    joins = []
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        parent[ra] = rb
-        joins.append(ra != rb)
-    return joins
-
-
-def _connected(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
-    return sum(_spanning_forest(k, pairs)) == k - 1
+def _join(parent: list[int], a: int, b: int) -> bool:
+    """Join the trees of a and b in a union-find forest, halving the paths
+    to their roots, and say whether they were two trees.  The verifier
+    joins pieces by their pairings with it, and corner orbits too."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    while parent[b] != b:
+        parent[b] = parent[parent[b]]
+        b = parent[b]
+    parent[a] = b
+    return a != b
 
 
 class StratumSignature(Frozen):
@@ -428,29 +418,40 @@ def residue_tuple(values: Iterable[QQi | Rat]) -> tuple[QQi, ...]:
     return tuple(out)
 
 
-def validate_residues(sig: StratumSignature, residues: Sequence[QQi]) -> tuple[str, ...]:
+def validate_residues(sig: StratumSignature, residues: Iterable[QQi | Rat]) -> tuple[str, ...]:
     """Check a candidate residue tuple against a signature.
 
     The tuple lists the higher pole residues first, then the simple pole
-    residues.  Violations of the length, of the residue theorem and of the
-    nonvanishing at simple poles are each reported distinctly.
+    residues, as Gaussian rationals, ints or Fractions.  Violations of the
+    length, of the residue theorem and of the nonvanishing at simple poles
+    are each reported distinctly.
     """
+    return _read_residues(sig, residues)[1]
+
+
+def _read_residues(
+    sig: StratumSignature, residues: Iterable[QQi | Rat]
+) -> tuple[tuple[QQi, ...], tuple[str, ...], tuple[int, int, list[Pair]] | None]:
+    """:func:`validate_residues`, with what it read: the residues as a
+    tuple of Gaussian rationals (empty on an invalid stratum) and their
+    coarsest lattice (d, n, pairs), the one reading of a request (None on
+    an invalid stratum or length).  The pairs times n/d are the residues,
+    so they sum to zero exactly when the residues do."""
     bad = list(validate_stratum(sig))
     if bad:
-        return tuple(bad)
+        return (), tuple(bad), None
+    residues = residue_tuple(residues)
     if len(residues) != sig.num_poles:
-        bad.append(
-            f"residue tuple has length {len(residues)}, expected {sig.num_poles}"
-        )
-        return tuple(bad)
-    m, pairs = scaled(residues)
+        bad.append(f"residue tuple has length {len(residues)}, expected {sig.num_poles}")
+        return residues, tuple(bad), None
+    d, n, pairs = lattice(residues)
     re, im = sum(x for x, _ in pairs), sum(y for _, y in pairs)
     if re or im:
-        bad.append(f"residues sum to {QQi._of(re, im, m)}, expected 0")
+        bad.append(f"residues sum to {QQi._of(re * n, im * n, d)}, expected 0")
     for k in range(sig.p, sig.num_poles):
         if residues[k].is_zero():
             bad.append(f"zero residue at simple pole #{k - sig.p}")
-    return tuple(bad)
+    return residues, tuple(bad), (d, n, pairs)
 
 
 class PrimitiveRay(Frozen):

@@ -23,20 +23,23 @@ process and a closed-form ``resflat cylinders`` process do.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import (
     CYLINDER_BUDGET,
     Frozen,
+    Pair,
     PrimitiveRay,
     QQi,
+    Rat,
     StratumSignature,
     check_cylinder_request,
     collinear_normal_form,  # not called here; bench/test_bench.py traces it in this namespace
     lattice,
     line_integers,
     primitive_total_exceeds,
-    validate_residues,
+    residue_tuple,
+    _read_residues,
     _set,
 )
 
@@ -76,18 +79,35 @@ class Verdict(Frozen):
         return self.reason not in _NEGATIVE_REASONS
 
 
-def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict:
+def decide_realizable(sig: StratumSignature, residues: Iterable[QQi | Rat]) -> Verdict:
     """Decide whether a residue tuple is attained on the given stratum.
 
-    Raises ValueError when (sig, residues) fails validation.
+    The residues may be Gaussian rationals, ints or Fractions.  Raises
+    ValueError when (sig, residues) fails validation.
     """
-    bad = validate_residues(sig, residues)
+    return _decision(sig, residues)[0]
+
+
+def _decision(
+    sig: StratumSignature, residues: Iterable[QQi | Rat]
+) -> tuple[Verdict, tuple[QQi, ...], tuple[int, int, list[Pair]]]:
+    """:func:`decide_realizable`, with the residues as a tuple and their
+    coarsest lattice (d, n, pairs): the one reading of a request, which
+    validation, the decision and a witness's builder share."""
+    residues, bad, on_lattice = _read_residues(sig, residues)
     if bad:
         raise ValueError("; ".join(bad))
+    # A zero residue is the pair (0, 0), which changes neither d nor n, so
+    # the nonzero pairs are the nonzero residues' own lattice.
+    nonzero = [p for p in on_lattice[2] if p != (0, 0)]
+    return _verdict(sig, nonzero), residues, on_lattice
+
+
+def _verdict(sig: StratumSignature, nonzero: list[Pair]) -> Verdict:
+    """The closed form, read on the lattice pairs of the nonzero residues."""
     if sig.genus >= 1:
-        chain = sig.genus == 1 and all(r.is_zero() for r in residues)
+        chain = sig.genus == 1 and not nonzero
         return Verdict(REASON_GENUS_POSITIVE, "zero-residue-chain" if chain else "genus-reduction")
-    nonzero = [r for r in residues if not r.is_zero()]
     if not nonzero:
         # All residues vanish; only higher poles present.
         bound = sig.pole_degree - (sig.p + 1)
@@ -95,7 +115,7 @@ def decide_realizable(sig: StratumSignature, residues: Sequence[QQi]) -> Verdict
             return Verdict(REASON_ZERO_OK, "zero-residue-chain")
         return Verdict(REASON_ZERO_EXCLUDED)
 
-    ints = line_integers(lattice(nonzero)[2])
+    ints = line_integers(nonzero)
     if ints is None:
         return Verdict(REASON_NON_COLLINEAR, "residual-polygon")
     if sig.p >= 1:
@@ -157,7 +177,7 @@ def enumerate_excluded_rays(s: int, max_zero: int) -> tuple[PrimitiveRay, ...]:
 
 def search_cylinder_tuple(
     sig: StratumSignature,
-    circumferences: Sequence[QQi],
+    circumferences: Iterable[QQi | Rat],
     budget: int = CYLINDER_BUDGET,
 ) -> Verdict:
     """Decide whether a holomorphic stratum carries disjoint cylinders with
@@ -170,8 +190,10 @@ def search_cylinder_tuple(
     count g + n - 1) have no closed form here: the bounded search of
     :mod:`resflat.graphs` answers them within ``budget`` placements of
     cylinder ends.  A negative ``budget`` raises ValueError even when no
-    search runs.
+    search runs.  Circumferences may be Gaussian rationals, ints or
+    Fractions.
     """
+    circumferences = residue_tuple(circumferences)
     check_cylinder_request(sig, circumferences, budget)
     t = len(circumferences)
     g, n = sig.genus, max(sig.n, 1)

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Pair,
     QQi,
+    Rat,
     StratumSignature,
     arg_cmp,
     dot,
-    lattice,
     replace,
-    residue_tuple,
     _is_int,
 )
 from . import decide as _decide
@@ -530,7 +529,7 @@ def _positive_genus_base(sig: StratumSignature, d: int, n: int, pairs: Sequence[
 
 def build_witness(
     sig: StratumSignature,
-    residues: Sequence[QQi] = (),
+    residues: Iterable[QQi | Rat] = (),
     *,
     rotation: int | None = None,
 ) -> ConstructionCertificate | None:
@@ -546,25 +545,32 @@ def build_witness(
     its zero splits, and :func:`_build_on_route` finishes every witness the
     same way.
     """
-    residues = residue_tuple(residues)
-    verdict = _decide.decide_realizable(sig, residues)
+    verdict, residues, on_lattice = _decide._decision(sig, residues)
     if not verdict.realizable:
         return None
-    return _build_on_route(sig, residues, verdict, rotation)
+    return _build_on_route(sig, residues, on_lattice, verdict, rotation)
 
 
 def _build_on_route(
-    sig: StratumSignature, residues: tuple[QQi, ...], verdict: _decide.Verdict, rotation: int | None
+    sig: StratumSignature,
+    residues: tuple[QQi, ...],
+    on_lattice: tuple[int, int, list[Pair]],
+    verdict: _decide.Verdict,
+    rotation: int | None,
 ) -> ConstructionCertificate:
     """:func:`build_witness` on a request that the decider's ``verdict`` calls realizable.
 
-    The one finishing step of every route.  The claim starts as the
-    kernel's reading of the base, the one read of a build, against which a
-    requested rotation is checked.  Each split is then folded in by
-    :func:`blow_up_zero`, at the first zero of the parts' total order, and
-    :func:`_with_marked_points` adds one order-0 zero per point it marks,
-    which changes no rotation.  That is what :func:`verify_certificate`
-    re-derives, so only the request is checked last.
+    The one finishing step of every route.  ``residues`` and
+    ``on_lattice``, their coarsest lattice (d, n, pairs), are the decider's
+    reading of them (:func:`resflat.decide._decision`), the one reading of
+    a request, which validation, decider and builder share.  The claim
+    starts as the kernel's reading of the base, the one read of a build,
+    against which a requested rotation is checked.  Each split is then
+    folded in by :func:`blow_up_zero`, at the first zero of the parts'
+    total order, and :func:`_with_marked_points` adds one order-0 zero per
+    point it marks, which changes no rotation.  That is what
+    :func:`verify_certificate` re-derives, so only the request is checked
+    last.
 
     Raises ValueError on a verdict that is not realizable or names no route.
     """
@@ -584,7 +590,7 @@ def _build_on_route(
                 "rotation numbers apply to genus-1 strata with higher poles, "
                 "zero residues and at most one zero"
             )
-    d, n, pairs = lattice(residues)
+    d, n, pairs = on_lattice
     if route == "zero-residue-chain":
         surface, splits = _zero_residue_base(sig, rotation)
     elif route in ("connection-graph", "blow-up-of-single-zero", "stable-tree"):

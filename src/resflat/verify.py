@@ -42,8 +42,8 @@ from itertools import islice
 from typing import Any, Iterable, Sequence
 
 from .core import FORMAT_VERSION, DocumentError, Frozen, Pair, QQi, StratumSignature, lattice
-from .core import _connected, _int_list, _is_int, _pair_to_json, _qqi_from_json, _qqi_to_json
-from .core import _residues_from_json, _set, _spanning_forest
+from .core import _int_list, _is_int, _join, _pair_to_json, _qqi_from_json, _qqi_to_json
+from .core import _residues_from_json, _set
 
 
 class VerificationError(Exception):
@@ -368,10 +368,11 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
 
     partner = [-1] * len(flat)
     glued: list[tuple[int, int]] = []
-    count = len(sizes)
+    count = parts = len(sizes)
+    parent = list(range(count))  # a union-find forest of the pieces
     for num, (a, b) in enumerate(surface.pairings):
-        # Two free, distinct slots in range are matched, and a vector
-        # mismatch reported; any other pairing ends the matching.
+        # Two free, distinct slots in range are matched, their pieces joined
+        # and a vector mismatch reported; any other pairing ends the matching.
         try:
             (i, k), (j, m) = a, b
             if 0 <= i < count and 0 <= k < sizes[i] and 0 <= j < count and 0 <= m < sizes[j]:
@@ -383,6 +384,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
                         violations.append(f"pairing {num}: vector mismatch, {u} against {v}")
                     partner[fa], partner[fb] = fb, fa
                     glued.append((fa, fb))
+                    parts -= _join(parent, i, j)
                     continue
         except (TypeError, ValueError):
             pass
@@ -394,7 +396,7 @@ def _read_surface(surface: FlatSurface) -> tuple[Profile, tuple]:
     if violations:
         raise VerificationError(violations)
 
-    if not _connected(len(pieces), [(a[0], b[0]) for a, b in surface.pairings]):
+    if parts > 1:
         raise VerificationError(("surface is disconnected",))
 
     # Each corner ends on the direction the next one starts from (matched
@@ -505,7 +507,8 @@ def _loop_indices(tables: tuple) -> list[int]:
     sizes, flat, glued, before, turns, vertex = tables
     piece_of = [i for i, size in enumerate(sizes) for _ in range(size)]
     up = [y > 0 or (y == 0 and x < 0) for x, y in flat]
-    tree = _spanning_forest(max(vertex) + 1, [(vertex[a], vertex[b]) for a, b in glued])
+    parent = list(range(max(vertex) + 1))
+    tree = [_join(parent, vertex[a], vertex[b]) for a, b in glued]
     dual: list[list[tuple[int, int]]] = [[] for _ in sizes]
     for (a, b), t in zip(glued, tree):
         if not t:

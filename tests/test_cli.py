@@ -1011,15 +1011,14 @@ def test_a_certificate_without_version_or_kind_reads_as_format_4(tmp_path):
 )
 def test_witness_decides_once(residues, code):
     """``witness`` runs the decider once on H_0(2, -1^4), and on a "no"
-    writes the very document ``decide`` writes."""
+    writes the very document ``decide`` writes.  Both run it through
+    ``decide._decision``, the one reading of a request."""
     stratum = {"genus": 0, "zeros": [2], "poles": [], "simple_poles": 4}
     doc = {"stratum": stratum, "residues": residues}
     outputs = []
     for command in ("witness", "decide"):
         out = io.StringIO()
-        wrapped = mock.patch(
-            "resflat.decide.decide_realizable", wraps=resflat.decide.decide_realizable
-        )
+        wrapped = mock.patch("resflat.decide._decision", wraps=resflat.decide._decision)
         with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), wrapped as decide:
             with contextlib.redirect_stdout(out):
                 assert main([command, "-"]) == code

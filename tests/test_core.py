@@ -244,6 +244,62 @@ class TestValidateResidues:
         assert any("sum" in v for v in bad)
 
 
+def _reference_validate_residues(sig, residues):
+    """validate_residues as it read the residues before it shared the
+    decider's lattice: on the pairs of :func:`scaled`."""
+    bad = list(validate_stratum(sig))
+    if bad:
+        return tuple(bad)
+    if len(residues) != sig.num_poles:
+        bad.append(
+            f"residue tuple has length {len(residues)}, expected {sig.num_poles}"
+        )
+        return tuple(bad)
+    m, pairs = scaled(residues)
+    re, im = sum(x for x, _ in pairs), sum(y for _, y in pairs)
+    if re or im:
+        bad.append(f"residues sum to {QQi._of(re, im, m)}, expected 0")
+    for k in range(sig.p, sig.num_poles):
+        if residues[k].is_zero():
+            bad.append(f"zero residue at simple pole #{k - sig.p}")
+    return tuple(bad)
+
+
+# Valid strata with simple poles only, higher poles only, both, and genus 1,
+# and one that breaks the degree identity.
+VALIDATED_STRATA = (
+    StratumSignature(0, (2,), (), 4),
+    StratumSignature(0, (3,), (3, 2)),
+    StratumSignature(0, (1, 1), (2,), 2),
+    StratumSignature(1, (3,), (2,), 1),
+    StratumSignature(0, (2,), (), 3),
+)
+
+
+@st.composite
+def residue_requests(draw):
+    """A stratum and residues at one scale, 1 or 10^+-320: of the wrong
+    length one time in three, summing to zero or not, and with a zero
+    simple-pole residue put in one time in three."""
+    sig = draw(st.sampled_from(VALIDATED_STRATA))
+    length = max(0, sig.num_poles + draw(st.sampled_from((0, 0, 0, 0, -1, 1))))
+    scale = draw(st.sampled_from((Fraction(1), Fraction(10**320), Fraction(1, 10**320))))
+    values = [QQi(draw(small_fracs), draw(small_fracs)) * scale for _ in range(length)]
+    if values and draw(st.booleans()):
+        values[-1] = values[-1] - sum(values, QQi(0))
+    poles = range(sig.p, min(length, sig.num_poles))
+    if poles and draw(st.integers(0, 2)) == 0:
+        values[draw(st.sampled_from(poles))] = QQi(0)
+    return sig, tuple(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(residue_requests())
+def test_validation_on_the_lattice_agrees_with_its_reference(request):
+    sig, residues = request
+    assert validate_residues(sig, residues) == _reference_validate_residues(sig, residues)
+
+
 class TestCollinearNormalForm:
     def test_scaled_integer_tuple(self):
         w = QQi(1, 1)

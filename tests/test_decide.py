@@ -247,6 +247,26 @@ class TestCylinders:
         assert a == b
 
 
+def test_every_public_entry_takes_ints_and_fractions():
+    """validate_residues, decide_realizable, build_witness and
+    search_cylinder_tuple read ints and Fractions as their Gaussian
+    rationals, as residue_tuple does."""
+    sig = StratumSignature(0, (0,), (), 2)
+    for values in ([1, -1], [Fraction(1, 2), Fraction(-1, 2)], [Fraction(3), -3]):
+        r = residue_tuple(values)
+        assert validate_residues(sig, values) == validate_residues(sig, r) == ()
+        assert decide_realizable(sig, values) == decide_realizable(sig, r)
+        assert surfaces.build_witness(sig, values) == surfaces.build_witness(sig, r)
+    unbalanced = [1, Fraction(1, 3)]
+    assert validate_residues(sig, unbalanced) == ("residues sum to 4/3, expected 0",)
+    with pytest.raises(ValueError, match="^residues sum to 4/3, expected 0$"):
+        decide_realizable(sig, unbalanced)
+    cylinders = StratumSignature(2, (1, 1))
+    for values in ([1, 1], [Fraction(1, 2), Fraction(-3, 2)], [2, Fraction(1, 3)]):
+        verdict = search_cylinder_tuple(cylinders, values)
+        assert verdict == search_cylinder_tuple(cylinders, residue_tuple(values))
+
+
 def _decide_genus_zero_by_ray(sig, residues):
     """The genus-0 branch of :func:`decide_realizable` as it ran through
     :func:`collinear_normal_form`, kept as a reference: the verdict's

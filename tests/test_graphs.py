@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from resflat import decide, graphs
 from resflat.cli import main
 from resflat.reports import oracle_cases
-from resflat.core import QQi, StratumSignature, _connected, residue_tuple
+from resflat.core import QQi, StratumSignature, residue_tuple
 from resflat.decide import enumerate_excluded_rays, search_cylinder_tuple
 from resflat.graphs import (
     SearchBudgetExceeded,
@@ -28,6 +28,25 @@ from resflat.graphs import (
 # Every tuple of `oracle-check --s-max 7 --entry-bound 5` and the length-8
 # tuples with entries <= 4.
 SWEEP = list(oracle_cases(7, 5)) + [c for c in oracle_cases(8, 4) if len(c) == 8]
+
+
+def _connected(k, pairs):
+    """Whether the pairs join vertices 0..k-1 into one component, by a
+    union-find of its own."""
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joins = 0
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        joins += ra != rb
+    return joins == k - 1
 
 
 def _bipartite_trees(s1: int, s2: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -6,14 +6,15 @@ opposite vectors, and every other pairing was read a second time, end by
 end, to word its rejection.  On drawn pairing lists over a fixed set of
 pieces, the kernel must report the same violations in the same order, or,
 where the reference matches every slot, build the same glued and partner
-tables.  Slot indices that are not ints are left out of the drawing: the
+tables, or report a disconnected surface exactly where ``_connected`` finds
+one.  Slot indices that are not ints are left out of the drawing: the
 reference raised TypeError on them.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resflat.core import QQi, _connected
+from resflat.core import QQi
 from resflat.verify import (
     FlatSurface,
     PolarPart,
@@ -25,6 +26,27 @@ from resflat.verify import (
 )
 
 RIGHT, UP, LEFT, DOWN = (1, 0), (0, 1), (-1, 0), (0, -1)
+
+
+def _connected(k, pairs):
+    """Whether the pairs join vertices 0..k-1 into one component: the
+    kernel's connectivity test as a second pass over the pairings, the
+    reference for the count of parts its matching keeps."""
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joins = 0
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        parent[ra] = rb
+        joins += ra != rb
+    return joins == k - 1
+
 
 # A 2 x 2 square with every side cut in two, a simple pole on each side of
 # the real line and a double pole: every matching of opposite vectors is a

@@ -1,8 +1,13 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 
 import resflat.decide
 import resflat.surfaces
+from resflat.cli import main
 from resflat.core import (
     QQi,
     StratumSignature,
@@ -20,6 +26,7 @@ from resflat.core import (
     replace,
     residue_tuple,
     validate_residues,
+    _qqi_to_json,
 )
 from resflat.decide import _partitions, decide_realizable
 from resflat.surfaces import (
@@ -454,6 +461,16 @@ class TestVerifySurface:
         with pytest.raises(VerificationError, match="disconnected"):
             verify_surface(surf)
 
+    def test_a_torus_beside_a_pole_sphere_is_disconnected(self):
+        # Read naively, a square torus beside a sphere of two one-vector
+        # simple-pole parts glued to each other has chi = 2 and meets the
+        # degree identity: H_0(0, 0, -1, -1) with residues 1 and -1.
+        pieces = (Polygon(SQUARE), SimplePolePart((RIGHT,)), SimplePolePart((LEFT,)))
+        pairings = (((0, 0), (0, 2)), ((0, 1), (0, 3)), ((1, 0), (2, 0)))
+        with pytest.raises(VerificationError) as exc:
+            verify_surface(FlatSurface(pieces, pairings))
+        assert exc.value.violations == ("surface is disconnected",)
+
     def test_wrapping_simple_pole_chains_detected(self):
         # Read naively, this gluing is genus 0 with zeros (2, 0) and residues
         # (1, 1, -1, -1): the primitive ray the theorem excludes for a zero
@@ -726,9 +743,9 @@ class TestBuildWitness:
         # H_0(2, -1^4) with (1, i, -1, -i) builds on the residual-polygon
         # route; a verdict that is no "yes", or names no route, builds nothing.
         sig = StratumSignature(0, (2,), (), 4)
-        r = residue_tuple([ONE, I, -ONE, -I])
+        verdict, r, on_lattice = resflat.decide._decision(sig, [ONE, I, -ONE, -I])
         Verdict = resflat.decide.Verdict
-        assert resflat.surfaces._build_on_route(sig, r, decide_realizable(sig, r), None)
+        assert resflat.surfaces._build_on_route(sig, r, on_lattice, verdict, None)
         for verdict, message in (
             (Verdict("excluded-primitive-ray", "no-such-route"), "is not realizable"),
             (Verdict("excluded-primitive-ray", "residual-polygon"), "is not realizable"),
@@ -736,7 +753,7 @@ class TestBuildWitness:
             (Verdict("non-collinear"), "names no construction route"),
         ):
             with pytest.raises(ValueError, match=message):
-                resflat.surfaces._build_on_route(sig, r, verdict, None)
+                resflat.surfaces._build_on_route(sig, r, on_lattice, verdict, None)
 
     def test_triangle_family_witness(self):
         self.check(StratumSignature(0, (3, 3, 3), (2, 2, 2, 2, 3)), [0] * 5)
@@ -887,42 +904,44 @@ class TestBuildWitness:
             assert decide_realizable(sig, residue_tuple(values)).certificate_hint == "stable-tree"
             self.check(sig, values)
 
-    @pytest.mark.parametrize(
-        "sig, values, route, rotation",
-        [
-            (StratumSignature(0, (1, 1), (2, 2)), [0, 0], "zero-residue-chain", None),
-            (StratumSignature(0, (1, 1), (), 4), [ONE, I, -ONE, -I], "residual-polygon", None),
-            (StratumSignature(0, (1, 1), (2,), 2), [1, 2, -3], "collinear-anchor-chain", None),
-            (StratumSignature(0, (5,), (), 7), [3, 1, 1, 1, -2, -2, -2], "connection-graph", None),
-            (StratumSignature(0, (1, 1), (), 4), [3, -1, -1, -1], "blow-up-of-single-zero", None),
-            (StratumSignature(0, (2, 2), (), 6), [2, 1, 1, -1, -1, -2], "stable-tree", None),
-            (
-                StratumSignature(1, (3,), (2,), 1),
-                [Fraction(1, 2), Fraction(-1, 2)],
-                "genus-reduction",
-                None,
-            ),
-            (StratumSignature(1, (4,), (2, 2)), [0, 0], "zero-residue-chain", 2),
-            (
-                StratumSignature(0, (2, 0), (), 4),
-                [Fraction(1, 3), I / 7, Fraction(-1, 3), -I / 7],
-                "residual-polygon",
-                None,
-            ),
-        ],
-    )
+    # A request on each route, one with a rotation and one with a marked point.
+    ONE_PER_ROUTE = [
+        (StratumSignature(0, (1, 1), (2, 2)), [0, 0], "zero-residue-chain", None),
+        (StratumSignature(0, (1, 1), (), 4), [ONE, I, -ONE, -I], "residual-polygon", None),
+        (StratumSignature(0, (1, 1), (2,), 2), [1, 2, -3], "collinear-anchor-chain", None),
+        (StratumSignature(0, (5,), (), 7), [3, 1, 1, 1, -2, -2, -2], "connection-graph", None),
+        (StratumSignature(0, (1, 1), (), 4), [3, -1, -1, -1], "blow-up-of-single-zero", None),
+        (StratumSignature(0, (2, 2), (), 6), [2, 1, 1, -1, -1, -2], "stable-tree", None),
+        (
+            StratumSignature(1, (3,), (2,), 1),
+            [Fraction(1, 2), Fraction(-1, 2)],
+            "genus-reduction",
+            None,
+        ),
+        (StratumSignature(1, (4,), (2, 2)), [0, 0], "zero-residue-chain", 2),
+        (
+            StratumSignature(0, (2, 0), (), 4),
+            [Fraction(1, 3), I / 7, Fraction(-1, 3), -I / 7],
+            "residual-polygon",
+            None,
+        ),
+    ]
+
+    @pytest.mark.parametrize("sig, values, route, rotation", ONE_PER_ROUTE)
     def test_one_decision_and_one_verification_per_base(
         self, monkeypatch, sig, values, route, rotation
     ):
         # The kernel reads each base once, in _build_on_route: a rotation is
         # checked against that reading, and marked points are added after it.
+        # The residues are read and decided once, by decide._decision.
         verdicts, read, validated = [], [], []
-        decide, read_surface = resflat.decide.decide_realizable, resflat.surfaces._read_surface
-        validate = resflat.decide.validate_residues
+        decide, read_surface = resflat.decide._decision, resflat.surfaces._read_surface
+        validate = resflat.decide._read_residues
 
         def counting_decide(*args):
-            verdicts.append(decide(*args))
-            return verdicts[-1]
+            decision = decide(*args)
+            verdicts.append(decision[0])
+            return decision
 
         def counting_read(surface):
             read.append(surface)
@@ -932,9 +951,9 @@ class TestBuildWitness:
             validated.append(args)
             return validate(*args)
 
-        monkeypatch.setattr(resflat.decide, "decide_realizable", counting_decide)
+        monkeypatch.setattr(resflat.decide, "_decision", counting_decide)
         monkeypatch.setattr(resflat.surfaces, "_read_surface", counting_read)
-        monkeypatch.setattr(resflat.decide, "validate_residues", counting_validate)
+        monkeypatch.setattr(resflat.decide, "_read_residues", counting_validate)
         cert = build_witness(sig, residue_tuple(values), rotation=rotation)
         assert [v.certificate_hint for v in verdicts] == [route]
         assert len(validated) == 1
@@ -945,6 +964,43 @@ class TestBuildWitness:
             assert read[0] is not cert.surface
         else:
             assert read == [cert.surface]
+
+    @pytest.mark.parametrize(
+        "scale", [1, Fraction(10**320), Fraction(1, 10**320)], ids=["1", "1e320", "1e-320"]
+    )
+    @pytest.mark.parametrize("entry", ["build_witness", "cli-witness"])
+    @pytest.mark.parametrize("sig, values, route, rotation", ONE_PER_ROUTE)
+    def test_one_lattice_reading_per_request(
+        self, monkeypatch, sig, values, route, rotation, entry, scale
+    ):
+        # Validation, the decider and the builder share one reading of the
+        # residues: one lattice call, counted in every namespace binding it.
+        residues = tuple(r * scale for r in residue_tuple(values))
+        assert decide_realizable(sig, residues).certificate_hint == route
+        calls = []
+        lattice = resflat.core.lattice
+
+        def counting_lattice(values):
+            calls.append(len(values))
+            return lattice(values)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "resflat" and vars(module).get("lattice") is lattice:
+                monkeypatch.setattr(module, "lattice", counting_lattice)
+        if entry == "build_witness":
+            assert build_witness(sig, residues, rotation=rotation) is not None
+        else:
+            stratum = {
+                "genus": sig.genus,
+                "zeros": list(sig.zeros),
+                "poles": list(sig.higher_poles),
+                "simple_poles": sig.s,
+            }
+            doc = {"stratum": stratum, "residues": [_qqi_to_json(r) for r in residues]}
+            with mock.patch("sys.stdin", io.StringIO(json.dumps({**doc, "rotation": rotation}))):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["witness", "-"]) == 0
+        assert calls == [len(residues)]
 
     @pytest.mark.parametrize(
         "sig, values, route",
